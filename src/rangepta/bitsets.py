@@ -161,27 +161,16 @@ class RangedBitVector:
         self.value = new
         return True
 
-    def or_overlapping(self, other: "RangedBitVector") -> bool:
-        """Chunk-wise union over the intersection of the two aligned spans.
+    def or_overlapping(self, bits: int) -> bool:
+        """Chunk-wise union: take every bit of a full-universe int (bit i
+        for absolute index i) that falls inside the allocated chunks.
 
-        Coincides with or_with when one interval nests inside the other,
-        but also transfers the common chunks of partially overlapping
-        intervals (which arise for merged interface intervals).  As with
-        or_with, the source is trimmed to its interval first."""
-        if other.cfg != self.cfg:
-            raise ConfigMismatchError("chunk widths differ")
-        if self.num_chunks == 0 or other.num_chunks == 0:
-            return False
-        lo = max(self.aligned_lower, other.aligned_lower)
-        hi = min(self.span_end, other.span_end)
-        if lo > hi:
-            return False
-        window = (1 << (hi - lo + 1)) - 1
-        src = other.value & other.interval_mask
-        incoming = ((src >> (lo - other.aligned_lower)) & window) << (
-            lo - self.aligned_lower
-        )
-        new = self.value | incoming
+        Callers pass a source already trimmed to its intervals, so slack
+        admitted elsewhere is never re-exported.  Where the source's span
+        only partly overlaps this one (merged interface intervals), the
+        common chunks transfer.  Returns True iff self changed."""
+        window = (1 << (self.num_chunks * self.cfg.chunk_bits)) - 1
+        new = self.value | ((bits >> self.aligned_lower) & window)
         if new == self.value:
             return False
         self.value = new

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Optional
 
 from .bitsets import ChunkConfig
-from .errors import PtaError, UnsupportedKindError
+from .errors import InvalidParamsError, PtaError, UnsupportedKindError
 from .hierarchy import number_allocations
 from .pag import GenParams, generate_synthetic, parse_program
 from .ptsets import SET_KINDS, sparse_savings
@@ -34,7 +34,14 @@ from .solver import (
 
 def _default_chunk() -> int:
     raw = os.environ.get("RANGE_PTA_CHUNK")
-    return int(raw) if raw else 64
+    if not raw:
+        return 64
+    try:
+        return int(raw)
+    except ValueError:
+        raise InvalidParamsError(
+            f"RANGE_PTA_CHUNK must be an integer, got {raw!r}"
+        ) from None
 
 
 @dataclass
@@ -209,6 +216,8 @@ def cmd_savings(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.repeat < 1:
+        raise InvalidParamsError(f"--repeat must be at least 1, got {args.repeat}")
     cfg = _config_from(args)
     times = []
     sol: Optional[Solution] = None
@@ -285,8 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except PtaError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -219,18 +219,24 @@ def build_hierarchy(
     ext_map = {name: tuple(exts) for name, exts in iface_decls}
     istate: dict[str, int] = {}
 
-    def visit_iface(i: str):
-        if istate.get(i) == 1:
-            raise InheritanceCycleError(f"interface extension cycle through {i}")
-        if istate.get(i) == 2:
-            return
-        istate[i] = 1
-        for sup in ext_map[i]:
-            visit_iface(sup)
-        istate[i] = 2
-
-    for i in ext_map:
-        visit_iface(i)
+    # depth-first with an explicit stack, so deep extension chains cannot
+    # exhaust the interpreter's recursion limit
+    for start in ext_map:
+        if start in istate:
+            continue
+        istate[start] = 1
+        stack = [(start, iter(ext_map[start]))]
+        while stack:
+            i, sups = stack[-1]
+            sup = next(sups, None)
+            if sup is None:
+                istate[i] = 2
+                stack.pop()
+            elif istate.get(sup) == 1:
+                raise InheritanceCycleError(f"interface extension cycle through {sup}")
+            elif sup not in istate:
+                istate[sup] = 1
+                stack.append((sup, iter(ext_map[sup])))
 
     root_name = roots[0][0]
     h.root = TypeRef(root_name, "class")
@@ -270,28 +276,32 @@ def _ensure_array(h: ClassHierarchy, name: str) -> None:
     """Register an array type (and its mirror ancestors) as synthetic classes.
 
     ``T[]`` is a subtype of ``S[]`` iff T is a subtype of S; every array type
-    is ultimately a subtype of the root class.
+    is ultimately a subtype of the root class.  Element and parent arrays are
+    registered first, element first, through an explicit stack.
     """
-    if name in h.types:
-        return
-    if not name.endswith("[]"):
-        raise UnknownTypeError(f"unknown type: {name}")
-    elem = name[:-2]
-    if elem not in h.types:
-        if elem.endswith("[]"):
-            _ensure_array(h, elem)
-        else:
-            raise UnknownTypeError(f"unknown array element type: {elem}")
-    et = h.types[elem]
-    if et.kind == "interface":
-        raise UnknownTypeError(f"interface element arrays are not supported: {name}")
-    elem_parent = h.parent[elem]
-    if elem_parent is None:
-        parent = h.root.name
-    else:
-        parent = elem_parent + "[]"
-        _ensure_array(h, parent)
-    h._add_class(TypeRef(name, "array", element=elem), parent, ())
+    pending = [name]
+    while pending:
+        name = pending[-1]
+        if name in h.types:
+            pending.pop()
+            continue
+        if not name.endswith("[]"):
+            raise UnknownTypeError(f"unknown type: {name}")
+        elem = name[:-2]
+        if elem not in h.types:
+            if not elem.endswith("[]"):
+                raise UnknownTypeError(f"unknown array element type: {elem}")
+            pending.append(elem)
+            continue
+        if h.types[elem].kind == "interface":
+            raise UnknownTypeError(f"interface element arrays are not supported: {name}")
+        elem_parent = h.parent[elem]
+        parent = h.root.name if elem_parent is None else elem_parent + "[]"
+        if parent not in h.types:
+            pending.append(parent)
+            continue
+        h._add_class(TypeRef(name, "array", element=elem), parent, ())
+        pending.pop()
 
 
 @dataclass
@@ -338,17 +348,25 @@ def number_allocations(h: ClassHierarchy, allocs: Sequence[AllocSite]) -> Number
     type2interval: dict[str, Interval] = {}
     postorder: list[str] = []
 
-    def dfs_visit(cls: str):
+    def enter(cls: str):
         lower = len(global_array) + 1
         for alloc in class2allocs[cls]:
             global_array.append(alloc)
             alloc.index = len(global_array)
-        for c in h.children[cls]:
-            dfs_visit(c)
+        return cls, lower, iter(h.children[cls])
+
+    # depth-first with an explicit stack, so deep class chains cannot
+    # exhaust the interpreter's recursion limit
+    stack = [enter(h.root.name)]
+    while stack:
+        cls, lower, children = stack[-1]
+        child = next(children, None)
+        if child is not None:
+            stack.append(enter(child))
+            continue
+        stack.pop()
         type2interval[cls] = Interval(lower, len(global_array))
         postorder.append(cls)
-
-    dfs_visit(h.root.name)
 
     nr = NumberingResult(
         hierarchy=h,

@@ -4,6 +4,17 @@ Seven kinds share the contract: a naive hash-set oracle, a pure masked
 bit-vector, Spark-style hybrid (16 inline slots, then pure), Heintze-style
 shared base + overflow list, GCC/LLVM-style sparse bitmaps, the ranged set
 (one ranged vector per interval of the owner type) and its hybrid variant.
+``SET_KINDS`` registers them by name.
+
+Every kind exposes its members as one full-universe int (``as_int``, bit i
+set iff i is a member, slack included) and its dereferenceable members as
+another (``objects_int``).  Each kind's ``add_all`` is one bulk union over
+the source's int view: a masked OR under the owner's filter (type mask for
+exact kinds; chunk spans for a ranged source entering a ranged set,
+intervals for any other source), followed only by the kind's own
+re-encoding of the new bits.  No kind falls back to element-wise insertion,
+so spill and fold points land exactly where element-wise insertion in
+ascending order would put them.
 
 Memory accounting is a deterministic model, not process measurement:
 16 bytes per object header, 16 per array header, 8 per reference slot,
@@ -39,13 +50,11 @@ HYBRID_INLINE_CAP = 16
 SHARED_OVERFLOW_CAP = 20
 SPARSE_ELEMENT_WORDS = 8
 
-SET_KINDS = ("naive", "pure", "hybrid", "shared", "sparse", "ranged", "ranged-hybrid")
-RANGED_KINDS = ("ranged", "ranged-hybrid")
-
 
 class SetFactory:
     """Builds sets over one numbering/chunk configuration and caches the
-    per-type masks, merged intervals and interned shared bases."""
+    per-type masks, compatible-index sets, merged intervals, ranged
+    geometry and interned shared bases."""
 
     def __init__(self, nr: NumberingResult, cfg: ChunkConfig = ChunkConfig()):
         self.nr = nr
@@ -53,7 +62,9 @@ class SetFactory:
         self.cfg = cfg
         self.total = nr.total_allocs
         self._masks: dict[str, int] = {}
+        self._compatible: dict[str, frozenset[int]] = {}
         self._intervals: dict[str, tuple[Interval, ...]] = {}
+        self._geometry: dict[str, tuple[int, int]] = {}
         self._interned_bases: dict[int, int] = {}
 
     def mask_bits(self, type_name: str) -> int:
@@ -62,6 +73,14 @@ class SetFactory:
             m = build_type_mask(self.nr, self.h, type_name).bits
             self._masks[type_name] = m
         return m
+
+    def compatible(self, type_name: str) -> frozenset[int]:
+        """The indices set in the type's mask, as a hash set."""
+        c = self._compatible.get(type_name)
+        if c is None:
+            c = frozenset(_iter_bits(self.mask_bits(type_name), 0))
+            self._compatible[type_name] = c
+        return c
 
     def intervals(self, type_name: str) -> tuple[Interval, ...]:
         ivs = self._intervals.get(type_name)
@@ -72,26 +91,31 @@ class SetFactory:
             self._intervals[type_name] = ivs
         return ivs
 
+    def ranged_geometry(self, type_name: str) -> tuple[int, int]:
+        """(interval bits, chunk-span bits) of the type's ranged vectors as
+        full-universe ints.  Span bits outside the intervals are slack."""
+        g = self._geometry.get(type_name)
+        if g is None:
+            cb = self.cfg.chunk_bits
+            interval_bits = span_bits = 0
+            for iv in self.intervals(type_name):
+                interval_bits |= ((1 << (iv.upper - iv.lower + 1)) - 1) << iv.lower
+                lo = iv.lower // cb * cb
+                hi = (iv.upper // cb + 1) * cb
+                span_bits |= ((1 << (hi - lo)) - 1) << lo
+            g = (interval_bits, span_bits)
+            self._geometry[type_name] = g
+        return g
+
     def intern_base(self, value: int) -> int:
         return self._interned_bases.setdefault(value, value)
 
     def make_set(self, kind: str, owner) -> "PointsToSet":
         owner_t = self.h.lookup(owner.name if isinstance(owner, TypeRef) else owner)
-        if kind == "naive":
-            return NaiveSet(self, owner_t)
-        if kind == "pure":
-            return PureBitVectorSet(self, owner_t)
-        if kind == "hybrid":
-            return HybridSet(self, owner_t)
-        if kind == "shared":
-            return SharedBitVectorSet(self, owner_t)
-        if kind == "sparse":
-            return SparseBitmapSet(self, owner_t)
-        if kind == "ranged":
-            return RangedPointsToSet(self, owner_t)
-        if kind == "ranged-hybrid":
-            return HybridRangedPointsToSet(self, owner_t)
-        raise UnsupportedKindError(f"unknown set kind: {kind}")
+        cls = SET_KINDS.get(kind)
+        if cls is None:
+            raise UnsupportedKindError(f"unknown set kind: {kind}")
+        return cls(self, owner_t)
 
     def total_footprint(self, sets: Iterable["PointsToSet"]) -> int:
         """Sum of modeled set sizes plus each distinct shared base once."""
@@ -107,8 +131,16 @@ class SetFactory:
         return total
 
 
+def _bits_of(indices: Iterable[int]) -> int:
+    v = 0
+    for i in indices:
+        v |= 1 << i
+    return v
+
+
 class PointsToSet:
     kind = "abstract"
+    ranged = False  # unions are chunk-wise and may admit slack
 
     def __init__(self, factory: SetFactory, owner: TypeRef):
         self.factory = factory
@@ -130,13 +162,16 @@ class PointsToSet:
         raise NotImplementedError
 
     def add_all(self, src: "PointsToSet") -> bool:
-        """Generic element-wise path; subclasses add same-kind bulk paths."""
-        self._check_universe(src)
-        changed = False
-        for i in src.iterate():
-            if self.add(i):
-                changed = True
-        return changed
+        """Unite src into self under self's filter; True iff self changed."""
+        raise NotImplementedError
+
+    def as_int(self) -> int:
+        """Members, slack included, as a full-universe int."""
+        raise NotImplementedError
+
+    def objects_int(self) -> int:
+        """The iterate_objects() members as a full-universe int."""
+        return self.as_int()
 
     def __contains__(self, idx: int) -> bool:
         raise NotImplementedError
@@ -171,24 +206,23 @@ class NaiveSet(PointsToSet):
     def __init__(self, factory, owner):
         super().__init__(factory, owner)
         self.members: set[int] = set()
-        self._mask = factory.mask_bits(owner.name)
+        self._compatible = factory.compatible(owner.name)
 
     def add(self, idx):
         self._check_index(idx)
-        if not self._mask >> idx & 1 or idx in self.members:
+        if idx not in self._compatible or idx in self.members:
             return False
         self.members.add(idx)
         return True
 
     def add_all(self, src):
         self._check_universe(src)
-        if isinstance(src, NaiveSet):
-            new = {i for i in src.members if self._mask >> i & 1} - self.members
-            if not new:
-                return False
-            self.members |= new
-            return True
-        return super().add_all(src)
+        before = len(self.members)
+        self.members |= self._compatible.intersection(src.iterate())
+        return len(self.members) != before
+
+    def as_int(self):
+        return _bits_of(self.members)
 
     def __contains__(self, idx):
         return idx in self.members
@@ -222,14 +256,14 @@ class PureBitVectorSet(PointsToSet):
 
     def add_all(self, src):
         self._check_universe(src)
-        incoming = _raw_bits_of(src)
-        if incoming is None:
-            return super().add_all(src)
-        new = self.bits.value | (incoming & self.mask)
+        new = self.bits.value | (src.as_int() & self.mask)
         if new == self.bits.value:
             return False
         self.bits.value = new
         return True
+
+    def as_int(self):
+        return self.bits.value
 
     def __contains__(self, idx):
         return self.bits.get(idx)
@@ -248,82 +282,27 @@ class PureBitVectorSet(PointsToSet):
         )
 
 
-def _raw_bits_of(s: PointsToSet) -> Optional[int]:
-    """Members of s as a full-universe int, for masked bulk unions.
-
-    Returns None when s has no cheap bit-level view."""
-    if isinstance(s, PureBitVectorSet):
-        return s.bits.value
-    if isinstance(s, SharedBitVectorSet):
-        v = s.base
-        for i in s.overflow:
-            v |= 1 << i
-        return v
-    if isinstance(s, SparseBitmapSet):
-        eb = s.element_bits
-        v = 0
-        for e, block in s.blocks.items():
-            v |= block << (e * eb)
-        return v
-    if isinstance(s, NaiveSet):
-        v = 0
-        for i in s.members:
-            v |= 1 << i
-        return v
-    if isinstance(s, (HybridSet, HybridRangedPointsToSet)):
-        if s.overflow is not None:
-            return _raw_bits_of(s.overflow)
-        v = 0
-        for i in s.inline:
-            v |= 1 << i
-        return v
-    if isinstance(s, RangedPointsToSet):
-        v = 0
-        for vec in s.vectors:
-            v |= vec.value << vec.aligned_lower
-        return v
-    return None
-
-
-class HybridSet(PointsToSet):
-    """Up to 16 members inline; becomes a pure bit-vector set on the 17th."""
-
-    kind = "hybrid"
+class _InlineThenOverflow(PointsToSet):
+    """Shape of both hybrid kinds: up to 16 members in an inline list, then
+    every operation goes to an overflow set built at the 17th member."""
 
     def __init__(self, factory, owner):
         super().__init__(factory, owner)
         self.inline: list[int] = []
-        self.overflow: Optional[PureBitVectorSet] = None
-        self._mask = factory.mask_bits(owner.name)
+        self.overflow: Optional[PointsToSet] = None
 
-    def _overflow_to(self) -> PureBitVectorSet:
-        return PureBitVectorSet(self.factory, self.owner)
-
-    def add(self, idx):
-        self._check_index(idx)
-        if not self._mask >> idx & 1:
+    def _take_inline(self, new: int) -> bool:
+        """Append the members of new (none held yet) in ascending order if
+        they all fit inline; False means the set must spill instead."""
+        if len(self.inline) + new.bit_count() > HYBRID_INLINE_CAP:
             return False
+        self.inline.extend(_iter_bits(new, 0))
+        return True
+
+    def as_int(self):
         if self.overflow is not None:
-            return self.overflow.add(idx)
-        if idx in self.inline:
-            return False
-        if len(self.inline) < HYBRID_INLINE_CAP:
-            self.inline.append(idx)
-            return True
-        self._spill()
-        return self.overflow.add(idx)
-
-    def _spill(self):
-        self.overflow = self._overflow_to()
-        for i in self.inline:
-            self.overflow.add(i)
-        self.inline = []
-
-    def add_all(self, src):
-        self._check_universe(src)
-        if self.overflow is not None and type(src) is type(self) and src.overflow is not None:
-            return self.overflow.add_all(src.overflow)
-        return super().add_all(src)
+            return self.overflow.as_int()
+        return _bits_of(self.inline)
 
     def __contains__(self, idx):
         if self.overflow is not None:
@@ -345,6 +324,47 @@ class HybridSet(PointsToSet):
         if self.overflow is not None:
             base += REF_BYTES + self.overflow.footprint_bytes()
         return base
+
+
+class HybridSet(_InlineThenOverflow):
+    """Up to 16 members inline; becomes a pure bit-vector set on the 17th."""
+
+    kind = "hybrid"
+
+    def __init__(self, factory, owner):
+        super().__init__(factory, owner)
+        self._mask = factory.mask_bits(owner.name)
+
+    def add(self, idx):
+        self._check_index(idx)
+        if not self._mask >> idx & 1:
+            return False
+        if self.overflow is not None:
+            return self.overflow.add(idx)
+        if idx in self.inline:
+            return False
+        if len(self.inline) < HYBRID_INLINE_CAP:
+            self.inline.append(idx)
+            return True
+        self._spill()
+        return self.overflow.add(idx)
+
+    def _spill(self):
+        self.overflow = PureBitVectorSet(self.factory, self.owner)
+        self.overflow.bits.value = _bits_of(self.inline)
+        self.inline = []
+
+    def add_all(self, src):
+        self._check_universe(src)
+        if self.overflow is not None:
+            return self.overflow.add_all(src)
+        new = src.as_int() & self._mask & ~_bits_of(self.inline)
+        if not new:
+            return False
+        if not self._take_inline(new):
+            self._spill()
+            self.overflow.bits.value |= new
+        return True
 
 
 class SharedBitVectorSet(PointsToSet):
@@ -369,12 +389,34 @@ class SharedBitVectorSet(PointsToSet):
             return False
         self.overflow.append(idx)
         if len(self.overflow) > SHARED_OVERFLOW_CAP:
-            folded = self.base
-            for i in self.overflow:
-                folded |= 1 << i
-            self.base = self.factory.intern_base(folded)
+            self.base = self.factory.intern_base(self.as_int())
             self.overflow = []
         return True
+
+    def add_all(self, src):
+        self._check_universe(src)
+        held = self.as_int()
+        new = src.as_int() & self._mask & ~held
+        if not new:
+            return False
+        n = len(self.overflow) + new.bit_count()
+        if n <= SHARED_OVERFLOW_CAP:
+            self.overflow.extend(_iter_bits(new, 0))
+            return True
+        # ascending insertion folds each time the overflow reaches 21, so
+        # the overflow keeps the last n % 21 new members and the base the rest
+        keep = []
+        for _ in range(n % (SHARED_OVERFLOW_CAP + 1)):
+            top = new.bit_length() - 1
+            keep.append(top)
+            new ^= 1 << top
+        keep.reverse()
+        self.base = self.factory.intern_base(held | new)
+        self.overflow = keep
+        return True
+
+    def as_int(self):
+        return self.base | _bits_of(self.overflow)
 
     def __contains__(self, idx):
         return bool(self.base >> idx & 1) or idx in self.overflow
@@ -383,10 +425,7 @@ class SharedBitVectorSet(PointsToSet):
         return self.base.bit_count() + len(self.overflow)
 
     def iterate(self):
-        v = self.base
-        for i in self.overflow:
-            v |= 1 << i
-        return _iter_bits(v, 0)
+        return _iter_bits(self.as_int(), 0)
 
     def footprint_bytes(self):
         # base is shared; SetFactory.total_footprint charges it once
@@ -395,7 +434,8 @@ class SharedBitVectorSet(PointsToSet):
 
 class SparseBitmapSet(PointsToSet):
     """Ordered sequence of eight-word bit blocks, allocated only where at
-    least one bit is set."""
+    least one bit is set.  The members are also kept as one int, so a union
+    splits only its new bits into blocks."""
 
     kind = "sparse"
 
@@ -403,47 +443,47 @@ class SparseBitmapSet(PointsToSet):
         super().__init__(factory, owner)
         self.element_bits = SPARSE_ELEMENT_WORDS * factory.cfg.chunk_bits
         self.blocks: dict[int, int] = {}
+        self._bits = 0
         self._mask = factory.mask_bits(owner.name)
 
     def add(self, idx):
         self._check_index(idx)
-        if not self._mask >> idx & 1:
+        if not self._mask >> idx & 1 or self._bits >> idx & 1:
             return False
+        self._bits |= 1 << idx
         e, off = divmod(idx, self.element_bits)
-        bit = 1 << off
-        cur = self.blocks.get(e, 0)
-        if cur & bit:
-            return False
-        self.blocks[e] = cur | bit
+        self.blocks[e] = self.blocks.get(e, 0) | 1 << off
         return True
 
     def add_all(self, src):
         self._check_universe(src)
-        if isinstance(src, SparseBitmapSet) and src.element_bits == self.element_bits:
-            changed = False
-            eb = self.element_bits
-            for e, block in src.blocks.items():
-                allowed = block & (self._mask >> (e * eb)) & ((1 << eb) - 1)
-                if not allowed:
-                    continue
-                cur = self.blocks.get(e, 0)
-                new = cur | allowed
-                if new != cur:
-                    self.blocks[e] = new
-                    changed = True
-            return changed
-        return super().add_all(src)
+        new = src.as_int() & self._mask & ~self._bits
+        if not new:
+            return False
+        self._bits |= new
+        eb = self.element_bits
+        block_mask = (1 << eb) - 1
+        e = 0
+        while new:
+            skip = ((new & -new).bit_length() - 1) // eb
+            new >>= skip * eb
+            e += skip
+            self.blocks[e] = self.blocks.get(e, 0) | (new & block_mask)
+            new >>= eb
+            e += 1
+        return True
+
+    def as_int(self):
+        return self._bits
 
     def __contains__(self, idx):
-        e, off = divmod(idx, self.element_bits)
-        return bool(self.blocks.get(e, 0) >> off & 1)
+        return bool(self._bits >> idx & 1)
 
     def __len__(self):
-        return sum(b.bit_count() for b in self.blocks.values())
+        return self._bits.bit_count()
 
     def iterate(self):
-        for e in sorted(self.blocks):
-            yield from _iter_bits(self.blocks[e], e * self.element_bits)
+        return _iter_bits(self._bits, 0)
 
     def footprint_bytes(self):
         per_element = (
@@ -460,6 +500,7 @@ class RangedPointsToSet(PointsToSet):
     granularity."""
 
     kind = "ranged"
+    ranged = True
 
     def __init__(self, factory, owner):
         super().__init__(factory, owner)
@@ -497,26 +538,26 @@ class RangedPointsToSet(PointsToSet):
 
     def add_all(self, src):
         self._check_universe(src)
-        if isinstance(src, HybridRangedPointsToSet):
-            if src.overflow is not None:
-                src = src.overflow
-            else:
-                src = src._as_ranged()
-        if isinstance(src, RangedPointsToSet):
-            # merged interface intervals may partially overlap other
-            # intervals, so the union windows on span intersections
-            changed = False
-            for bv in self.vectors:
-                for bw in src.vectors:
-                    if bv.or_overlapping(bw):
-                        changed = True
-            return changed
-        return super().add_all(src)
+        bits = src.objects_int()
+        changed = False
+        for vec in self.vectors:
+            # a ranged source unites chunk-wise; any other source is
+            # filtered strictly by this vector's interval, as add() does
+            incoming = bits if src.ranged else bits & (vec.interval_mask << vec.aligned_lower)
+            if vec.or_overlapping(incoming):
+                changed = True
+        return changed
 
-    def _combined(self) -> int:
+    def as_int(self):
         v = 0
         for vec in self.vectors:
             v |= vec.value << vec.aligned_lower
+        return v
+
+    def objects_int(self):
+        v = 0
+        for vec in self.vectors:
+            v |= (vec.value & vec.interval_mask) << vec.aligned_lower
         return v
 
     def __contains__(self, idx):
@@ -528,16 +569,13 @@ class RangedPointsToSet(PointsToSet):
 
     def __len__(self):
         # aligned spans of distinct vectors may share a chunk; dedupe
-        return self._combined().bit_count()
+        return self.as_int().bit_count()
 
     def iterate(self):
-        return _iter_bits(self._combined(), 0)
+        return _iter_bits(self.as_int(), 0)
 
     def iterate_objects(self):
-        v = 0
-        for vec in self.vectors:
-            v |= (vec.value & vec.interval_mask) << vec.aligned_lower
-        return _iter_bits(v, 0)
+        return _iter_bits(self.objects_int(), 0)
 
     def footprint_bytes(self):
         cb = self.factory.cfg.chunk_bytes
@@ -546,30 +584,22 @@ class RangedPointsToSet(PointsToSet):
         )
 
 
-class HybridRangedPointsToSet(PointsToSet):
+class HybridRangedPointsToSet(_InlineThenOverflow):
     """Up to 16 members inline; becomes a ranged set on the 17th.  Inline
     insertions use the same strict interval filter as the ranged vectors."""
 
     kind = "ranged-hybrid"
+    ranged = True
 
     def __init__(self, factory, owner):
         super().__init__(factory, owner)
-        self.inline: list[int] = []
-        self.overflow: Optional[RangedPointsToSet] = None
-        self._intervals = factory.intervals(owner.name)
-        self._lowers = [iv.lower for iv in self._intervals]
-
-    def _in_intervals(self, idx) -> bool:
-        pos = bisect_right(self._lowers, idx) - 1
-        return pos >= 0 and self._intervals[pos].contains(idx)
+        self._interval_bits, self._span_bits = factory.ranged_geometry(owner.name)
 
     def add(self, idx):
         self._check_index(idx)
         if self.overflow is not None:
             return self.overflow.add(idx)
-        if not self._in_intervals(idx):
-            return False
-        if idx in self.inline:
+        if not self._interval_bits >> idx & 1 or idx in self.inline:
             return False
         if len(self.inline) < HYBRID_INLINE_CAP:
             self.inline.append(idx)
@@ -591,57 +621,44 @@ class HybridRangedPointsToSet(PointsToSet):
     def add_all(self, src):
         self._check_universe(src)
         if self.overflow is not None:
-            if isinstance(src, (RangedPointsToSet, HybridRangedPointsToSet)):
-                return self.overflow.add_all(src)
-            return super().add_all(src)
-        if isinstance(src, (RangedPointsToSet, HybridRangedPointsToSet)):
-            # emulate the chunk-wise union the overflowed form would do, so
-            # membership never depends on whether the set has spilled yet
-            tmp = self._as_ranged()
-            tmp.add_all(src)
-            members = list(tmp.iterate())
-            # the changed flag can trip on a duplicate bit landing in a
-            # second overlapping vector; only membership growth counts here
-            if set(members) == set(self.inline):
-                return False
-            if len(members) <= HYBRID_INLINE_CAP:
-                self.inline = members
-            else:
-                self.overflow = tmp
-                self.inline = []
-            return True
-        return super().add_all(src)
+            return self.overflow.add_all(src)
+        # admit what the spilled form would, so membership never depends on
+        # whether the set has spilled yet
+        window = self._span_bits if src.ranged else self._interval_bits
+        new = src.objects_int() & window & ~_bits_of(self.inline)
+        if not new:
+            return False
+        if not self._take_inline(new):
+            self._spill()
+            self.overflow.add_all(src)
+        return True
 
-    def __contains__(self, idx):
+    def objects_int(self):
         if self.overflow is not None:
-            return idx in self.overflow
-        return idx in self.inline
-
-    def __len__(self):
-        if self.overflow is not None:
-            return len(self.overflow)
-        return len(self.inline)
-
-    def iterate(self):
-        if self.overflow is not None:
-            return self.overflow.iterate()
-        return iter(sorted(self.inline))
+            return self.overflow.objects_int()
+        return _bits_of(self.inline) & self._interval_bits
 
     def iterate_objects(self):
-        if self.overflow is not None:
-            return self.overflow.iterate_objects()
-        return iter(sorted(i for i in self.inline if self._in_intervals(i)))
+        return _iter_bits(self.objects_int(), 0)
 
     def contains_object(self, idx):
         if self.overflow is not None:
             return self.overflow.contains_object(idx)
-        return idx in self.inline and self._in_intervals(idx)
+        return idx in self.inline and bool(self._interval_bits >> idx & 1)
 
-    def footprint_bytes(self):
-        base = OBJECT_HEADER + HYBRID_INLINE_CAP * REF_BYTES
-        if self.overflow is not None:
-            base += REF_BYTES + self.overflow.footprint_bytes()
-        return base
+
+SET_KINDS: dict[str, type[PointsToSet]] = {
+    cls.kind: cls
+    for cls in (
+        NaiveSet,
+        PureBitVectorSet,
+        HybridSet,
+        SharedBitVectorSet,
+        SparseBitmapSet,
+        RangedPointsToSet,
+        HybridRangedPointsToSet,
+    )
+}
 
 
 def sparse_savings(s: PointsToSet, cfg: ChunkConfig) -> int:
@@ -652,7 +669,7 @@ def sparse_savings(s: PointsToSet, cfg: ChunkConfig) -> int:
         arrays.append((s.bits.num_chunks, s.bits.value))
     elif isinstance(s, RangedPointsToSet):
         arrays.extend((v.num_chunks, v.value) for v in s.vectors)
-    elif isinstance(s, (HybridSet, HybridRangedPointsToSet)):
+    elif isinstance(s, _InlineThenOverflow):
         if s.overflow is not None:
             return sparse_savings(s.overflow, cfg)
         return 0

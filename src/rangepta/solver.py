@@ -18,14 +18,7 @@ from .bitsets import ChunkConfig
 from .errors import ConfigConflictError, UniverseMismatchError
 from .hierarchy import NumberingResult
 from .pag import PAG
-from .ptsets import (
-    HybridRangedPointsToSet,
-    PointsToSet,
-    RANGED_KINDS,
-    RangedPointsToSet,
-    SET_KINDS,
-    SetFactory,
-)
+from .ptsets import SET_KINDS, PointsToSet, SetFactory
 
 FILTER_MODES = ("mask", "intrinsic", "none")
 
@@ -43,7 +36,7 @@ class SolverConfig:
             raise ConfigConflictError(f"unknown set kind {self.set_kind!r}")
         if self.filter_mode not in FILTER_MODES:
             raise ConfigConflictError(f"unknown filter mode {self.filter_mode!r}")
-        ranged = self.set_kind in RANGED_KINDS
+        ranged = SET_KINDS[self.set_kind].ranged
         if self.filter_mode == "intrinsic" and not ranged:
             raise ConfigConflictError(
                 "intrinsic filtering requires a ranged set kind"
@@ -302,17 +295,12 @@ class CompareResult:
 
 
 def _slack_flag(s: PointsToSet | None, idx: int) -> bool:
-    """True iff idx sits in s's allocated chunks but outside its intervals."""
-    if isinstance(s, HybridRangedPointsToSet):
-        # inline members may be slack too; rehouse them to reuse the
-        # vector-geometry check
-        s = s.overflow if s.overflow is not None else s._as_ranged()
-    if isinstance(s, RangedPointsToSet):
-        for v in s.vectors:
-            if v.num_chunks and v.aligned_lower <= idx <= v.span_end:
-                if not v.interval.contains(idx):
-                    return True
-    return False
+    """True iff s is ranged and idx lies in its owner's chunk spans but
+    outside its intervals."""
+    if s is None or not s.ranged:
+        return False
+    interval_bits, span_bits = s.factory.ranged_geometry(s.owner.name)
+    return bool((span_bits & ~interval_bits) >> idx & 1)
 
 
 def compare_solutions(a: Solution, b: Solution) -> CompareResult:

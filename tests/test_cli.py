@@ -77,6 +77,24 @@ class TestSolve:
         assert main(["solve", str(corpus)]) == 0
         assert "chunk=8" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("raw", ["abc", "12"])
+    def test_bad_chunk_env(self, corpus, capsys, monkeypatch, raw):
+        monkeypatch.setenv("RANGE_PTA_CHUNK", raw)
+        assert main(["solve", str(corpus)]) == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_deep_class_chain(self, tmp_path, capsys):
+        # deeper than the interpreter's default recursion limit
+        lines = ["class Object"] + [
+            f"class C{i} extends {'C' + str(i - 1) if i else 'Object'}"
+            for i in range(1500)
+        ]
+        lines += ["var x : C1499", "alloc o : C1499", "new x o"]
+        path = tmp_path / "chain.facts"
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["solve", str(path)]) == 0
+        assert "universe: 1 allocs" in capsys.readouterr().out
+
 
 class TestCompare:
     def test_ranged_vs_exact(self, corpus, capsys):
@@ -122,3 +140,8 @@ class TestBench:
     def test_median_line(self, corpus, capsys):
         assert main(["bench", str(corpus), "--repeat", "3"]) == 0
         assert "median propagation time over 3 runs:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("repeat", ["0", "-2"])
+    def test_repeat_below_one(self, corpus, capsys, repeat):
+        assert main(["bench", str(corpus), "--repeat", repeat]) == 1
+        assert "error:" in capsys.readouterr().err

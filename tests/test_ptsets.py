@@ -157,7 +157,9 @@ class TestQueries:
         assert 5 in s and 6 not in s
 
 
-def apply_log(factory, kind, owner, log):
+def apply_log(factory, kind, owner, log, elementwise=False):
+    """Replay log on a fresh set; elementwise=True replaces each bulk union
+    by single insertions of the source's members in ascending order."""
     s = factory.make_set(kind, owner)
     for op in log:
         if op[0] == "add":
@@ -166,7 +168,11 @@ def apply_log(factory, kind, owner, log):
             other = factory.make_set(kind, op[1])
             for i in op[2]:
                 other.add(i)
-            s.add_all(other)
+            if elementwise:
+                for i in sorted(other.iterate()):
+                    s.add(i)
+            else:
+                s.add_all(other)
     return s
 
 
@@ -180,6 +186,18 @@ def random_log(rng, total, type_names):
             members = [rng.randint(1, total) for _ in range(rng.randint(0, 30))]
             log.append(("addall", src_type, members))
     return log
+
+
+def assert_bulk_matches_elementwise(factory, kind, owner, log):
+    """Same members, modeled bytes and, for shared, fold points: a bulk
+    union must re-encode exactly as ascending single insertions do."""
+    bulk = apply_log(factory, kind, owner, log)
+    one = apply_log(factory, kind, owner, log, elementwise=True)
+    assert list(bulk.iterate()) == list(one.iterate()), (kind, owner)
+    assert bulk.footprint_bytes() == one.footprint_bytes(), (kind, owner)
+    if kind == "shared":
+        assert bulk.base == one.base, owner
+        assert set(bulk.overflow) == set(one.overflow), owner
 
 
 class TestOracleEquivalence:
@@ -200,6 +218,33 @@ class TestOracleEquivalence:
                 for kind in EXACT_KINDS[1:]:
                     got = set(apply_log(f, kind, owner, log).iterate())
                     assert got == ref, (kind, owner)
+
+    def test_bulk_union_matches_elementwise(self):
+        rng = random.Random(24)
+        for _ in range(15):
+            classes, ifaces, allocs = random_hierarchy(rng)
+            if not allocs:
+                continue
+            h = build_hierarchy(classes, ifaces)
+            nr = number_allocations(h, allocs)
+            f = SetFactory(nr, ChunkConfig(8))
+            type_names = [c[0] for c in classes] + [i[0] for i in ifaces]
+            for trial in range(6):
+                owner = rng.choice(type_names)
+                log = random_log(rng, nr.total_allocs, type_names)
+                for kind in EXACT_KINDS:
+                    assert_bulk_matches_elementwise(f, kind, owner, log)
+
+    def test_bulk_union_spill_and_fold_points(self):
+        # unions ending below, at and past the hybrid spill (17th member)
+        # and the shared folds (21st and 42nd overflow member)
+        f = big_factory()  # A's interval is [31, 90]
+        for held in (0, 5, 16, 20):
+            for k in range(41):
+                log = [("add", i) for i in range(31, 31 + held)]
+                log.append(("addall", "Object", list(range(50, 50 + k))))
+                for kind in EXACT_KINDS:
+                    assert_bulk_matches_elementwise(f, kind, "A", log)
 
     def test_ranged_conservative_superset(self):
         rng = random.Random(22)
