@@ -52,7 +52,6 @@ class RunReport:
     chunk_bits: int
     total_allocs: int
     num_vars: int
-    iterations: int
     union_ops: int
     nodes_processed: int
     wall_time_s: str
@@ -80,7 +79,7 @@ class RunReport:
         )
         lines.append(f"universe: {self.total_allocs} allocs, {self.num_vars} vars")
         lines.append(
-            f"propagation: iterations={self.iterations} unions={self.union_ops} "
+            f"propagation: unions={self.union_ops} "
             f"nodes={self.nodes_processed} time={self.wall_time_s}s"
         )
         lines.append(
@@ -109,7 +108,6 @@ def _make_report(path: str, sol: Solution) -> RunReport:
         chunk_bits=sol.config.chunk_bits,
         total_allocs=sol.nr.total_allocs,
         num_vars=len(sol.pag.var_types),
-        iterations=sol.stats.iterations,
         union_ops=sol.stats.union_ops,
         nodes_processed=sol.stats.nodes_processed,
         wall_time_s=f"{sol.stats.wall_time:.4f}",
@@ -151,7 +149,7 @@ def _config_from(args, suffix: str = "") -> SolverConfig:
     cfg = SolverConfig(
         set_kind=getattr(args, "set" + suffix),
         filter_mode=getattr(args, "filter" + suffix),
-        chunk_bits=args.chunk,
+        chunk_bits=_default_chunk() if args.chunk is None else args.chunk,
     )
     cfg.validate()
     return cfg
@@ -199,7 +197,7 @@ def cmd_compare(args) -> int:
 
 def cmd_savings(args) -> int:
     cfg = _config_from(args)
-    if cfg.set_kind not in ("pure", "ranged", "ranged-hybrid", "hybrid"):
+    if not SET_KINDS[cfg.set_kind].dense_chunks:
         raise UnsupportedKindError(
             f"sparse savings undefined for set kind {cfg.set_kind!r}"
         )
@@ -264,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("solve", help="run the analysis and print a report")
     s.add_argument("corpus")
     _add_solver_flags(s)
-    s.add_argument("--chunk", type=int, default=_default_chunk())
+    s.add_argument("--chunk", type=int)
     s.add_argument("--emit-solution", metavar="PATH")
     s.add_argument("--csv", metavar="PATH")
     s.add_argument("--md", metavar="PATH")
@@ -274,19 +272,19 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("corpus")
     _add_solver_flags(c, "_a")
     _add_solver_flags(c, "_b")
-    c.add_argument("--chunk", type=int, default=_default_chunk())
+    c.add_argument("--chunk", type=int)
     c.set_defaults(func=cmd_compare)
 
     v = sub.add_parser("savings", help="sparse-bitmap space savings report")
     v.add_argument("corpus")
     _add_solver_flags(v)
-    v.add_argument("--chunk", type=int, default=_default_chunk())
+    v.add_argument("--chunk", type=int)
     v.set_defaults(func=cmd_savings)
 
     b = sub.add_parser("bench", help="repeat solve and report the median time")
     b.add_argument("corpus")
     _add_solver_flags(b)
-    b.add_argument("--chunk", type=int, default=_default_chunk())
+    b.add_argument("--chunk", type=int)
     b.add_argument("--repeat", type=int, default=5)
     b.set_defaults(func=cmd_bench)
 

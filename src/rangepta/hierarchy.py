@@ -72,7 +72,9 @@ class ClassHierarchy:
         self.iface_extends: dict[str, tuple[str, ...]] = {}
         # caches filled by _finalize
         self._all_ifaces_of_class: dict[str, frozenset[str]] = {}
-        self._ancestors: dict[str, frozenset[str]] = {}
+        # a class's subtree is the preorder range [_pre[c], _last[c]]
+        self._pre: dict[str, int] = {}
+        self._last: dict[str, int] = {}
 
     # -- queries ------------------------------------------------------
 
@@ -97,15 +99,6 @@ class ClassHierarchy:
 
     def interface_names(self) -> list[str]:
         return [n for n, t in self.types.items() if t.kind == "interface"]
-
-    def superclass_chain(self, name: str) -> list[str]:
-        """name itself followed by all ancestor classes up to the root."""
-        chain = []
-        cur: Optional[str] = name
-        while cur is not None:
-            chain.append(cur)
-            cur = self.parent[cur]
-        return chain
 
     def super_interfaces(self, iface: str) -> frozenset[str]:
         """iface plus everything it extends, transitively."""
@@ -134,7 +127,7 @@ class ClassHierarchy:
             return tt.kind == "interface" and tn in self.super_interfaces(sn)
         if tt.kind == "interface":
             return tn in self._all_ifaces_of_class[sn]
-        return tn in self._ancestors[sn]
+        return self._pre[tn] <= self._pre[sn] <= self._last[tn]
 
     # -- construction helpers -----------------------------------------
 
@@ -147,14 +140,22 @@ class ClassHierarchy:
             self.children[parent].append(t.name)
 
     def _finalize(self):
-        for cls in self.parent:
-            anc = set(self.superclass_chain(cls)[1:])
-            self._ancestors[cls] = frozenset(anc)
-            ifs: set[str] = set()
-            for c in (cls, *anc):
-                for i in self.implements.get(c, ()):
-                    ifs |= self.super_interfaces(i)
-            self._all_ifaces_of_class[cls] = frozenset(ifs)
+        # one preorder walk, parents before children: a class shares its
+        # parent's interface set unless it implements interfaces of its own
+        order = self.class_names()
+        for cls in order:
+            parent = self.parent[cls]
+            ifs = frozenset() if parent is None else self._all_ifaces_of_class[parent]
+            own = self.implements[cls]
+            if own:
+                ifs = ifs.union(*(self.super_interfaces(i) for i in own))
+            self._all_ifaces_of_class[cls] = ifs
+        self._pre = {cls: n for n, cls in enumerate(order)}
+        self._last = dict(self._pre)
+        for cls in reversed(order):  # descendants before ancestors
+            parent = self.parent[cls]
+            if parent is not None:
+                self._last[parent] = max(self._last[parent], self._last[cls])
 
 
 def build_hierarchy(
@@ -383,10 +384,14 @@ def number_allocations(h: ClassHierarchy, allocs: Sequence[AllocSite]) -> Number
 
 
 def _interface_intervals(nr: NumberingResult, h: ClassHierarchy, iface: str) -> list[Interval]:
-    # classes compatible with iface, keeping only the topmost ones
-    impl = [c for c in h.parent if iface in h.interfaces_of_class(c)]
-    impl_set = set(impl)
-    tops = [c for c in impl if not (set(h.superclass_chain(c)[1:]) & impl_set)]
+    # classes compatible with iface, keeping only the topmost ones; interface
+    # sets are inherited, so those are the ones whose parent is not compatible
+    tops = [
+        c
+        for c, parent in h.parent.items()
+        if iface in h.interfaces_of_class(c)
+        and (parent is None or iface not in h.interfaces_of_class(parent))
+    ]
     ivs = sorted(
         (nr.type2interval[c] for c in tops if not nr.type2interval[c].empty),
         key=lambda iv: iv.lower,

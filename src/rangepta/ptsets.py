@@ -141,6 +141,7 @@ def _bits_of(indices: Iterable[int]) -> int:
 class PointsToSet:
     kind = "abstract"
     ranged = False  # unions are chunk-wise and may admit slack
+    dense_chunks = False  # members kept in dense chunk arrays: sparse_savings applies
 
     def __init__(self, factory: SetFactory, owner: TypeRef):
         self.factory = factory
@@ -196,6 +197,11 @@ class PointsToSet:
     def footprint_bytes(self) -> int:
         raise NotImplementedError
 
+    def chunk_arrays(self) -> list[tuple[int, int]]:
+        """(chunk count, value) of each dense bit array held; defined for
+        the dense_chunks kinds only."""
+        raise NotImplementedError
+
 
 class NaiveSet(PointsToSet):
     """Exactly filtered hash-set; the oracle the other kinds are checked
@@ -242,6 +248,7 @@ class PureBitVectorSet(PointsToSet):
     mask on every union."""
 
     kind = "pure"
+    dense_chunks = True
 
     def __init__(self, factory, owner):
         super().__init__(factory, owner)
@@ -281,10 +288,15 @@ class PureBitVectorSet(PointsToSet):
             + self.bits.num_chunks * self.factory.cfg.chunk_bytes
         )
 
+    def chunk_arrays(self):
+        return [(self.bits.num_chunks, self.bits.value)]
+
 
 class _InlineThenOverflow(PointsToSet):
     """Shape of both hybrid kinds: up to 16 members in an inline list, then
     every operation goes to an overflow set built at the 17th member."""
+
+    dense_chunks = True  # once spilled; the inline list has no chunk arrays
 
     def __init__(self, factory, owner):
         super().__init__(factory, owner)
@@ -324,6 +336,9 @@ class _InlineThenOverflow(PointsToSet):
         if self.overflow is not None:
             base += REF_BYTES + self.overflow.footprint_bytes()
         return base
+
+    def chunk_arrays(self):
+        return [] if self.overflow is None else self.overflow.chunk_arrays()
 
 
 class HybridSet(_InlineThenOverflow):
@@ -501,6 +516,7 @@ class RangedPointsToSet(PointsToSet):
 
     kind = "ranged"
     ranged = True
+    dense_chunks = True
 
     def __init__(self, factory, owner):
         super().__init__(factory, owner)
@@ -583,6 +599,9 @@ class RangedPointsToSet(PointsToSet):
             ARRAY_HEADER + v.num_chunks * cb for v in self.vectors
         )
 
+    def chunk_arrays(self):
+        return [(v.num_chunks, v.value) for v in self.vectors]
+
 
 class HybridRangedPointsToSet(_InlineThenOverflow):
     """Up to 16 members inline; becomes a ranged set on the 17th.  Inline
@@ -664,23 +683,14 @@ SET_KINDS: dict[str, type[PointsToSet]] = {
 def sparse_savings(s: PointsToSet, cfg: ChunkConfig) -> int:
     """Bytes a sparse eight-word-element decomposition of s's bit arrays
     would not allocate (all-zero windows), post-propagation."""
-    arrays: list[tuple[int, int]] = []  # (num_chunks, value)
-    if isinstance(s, PureBitVectorSet):
-        arrays.append((s.bits.num_chunks, s.bits.value))
-    elif isinstance(s, RangedPointsToSet):
-        arrays.extend((v.num_chunks, v.value) for v in s.vectors)
-    elif isinstance(s, _InlineThenOverflow):
-        if s.overflow is not None:
-            return sparse_savings(s.overflow, cfg)
-        return 0
-    else:
+    if not s.dense_chunks:
         raise UnsupportedKindError(
             f"sparse savings undefined for set kind {s.kind!r}"
         )
     element_bits = SPARSE_ELEMENT_WORDS * cfg.chunk_bits
     payload_bytes = SPARSE_ELEMENT_WORDS * cfg.chunk_bytes
     saved = 0
-    for num_chunks, value in arrays:
+    for num_chunks, value in s.chunk_arrays():
         windows = -(-num_chunks // SPARSE_ELEMENT_WORDS)
         for w in range(windows):
             if not value >> (w * element_bits) & ((1 << element_bits) - 1):

@@ -3,9 +3,10 @@
 The worklist is a FIFO queue of variable nodes seeded by allocation edges;
 a node re-enters the queue whenever its set changes.  Concrete field sets
 are created lazily, keyed by (allocation index, field), with the field's
-declared type as owner.  After the queue drains, full passes re-run until
-one of them performs zero successful unions, so the returned solution is
-the least fixpoint regardless of scheduling details.
+declared type as owner.  Every constraint is re-applied whenever one of its
+inputs changes, so the drained worklist is the least fixpoint.
+``run_extra_pass`` checks that from outside: one full constraint pass over
+a finished solution must perform zero successful unions.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ class SolverConfig:
 
 @dataclass
 class PropagationStats:
-    iterations: int = 0  # worklist pops plus verification passes
     union_ops: int = 0  # successful (state-changing) unions/insertions
     nodes_processed: int = 0
     wall_time: float = 0.0
@@ -131,7 +131,16 @@ class _Engine:
                 queued.add(v)
                 queue.append(v)
 
-        for oid, v in self.pag.alloc_edges:
+        # every variable a constraint names owns a set, also one that no
+        # object ever reaches: its empty set counts in the modeled bytes
+        pag = self.pag
+        named = [v for dst, src in pag.assign_edges for v in (dst, src)]
+        named += [v for base, _, src in pag.store_edges for v in (base, src)]
+        named += [v for dst, base, _ in pag.load_edges for v in (dst, base)]
+        for v in named:
+            self.var_set(v)
+
+        for oid, v in pag.alloc_edges:
             if self.var_set(v).add(self.nr.index_of[oid]):
                 self.stats.union_ops += 1
                 enqueue(v)
@@ -139,15 +148,8 @@ class _Engine:
         while queue:
             v = queue.popleft()
             queued.discard(v)
-            self.stats.iterations += 1
             self.stats.nodes_processed += 1
             self._process(v, enqueue)
-
-        # safety net: verify the fixpoint, re-running passes if needed
-        while True:
-            self.stats.iterations += 1
-            if self.run_one_pass() == 0:
-                break
 
         self.stats.wall_time = time.perf_counter() - start
         all_sets = list(self.var_sets.values()) + list(self.field_sets.values())
@@ -304,10 +306,13 @@ def _slack_flag(s: PointsToSet | None, idx: int) -> bool:
 
 
 def compare_solutions(a: Solution, b: Solution) -> CompareResult:
-    """Per-node membership comparison of two solutions over the same corpus."""
-    if a.nr.total_allocs != b.nr.total_allocs or set(a.pag.var_types) != set(
-        b.pag.var_types
-    ):
+    """Per-node membership comparison of two solutions over the same corpus.
+
+    Members are alloc indices, so both solutions must number the same
+    allocs in the same order."""
+    ids_a = [site.id for site in a.nr.global_array]
+    ids_b = [site.id for site in b.nr.global_array]
+    if ids_a != ids_b or set(a.pag.var_types) != set(b.pag.var_types):
         raise UniverseMismatchError("solutions computed over different universes")
     diffs: list[DiffEntry] = []
     witnesses: list[DiffEntry] = []

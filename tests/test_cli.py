@@ -27,6 +27,11 @@ class TestGen:
     def test_force_overwrites(self, corpus):
         assert main(GEN_ARGS + ["-o", str(corpus), "--force"]) == 0
 
+    def test_ignores_chunk_env(self, tmp_path, monkeypatch):
+        # gen takes no chunk width, so a bad RANGE_PTA_CHUNK is not its error
+        monkeypatch.setenv("RANGE_PTA_CHUNK", "abc")
+        assert main(GEN_ARGS + ["-o", str(tmp_path / "x.facts")]) == 0
+
     def test_bad_params(self, tmp_path, capsys):
         rc = main(["gen", "--classes", "0", "-o", str(tmp_path / "x")])
         assert rc == 1
@@ -131,8 +136,9 @@ class TestSavings:
         total, saved = line.split("/")
         assert float(total) >= float(saved) >= 0.0
 
-    def test_unsupported_kind(self, corpus, capsys):
-        assert main(["savings", str(corpus), "--set", "naive"]) == 1
+    @pytest.mark.parametrize("kind", ["naive", "shared", "sparse"])
+    def test_unsupported_kind(self, corpus, capsys, kind):
+        assert main(["savings", str(corpus), "--set", kind]) == 1
         assert "error:" in capsys.readouterr().err
 
 

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -248,3 +249,25 @@ class TestRandomizedProperties:
             for s in names:
                 for t in targets:
                     assert h.is_subtype(s, t) == (t in supers[s]), (s, t)
+
+
+def test_deep_chain_bookkeeping_is_linear():
+    # per-class ancestor sets would make this quadratic in chain depth
+    depth = 3000
+    classes = [("Object", None, ())] + [
+        (f"C{i}", f"C{i - 1}" if i else "Object", ("I",) if i % 500 == 0 else ())
+        for i in range(depth)
+    ]
+    allocs = [AllocSite(f"o{i}", f"C{i}") for i in range(0, depth, 100)]
+    tracemalloc.start()
+    try:
+        h = build_hierarchy(classes, [("I", ())])
+        nr = number_allocations(h, allocs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
+    assert nr.total_allocs == depth // 100
+    assert h.is_subtype(f"C{depth - 1}", "C0") and not h.is_subtype("C0", "C1")
+    assert h.is_subtype(f"C{depth - 1}", "I") and not h.is_subtype("Object", "I")
+    assert intervals_of(nr, h, "I") == [nr.type2interval["C0"]]

@@ -4,6 +4,7 @@ from oracles import brute_force_propagate, closure_supertypes
 from rangepta.errors import ConfigConflictError, UniverseMismatchError
 from rangepta.hierarchy import number_allocations
 from rangepta.pag import GenParams, generate_synthetic, parse_program
+from rangepta.ptsets import SET_KINDS
 from rangepta.solver import (
     SolverConfig,
     compare_solutions,
@@ -198,20 +199,48 @@ class TestDeterminism:
         assert len(outputs) == 1
 
 
+# every valid configuration: each kind under its own filter and under none
+ALL_CONFIGS = EXACT_CONFIGS + RANGED_CONFIGS + [
+    SolverConfig(kind, "none") for kind in SET_KINDS
+]
+
+
 class TestFixpoint:
     @pytest.mark.parametrize(
-        "cfg", EXACT_CONFIGS + RANGED_CONFIGS, ids=lambda c: c.set_kind
+        "cfg",
+        ALL_CONFIGS,
+        ids=lambda c: c.set_kind + ("-none" if c.filter_mode == "none" else ""),
     )
     def test_extra_pass_is_noop(self, cfg):
         for text in small_corpora()[:3]:
             sol = solve_text(text, cfg)
             assert run_extra_pass(sol) == 0
 
+    @pytest.mark.parametrize(
+        "cfg", EXACT_CONFIGS + RANGED_CONFIGS, ids=lambda c: c.set_kind
+    )
+    def test_extra_pass_creates_no_sets(self, cfg):
+        # solve() already owns a set for every variable a constraint names,
+        # so the modeled bytes of the returned solution are complete
+        for text in small_corpora()[:3]:
+            sol = solve_text(text, cfg)
+            var_keys, field_keys = set(sol.var_sets), set(sol.field_sets)
+
+            def footprint():
+                sets = list(sol.var_sets.values()) + list(sol.field_sets.values())
+                return sol.factory.total_footprint(sets)
+
+            assert footprint() == sol.stats.total_footprint_bytes
+            run_extra_pass(sol)
+            assert set(sol.var_sets) == var_keys
+            assert set(sol.field_sets) == field_keys
+            assert footprint() == sol.stats.total_footprint_bytes
+
 
 class TestStats:
     def test_counters_populated(self):
         sol = solve_text(BASIC, SolverConfig("hybrid", "mask"))
-        assert sol.stats.iterations > 0
+        assert sol.stats.nodes_processed > 0
         assert sol.stats.union_ops > 0
         assert sol.stats.wall_time >= 0.0
         assert sol.stats.total_footprint_bytes > 0
@@ -259,5 +288,17 @@ class TestCompare:
     def test_universe_mismatch(self):
         a = solve_text(BASIC, SolverConfig("naive", "mask"))
         b = solve_text(BASIC + "var z : A\n", SolverConfig("naive", "mask"))
+        with pytest.raises(UniverseMismatchError):
+            compare_solutions(a, b)
+
+    def test_numbering_mismatch(self):
+        # same allocs and vars, but o1 and o2 swap indices
+        head = "class Object\nclass A extends Object\nvar x : A\n"
+        tail = "new x o1\n"
+        a = solve_text(head + "alloc o1 : A\nalloc o2 : A\n" + tail,
+                       SolverConfig("naive", "mask"))
+        b = solve_text(head + "alloc o2 : A\nalloc o1 : A\n" + tail,
+                       SolverConfig("naive", "mask"))
+        assert a.nr.index_of["o1"] != b.nr.index_of["o1"]
         with pytest.raises(UniverseMismatchError):
             compare_solutions(a, b)
