@@ -74,12 +74,6 @@ class PlainBitVector:
         self.value = new
         return True
 
-    def count(self) -> int:
-        return self.value.bit_count()
-
-    def iterate(self) -> Iterator[int]:
-        return _iter_bits(self.value, 0)
-
 
 class RangedBitVector:
     """Bit vector over one interval, stored relative to a chunk-aligned base.

@@ -17,10 +17,6 @@ class InheritanceCycleError(PtaError):
     pass
 
 
-class MultipleParentsError(PtaError):
-    pass
-
-
 class DuplicateNameError(PtaError):
     pass
 

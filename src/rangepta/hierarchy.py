@@ -53,10 +53,6 @@ class Interval:
         return self.lower <= idx <= self.upper
 
 
-def array_name(element: str, dims: int = 1) -> str:
-    return element + "[]" * dims
-
-
 class ClassHierarchy:
     """Single-inheritance class tree plus interface implementation relation.
 
@@ -201,20 +197,24 @@ def build_hierarchy(
             if e not in iface_names:
                 raise UnknownTypeError(f"interface {name}: unknown interface {e}")
 
-    # cycle check on the class parent relation
-    parent_map = {name: parent for name, parent, _ in class_decls}
-    state: dict[str, int] = {}
-    for name in parent_map:
-        path = []
-        cur: Optional[str] = name
-        while cur is not None and state.get(cur, 0) == 0:
-            state[cur] = 1
-            path.append(cur)
-            cur = parent_map[cur]
-        if cur is not None and state[cur] == 1:
-            raise InheritanceCycleError(f"class inheritance cycle through {cur}")
-        for p in path:
-            state[p] = 2
+    h.root = TypeRef(roots[0][0], "class")
+    # one walk from the root, pushing each class's child declarations in
+    # reverse so that children lists keep declaration order
+    child_decls: dict[str, list] = {name: [] for name in class_names}
+    for d in class_decls:
+        if d[1] is not None:
+            child_decls[d[1]].append(d)
+    todo = [roots[0]]
+    while todo:
+        name, parent, ifaces = todo.pop()
+        h._add_class(TypeRef(name, "class"), parent, ifaces)
+        todo.extend(reversed(child_decls[name]))
+    if len(h.parent) != len(class_decls):
+        # the parent chain of an unreached class never ends at the root
+        raise InheritanceCycleError(
+            "class inheritance cycle; classes unreachable from the root: "
+            + ", ".join(name for name, _, _ in class_decls if name not in h.parent)
+        )
 
     # cycle check on interface extension
     ext_map = {name: tuple(exts) for name, exts in iface_decls}
@@ -238,29 +238,6 @@ def build_hierarchy(
             elif sup not in istate:
                 istate[sup] = 1
                 stack.append((sup, iter(ext_map[sup])))
-
-    root_name = roots[0][0]
-    h.root = TypeRef(root_name, "class")
-    # classes in declaration order; root first so children lists exist
-    ordered = [roots[0]] + [d for d in class_decls if d[0] != root_name]
-    added: set[str] = set()
-    pending = list(ordered)
-    while pending:
-        progressed = False
-        rest = []
-        for name, parent, ifaces in pending:
-            if parent is None or parent in added:
-                h._add_class(TypeRef(name, "class"), parent, ifaces)
-                added.add(name)
-                progressed = True
-            else:
-                rest.append((name, parent, ifaces))
-        if not progressed:
-            # remaining classes hang off a cycle already rejected above
-            raise InheritanceCycleError(
-                "classes unreachable from the root: " + ", ".join(d[0] for d in rest)
-            )
-        pending = rest
 
     for name, exts in iface_decls:
         h.types[name] = TypeRef(name, "interface")

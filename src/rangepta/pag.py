@@ -81,6 +81,7 @@ def parse_program(text: str) -> tuple[ClassHierarchy, PAG]:
     pag = PAG()
     seen_types: set[str] = set()
     seen_names: set[str] = set()
+    decl_lines: dict[str, int] = {}  # field, var and alloc name -> line
     array_mentions: list[str] = []
     stmt_lines: list[int] = []  # parallel to statements for late diagnostics
     statements: list[tuple] = []
@@ -141,6 +142,7 @@ def parse_program(text: str) -> tuple[ClassHierarchy, PAG]:
             tname = _check_ident(toks[3], lineno)
             note_type(tname)
             declare_name(name, directive, lineno)
+            decl_lines[name] = lineno
             if directive == "field":
                 pag.field_types[name] = tname
             elif directive == "var":
@@ -174,17 +176,22 @@ def parse_program(text: str) -> tuple[ClassHierarchy, PAG]:
 
     for name, tname in pag.var_types.items():
         if not h.is_declared(tname):
-            raise UnknownTypeError(f"var {name}: unknown type {tname}")
+            raise UnknownTypeError(
+                f"line {decl_lines[name]}: var {name}: unknown type {tname}"
+            )
     for name, tname in pag.field_types.items():
         if not h.is_declared(tname):
-            raise UnknownTypeError(f"field {name}: unknown type {tname}")
+            raise UnknownTypeError(
+                f"line {decl_lines[name]}: field {name}: unknown type {tname}"
+            )
     for a in pag.allocs.values():
         if not h.is_declared(a.type_name):
-            raise UnknownTypeError(f"alloc {a.id}: unknown type {a.type_name}")
-        if not h.lookup(a.type_name).is_classlike:
-            raise UnknownTypeError(
-                f"alloc {a.id}: allocated type {a.type_name} is an interface"
-            )
+            problem = f"unknown type {a.type_name}"
+        elif not h.lookup(a.type_name).is_classlike:
+            problem = f"allocated type {a.type_name} is an interface"
+        else:
+            continue
+        raise UnknownTypeError(f"line {decl_lines[a.id]}: alloc {a.id}: {problem}")
 
     def need_var(name: str, line: int):
         if name not in pag.var_types:

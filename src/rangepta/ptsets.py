@@ -16,6 +16,12 @@ re-encoding of the new bits.  No kind falls back to element-wise insertion,
 so spill and fold points land exactly where element-wise insertion in
 ascending order would put them.
 
+A kind thus writes only its representation (``add`` and ``add_all``); the
+queries ``in``, ``len`` and ``iterate`` are read from ``as_int``.  All
+kinds but ``ranged`` keep a direct ``__contains__``: the solver probes it
+through ``contains_object`` on every field access, and for ``naive``,
+``shared`` and the inline hybrids the int view would be rebuilt per probe.
+
 Memory accounting is a deterministic model, not process measurement:
 16 bytes per object header, 16 per array header, 8 per reference slot,
 chunk_bits/8 bytes per chunk.  Shared bases are counted once per distinct
@@ -175,13 +181,14 @@ class PointsToSet:
         return self.as_int()
 
     def __contains__(self, idx: int) -> bool:
-        raise NotImplementedError
+        return bool(self.as_int() >> idx & 1)
 
     def __len__(self) -> int:
-        raise NotImplementedError
+        return self.as_int().bit_count()
 
     def iterate(self) -> Iterator[int]:
-        raise NotImplementedError
+        """Members, slack included, in ascending order."""
+        return _iter_bits(self.as_int(), 0)
 
     def iterate_objects(self) -> Iterator[int]:
         """Members interpreted as real objects of the owner's type.
@@ -275,12 +282,6 @@ class PureBitVectorSet(PointsToSet):
     def __contains__(self, idx):
         return self.bits.get(idx)
 
-    def __len__(self):
-        return self.bits.count()
-
-    def iterate(self):
-        return self.bits.iterate()
-
     def footprint_bytes(self):
         return (
             OBJECT_HEADER
@@ -293,22 +294,54 @@ class PureBitVectorSet(PointsToSet):
 
 
 class _InlineThenOverflow(PointsToSet):
-    """Shape of both hybrid kinds: up to 16 members in an inline list, then
-    every operation goes to an overflow set built at the 17th member."""
+    """Spark's hybrid set (Lhotak & Hendren, CC 2003), the shape of both
+    hybrid kinds: up to 16 members in an inline list, then every operation
+    goes to an overflow set built at the 17th member.
+
+    A kind supplies ``_mask``, the filter of single insertions as a
+    full-universe int; ``_admitted(src)``, the bits a bulk union takes from
+    src (what the spilled form would admit, so membership never depends on
+    whether the set has spilled yet); and ``_spill()``."""
 
     dense_chunks = True  # once spilled; the inline list has no chunk arrays
+    _mask: int
 
     def __init__(self, factory, owner):
         super().__init__(factory, owner)
         self.inline: list[int] = []
         self.overflow: Optional[PointsToSet] = None
 
-    def _take_inline(self, new: int) -> bool:
-        """Append the members of new (none held yet) in ascending order if
-        they all fit inline; False means the set must spill instead."""
-        if len(self.inline) + new.bit_count() > HYBRID_INLINE_CAP:
+    def _admitted(self, src: PointsToSet) -> int:
+        raise NotImplementedError
+
+    def _spill(self):
+        """Move the inline members into a new overflow set."""
+        raise NotImplementedError
+
+    def add(self, idx):
+        self._check_index(idx)
+        if self.overflow is not None:
+            return self.overflow.add(idx)
+        if not self._mask >> idx & 1 or idx in self.inline:
             return False
-        self.inline.extend(_iter_bits(new, 0))
+        if len(self.inline) < HYBRID_INLINE_CAP:
+            self.inline.append(idx)
+            return True
+        self._spill()
+        return self.overflow.add(idx)
+
+    def add_all(self, src):
+        self._check_universe(src)
+        if self.overflow is not None:
+            return self.overflow.add_all(src)
+        new = self._admitted(src) & ~_bits_of(self.inline)
+        if not new:
+            return False
+        if len(self.inline) + new.bit_count() <= HYBRID_INLINE_CAP:
+            self.inline.extend(_iter_bits(new, 0))
+        else:
+            self._spill()
+            self.overflow.add_all(src)
         return True
 
     def as_int(self):
@@ -320,16 +353,6 @@ class _InlineThenOverflow(PointsToSet):
         if self.overflow is not None:
             return idx in self.overflow
         return idx in self.inline
-
-    def __len__(self):
-        if self.overflow is not None:
-            return len(self.overflow)
-        return len(self.inline)
-
-    def iterate(self):
-        if self.overflow is not None:
-            return self.overflow.iterate()
-        return iter(sorted(self.inline))
 
     def footprint_bytes(self):
         base = OBJECT_HEADER + HYBRID_INLINE_CAP * REF_BYTES
@@ -350,36 +373,13 @@ class HybridSet(_InlineThenOverflow):
         super().__init__(factory, owner)
         self._mask = factory.mask_bits(owner.name)
 
-    def add(self, idx):
-        self._check_index(idx)
-        if not self._mask >> idx & 1:
-            return False
-        if self.overflow is not None:
-            return self.overflow.add(idx)
-        if idx in self.inline:
-            return False
-        if len(self.inline) < HYBRID_INLINE_CAP:
-            self.inline.append(idx)
-            return True
-        self._spill()
-        return self.overflow.add(idx)
+    def _admitted(self, src):
+        return src.as_int() & self._mask
 
     def _spill(self):
         self.overflow = PureBitVectorSet(self.factory, self.owner)
         self.overflow.bits.value = _bits_of(self.inline)
         self.inline = []
-
-    def add_all(self, src):
-        self._check_universe(src)
-        if self.overflow is not None:
-            return self.overflow.add_all(src)
-        new = src.as_int() & self._mask & ~_bits_of(self.inline)
-        if not new:
-            return False
-        if not self._take_inline(new):
-            self._spill()
-            self.overflow.bits.value |= new
-        return True
 
 
 class SharedBitVectorSet(PointsToSet):
@@ -436,12 +436,6 @@ class SharedBitVectorSet(PointsToSet):
     def __contains__(self, idx):
         return bool(self.base >> idx & 1) or idx in self.overflow
 
-    def __len__(self):
-        return self.base.bit_count() + len(self.overflow)
-
-    def iterate(self):
-        return _iter_bits(self.as_int(), 0)
-
     def footprint_bytes(self):
         # base is shared; SetFactory.total_footprint charges it once
         return OBJECT_HEADER + REF_BYTES + len(self.overflow) * REF_BYTES
@@ -493,12 +487,6 @@ class SparseBitmapSet(PointsToSet):
 
     def __contains__(self, idx):
         return bool(self._bits >> idx & 1)
-
-    def __len__(self):
-        return self._bits.bit_count()
-
-    def iterate(self):
-        return _iter_bits(self._bits, 0)
 
     def footprint_bytes(self):
         per_element = (
@@ -576,19 +564,9 @@ class RangedPointsToSet(PointsToSet):
             v |= (vec.value & vec.interval_mask) << vec.aligned_lower
         return v
 
-    def __contains__(self, idx):
-        return any(v.get(idx) for v in self.vectors)
-
     def contains_object(self, idx):
         v = self._route(idx)
         return v is not None and v.get(idx)
-
-    def __len__(self):
-        # aligned spans of distinct vectors may share a chunk; dedupe
-        return self.as_int().bit_count()
-
-    def iterate(self):
-        return _iter_bits(self.as_int(), 0)
 
     def iterate_objects(self):
         return _iter_bits(self.objects_int(), 0)
@@ -612,50 +590,24 @@ class HybridRangedPointsToSet(_InlineThenOverflow):
 
     def __init__(self, factory, owner):
         super().__init__(factory, owner)
-        self._interval_bits, self._span_bits = factory.ranged_geometry(owner.name)
+        # _mask holds the interval bits
+        self._mask, self._span_bits = factory.ranged_geometry(owner.name)
 
-    def add(self, idx):
-        self._check_index(idx)
-        if self.overflow is not None:
-            return self.overflow.add(idx)
-        if not self._interval_bits >> idx & 1 or idx in self.inline:
-            return False
-        if len(self.inline) < HYBRID_INLINE_CAP:
-            self.inline.append(idx)
-            return True
-        self._spill()
-        return self.overflow.add(idx)
+    def _admitted(self, src):
+        return src.objects_int() & (self._span_bits if src.ranged else self._mask)
 
-    def _as_ranged(self) -> "RangedPointsToSet":
-        """Inline members rehoused in ranged vectors, slack bits included."""
+    def _spill(self):
+        """Rehouse the inline members, slack bits included, in ranged vectors."""
         r = RangedPointsToSet(self.factory, self.owner)
         for i in self.inline:
             r._set_raw(i)
-        return r
-
-    def _spill(self):
-        self.overflow = self._as_ranged()
+        self.overflow = r
         self.inline = []
-
-    def add_all(self, src):
-        self._check_universe(src)
-        if self.overflow is not None:
-            return self.overflow.add_all(src)
-        # admit what the spilled form would, so membership never depends on
-        # whether the set has spilled yet
-        window = self._span_bits if src.ranged else self._interval_bits
-        new = src.objects_int() & window & ~_bits_of(self.inline)
-        if not new:
-            return False
-        if not self._take_inline(new):
-            self._spill()
-            self.overflow.add_all(src)
-        return True
 
     def objects_int(self):
         if self.overflow is not None:
             return self.overflow.objects_int()
-        return _bits_of(self.inline) & self._interval_bits
+        return _bits_of(self.inline) & self._mask
 
     def iterate_objects(self):
         return _iter_bits(self.objects_int(), 0)
@@ -663,7 +615,7 @@ class HybridRangedPointsToSet(_InlineThenOverflow):
     def contains_object(self, idx):
         if self.overflow is not None:
             return self.overflow.contains_object(idx)
-        return idx in self.inline and bool(self._interval_bits >> idx & 1)
+        return idx in self.inline and bool(self._mask >> idx & 1)
 
 
 SET_KINDS: dict[str, type[PointsToSet]] = {

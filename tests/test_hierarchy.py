@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -30,6 +31,18 @@ class TestBuildHierarchy:
     def test_two_cycle(self):
         with pytest.raises(InheritanceCycleError):
             build_hierarchy([("Object", None, ()), ("A", "B", ()), ("B", "A", ())])
+
+    def test_cycle_names_unreached_classes(self):
+        with pytest.raises(InheritanceCycleError, match="unreachable from the root: A, B, C$"):
+            build_hierarchy(
+                [("Object", None, ()), ("A", "B", ()), ("B", "A", ()), ("C", "A", ())]
+            )
+
+    def test_children_in_declaration_order(self):
+        h = build_hierarchy(
+            [("Object", None, ()), ("B", "A", ()), ("A", "Object", ()), ("C", "A", ())]
+        )
+        assert h.children["A"] == ["B", "C"]
 
     def test_single_interface(self):
         h = build_hierarchy(
@@ -271,3 +284,19 @@ def test_deep_chain_bookkeeping_is_linear():
     assert h.is_subtype(f"C{depth - 1}", "C0") and not h.is_subtype("C0", "C1")
     assert h.is_subtype(f"C{depth - 1}", "I") and not h.is_subtype("Object", "I")
     assert intervals_of(nr, h, "I") == [nr.type2interval["C0"]]
+
+
+def test_leaf_first_chain_builds_in_one_walk():
+    # repeated passes over classes whose parent is not yet added made a
+    # chain declared leaf-first quadratic in its depth
+    depth = 3000
+    classes = [("Object", None, ())] + [
+        (f"C{i}", f"C{i - 1}" if i else "Object", ()) for i in reversed(range(depth))
+    ]
+    allocs = [AllocSite(f"o{i}", f"C{i}") for i in range(0, depth, 100)]
+    t0 = time.perf_counter()
+    h = build_hierarchy(classes)
+    nr = number_allocations(h, allocs)
+    assert time.perf_counter() - t0 < 0.3
+    assert [a.id for a in nr.global_array] == [a.id for a in allocs]
+    assert h.children["C0"] == ["C1"] and h.parent["C0"] == "Object"

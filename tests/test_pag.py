@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -55,6 +56,20 @@ class TestParser:
     def test_unknown_var_type(self):
         with pytest.raises(UnknownTypeError):
             parse_program("class Object\nvar x : Missing\n")
+
+    @pytest.mark.parametrize(
+        "decls, message",
+        [
+            ("var x : Nope", "line 3: var x: unknown type Nope"),
+            ("field f : Nope", "line 3: field f: unknown type Nope"),
+            ("alloc o : Nope", "line 3: alloc o: unknown type Nope"),
+            ("alloc o : I", "line 3: alloc o: allocated type I is an interface"),
+        ],
+        ids=["var", "field", "alloc", "alloc-interface"],
+    )
+    def test_type_errors_have_line(self, decls, message):
+        with pytest.raises(UnknownTypeError, match=f"^{re.escape(message)}$"):
+            parse_program(f"class Object\ninterface I\n{decls}\n")
 
     def test_interface_alloc_rejected(self):
         with pytest.raises(UnknownTypeError):

@@ -14,6 +14,7 @@ from rangepta.hierarchy import (
 )
 from rangepta.ptsets import (
     ARRAY_HEADER,
+    HYBRID_INLINE_CAP,
     OBJECT_HEADER,
     SET_KINDS,
     SetFactory,
@@ -157,22 +158,27 @@ class TestQueries:
         assert 5 in s and 6 not in s
 
 
+def apply_op(factory, kind, s, op, elementwise=False):
+    """Apply one log entry to s; elementwise=True replaces a bulk union by
+    single insertions of the source's members in ascending order."""
+    if op[0] == "add":
+        s.add(op[1])
+        return
+    other = factory.make_set(kind, op[1])
+    for i in op[2]:
+        other.add(i)
+    if elementwise:
+        for i in sorted(other.iterate()):
+            s.add(i)
+    else:
+        s.add_all(other)
+
+
 def apply_log(factory, kind, owner, log, elementwise=False):
-    """Replay log on a fresh set; elementwise=True replaces each bulk union
-    by single insertions of the source's members in ascending order."""
+    """Replay log on a fresh set."""
     s = factory.make_set(kind, owner)
     for op in log:
-        if op[0] == "add":
-            s.add(op[1])
-        else:
-            other = factory.make_set(kind, op[1])
-            for i in op[2]:
-                other.add(i)
-            if elementwise:
-                for i in sorted(other.iterate()):
-                    s.add(i)
-            else:
-                s.add_all(other)
+        apply_op(factory, kind, s, op, elementwise)
     return s
 
 
@@ -289,6 +295,64 @@ class TestOracleEquivalence:
             assert set(apply_log(f, "ranged-hybrid", owner, log).iterate()) == set(
                 apply_log(f, "ranged", owner, log).iterate()
             )
+
+
+def assert_set_contract(s):
+    """The queries every kind answers agree with each other."""
+    members = list(s.iterate())
+    assert members == sorted(set(members)), s.kind
+    assert len(s) == len(members), s.kind
+    held = set(members)
+    objects = set(s.iterate_objects())
+    assert objects <= held, s.kind
+    for i in range(1, s.factory.total + 1):
+        assert (i in s) == (i in held), (s.kind, i)
+        assert s.contains_object(i) == (i in objects), (s.kind, i)
+
+
+class TestSetContract:
+    def test_queries_agree_before_and_after_spill_and_fold(self):
+        rng = random.Random(26)
+        spilled = folded = 0
+        for _ in range(10):
+            classes, ifaces, allocs = random_hierarchy(rng)
+            if not allocs:
+                continue
+            h = build_hierarchy(classes, ifaces)
+            nr = number_allocations(h, allocs)
+            f = SetFactory(nr, ChunkConfig(8))
+            type_names = [c[0] for c in classes] + [i[0] for i in ifaces]
+            for trial in range(4):
+                owner = rng.choice(type_names)
+                log = random_log(rng, nr.total_allocs, type_names)
+                for kind in SET_KINDS:
+                    s = f.make_set(kind, owner)
+                    assert_set_contract(s)
+                    for op in log:
+                        apply_op(f, kind, s, op)
+                        assert_set_contract(s)
+                    if kind in ("hybrid", "ranged-hybrid"):
+                        spilled += s.overflow is not None
+                    elif kind == "shared":
+                        folded += s.base != 0
+        # the logs must reach both re-encodings, or the test checks less
+        # than it claims
+        assert spilled and folded
+
+    @pytest.mark.parametrize("kind", ["hybrid", "ranged-hybrid"])
+    def test_union_stays_inline_up_to_cap(self, kind):
+        f = big_factory()  # A's interval is [31, 90]
+        for held in (0, 5, HYBRID_INLINE_CAP):
+            for k in range(held, 41):
+                s = f.make_set(kind, "A")
+                for i in range(31, 31 + held):
+                    s.add(i)
+                src = f.make_set("naive", "Object")
+                for i in range(31, 31 + k):
+                    src.add(i)
+                s.add_all(src)
+                assert len(s) == k, (held, k)
+                assert (s.overflow is None) == (k <= HYBRID_INLINE_CAP), (held, k)
 
 
 class TestSharingSafety:
