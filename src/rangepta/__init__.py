@@ -1,13 +1,12 @@
 """Points-to analysis with type-aware interval numbering of allocation
 sites and ranged bit-vector points-to sets."""
 
-from .bitsets import ChunkConfig, PlainBitVector, RangedBitVector, chunk_index_of
+from .bitsets import ChunkConfig, RangedBitVector, chunk_index_of
 from .hierarchy import (
     AllocSite,
     ClassHierarchy,
     Interval,
     NumberingResult,
-    TypeMask,
     TypeRef,
     build_hierarchy,
     build_type_mask,
@@ -36,13 +35,11 @@ __all__ = [
     "Interval",
     "NumberingResult",
     "PAG",
-    "PlainBitVector",
     "RangedBitVector",
     "SET_KINDS",
     "SetFactory",
     "Solution",
     "SolverConfig",
-    "TypeMask",
     "TypeRef",
     "build_hierarchy",
     "build_type_mask",

@@ -1,9 +1,11 @@
-"""Chunked bit vectors: a plain full-universe vector and the ranged variant.
+"""Chunk geometry and the ranged bit vector.
 
-Bit arrays are stored as Python ints; chunk geometry (word width, aligned
-lower bounds, chunk counts) is tracked explicitly because the union of two
-ranged vectors proceeds chunk-by-chunk and because modeled memory accounting
-depends on the number of allocated chunks.
+Every other bit array in the package is a plain full-universe Python int
+(bit i for absolute index i).  The ranged vector also stores its bits as an
+int, but relative to a chunk-aligned base, and tracks its chunk geometry
+(aligned lower bound, chunk count) explicitly: the union into it proceeds
+chunk by chunk, and modeled memory accounting depends on the number of
+allocated chunks.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import ConfigMismatchError, InvalidParamsError
+from .errors import InvalidParamsError
 from .hierarchy import Interval
 
 _VALID_CHUNK_BITS = (8, 16, 32, 64)
@@ -42,37 +44,6 @@ def _iter_bits(value: int, base: int) -> Iterator[int]:
         low = value & -value
         yield base + low.bit_length() - 1
         value ^= low
-
-
-class PlainBitVector:
-    """Full-universe bit vector covering absolute indices 1..total."""
-
-    __slots__ = ("cfg", "total", "num_chunks", "value")
-
-    def __init__(self, total: int, cfg: ChunkConfig):
-        self.cfg = cfg
-        self.total = total
-        self.num_chunks = 0 if total == 0 else chunk_index_of(total, cfg) + 1
-        self.value = 0
-
-    def set(self, abs_index: int) -> bool:
-        bit = 1 << abs_index
-        if self.value & bit:
-            return False
-        self.value |= bit
-        return True
-
-    def get(self, abs_index: int) -> bool:
-        return bool(self.value >> abs_index & 1)
-
-    def or_with(self, other: "PlainBitVector") -> bool:
-        if other.cfg != self.cfg:
-            raise ConfigMismatchError("chunk widths differ")
-        new = self.value | other.value
-        if new == self.value:
-            return False
-        self.value = new
-        return True
 
 
 class RangedBitVector:
@@ -124,37 +95,6 @@ class RangedBitVector:
             return False
         return bool(self.value >> (abs_index - self.aligned_lower) & 1)
 
-    def or_with(self, other: "RangedBitVector") -> bool:
-        """Chunk-wise union of the nested portion of other into self.
-
-        The source contributes only its in-interval bits (trimming costs one
-        mask of the two partial end chunks), so slack admitted into other is
-        never re-exported; new slack in self comes only from self's own chunk
-        misalignment.  Returns True iff self changed.  When neither interval
-        nests inside the other, nothing happens and False is returned;
-        callers that need full coverage must try every vector pair.
-        """
-        if other.cfg != self.cfg:
-            raise ConfigMismatchError("chunk widths differ")
-        if self.num_chunks == 0 or other.num_chunks == 0:
-            return False
-        src = other.value & other.interval_mask
-        x, y = self.interval, other.interval
-        if y.lower >= x.lower and y.upper <= x.upper:
-            # other nests inside self: all of other's chunks land in self
-            incoming = src << (other.aligned_lower - self.aligned_lower)
-        elif x.lower >= y.lower and x.upper <= y.upper:
-            # self nests inside other: take other's chunks overlapping self
-            window = (1 << (self.num_chunks * self.cfg.chunk_bits)) - 1
-            incoming = (src >> (self.aligned_lower - other.aligned_lower)) & window
-        else:
-            return False
-        new = self.value | incoming
-        if new == self.value:
-            return False
-        self.value = new
-        return True
-
     def or_overlapping(self, bits: int) -> bool:
         """Chunk-wise union: take every bit of a full-universe int (bit i
         for absolute index i) that falls inside the allocated chunks.
@@ -182,9 +122,6 @@ class RangedBitVector:
             return False
         self.value |= bit
         return True
-
-    def count(self) -> int:
-        return self.value.bit_count()
 
     def iterate(self) -> Iterator[int]:
         """All set bits (slack included) as ascending absolute indices."""

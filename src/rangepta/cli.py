@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Optional
 
 from .bitsets import ChunkConfig
-from .errors import InvalidParamsError, PtaError, UnsupportedKindError
+from .errors import FactSyntaxError, InvalidParamsError, PtaError, UnsupportedKindError
 from .hierarchy import number_allocations
 from .pag import GenParams, generate_synthetic, parse_program
 from .ptsets import SET_KINDS, sparse_savings
@@ -91,7 +91,12 @@ class RunReport:
 
 
 def _solve_corpus(path: str, cfg: SolverConfig) -> Solution:
-    text = Path(path).read_text()
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as e:
+        line = data.count(b"\n", 0, e.start) + 1
+        raise FactSyntaxError(f"invalid UTF-8 byte 0x{data[e.start]:02x}", line) from None
     h, pag = parse_program(text)
     nr = number_allocations(h, list(pag.allocs.values()))
     return propagate(pag, nr, cfg)

@@ -6,7 +6,12 @@ class PtaError(Exception):
 
 
 class UnknownTypeError(PtaError):
-    pass
+    """An undeclared or unusable type.  decl, when set, names the type
+    declaration or array type mention that refers to it."""
+
+    def __init__(self, message, decl=None):
+        self.decl = decl
+        super().__init__(message)
 
 
 class DuplicateTypeError(PtaError):

@@ -188,14 +188,14 @@ def build_hierarchy(
 
     for name, parent, ifaces in class_decls:
         if parent is not None and parent not in class_names:
-            raise UnknownTypeError(f"class {name}: unknown parent {parent}")
+            raise UnknownTypeError(f"class {name}: unknown parent {parent}", decl=name)
         for i in ifaces:
             if i not in iface_names:
-                raise UnknownTypeError(f"class {name}: unknown interface {i}")
+                raise UnknownTypeError(f"class {name}: unknown interface {i}", decl=name)
     for name, exts in iface_decls:
         for e in exts:
             if e not in iface_names:
-                raise UnknownTypeError(f"interface {name}: unknown interface {e}")
+                raise UnknownTypeError(f"interface {name}: unknown interface {e}", decl=name)
 
     h.root = TypeRef(roots[0][0], "class")
     # one walk from the root, pushing each class's child declarations in
@@ -257,6 +257,7 @@ def _ensure_array(h: ClassHierarchy, name: str) -> None:
     is ultimately a subtype of the root class.  Element and parent arrays are
     registered first, element first, through an explicit stack.
     """
+    mention = name
     pending = [name]
     while pending:
         name = pending[-1]
@@ -268,11 +269,13 @@ def _ensure_array(h: ClassHierarchy, name: str) -> None:
         elem = name[:-2]
         if elem not in h.types:
             if not elem.endswith("[]"):
-                raise UnknownTypeError(f"unknown array element type: {elem}")
+                raise UnknownTypeError(f"unknown array element type: {elem}", decl=mention)
             pending.append(elem)
             continue
         if h.types[elem].kind == "interface":
-            raise UnknownTypeError(f"interface element arrays are not supported: {name}")
+            raise UnknownTypeError(
+                f"interface element arrays are not supported: {name}", decl=mention
+            )
         elem_parent = h.parent[elem]
         parent = h.root.name if elem_parent is None else elem_parent + "[]"
         if parent not in h.types:
@@ -280,18 +283,6 @@ def _ensure_array(h: ClassHierarchy, name: str) -> None:
             continue
         h._add_class(TypeRef(name, "array", element=elem), parent, ())
         pending.pop()
-
-
-@dataclass
-class TypeMask:
-    """Plain bit array over all alloc indices; bit i set iff compatible."""
-
-    for_type: TypeRef
-    bits: int
-    total_allocs: int
-
-    def get(self, idx: int) -> bool:
-        return bool(self.bits >> idx & 1)
 
 
 @dataclass
@@ -395,10 +386,10 @@ def intervals_of(nr: NumberingResult, h: ClassHierarchy, t) -> list[Interval]:
     return [nr.type2interval[name]]
 
 
-def build_type_mask(nr: NumberingResult, h: ClassHierarchy, t) -> TypeMask:
-    """Bit i set iff the alloc with index i is compatible with t."""
+def build_type_mask(nr: NumberingResult, h: ClassHierarchy, t) -> int:
+    """Full-universe int with bit i set iff the alloc with index i is
+    compatible with t."""
     name = t.name if isinstance(t, TypeRef) else t
-    tt = h.lookup(name)
     bits = 0
     # deliberately defined via the subtype test, not via intervals, so that
     # mask/interval agreement stays a checkable property of the numbering
@@ -406,4 +397,4 @@ def build_type_mask(nr: NumberingResult, h: ClassHierarchy, t) -> TypeMask:
     for i, site in enumerate(nr.global_array, start=1):
         if site.type_name in compat:
             bits |= 1 << i
-    return TypeMask(for_type=tt, bits=bits, total_allocs=nr.total_allocs)
+    return bits

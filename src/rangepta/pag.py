@@ -79,21 +79,19 @@ def _split_list(tok: str, line: int) -> tuple[str, ...]:
 def parse_program(text: str) -> tuple[ClassHierarchy, PAG]:
     """Parse fact text into a validated hierarchy and PAG."""
     pag = PAG()
-    seen_types: set[str] = set()
-    seen_names: set[str] = set()
     decl_lines: dict[str, int] = {}  # field, var and alloc name -> line
-    array_mentions: list[str] = []
+    type_lines: dict[str, int] = {}  # class, interface, first array mention -> line
     stmt_lines: list[int] = []  # parallel to statements for late diagnostics
     statements: list[tuple] = []
 
     def declare_name(name: str, what: str, line: int):
-        if name in seen_names:
+        if name in decl_lines:
             raise DuplicateNameError(f"line {line}: duplicate {what} name {name!r}")
-        seen_names.add(name)
+        decl_lines[name] = line
 
-    def note_type(name: str):
+    def note_type(name: str, line: int):
         if name.endswith("[]"):
-            array_mentions.append(name)
+            type_lines.setdefault(name, line)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -118,9 +116,9 @@ def parse_program(text: str) -> tuple[ClassHierarchy, PAG]:
                 if rest[0] != "implements":
                     raise FactSyntaxError("expected 'implements'", lineno)
                 ifaces = _split_list(rest[1], lineno)
-            if name in seen_types:
+            if name in type_lines:
                 raise DuplicateNameError(f"line {lineno}: duplicate type {name!r}")
-            seen_types.add(name)
+            type_lines[name] = lineno
             pag.class_decls.append((name, parent, ifaces))
         elif directive == "interface":
             if len(toks) not in (2, 4):
@@ -131,18 +129,17 @@ def parse_program(text: str) -> tuple[ClassHierarchy, PAG]:
                 if toks[2] != "extends":
                     raise FactSyntaxError("expected 'extends'", lineno)
                 exts = _split_list(toks[3], lineno)
-            if name in seen_types:
+            if name in type_lines:
                 raise DuplicateNameError(f"line {lineno}: duplicate type {name!r}")
-            seen_types.add(name)
+            type_lines[name] = lineno
             pag.iface_decls.append((name, exts))
         elif directive in ("field", "var", "alloc"):
             if len(toks) != 4 or toks[2] != ":":
                 raise FactSyntaxError(f"malformed {directive} declaration", lineno)
             name = _check_ident(toks[1], lineno, bare=True)
             tname = _check_ident(toks[3], lineno)
-            note_type(tname)
+            note_type(tname, lineno)
             declare_name(name, directive, lineno)
-            decl_lines[name] = lineno
             if directive == "field":
                 pag.field_types[name] = tname
             elif directive == "var":
@@ -172,7 +169,13 @@ def parse_program(text: str) -> tuple[ClassHierarchy, PAG]:
         else:
             raise FactSyntaxError(f"unknown directive {directive!r}", lineno)
 
-    h = build_hierarchy(pag.class_decls, pag.iface_decls, array_types=array_mentions)
+    arrays = [t for t in type_lines if t.endswith("[]")]
+    try:
+        h = build_hierarchy(pag.class_decls, pag.iface_decls, array_types=arrays)
+    except UnknownTypeError as e:
+        if e.decl is None:
+            raise
+        raise UnknownTypeError(f"line {type_lines[e.decl]}: {e}") from None
 
     for name, tname in pag.var_types.items():
         if not h.is_declared(tname):

@@ -17,10 +17,10 @@ so spill and fold points land exactly where element-wise insertion in
 ascending order would put them.
 
 A kind thus writes only its representation (``add`` and ``add_all``); the
-queries ``in``, ``len`` and ``iterate`` are read from ``as_int``.  All
-kinds but ``ranged`` keep a direct ``__contains__``: the solver probes it
-through ``contains_object`` on every field access, and for ``naive``,
-``shared`` and the inline hybrids the int view would be rebuilt per probe.
+queries ``in``, ``len`` and ``iterate`` are read from ``as_int``.
+``naive``, ``shared`` and the hybrids keep a direct ``__contains__``: the
+solver probes it through ``contains_object`` on every field access, and
+their int view would be rebuilt per probe.
 
 Memory accounting is a deterministic model, not process measurement:
 16 bytes per object header, 16 per array header, 8 per reference slot,
@@ -33,7 +33,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Iterable, Iterator, Optional
 
-from .bitsets import ChunkConfig, PlainBitVector, RangedBitVector, _iter_bits
+from .bitsets import ChunkConfig, RangedBitVector, _iter_bits, chunk_index_of
 from .errors import (
     ConfigMismatchError,
     IndexOutOfRangeError,
@@ -67,6 +67,8 @@ class SetFactory:
         self.h: ClassHierarchy = nr.hierarchy
         self.cfg = cfg
         self.total = nr.total_allocs
+        # chunks of a full-universe bit array over indices 0..total
+        self.universe_chunks = 0 if self.total == 0 else chunk_index_of(self.total, cfg) + 1
         self._masks: dict[str, int] = {}
         self._compatible: dict[str, frozenset[int]] = {}
         self._intervals: dict[str, tuple[Interval, ...]] = {}
@@ -76,7 +78,7 @@ class SetFactory:
     def mask_bits(self, type_name: str) -> int:
         m = self._masks.get(type_name)
         if m is None:
-            m = build_type_mask(self.nr, self.h, type_name).bits
+            m = build_type_mask(self.nr, self.h, type_name)
             self._masks[type_name] = m
         return m
 
@@ -102,13 +104,11 @@ class SetFactory:
         full-universe ints.  Span bits outside the intervals are slack."""
         g = self._geometry.get(type_name)
         if g is None:
-            cb = self.cfg.chunk_bits
             interval_bits = span_bits = 0
             for iv in self.intervals(type_name):
-                interval_bits |= ((1 << (iv.upper - iv.lower + 1)) - 1) << iv.lower
-                lo = iv.lower // cb * cb
-                hi = (iv.upper // cb + 1) * cb
-                span_bits |= ((1 << (hi - lo)) - 1) << lo
+                v = RangedBitVector(iv, self.cfg)
+                interval_bits |= v.interval_mask << v.aligned_lower
+                span_bits |= ((1 << (v.num_chunks * self.cfg.chunk_bits)) - 1) << v.aligned_lower
             g = (interval_bits, span_bits)
             self._geometry[type_name] = g
         return g
@@ -127,8 +127,7 @@ class SetFactory:
         """Sum of modeled set sizes plus each distinct shared base once."""
         total = 0
         bases: set[int] = set()
-        universe_chunks = 0 if self.total == 0 else self.total // self.cfg.chunk_bits + 1
-        base_cost = ARRAY_HEADER + universe_chunks * self.cfg.chunk_bytes
+        base_cost = ARRAY_HEADER + self.universe_chunks * self.cfg.chunk_bytes
         for s in sets:
             total += s.footprint_bytes()
             if isinstance(s, SharedBitVectorSet):
@@ -259,38 +258,36 @@ class PureBitVectorSet(PointsToSet):
 
     def __init__(self, factory, owner):
         super().__init__(factory, owner)
-        self.bits = PlainBitVector(factory.total, factory.cfg)
+        self.bits = 0
         self.mask = factory.mask_bits(owner.name)
 
     def add(self, idx):
         self._check_index(idx)
-        if not self.mask >> idx & 1:
+        if not self.mask >> idx & 1 or self.bits >> idx & 1:
             return False
-        return self.bits.set(idx)
+        self.bits |= 1 << idx
+        return True
 
     def add_all(self, src):
         self._check_universe(src)
-        new = self.bits.value | (src.as_int() & self.mask)
-        if new == self.bits.value:
+        new = self.bits | (src.as_int() & self.mask)
+        if new == self.bits:
             return False
-        self.bits.value = new
+        self.bits = new
         return True
 
     def as_int(self):
-        return self.bits.value
-
-    def __contains__(self, idx):
-        return self.bits.get(idx)
+        return self.bits
 
     def footprint_bytes(self):
         return (
             OBJECT_HEADER
             + ARRAY_HEADER
-            + self.bits.num_chunks * self.factory.cfg.chunk_bytes
+            + self.factory.universe_chunks * self.factory.cfg.chunk_bytes
         )
 
     def chunk_arrays(self):
-        return [(self.bits.num_chunks, self.bits.value)]
+        return [(self.factory.universe_chunks, self.bits)]
 
 
 class _InlineThenOverflow(PointsToSet):
@@ -378,7 +375,7 @@ class HybridSet(_InlineThenOverflow):
 
     def _spill(self):
         self.overflow = PureBitVectorSet(self.factory, self.owner)
-        self.overflow.bits.value = _bits_of(self.inline)
+        self.overflow.bits = _bits_of(self.inline)
         self.inline = []
 
 
@@ -484,9 +481,6 @@ class SparseBitmapSet(PointsToSet):
 
     def as_int(self):
         return self._bits
-
-    def __contains__(self, idx):
-        return bool(self._bits >> idx & 1)
 
     def footprint_bytes(self):
         per_element = (

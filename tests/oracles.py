@@ -64,25 +64,19 @@ def aligned_span(interval, cb):
     return lo, hi_chunk * cb + cb - 1
 
 
-def ranged_or_oracle(x_interval, y_interval, x_bits, y_bits, cb):
-    """Expected contents of x after the chunk-aligned union of y into x.
+def ranged_union_oracle(interval, held, incoming, cb):
+    """Expected contents of one ranged vector after a chunk-wise union.
 
-    Mirrors the three interval cases: when y nests in x, y's in-interval
-    bits transfer; when x nests in y, y's in-interval bits within x's chunk
-    span transfer; otherwise nothing happens.  Bits y holds outside its own
-    interval (slack) are never re-exported.
+    interval: the vector's (lo, hi); held: the absolute indices it holds;
+    incoming: the source's members inside the source's own intervals (bits
+    a source holds as slack are never re-exported).  The vector keeps what
+    it held and gains every incoming index inside its aligned chunk span,
+    slack positions included; an empty vector gains nothing.
     """
-    xl, xu = x_interval
-    yl, yu = y_interval
-    if xu < xl or yu < yl:  # an empty side never transfers anything
-        return set(x_bits)
-    y_in = {b for b in y_bits if yl <= b <= yu}
-    if yl >= xl and yu <= xu:
-        return set(x_bits) | y_in
-    if xl >= yl and xu <= yu:
-        lo, hi = aligned_span(x_interval, cb)
-        return set(x_bits) | {b for b in y_in if lo <= b <= hi}
-    return set(x_bits)
+    if interval[1] < interval[0]:
+        return set(held)
+    lo, hi = aligned_span(interval, cb)
+    return set(held) | {b for b in incoming if lo <= b <= hi}
 
 
 def brute_force_propagate(pag, index_of, type_of_index, supertypes, filtered=True):

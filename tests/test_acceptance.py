@@ -10,7 +10,13 @@ import random
 import re
 import time
 
-from oracles import closure_supertypes
+from oracles import (
+    aligned_span,
+    closure_supertypes,
+    compatible_indices,
+    ranged_union_oracle,
+    runs_of,
+)
 from rangepta.bitsets import ChunkConfig, RangedBitVector
 from rangepta.cli import main
 from rangepta.hierarchy import (
@@ -25,6 +31,7 @@ from rangepta.ptsets import (
     HybridSet,
     PureBitVectorSet,
     RangedPointsToSet,
+    SetFactory,
     sparse_savings,
 )
 from rangepta.solver import (
@@ -179,48 +186,104 @@ def test_criterion_02_worked_numbering_trace():
     verdict(2, ok, f"intervals {sorted(expected)} exact, creation order B,C,A,D,Object")
 
 
+def _union_corpus(rng):
+    """A random class tree of few-alloc classes; each interface is
+    implemented by a run of consecutively declared classes, so intervals
+    nest, interface intervals overlap partly, and disjoint intervals share
+    chunks."""
+    n = rng.randint(2, 12)
+    runs = {}
+    for j in range(rng.randint(4, 10)):
+        lo = rng.randrange(n)
+        runs[f"I{j}"] = range(lo, lo + rng.randint(2, 4))
+    classes = [("Object", None, ())]
+    for i in range(n):
+        # mostly children of the root, so declaration order is tree order
+        parent = "Object" if rng.random() < 0.7 else rng.choice(classes)[0]
+        impl = tuple(j for j, r in runs.items() if i in r)
+        classes.append((f"C{i}", parent, impl))
+    ifaces = list(runs)
+    allocs = [
+        AllocSite(f"{name}_{k}", name)
+        for name, _, _ in classes
+        for k in range(rng.randint(1, 6))
+    ]
+    iface_decls = [(j, ()) for j in ifaces]
+    nr = number_allocations(build_hierarchy(classes, iface_decls), allocs)
+    supertypes = closure_supertypes(classes, iface_decls)
+    types = [name for name, _, _ in classes] + ifaces
+    compat = {t: compatible_indices(nr, supertypes, t) for t in types}
+    return nr, compat
+
+
+def _held(s):
+    return [set(v.iterate()) for v in s.vectors]
+
+
 def test_criterion_03_ranged_or_oracle():
     # the documented geometry: interval [10,20] with 8-bit chunks
     v = RangedBitVector(Interval(10, 20), ChunkConfig(8))
     assert v.aligned_lower == 8 and v.num_chunks == 2
 
+    # the union the solver runs (RangedPointsToSet.add_all, one
+    # or_overlapping per destination vector) against a bit-level oracle:
+    # each vector gains the source's in-interval members inside its
+    # aligned chunk span, whatever the two types' intervals
     rng = random.Random(23)
-    cases = 0
-    for _ in range(10_000):
+    cases = slack_src = partial = shared_chunk = copied = 0
+    while cases < 10_000:
         cb = rng.choice((8, 64))
-        cfg = ChunkConfig(cb)
-        xl = rng.randint(1, 80)
-        xu = xl + rng.randint(-1, 40)
-        yl = rng.randint(1, 80)
-        yu = yl + rng.randint(-1, 40)
-        x = RangedBitVector(Interval(xl, xu), cfg)
-        y = RangedBitVector(Interval(yl, yu), cfg)
-        xb = set()
-        for b in range(xl, xu + 1):
-            if rng.random() < 0.3:
-                x.set(b)
-                xb.add(b)
-        yb = set()
-        for b in range(yl, yu + 1):
-            if rng.random() < 0.3:
-                y.set(b)
-                yb.add(b)
+        nr, compat = _union_corpus(rng)
+        f = SetFactory(nr, ChunkConfig(cb))
+        sets = {t: f.make_set("ranged", t) for t in compat}
+        for t, s in sets.items():
+            assert [(v.interval.lower, v.interval.upper) for v in s.vectors] == runs_of(compat[t])
+            for i in compat[t]:
+                if rng.random() < 0.3:
+                    s.add(i)
+        # every ordered pair of types twice, in random order, so sets pick
+        # up slack from earlier unions before they act as sources
+        pairs = [(dt, st) for dt in compat for st in compat] * 2
+        rng.shuffle(pairs)
+        for dt, st in pairs:
+            dst, src = sets[dt], sets[st]
+            if rng.random() < 0.2:
+                dst.add(rng.randint(1, nr.total_allocs))
+            src_held = set().union(*_held(src))
+            incoming = src_held & compat[st]
+            before = _held(dst)
+            expected = [
+                ranged_union_oracle((vec.interval.lower, vec.interval.upper), held, incoming, cb)
+                for vec, held in zip(dst.vectors, before)
+            ]
+            changed = dst.add_all(src)
+            assert _held(dst) == expected, (dt, st, cb)
+            assert changed == (expected != before), (dt, st, cb)
+            cases += 1
 
-        # bit-level oracle: naive union with chunk-aligned admission
-        if xu < xl or yu < yl:
-            expected = set(xb)
-        elif yl >= xl and yu <= xu:
-            expected = xb | yb
-        elif xl >= yl and xu <= yu:
-            lo = (xl // cb) * cb
-            hi = (xu // cb) * cb + cb - 1
-            expected = xb | {b for b in yb if lo <= b <= hi}
-        else:
-            expected = set(xb)
-        x.or_with(y)
-        assert set(x.iterate()) == expected, (xl, xu, yl, yu, cb)
-        cases += 1
-    verdict(3, cases == 10_000, f"{cases} randomized unions match the oracle")
+            # the case mix: interval pairs of the two types, with their spans
+            geometry = [
+                (x, aligned_span(x, cb), y, aligned_span(y, cb))
+                for x in runs_of(compat[dt])
+                for y in runs_of(compat[st])
+            ]
+            partial += any(
+                x[0] < y[0] <= x[1] < y[1] or y[0] < x[0] <= y[1] < x[1]
+                for x, _, y, _ in geometry
+            )
+            shared_chunk += any(
+                (x[1] < y[0] or y[1] < x[0]) and ys[0] <= xs[1] and xs[0] <= ys[1]
+                for x, xs, y, ys in geometry
+            )
+            slack_src += src_held != incoming
+            copied += changed and set().union(*before) == set().union(*expected)
+    verdict(
+        3,
+        min(slack_src, partial, shared_chunk, copied) > 0,
+        f"{cases} randomized unions match the oracle (sources with slack {slack_src}, "
+        f"partly overlapping intervals {partial}, disjoint intervals sharing a chunk "
+        f"{shared_chunk}, changes that only copy a member {copied})",
+    )
 
 
 def test_criterion_04_representation_equivalence():
@@ -334,7 +397,7 @@ def _savings_oracle(s, cb):
             return 0
         return _savings_oracle(s.overflow, cb)
     if isinstance(s, PureBitVectorSet):
-        arrays = [(s.bits.num_chunks, _bit_offsets(s.bits.value))]
+        arrays = [(s.factory.universe_chunks, _bit_offsets(s.bits))]
     else:
         assert isinstance(s, RangedPointsToSet)
         arrays = [(v.num_chunks, _bit_offsets(v.value)) for v in s.vectors]

@@ -3,10 +3,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import ranged_or_oracle
+from oracles import aligned_span, ranged_union_oracle
 from rangepta.bitsets import ChunkConfig, RangedBitVector, chunk_index_of
 from rangepta.errors import ConfigMismatchError, InvalidParamsError
-from rangepta.hierarchy import Interval
+from rangepta.hierarchy import AllocSite, Interval, build_hierarchy, number_allocations
+from rangepta.ptsets import SetFactory
 
 
 def make_rbv(interval, cb, bits=()):
@@ -80,81 +81,90 @@ class TestSet:
         assert members(v) == {10}
 
 
+def bits_of(indices):
+    return sum(1 << i for i in indices)
+
+
 class TestOr:
+    """The union the solver runs: or_overlapping with a source already
+    trimmed to its intervals, as RangedPointsToSet.objects_int passes it."""
+
     def test_subrange_into_super(self):
         x = make_rbv((1, 12), 8)
-        y = make_rbv((9, 12), 8, [9])
-        assert x.or_with(y) is True
+        assert x.or_overlapping(bits_of([9])) is True
         assert members(x) == {9}
 
     def test_disjoint_no_op(self):
-        x = make_rbv((3, 8), 8, [5])
-        y = make_rbv((9, 12), 8, [10])
-        assert x.or_with(y) is False
+        # [3,7] and [9,12] share no chunk at width 8
+        x = make_rbv((3, 7), 8, [5])
+        assert x.or_overlapping(bits_of([10])) is False
         assert members(x) == {5}
 
     def test_self_union(self):
         x = make_rbv((3, 8), 8, [4, 7])
-        assert x.or_with(x) is False
+        assert x.or_overlapping(bits_of(members(x))) is False
 
     def test_slack_admission(self):
-        # y spans chunk 0 whose low bits fall below x's interval
+        # a source spanning chunk 0 supplies a bit below x's interval
         x = make_rbv((3, 8), 8)
-        y = make_rbv((1, 12), 8, [2])
-        assert x.or_with(y) is True
+        assert x.or_overlapping(bits_of([2])) is True
         assert members(x) == {2}
 
     def test_config_mismatch(self):
-        x = make_rbv((1, 8), 8)
-        y = make_rbv((1, 8), 64)
+        h = build_hierarchy([("Object", None, ())])
+        nr = number_allocations(h, [AllocSite("o", "Object")])
+        x = SetFactory(nr, ChunkConfig(8)).make_set("ranged", "Object")
+        y = SetFactory(nr, ChunkConfig(64)).make_set("ranged", "Object")
         with pytest.raises(ConfigMismatchError):
-            x.or_with(y)
+            x.add_all(y)
 
     def test_empty_sides(self):
         x = make_rbv((1, 0), 8)
-        y = make_rbv((1, 12), 8, [3])
-        assert x.or_with(y) is False
+        assert x.or_overlapping(bits_of([3])) is False
+        assert members(x) == set()
         z = make_rbv((1, 12), 8, [3])
-        assert z.or_with(x) is False
+        assert z.or_overlapping(bits_of(members(x))) is False
         assert members(z) == {3}
 
 
-intervals = st.tuples(st.integers(1, 60), st.integers(0, 30)).map(
-    lambda t: (t[0], t[0] + t[1] - 1)  # may be empty when the span is 0
-)
-
-
 @st.composite
-def rbv_cases(draw):
+def union_cases(draw):
+    """A vector (chunk width, interval, held bits) and the source bits of
+    one union, scattered below, across and above the vector's span, so a
+    source span may overlap it only partly or share one chunk."""
     cb = draw(st.sampled_from([8, 64]))
-    xi = draw(intervals)
-    yi = draw(intervals)
-    xb = draw(st.sets(st.integers(xi[0], max(xi[0], xi[1])))) if xi[1] >= xi[0] else set()
-    yb = draw(st.sets(st.integers(yi[0], max(yi[0], yi[1])))) if yi[1] >= yi[0] else set()
-    xb = {b for b in xb if xi[0] <= b <= xi[1]}
-    yb = {b for b in yb if yi[0] <= b <= yi[1]}
-    return cb, xi, yi, xb, yb
+    lo = draw(st.integers(1, 150))
+    xi = (lo, lo + draw(st.integers(-1, 90)))  # (lo, lo - 1) is empty
+    xb = set()
+    if xi[1] >= xi[0]:
+        inside = st.integers(xi[0], xi[1])
+        xb = draw(st.sets(inside, max_size=4))
+    arg = draw(st.sets(st.integers(0, 299), max_size=25))
+    if xi[1] >= xi[0]:
+        first, last = aligned_span(xi, cb)
+        arg |= draw(st.sets(st.integers(first, last), max_size=4))
+    return cb, xi, xb, arg
 
 
-@settings(max_examples=400, deadline=None)
-@given(rbv_cases())
+@settings(max_examples=600, deadline=None)
+@given(union_cases())
 def test_or_matches_oracle(case):
-    cb, xi, yi, xb, yb = case
+    # exactly the argument's bits inside the allocated chunks are added,
+    # slack positions included; the result says whether the value changed
+    cb, xi, xb, arg = case
     x = make_rbv(xi, cb, sorted(xb))
-    y = make_rbv(yi, cb, sorted(yb))
-    expected = ranged_or_oracle(xi, yi, xb, yb, cb)
-    changed = x.or_with(y)
+    expected = ranged_union_oracle(xi, xb, arg, cb)
+    changed = x.or_overlapping(bits_of(arg))
     assert members(x) == expected
     assert changed == (expected != xb)
 
 
 @settings(max_examples=200, deadline=None)
-@given(rbv_cases())
+@given(union_cases())
 def test_slack_bound_and_monotonicity(case):
-    cb, xi, yi, xb, yb = case
+    cb, xi, xb, arg = case
     x = make_rbv(xi, cb, sorted(xb))
-    y = make_rbv(yi, cb, sorted(yb))
-    x.or_with(y)
+    x.or_overlapping(bits_of(arg))
     for b in members(x):
         if not (xi[0] <= b <= xi[1]):
             assert xi[0] - (cb - 1) <= b < xi[0] or xi[1] < b <= xi[1] + (cb - 1)
@@ -162,7 +172,7 @@ def test_slack_bound_and_monotonicity(case):
 
 
 def test_alignment_exactness():
-    # chunk-aligned bounds leave no slack: or == exact filtered union
+    # chunk-aligned bounds leave no slack: the union is the exact filtered one
     rng = random.Random(3)
     cb = 8
     for _ in range(200):
@@ -175,38 +185,9 @@ def test_alignment_exactness():
         xb = {b for b in rng.sample(range(xi[0], xi[1] + 1), min(4, xi[1] - xi[0] + 1))}
         yb = {b for b in rng.sample(range(yi[0], yi[1] + 1), min(4, yi[1] - yi[0] + 1))}
         x = make_rbv(xi, cb, sorted(xb))
-        y = make_rbv(yi, cb, sorted(yb))
-        x.or_with(y)
-        assert members(x) == ranged_or_oracle(xi, yi, xb, yb, cb)
-        for b in members(x):
-            assert xi[0] <= b <= xi[1]  # no slack under alignment
-
-
-def test_or_overlapping_matches_bit_oracle():
-    # exactly the argument's bits inside the allocated chunks are added,
-    # slack positions included; the result says whether the value changed
-    rng = random.Random(5)
-    for _ in range(600):
-        cb = rng.choice([8, 64])
-        lo = rng.randint(1, 150)
-        xi = (lo, lo + rng.randint(-1, 90))  # (lo, lo - 1) is empty
-        x = RangedBitVector(Interval(*xi), ChunkConfig(cb))
-        if xi[1] >= xi[0]:
-            for b in rng.sample(range(xi[0], xi[1] + 1), min(3, xi[1] - xi[0] + 1)):
-                x.set(b)
-            window = range(x.aligned_lower, x.span_end + 1)
-        else:
-            window = range(0)
-        before = members(x)
-        # argument bits scattered below, across and above the span, so the
-        # source's span may overlap this one only partly
-        arg = set(rng.sample(range(0, 300), rng.randint(0, 25)))
-        if window:
-            arg |= set(rng.sample(window, min(4, len(window))))
-        expected = before | {i for i in arg if i in window}
-        changed = x.or_overlapping(sum(1 << i for i in arg))
-        assert members(x) == expected
-        assert changed == (expected != before)
+        x.or_overlapping(bits_of(yb))
+        assert members(x) == ranged_union_oracle(xi, xb, yb, cb)
+        assert members(x) == xb | {b for b in yb if xi[0] <= b <= xi[1]}
 
 
 class TestIterate:

@@ -53,6 +53,12 @@ class TestSolve:
         assert main(["solve", str(tmp_path / "nope.facts")]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_non_utf8_corpus(self, tmp_path, capsys):
+        path = tmp_path / "bad.facts"
+        path.write_bytes(b"class Object\n\xff\xfe var x : Object\n")
+        assert main(["solve", str(path)]) == 1
+        assert capsys.readouterr().err == "error: line 2: invalid UTF-8 byte 0xff\n"
+
     def test_emit_solution(self, corpus, tmp_path, capsys):
         sol_path = tmp_path / "sol.txt"
         assert main(["solve", str(corpus), "--emit-solution", str(sol_path)]) == 0

@@ -64,8 +64,16 @@ class TestParser:
             ("field f : Nope", "line 3: field f: unknown type Nope"),
             ("alloc o : Nope", "line 3: alloc o: unknown type Nope"),
             ("alloc o : I", "line 3: alloc o: allocated type I is an interface"),
+            ("class A extends Nope", "line 3: class A: unknown parent Nope"),
+            ("class A extends Object implements Nope",
+             "line 3: class A: unknown interface Nope"),
+            ("interface J extends Nope", "line 3: interface J: unknown interface Nope"),
+            ("var x : Nope[][]\nvar y : Nope[]", "line 3: unknown array element type: Nope"),
+            ("field f : Object\nvar x : I[]",
+             "line 4: interface element arrays are not supported: I[]"),
         ],
-        ids=["var", "field", "alloc", "alloc-interface"],
+        ids=["var", "field", "alloc", "alloc-interface", "parent", "implements",
+             "extends", "array-element", "array-interface"],
     )
     def test_type_errors_have_line(self, decls, message):
         with pytest.raises(UnknownTypeError, match=f"^{re.escape(message)}$"):

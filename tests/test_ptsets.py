@@ -2,10 +2,15 @@ import random
 
 import pytest
 
-from conftest import random_hierarchy
+from conftest import random_hierarchy, worked_allocs
 from oracles import zero_window_savings
 from rangepta.bitsets import ChunkConfig
-from rangepta.errors import IndexOutOfRangeError, UnknownTypeError, UnsupportedKindError
+from rangepta.errors import (
+    ConfigMismatchError,
+    IndexOutOfRangeError,
+    UnknownTypeError,
+    UnsupportedKindError,
+)
 from rangepta.hierarchy import (
     AllocSite,
     Interval,
@@ -144,6 +149,19 @@ class TestAddAll:
                     assert set(dst.iterate()) == {3, 6, 9}, (src_kind, dst_kind)
                 else:
                     assert set(dst.iterate()) == {3, 6}, (src_kind, dst_kind)
+
+    @pytest.mark.parametrize("kind", list(SET_KINDS))
+    def test_union_across_factories(self, kind, worked_hierarchy, factory64):
+        # an equal but separately built numbering, and another chunk width
+        other_nr = number_allocations(worked_hierarchy, worked_allocs())
+        dst = factory64.make_set(kind, "Object")
+        for other in (SetFactory(other_nr, ChunkConfig(64)),
+                      SetFactory(factory64.nr, ChunkConfig(8))):
+            src = other.make_set(kind, "Object")
+            src.add(3)
+            with pytest.raises(ConfigMismatchError):
+                dst.add_all(src)
+        assert len(dst) == 0
 
 
 class TestQueries:
@@ -401,8 +419,7 @@ class TestFootprint:
         for owner in ("A", "B"):
             ranged = f.make_set("ranged", owner)
             pure = f.make_set("pure", owner)
-            universe_chunks = pure.bits.num_chunks
-            if sum(v.num_chunks for v in ranged.vectors) < universe_chunks:
+            if sum(v.num_chunks for v in ranged.vectors) < f.universe_chunks:
                 assert ranged.footprint_bytes() <= pure.footprint_bytes()
 
     def test_shared_base_counted_once(self):
@@ -423,14 +440,14 @@ class TestSparseSavings:
     def test_all_zero_sixteen_words(self):
         f = big_factory(per_class=200, cb=8)  # universe 600 allocs, 76 chunks
         s = f.make_set("pure", "Object")
-        windows = -(-s.bits.num_chunks // SPARSE_ELEMENT_WORDS)
+        windows = -(-(f.total // 8 + 1) // SPARSE_ELEMENT_WORDS)
         assert sparse_savings(s, f.cfg) == windows * SPARSE_ELEMENT_WORDS
 
     def test_one_bit_per_window(self):
         f = big_factory(per_class=200, cb=8)
         s = f.make_set("pure", "Object")
         window_bits = SPARSE_ELEMENT_WORDS * 8
-        for w in range(-(-s.bits.num_chunks // SPARSE_ELEMENT_WORDS)):
+        for w in range(-(-(f.total // 8 + 1) // SPARSE_ELEMENT_WORDS)):
             idx = max(1, w * window_bits)
             s.add(idx)
         assert sparse_savings(s, f.cfg) == 0
