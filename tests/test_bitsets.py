@@ -190,6 +190,33 @@ def test_alignment_exactness():
         assert members(x) == xb | {b for b in yb if xi[0] <= b <= xi[1]}
 
 
+def test_or_overlapping_matches_bit_oracle():
+    # exactly the argument's bits inside the allocated chunks are added,
+    # slack positions included; the result says whether the value changed
+    rng = random.Random(5)
+    for _ in range(600):
+        cb = rng.choice([8, 64])
+        lo = rng.randint(1, 150)
+        xi = (lo, lo + rng.randint(-1, 90))  # (lo, lo - 1) is empty
+        x = RangedBitVector(Interval(*xi), ChunkConfig(cb))
+        if xi[1] >= xi[0]:
+            for b in rng.sample(range(xi[0], xi[1] + 1), min(3, xi[1] - xi[0] + 1)):
+                x.set(b)
+            window = range(x.aligned_lower, x.span_end + 1)
+        else:
+            window = range(0)
+        before = members(x)
+        # argument bits scattered below, across and above the span, so the
+        # source's span may overlap this one only partly
+        arg = set(rng.sample(range(0, 300), rng.randint(0, 25)))
+        if window:
+            arg |= set(rng.sample(window, min(4, len(window))))
+        expected = before | {i for i in arg if i in window}
+        changed = x.or_overlapping(bits_of(arg))
+        assert members(x) == expected
+        assert changed == (expected != before)
+
+
 class TestIterate:
     def test_empty(self):
         assert list(make_rbv((5, 20), 64).iterate()) == []
