@@ -17,8 +17,8 @@ from typing import Optional
 
 from .bitsets import ChunkConfig
 from .errors import FactSyntaxError, InvalidParamsError, PtaError, UnsupportedKindError
-from .hierarchy import number_allocations
-from .pag import GenParams, generate_synthetic, parse_program
+from .hierarchy import NumberingResult, number_allocations
+from .pag import PAG, GenParams, generate_synthetic, parse_program
 from .ptsets import SET_KINDS, sparse_savings
 from .solver import (
     FILTER_MODES,
@@ -90,7 +90,8 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
 
-def _solve_corpus(path: str, cfg: SolverConfig) -> Solution:
+def _load_corpus(path: str) -> tuple[PAG, NumberingResult]:
+    """Decode, parse and number a fact file: the input of every solve."""
     data = Path(path).read_bytes()
     try:
         text = data.decode()
@@ -98,8 +99,7 @@ def _solve_corpus(path: str, cfg: SolverConfig) -> Solution:
         line = data.count(b"\n", 0, e.start) + 1
         raise FactSyntaxError(f"invalid UTF-8 byte 0x{data[e.start]:02x}", line) from None
     h, pag = parse_program(text)
-    nr = number_allocations(h, list(pag.allocs.values()))
-    return propagate(pag, nr, cfg)
+    return pag, number_allocations(h, list(pag.allocs.values()))
 
 
 def _make_report(path: str, sol: Solution) -> RunReport:
@@ -162,7 +162,7 @@ def _config_from(args, suffix: str = "") -> SolverConfig:
 
 def cmd_solve(args) -> int:
     cfg = _config_from(args)
-    sol = _solve_corpus(args.corpus, cfg)
+    sol = propagate(*_load_corpus(args.corpus), cfg)
     report = _make_report(args.corpus, sol)
     print(report.to_text(), end="")
     if args.emit_solution:
@@ -177,8 +177,9 @@ def cmd_solve(args) -> int:
 def cmd_compare(args) -> int:
     cfg_a = _config_from(args, "_a")
     cfg_b = _config_from(args, "_b")
-    sol_a = _solve_corpus(args.corpus, cfg_a)
-    sol_b = _solve_corpus(args.corpus, cfg_b)
+    pag, nr = _load_corpus(args.corpus)
+    sol_a = propagate(pag, nr, cfg_a)
+    sol_b = propagate(pag, nr, cfg_b)
     result = compare_solutions(sol_a, sol_b)
     hist_a, pop_a = precision_histogram(sol_a)
     hist_b, pop_b = precision_histogram(sol_b)
@@ -206,7 +207,7 @@ def cmd_savings(args) -> int:
         raise UnsupportedKindError(
             f"sparse savings undefined for set kind {cfg.set_kind!r}"
         )
-    sol = _solve_corpus(args.corpus, cfg)
+    sol = propagate(*_load_corpus(args.corpus), cfg)
     chunk_cfg = ChunkConfig(cfg.chunk_bits)
     all_sets = list(sol.var_sets.values()) + list(sol.field_sets.values())
     saved = sum(sparse_savings(s, chunk_cfg) for s in all_sets)
@@ -222,10 +223,11 @@ def cmd_bench(args) -> int:
     if args.repeat < 1:
         raise InvalidParamsError(f"--repeat must be at least 1, got {args.repeat}")
     cfg = _config_from(args)
+    pag, nr = _load_corpus(args.corpus)
     times = []
     sol: Optional[Solution] = None
     for _ in range(args.repeat):
-        sol = _solve_corpus(args.corpus, cfg)
+        sol = propagate(pag, nr, cfg)
         times.append(sol.stats.wall_time)
     report = _make_report(args.corpus, sol)
     print(report.to_text(), end="")

@@ -5,20 +5,24 @@ class PtaError(Exception):
     """Base class for all analysis errors."""
 
 
-class UnknownTypeError(PtaError):
-    """An undeclared or unusable type.  decl, when set, names the type
-    declaration or array type mention that refers to it."""
+class DeclError(PtaError):
+    """An error in the type declarations.  decl, when set, names the type
+    declaration or array type mention the error is reported at."""
 
     def __init__(self, message, decl=None):
         self.decl = decl
         super().__init__(message)
 
 
+class UnknownTypeError(DeclError):
+    """An undeclared or unusable type."""
+
+
 class DuplicateTypeError(PtaError):
     pass
 
 
-class InheritanceCycleError(PtaError):
+class InheritanceCycleError(DeclError):
     pass
 
 

@@ -179,8 +179,13 @@ def build_hierarchy(
 
     roots = [d for d in class_decls if d[1] is None]
     if len(roots) != 1:
+        # reported at the second root, or at the first class if none is a root
+        if roots:
+            at = roots[1][0]
+        else:
+            at = class_decls[0][0] if class_decls else None
         raise InheritanceCycleError(
-            f"expected exactly one root class, found {len(roots)}"
+            f"expected exactly one root class, found {len(roots)}", decl=at
         )
 
     iface_names = {name for name, _ in iface_decls}
@@ -211,9 +216,11 @@ def build_hierarchy(
         todo.extend(reversed(child_decls[name]))
     if len(h.parent) != len(class_decls):
         # the parent chain of an unreached class never ends at the root
+        unreached = [name for name, _, _ in class_decls if name not in h.parent]
         raise InheritanceCycleError(
             "class inheritance cycle; classes unreachable from the root: "
-            + ", ".join(name for name, _, _ in class_decls if name not in h.parent)
+            + ", ".join(unreached),
+            decl=unreached[0],
         )
 
     # cycle check on interface extension
@@ -234,7 +241,9 @@ def build_hierarchy(
                 istate[i] = 2
                 stack.pop()
             elif istate.get(sup) == 1:
-                raise InheritanceCycleError(f"interface extension cycle through {sup}")
+                raise InheritanceCycleError(
+                    f"interface extension cycle through {sup}", decl=i
+                )
             elif sup not in istate:
                 istate[sup] = 1
                 stack.append((sup, iter(ext_map[sup])))

@@ -26,6 +26,7 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import (
+    DeclError,
     DuplicateNameError,
     FactSyntaxError,
     InvalidParamsError,
@@ -172,10 +173,9 @@ def parse_program(text: str) -> tuple[ClassHierarchy, PAG]:
     arrays = [t for t in type_lines if t.endswith("[]")]
     try:
         h = build_hierarchy(pag.class_decls, pag.iface_decls, array_types=arrays)
-    except UnknownTypeError as e:
-        if e.decl is None:
-            raise
-        raise UnknownTypeError(f"line {type_lines[e.decl]}: {e}") from None
+    except DeclError as e:
+        # with no class declared at all, a missing root is reported at line 1
+        raise type(e)(f"line {type_lines.get(e.decl, 1)}: {e}") from None
 
     for name, tname in pag.var_types.items():
         if not h.is_declared(tname):
@@ -282,8 +282,10 @@ class GenParams:
             raise InvalidParamsError("num_classes must be >= 1")
         if self.num_interfaces < 0 or self.num_fields < 0:
             raise InvalidParamsError("counts must be non-negative")
-        if self.num_vars < 1 or self.num_statements < 0:
+        if self.num_vars < 1:
             raise InvalidParamsError("need at least one variable")
+        if self.num_statements < 0:
+            raise InvalidParamsError("num_statements must be >= 0")
         if self.max_depth < 1:
             raise InvalidParamsError("max_depth must be >= 1")
         lo, hi = self.allocs_per_class

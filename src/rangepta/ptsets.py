@@ -22,6 +22,11 @@ queries ``in``, ``len`` and ``iterate`` are read from ``as_int``.
 solver probes it through ``contains_object`` on every field access, and
 their int view would be rebuilt per probe.
 
+A union takes its source from the destination's own ``SetFactory``: one
+solve builds every set with one factory, and ``add_all`` raises
+``ConfigMismatchError`` for a source made by another factory, even one over
+an equal numbering and chunk width.
+
 Memory accounting is a deterministic model, not process measurement:
 16 bytes per object header, 16 per array header, 8 per reference slot,
 chunk_bits/8 bytes per chunk.  Shared bases are counted once per distinct
@@ -159,10 +164,8 @@ class PointsToSet:
             )
 
     def _check_universe(self, src: "PointsToSet"):
-        if src.factory.nr is not self.factory.nr:
-            raise ConfigMismatchError("sets built over different numberings")
-        if src.factory.cfg != self.factory.cfg:
-            raise ConfigMismatchError("chunk widths differ")
+        if src.factory is not self.factory:
+            raise ConfigMismatchError("sets built by different factories")
 
     def add(self, idx: int) -> bool:
         raise NotImplementedError

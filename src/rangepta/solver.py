@@ -1,12 +1,16 @@
 """Andersen-style worklist propagation with pluggable set representation.
 
-The worklist is a FIFO queue of variable nodes seeded by allocation edges;
-a node re-enters the queue whenever its set changes.  Concrete field sets
-are created lazily, keyed by (allocation index, field), with the field's
-declared type as owner.  Every constraint is re-applied whenever one of its
-inputs changes, so the drained worklist is the least fixpoint.
-``run_extra_pass`` checks that from outside: one full constraint pass over
-a finished solution must perform zero successful unions.
+Before seeding, every variable that any constraint names (alloc edges
+included) owns one set, also a variable no object ever reaches: its empty
+set counts in the modeled bytes.  The constraint edges are then indexed
+over those set objects, not over variable names, and the worklist is a
+FIFO queue of sets seeded by the allocation edges; a set re-enters the
+queue whenever it changes.  Concrete field sets are created lazily, keyed
+by (allocation index, field), with the field's declared type as owner.
+Every constraint is re-applied whenever one of its inputs changes, so the
+drained worklist is the least fixpoint.  ``run_extra_pass`` checks that
+from outside: one full pass over the PAG's edge lists, by variable name and
+not through the solver's indices, must perform zero successful unions.
 """
 
 from __future__ import annotations
@@ -75,168 +79,139 @@ class Solution:
         return tuple(s.iterate()) if s is not None else ()
 
 
-class _Engine:
-    def __init__(self, pag: PAG, nr: NumberingResult, cfg: SolverConfig):
-        cfg.validate()
-        self.pag = pag
-        self.nr = nr
-        self.cfg = cfg
-        self.factory = SetFactory(nr, ChunkConfig(cfg.chunk_bits))
-        self.h = nr.hierarchy
-        self.var_sets: dict[str, PointsToSet] = {}
-        self.field_sets: dict[tuple[int, str], PointsToSet] = {}
-        self.stats = PropagationStats()
-
-        self.assign_out = defaultdict(list)  # src -> [dst]
-        for dst, src in pag.assign_edges:
-            self.assign_out[src].append(dst)
-        self.stores_by_src = defaultdict(list)  # src -> [(base, f)]
-        self.stores_by_base = defaultdict(list)  # base -> [(f, src)]
-        for base, f, src in pag.store_edges:
-            self.stores_by_src[src].append((base, f))
-            self.stores_by_base[base].append((f, src))
-        self.loads_by_base = defaultdict(list)  # base -> [(f, dst)]
-        self.loads_by_field = defaultdict(list)  # f -> [(base, dst)]
-        for dst, base, f in pag.load_edges:
-            self.loads_by_base[base].append((f, dst))
-            self.loads_by_field[f].append((base, dst))
-
-    def _owner(self, type_name: str) -> str:
-        if self.cfg.filter_mode == "none":
-            return self.h.root.name
-        return type_name
-
-    def var_set(self, v: str) -> PointsToSet:
-        s = self.var_sets.get(v)
-        if s is None:
-            s = self.factory.make_set(self.cfg.set_kind, self._owner(self.pag.var_types[v]))
-            self.var_sets[v] = s
-        return s
-
-    def field_set(self, alloc_idx: int, f: str) -> PointsToSet:
-        key = (alloc_idx, f)
-        s = self.field_sets.get(key)
-        if s is None:
-            s = self.factory.make_set(self.cfg.set_kind, self._owner(self.pag.field_types[f]))
-            self.field_sets[key] = s
-        return s
-
-    def solve(self) -> Solution:
-        start = time.perf_counter()
-        queue: deque[str] = deque()
-        queued: set[str] = set()
-
-        def enqueue(v: str):
-            if v not in queued:
-                queued.add(v)
-                queue.append(v)
-
-        # every variable a constraint names owns a set, also one that no
-        # object ever reaches: its empty set counts in the modeled bytes
-        pag = self.pag
-        named = [v for dst, src in pag.assign_edges for v in (dst, src)]
-        named += [v for base, _, src in pag.store_edges for v in (base, src)]
-        named += [v for dst, base, _ in pag.load_edges for v in (dst, base)]
-        for v in named:
-            self.var_set(v)
-
-        for oid, v in pag.alloc_edges:
-            if self.var_set(v).add(self.nr.index_of[oid]):
-                self.stats.union_ops += 1
-                enqueue(v)
-
-        while queue:
-            v = queue.popleft()
-            queued.discard(v)
-            self.stats.nodes_processed += 1
-            self._process(v, enqueue)
-
-        self.stats.wall_time = time.perf_counter() - start
-        all_sets = list(self.var_sets.values()) + list(self.field_sets.values())
-        self.stats.total_footprint_bytes = self.factory.total_footprint(all_sets)
-        return Solution(
-            config=self.cfg,
-            nr=self.nr,
-            pag=self.pag,
-            factory=self.factory,
-            var_sets=self.var_sets,
-            field_sets=self.field_sets,
-            stats=self.stats,
-        )
-
-    def _process(self, v: str, enqueue):
-        pv = self.var_set(v)
-        changed_fields: list[tuple[int, str]] = []
-
-        for dst in self.assign_out.get(v, ()):
-            if self.var_set(dst).add_all(pv):
-                self.stats.union_ops += 1
-                enqueue(dst)
-
-        for base, f in self.stores_by_src.get(v, ()):
-            for o in list(self.var_set(base).iterate_objects()):
-                if self.field_set(o, f).add_all(pv):
-                    self.stats.union_ops += 1
-                    changed_fields.append((o, f))
-
-        for f, src in self.stores_by_base.get(v, ()):
-            ps = self.var_set(src)
-            for o in list(pv.iterate_objects()):
-                if self.field_set(o, f).add_all(ps):
-                    self.stats.union_ops += 1
-                    changed_fields.append((o, f))
-
-        for f, dst in self.loads_by_base.get(v, ()):
-            for o in list(pv.iterate_objects()):
-                if self.var_set(dst).add_all(self.field_set(o, f)):
-                    self.stats.union_ops += 1
-                    enqueue(dst)
-
-        for o, f in changed_fields:
-            fs = self.field_sets[(o, f)]
-            for base, dst in self.loads_by_field.get(f, ()):
-                if self.var_set(base).contains_object(o):
-                    if self.var_set(dst).add_all(fs):
-                        self.stats.union_ops += 1
-                        enqueue(dst)
-
-    def run_one_pass(self) -> int:
-        """Apply every constraint once; return the number of successful
-        unions (zero exactly at a fixpoint)."""
-        hits = 0
-        for oid, v in self.pag.alloc_edges:
-            if self.var_set(v).add(self.nr.index_of[oid]):
-                hits += 1
-        for dst, src in self.pag.assign_edges:
-            if self.var_set(dst).add_all(self.var_set(src)):
-                hits += 1
-        for base, f, src in self.pag.store_edges:
-            ps = self.var_set(src)
-            for o in list(self.var_set(base).iterate_objects()):
-                if self.field_set(o, f).add_all(ps):
-                    hits += 1
-        for dst, base, f in self.pag.load_edges:
-            pd = self.var_set(dst)
-            for o in list(self.var_set(base).iterate_objects()):
-                if pd.add_all(self.field_set(o, f)):
-                    hits += 1
-        self.stats.union_ops += hits
-        return hits
+def _set_at(
+    sets: dict, key, factory: SetFactory, cfg: SolverConfig, type_name: str
+) -> PointsToSet:
+    """sets[key], first made as an empty set of the declared type; under
+    filter mode 'none' every set takes the root type instead."""
+    s = sets.get(key)
+    if s is None:
+        owner = factory.h.root.name if cfg.filter_mode == "none" else type_name
+        s = sets[key] = factory.make_set(cfg.set_kind, owner)
+    return s
 
 
 def propagate(pag: PAG, nr: NumberingResult, cfg: SolverConfig) -> Solution:
     """Run inclusion-based propagation to the least fixpoint."""
-    return _Engine(pag, nr, cfg).solve()
+    cfg.validate()
+    start = time.perf_counter()
+    factory = SetFactory(nr, ChunkConfig(cfg.chunk_bits))
+    var_sets: dict[str, PointsToSet] = {}
+    field_sets: dict[tuple[int, str], PointsToSet] = {}
+
+    # sets for every constraint-named variable before seeding (module doc)
+    named = [v for dst, src in pag.assign_edges for v in (dst, src)]
+    named += [v for base, _, src in pag.store_edges for v in (base, src)]
+    named += [v for dst, base, _ in pag.load_edges for v in (dst, base)]
+    named += [v for _, v in pag.alloc_edges]
+    for v in named:
+        _set_at(var_sets, v, factory, cfg, pag.var_types[v])
+
+    def field_set(o: int, f: str) -> PointsToSet:
+        s = field_sets.get((o, f))
+        if s is None:
+            s = _set_at(field_sets, (o, f), factory, cfg, pag.field_types[f])
+        return s
+
+    assign_out = defaultdict(list)  # src -> [dst]
+    for dst, src in pag.assign_edges:
+        assign_out[var_sets[src]].append(var_sets[dst])
+    stores_by_src = defaultdict(list)  # src -> [(base, f)]
+    stores_by_base = defaultdict(list)  # base -> [(f, src)]
+    for base, f, src in pag.store_edges:
+        stores_by_src[var_sets[src]].append((var_sets[base], f))
+        stores_by_base[var_sets[base]].append((f, var_sets[src]))
+    loads_by_base = defaultdict(list)  # base -> [(f, dst)]
+    loads_by_field = defaultdict(list)  # f -> [(base, dst)]
+    for dst, base, f in pag.load_edges:
+        loads_by_base[var_sets[base]].append((f, var_sets[dst]))
+        loads_by_field[f].append((var_sets[base], var_sets[dst]))
+
+    queue: deque[PointsToSet] = deque()
+    queued: set[PointsToSet] = set()
+    unions = pops = 0
+
+    def enqueue(s: PointsToSet):
+        if s not in queued:
+            queued.add(s)
+            queue.append(s)
+
+    for oid, v in pag.alloc_edges:
+        pv = var_sets[v]
+        if pv.add(nr.index_of[oid]):
+            unions += 1
+            enqueue(pv)
+
+    while queue:
+        pv = queue.popleft()
+        queued.discard(pv)
+        pops += 1
+        changed_fields = []  # (o, f, set of o.f) for each field set that grew
+
+        for pd in assign_out.get(pv, ()):
+            if pd.add_all(pv):
+                unions += 1
+                enqueue(pd)
+
+        for pb, f in stores_by_src.get(pv, ()):
+            for o in list(pb.iterate_objects()):
+                fs = field_set(o, f)
+                if fs.add_all(pv):
+                    unions += 1
+                    changed_fields.append((o, f, fs))
+
+        for f, ps in stores_by_base.get(pv, ()):
+            for o in list(pv.iterate_objects()):
+                fs = field_set(o, f)
+                if fs.add_all(ps):
+                    unions += 1
+                    changed_fields.append((o, f, fs))
+
+        for f, pd in loads_by_base.get(pv, ()):
+            for o in list(pv.iterate_objects()):
+                if pd.add_all(field_set(o, f)):
+                    unions += 1
+                    enqueue(pd)
+
+        for o, f, fs in changed_fields:
+            for pb, pd in loads_by_field.get(f, ()):
+                if pb.contains_object(o) and pd.add_all(fs):
+                    unions += 1
+                    enqueue(pd)
+
+    wall_time = time.perf_counter() - start
+    all_sets = list(var_sets.values()) + list(field_sets.values())
+    stats = PropagationStats(unions, pops, wall_time, factory.total_footprint(all_sets))
+    return Solution(cfg, nr, pag, factory, var_sets, field_sets, stats)
 
 
 def run_extra_pass(sol: Solution) -> int:
-    """One more full constraint pass over a solution; returns the number of
-    successful unions (must be zero at a fixpoint)."""
-    eng = _Engine(sol.pag, sol.nr, sol.config)
-    eng.var_sets = sol.var_sets
-    eng.field_sets = sol.field_sets
-    eng.factory = sol.factory
-    return eng.run_one_pass()
+    """One more full pass over the PAG's edge lists, by variable name;
+    returns the number of successful unions (zero exactly at a fixpoint).
+    A missing variable or field set is made in sol, so a solve that skipped
+    one shows in sol's set keys."""
+    pag, factory, cfg = sol.pag, sol.factory, sol.config
+
+    def var_of(v):
+        return _set_at(sol.var_sets, v, factory, cfg, pag.var_types[v])
+
+    def field_of(o, f):
+        return _set_at(sol.field_sets, (o, f), factory, cfg, pag.field_types[f])
+
+    hits = 0
+    for oid, v in pag.alloc_edges:
+        hits += var_of(v).add(sol.nr.index_of[oid])
+    for dst, src in pag.assign_edges:
+        hits += var_of(dst).add_all(var_of(src))
+    for base, f, src in pag.store_edges:
+        ps = var_of(src)
+        for o in list(var_of(base).iterate_objects()):
+            hits += field_of(o, f).add_all(ps)
+    for dst, base, f in pag.load_edges:
+        pd = var_of(dst)
+        for o in list(var_of(base).iterate_objects()):
+            hits += pd.add_all(field_of(o, f))
+    return hits
 
 
 def emit_solution(sol: Solution) -> str:

@@ -1,6 +1,8 @@
 import pytest
 
+from rangepta import cli
 from rangepta.cli import main
+from rangepta.pag import parse_program
 
 GEN_ARGS = [
     "gen", "--classes", "8", "--interfaces", "2", "--vars", "14",
@@ -13,6 +15,19 @@ def corpus(tmp_path):
     path = tmp_path / "corpus.facts"
     assert main(GEN_ARGS + ["-o", str(path)]) == 0
     return path
+
+
+@pytest.fixture
+def parse_calls(monkeypatch):
+    """The texts the CLI passes to parse_program."""
+    calls = []
+
+    def counting(text):
+        calls.append(text)
+        return parse_program(text)
+
+    monkeypatch.setattr(cli, "parse_program", counting)
+    return calls
 
 
 class TestGen:
@@ -36,6 +51,11 @@ class TestGen:
         rc = main(["gen", "--classes", "0", "-o", str(tmp_path / "x")])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_negative_statements(self, tmp_path, capsys):
+        rc = main(["gen", "--statements", "-1", "-o", str(tmp_path / "x")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: num_statements must be >= 0\n"
 
 
 class TestSolve:
@@ -133,6 +153,10 @@ class TestCompare:
         assert "comparison: incomparable" in out
         assert "B-only member:" in out
 
+    def test_parses_corpus_once(self, corpus, capsys, parse_calls):
+        assert main(["compare", str(corpus), "--set-a", "naive", "--set-b", "pure"]) == 0
+        assert len(parse_calls) == 1
+
 
 class TestSavings:
     def test_report_format(self, corpus, capsys):
@@ -152,6 +176,11 @@ class TestBench:
     def test_median_line(self, corpus, capsys):
         assert main(["bench", str(corpus), "--repeat", "3"]) == 0
         assert "median propagation time over 3 runs:" in capsys.readouterr().out
+
+    def test_parses_corpus_once(self, corpus, capsys, parse_calls):
+        # only propagate is repeated and timed; the corpus is loaded once
+        assert main(["bench", str(corpus), "--repeat", "3"]) == 0
+        assert len(parse_calls) == 1
 
     @pytest.mark.parametrize("repeat", ["0", "-2"])
     def test_repeat_below_one(self, corpus, capsys, repeat):

@@ -2,16 +2,21 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rangepta.errors import (
     DuplicateNameError,
     FactSyntaxError,
+    InheritanceCycleError,
     InvalidParamsError,
     PtaError,
     UndeclaredVariableError,
     UnknownTypeError,
 )
 from rangepta.pag import GenParams, format_program, generate_synthetic, parse_program
+
+# declarations before the line-3 cases of test_type_errors_have_line
+HEAD = "class Object\ninterface I\n"
 
 MINIMAL = """\
 class Object
@@ -58,26 +63,44 @@ class TestParser:
             parse_program("class Object\nvar x : Missing\n")
 
     @pytest.mark.parametrize(
-        "decls, message",
+        "text, error, message",
         [
-            ("var x : Nope", "line 3: var x: unknown type Nope"),
-            ("field f : Nope", "line 3: field f: unknown type Nope"),
-            ("alloc o : Nope", "line 3: alloc o: unknown type Nope"),
-            ("alloc o : I", "line 3: alloc o: allocated type I is an interface"),
-            ("class A extends Nope", "line 3: class A: unknown parent Nope"),
-            ("class A extends Object implements Nope",
+            (HEAD + "var x : Nope", UnknownTypeError, "line 3: var x: unknown type Nope"),
+            (HEAD + "field f : Nope", UnknownTypeError,
+             "line 3: field f: unknown type Nope"),
+            (HEAD + "alloc o : Nope", UnknownTypeError,
+             "line 3: alloc o: unknown type Nope"),
+            (HEAD + "alloc o : I", UnknownTypeError,
+             "line 3: alloc o: allocated type I is an interface"),
+            (HEAD + "class A extends Nope", UnknownTypeError,
+             "line 3: class A: unknown parent Nope"),
+            (HEAD + "class A extends Object implements Nope", UnknownTypeError,
              "line 3: class A: unknown interface Nope"),
-            ("interface J extends Nope", "line 3: interface J: unknown interface Nope"),
-            ("var x : Nope[][]\nvar y : Nope[]", "line 3: unknown array element type: Nope"),
-            ("field f : Object\nvar x : I[]",
+            (HEAD + "interface J extends Nope", UnknownTypeError,
+             "line 3: interface J: unknown interface Nope"),
+            (HEAD + "var x : Nope[][]\nvar y : Nope[]", UnknownTypeError,
+             "line 3: unknown array element type: Nope"),
+            (HEAD + "field f : Object\nvar x : I[]", UnknownTypeError,
              "line 4: interface element arrays are not supported: I[]"),
+            (HEAD + "class A extends Object\nclass B", InheritanceCycleError,
+             "line 4: expected exactly one root class, found 2"),
+            ("interface I\nclass A extends B\nclass B extends A", InheritanceCycleError,
+             "line 2: expected exactly one root class, found 0"),
+            ("# no classes\ninterface I", InheritanceCycleError,
+             "line 1: expected exactly one root class, found 0"),
+            (HEAD + "class A extends B\nclass C extends Object\nclass B extends A",
+             InheritanceCycleError,
+             "line 3: class inheritance cycle; classes unreachable from the root: A, B"),
+            (HEAD + "interface J extends K\ninterface K extends J", InheritanceCycleError,
+             "line 4: interface extension cycle through J"),
         ],
         ids=["var", "field", "alloc", "alloc-interface", "parent", "implements",
-             "extends", "array-element", "array-interface"],
+             "extends", "array-element", "array-interface", "two-roots", "no-root",
+             "no-class", "class-cycle", "interface-cycle"],
     )
-    def test_type_errors_have_line(self, decls, message):
-        with pytest.raises(UnknownTypeError, match=f"^{re.escape(message)}$"):
-            parse_program(f"class Object\ninterface I\n{decls}\n")
+    def test_type_errors_have_line(self, text, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            parse_program(text + "\n")
 
     def test_interface_alloc_rejected(self):
         with pytest.raises(UnknownTypeError):
@@ -172,3 +195,61 @@ class TestGenerator:
         p = GenParams(num_classes=8, num_vars=10, num_statements=40)
         for seed in range(10):
             parse_program(generate_synthetic(p, seed))
+
+
+FUZZ_PARAMS = GenParams(
+    num_classes=4,
+    num_interfaces=2,
+    num_fields=2,
+    num_vars=4,
+    num_statements=8,
+    allocs_per_class=(0, 2),
+)
+FUZZ_TOKENS = ("class", "interface", "extends", "implements", ":", ",", "#", "[]",
+               "Object", "I9", "1x", "x[]", "new", "assign", "store", "load")
+
+
+@st.composite
+def mutated_corpora(draw):
+    """A small generated corpus with a few lines or tokens deleted,
+    duplicated, swapped or replaced."""
+    lines = generate_synthetic(FUZZ_PARAMS, draw(st.integers(0, 30))).splitlines()
+    words = sorted({w for line in lines for w in line.split()} | set(FUZZ_TOKENS))
+    for _ in range(draw(st.integers(1, 4))):
+        target = draw(st.sampled_from(("line", "token")))
+        op = draw(st.sampled_from(("delete", "duplicate", "swap", "replace")))
+        if target == "line":
+            seq = lines
+            new = draw(st.sampled_from(lines))
+        else:
+            i = draw(st.integers(0, len(lines) - 1))
+            seq = lines[i].split()
+            new = draw(st.sampled_from(words))
+        if not seq:
+            continue
+        a = draw(st.integers(0, len(seq) - 1))
+        b = draw(st.integers(0, len(seq) - 1))
+        if op == "delete":
+            del seq[a]
+        elif op == "duplicate":
+            seq.insert(b, seq[a])
+        elif op == "swap":
+            seq[a], seq[b] = seq[b], seq[a]
+        else:
+            seq[a] = new
+        if target == "token":
+            lines[i] = " ".join(seq)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_corpora())
+def test_mutated_corpora_parse_or_fail_with_line(text):
+    # every rejection names its line; every accepted program round-trips
+    try:
+        _, pag = parse_program(text)
+    except PtaError as e:
+        assert re.match(r"line \d+: ", str(e)), str(e)
+        return
+    printed = format_program(pag)
+    assert format_program(parse_program(printed)[1]) == printed

@@ -1,6 +1,7 @@
 import pytest
 
 from oracles import brute_force_propagate, closure_supertypes
+from test_acceptance import SUITE_CHUNK, suite_text
 from rangepta.errors import ConfigConflictError, UniverseMismatchError
 from rangepta.hierarchy import number_allocations
 from rangepta.pag import GenParams, generate_synthetic, parse_program
@@ -235,6 +236,43 @@ class TestFixpoint:
             assert set(sol.var_sets) == var_keys
             assert set(sol.field_sets) == field_keys
             assert footprint() == sol.stats.total_footprint_bytes
+
+
+# (union_ops, nodes_processed, total_footprint_bytes) of acceptance-suite
+# corpora 0, 1 and 45 at chunk 8, each kind under its benchmark filter mode.
+# Reordering the unions moves the counts and shared's bytes; a change that
+# alters the union schedule on purpose re-records these values.
+UNION_SCHEDULE = {
+    0: {
+        "naive": (214, 49, 6352), "pure": (214, 49, 18480),
+        "hybrid": (214, 49, 34815), "shared": (214, 49, 8226),
+        "sparse": (214, 49, 8160), "ranged": (214, 49, 9430),
+        "ranged-hybrid": (214, 49, 34779),
+    },
+    1: {
+        "naive": (134, 36, 4600), "pure": (134, 36, 16160),
+        "hybrid": (134, 36, 29440), "shared": (134, 36, 5904),
+        "sparse": (134, 36, 4864), "ranged": (134, 36, 7303),
+        "ranged-hybrid": (134, 36, 29440),
+    },
+    45: {
+        "naive": (4204, 160, 216552), "pure": (4204, 160, 135888),
+        "hybrid": (4204, 160, 270492), "shared": (4204, 160, 102456),
+        "sparse": (4204, 160, 98912), "ranged": (4205, 160, 75632),
+        "ranged-hybrid": (4205, 160, 267468),
+    },
+}
+
+
+@pytest.mark.parametrize("corpus", sorted(UNION_SCHEDULE))
+def test_union_schedule_is_pinned(corpus):
+    pag, nr = load_corpus(suite_text(corpus))
+    got = {}
+    for cfg in EXACT_CONFIGS + RANGED_CONFIGS:
+        sol = propagate(pag, nr, SolverConfig(cfg.set_kind, cfg.filter_mode, SUITE_CHUNK))
+        s = sol.stats
+        got[cfg.set_kind] = (s.union_ops, s.nodes_processed, s.total_footprint_bytes)
+    assert got == UNION_SCHEDULE[corpus]
 
 
 class TestStats:
