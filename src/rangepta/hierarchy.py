@@ -22,7 +22,6 @@ from .errors import (
 class TypeRef:
     name: str
     kind: str  # 'class' | 'interface' | 'array'
-    element: Optional[str] = None  # element type name for arrays
 
     @property
     def is_classlike(self) -> bool:
@@ -45,9 +44,6 @@ class Interval:
     @property
     def empty(self) -> bool:
         return self.upper == self.lower - 1
-
-    def __len__(self) -> int:
-        return max(0, self.upper - self.lower + 1)
 
     def contains(self, idx: int) -> bool:
         return self.lower <= idx <= self.upper
@@ -290,7 +286,7 @@ def _ensure_array(h: ClassHierarchy, name: str) -> None:
         if parent not in h.types:
             pending.append(parent)
             continue
-        h._add_class(TypeRef(name, "array", element=elem), parent, ())
+        h._add_class(TypeRef(name, "array"), parent, ())
         pending.pop()
 
 

@@ -288,6 +288,8 @@ class GenParams:
             raise InvalidParamsError("num_statements must be >= 0")
         if self.max_depth < 1:
             raise InvalidParamsError("max_depth must be >= 1")
+        if self.max_depth < 2 and self.num_classes > 1:
+            raise InvalidParamsError("max_depth must be >= 2 for more than one class")
         lo, hi = self.allocs_per_class
         if lo < 0 or hi < lo:
             raise InvalidParamsError("bad allocs_per_class range")

@@ -16,7 +16,9 @@ re-encoding of the new bits.  No kind falls back to element-wise insertion,
 so spill and fold points land exactly where element-wise insertion in
 ascending order would put them.
 
-A kind thus writes only its representation (``add`` and ``add_all``); the
+A kind thus writes its representation through ``add_all`` alone:
+``add(idx)`` is a union with a private one-member source, so a single
+insertion takes the same filter, spill and fold as any other union.  The
 queries ``in``, ``len`` and ``iterate`` are read from ``as_int``.
 ``naive``, ``shared`` and the hybrids keep a direct ``__contains__``: the
 solver probes it through ``contains_object`` on every field access, and
@@ -168,7 +170,9 @@ class PointsToSet:
             raise ConfigMismatchError("sets built by different factories")
 
     def add(self, idx: int) -> bool:
-        raise NotImplementedError
+        """Insert one alloc index under self's filter; True iff self changed."""
+        self._check_index(idx)
+        return self.add_all(_OneMember(self.factory, idx))
 
     def add_all(self, src: "PointsToSet") -> bool:
         """Unite src into self under self's filter; True iff self changed."""
@@ -223,13 +227,6 @@ class NaiveSet(PointsToSet):
         self.members: set[int] = set()
         self._compatible = factory.compatible(owner.name)
 
-    def add(self, idx):
-        self._check_index(idx)
-        if idx not in self._compatible or idx in self.members:
-            return False
-        self.members.add(idx)
-        return True
-
     def add_all(self, src):
         self._check_universe(src)
         before = len(self.members)
@@ -252,6 +249,18 @@ class NaiveSet(PointsToSet):
         return OBJECT_HEADER + len(self.members) * REF_BYTES
 
 
+class _OneMember(PointsToSet):
+    """The source of ``add(idx)``: one member and not ranged, so a ranged
+    destination filters it by interval."""
+
+    def __init__(self, factory, idx):
+        self.factory = factory
+        self.bits = 1 << idx
+
+    def as_int(self):
+        return self.bits
+
+
 class PureBitVectorSet(PointsToSet):
     """Full-universe bit vector, filtered by ANDing with the owner's type
     mask on every union."""
@@ -263,13 +272,6 @@ class PureBitVectorSet(PointsToSet):
         super().__init__(factory, owner)
         self.bits = 0
         self.mask = factory.mask_bits(owner.name)
-
-    def add(self, idx):
-        self._check_index(idx)
-        if not self.mask >> idx & 1 or self.bits >> idx & 1:
-            return False
-        self.bits |= 1 << idx
-        return True
 
     def add_all(self, src):
         self._check_universe(src)
@@ -298,13 +300,11 @@ class _InlineThenOverflow(PointsToSet):
     hybrid kinds: up to 16 members in an inline list, then every operation
     goes to an overflow set built at the 17th member.
 
-    A kind supplies ``_mask``, the filter of single insertions as a
-    full-universe int; ``_admitted(src)``, the bits a bulk union takes from
-    src (what the spilled form would admit, so membership never depends on
-    whether the set has spilled yet); and ``_spill()``."""
+    A kind supplies ``_admitted(src)``, the bits a union takes from src
+    (what the spilled form would admit, so membership never depends on
+    whether the set has spilled yet), and ``_spill()``."""
 
     dense_chunks = True  # once spilled; the inline list has no chunk arrays
-    _mask: int
 
     def __init__(self, factory, owner):
         super().__init__(factory, owner)
@@ -317,18 +317,6 @@ class _InlineThenOverflow(PointsToSet):
     def _spill(self):
         """Move the inline members into a new overflow set."""
         raise NotImplementedError
-
-    def add(self, idx):
-        self._check_index(idx)
-        if self.overflow is not None:
-            return self.overflow.add(idx)
-        if not self._mask >> idx & 1 or idx in self.inline:
-            return False
-        if len(self.inline) < HYBRID_INLINE_CAP:
-            self.inline.append(idx)
-            return True
-        self._spill()
-        return self.overflow.add(idx)
 
     def add_all(self, src):
         self._check_universe(src)
@@ -396,18 +384,6 @@ class SharedBitVectorSet(PointsToSet):
         self.overflow: list[int] = []
         self._mask = factory.mask_bits(owner.name)
 
-    def add(self, idx):
-        self._check_index(idx)
-        if not self._mask >> idx & 1:
-            return False
-        if self.base >> idx & 1 or idx in self.overflow:
-            return False
-        self.overflow.append(idx)
-        if len(self.overflow) > SHARED_OVERFLOW_CAP:
-            self.base = self.factory.intern_base(self.as_int())
-            self.overflow = []
-        return True
-
     def add_all(self, src):
         self._check_universe(src)
         held = self.as_int()
@@ -455,15 +431,6 @@ class SparseBitmapSet(PointsToSet):
         self._bits = 0
         self._mask = factory.mask_bits(owner.name)
 
-    def add(self, idx):
-        self._check_index(idx)
-        if not self._mask >> idx & 1 or self._bits >> idx & 1:
-            return False
-        self._bits |= 1 << idx
-        e, off = divmod(idx, self.element_bits)
-        self.blocks[e] = self.blocks.get(e, 0) | 1 << off
-        return True
-
     def add_all(self, src):
         self._check_universe(src)
         new = src.as_int() & self._mask & ~self._bits
@@ -496,8 +463,8 @@ class SparseBitmapSet(PointsToSet):
 
 class RangedPointsToSet(PointsToSet):
     """One ranged bit vector per (non-empty, merged) interval of the owner
-    type; single insertions filter at the interval, bulk unions at chunk
-    granularity."""
+    type; a union filters an unranged source at the interval and a ranged
+    one at chunk granularity."""
 
     kind = "ranged"
     ranged = True
@@ -515,13 +482,6 @@ class RangedPointsToSet(PointsToSet):
         if pos >= 0 and self.vectors[pos].interval.contains(idx):
             return self.vectors[pos]
         return None
-
-    def add(self, idx):
-        self._check_index(idx)
-        v = self._route(idx)
-        if v is None:
-            return False
-        return v.set(idx)
 
     def _set_raw(self, idx) -> bool:
         """Place an already-admitted member (possibly slack) by span.
@@ -542,8 +502,9 @@ class RangedPointsToSet(PointsToSet):
         bits = src.objects_int()
         changed = False
         for vec in self.vectors:
-            # a ranged source unites chunk-wise; any other source is
-            # filtered strictly by this vector's interval, as add() does
+            # a ranged source unites chunk-wise; any other source, add()'s
+            # one-member source included, is filtered strictly by this
+            # vector's interval
             incoming = bits if src.ranged else bits & (vec.interval_mask << vec.aligned_lower)
             if vec.or_overlapping(incoming):
                 changed = True
@@ -579,8 +540,9 @@ class RangedPointsToSet(PointsToSet):
 
 
 class HybridRangedPointsToSet(_InlineThenOverflow):
-    """Up to 16 members inline; becomes a ranged set on the 17th.  Inline
-    insertions use the same strict interval filter as the ranged vectors."""
+    """Up to 16 members inline; becomes a ranged set on the 17th.  The
+    inline list admits what the ranged vectors would: an unranged source
+    by interval, a ranged one by chunk span."""
 
     kind = "ranged-hybrid"
     ranged = True

@@ -57,6 +57,14 @@ class TestGen:
         assert rc == 1
         assert capsys.readouterr().err == "error: num_statements must be >= 0\n"
 
+    def test_depth_too_small_for_classes(self, tmp_path, capsys):
+        # with depth 1 only Object fits, so no other class can take a parent
+        rc = main(["gen", "--max-depth", "1", "--classes", "5", "-o", str(tmp_path / "x")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: max_depth must be >= 2 for more than one class\n"
+        )
+
 
 class TestSolve:
     def test_default_report(self, corpus, capsys):
