@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
+    ConfigMismatchError,
     DuplicateTypeError,
     InheritanceCycleError,
     UnknownTypeError,
@@ -299,6 +300,10 @@ class NumberingResult:
     total_allocs: int
     postorder: tuple[str, ...]  # interval creation order
     index_of: dict[str, int] = field(default_factory=dict)  # alloc id -> index
+    # type name -> mask, built by the first build_type_mask call
+    _masks: Optional[dict[str, int]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def type_of_index(self, idx: int) -> str:
         return self.global_array[idx - 1].type_name
@@ -351,22 +356,25 @@ def number_allocations(h: ClassHierarchy, allocs: Sequence[AllocSite]) -> Number
         postorder=tuple(postorder),
         index_of={a.id: a.index for a in global_array},
     )
-    for iface in h.interface_names():
-        nr.iface2intervals[iface] = tuple(_interface_intervals(nr, h, iface))
+    # an implementing class is topmost for an interface iff its parent is
+    # not compatible with it; one walk finds the topmost classes of all
+    tops: dict[str, list[str]] = {i: [] for i in h.interface_names()}
+    for c, parent in h.parent.items():
+        ifs = h.interfaces_of_class(c)
+        if parent is not None:
+            ifs = ifs - h.interfaces_of_class(parent)
+        for i in ifs:
+            tops[i].append(c)
+    for iface, classes in tops.items():
+        nr.iface2intervals[iface] = tuple(_merged_intervals(nr, classes))
     return nr
 
 
-def _interface_intervals(nr: NumberingResult, h: ClassHierarchy, iface: str) -> list[Interval]:
-    # classes compatible with iface, keeping only the topmost ones; interface
-    # sets are inherited, so those are the ones whose parent is not compatible
-    tops = [
-        c
-        for c, parent in h.parent.items()
-        if iface in h.interfaces_of_class(c)
-        and (parent is None or iface not in h.interfaces_of_class(parent))
-    ]
+def _merged_intervals(nr: NumberingResult, classes: list[str]) -> list[Interval]:
+    """The nonempty intervals of classes, sorted by lower bound, adjacent
+    and overlapping ones merged."""
     ivs = sorted(
-        (nr.type2interval[c] for c in tops if not nr.type2interval[c].empty),
+        (nr.type2interval[c] for c in classes if not nr.type2interval[c].empty),
         key=lambda iv: iv.lower,
     )
     merged: list[Interval] = []
@@ -393,13 +401,39 @@ def intervals_of(nr: NumberingResult, h: ClassHierarchy, t) -> list[Interval]:
 
 def build_type_mask(nr: NumberingResult, h: ClassHierarchy, t) -> int:
     """Full-universe int with bit i set iff the alloc with index i is
-    compatible with t."""
+    compatible with t.
+
+    The masks of all types are built together in one pass per numbering, on
+    the first call, and cached on nr; later calls look them up.  h must be
+    nr's own hierarchy.
+    """
+    if h is not nr.hierarchy:
+        raise ConfigMismatchError("type mask asked of a hierarchy other than the numbering's")
     name = t.name if isinstance(t, TypeRef) else t
-    bits = 0
-    # deliberately defined via the subtype test, not via intervals, so that
-    # mask/interval agreement stays a checkable property of the numbering
-    compat = {c for c in h.parent if h.is_subtype(c, name)}
+    if nr._masks is None:
+        nr._masks = _type_mask_table(nr)
+    try:
+        return nr._masks[name]
+    except KeyError:
+        raise UnknownTypeError(f"unknown type: {name}") from None
+
+
+def _type_mask_table(nr: NumberingResult) -> dict[str, int]:
+    # deliberately defined via the subtype relation (parent chain and
+    # interface closure), not via intervals, so that mask/interval agreement
+    # stays a checkable property of the numbering
+    h = nr.hierarchy
+    own = dict.fromkeys(h.types, 0)
     for i, site in enumerate(nr.global_array, start=1):
-        if site.type_name in compat:
-            bits |= 1 << i
-    return bits
+        own[site.type_name] |= 1 << i
+    masks = dict(own)
+    for c in nr.postorder:  # descendants before ancestors
+        parent = h.parent[c]
+        if parent is not None:
+            masks[parent] |= masks[c]
+    for c in h.parent:
+        bits = own[c]
+        if bits:
+            for i in h.interfaces_of_class(c):
+                masks[i] |= bits
+    return masks

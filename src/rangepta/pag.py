@@ -395,11 +395,13 @@ def generate_synthetic(params: GenParams, seed: int) -> str:
     for t in classes:
         holders[t] = [v for v in var_names if var_types[v] in supers[t]]
     # vars whose declared type is a subtype of t (sources for dst of type t)
+    class_set = set(classes)
+
     def sources_for(tname: str) -> list[str]:
         out = []
         for v in var_names:
             vt = var_types[v]
-            if vt in classes:
+            if vt in class_set:
                 if tname in supers[vt]:
                     out.append(v)
             else:  # interface-typed var

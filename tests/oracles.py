@@ -2,8 +2,9 @@
 
 These deliberately avoid the production code paths: subtyping is a
 transitive closure over the raw declarations, propagation is a brute-force
-round-based fixpoint over plain Python sets, and the ranged-union oracle
-manipulates index sets bit by bit.
+round-based fixpoint over plain Python sets, the ranged-union oracle
+manipulates index sets bit by bit, and the type-mask oracle tests every
+class against the type one by one.
 """
 
 from __future__ import annotations
@@ -44,6 +45,17 @@ def compatible_indices(nr, supertypes, tname):
         for i in range(1, nr.total_allocs + 1)
         if tname in supertypes[nr.type_of_index(i)]
     }
+
+
+def walk_type_mask(nr, h, tname):
+    """tname's mask by one subtype test per class and one scan of all allocs:
+    the per-type walk the production mask table replaced."""
+    compat = {c for c in h.parent if h.is_subtype(c, tname)}
+    bits = 0
+    for i, site in enumerate(nr.global_array, start=1):
+        if site.type_name in compat:
+            bits |= 1 << i
+    return bits
 
 
 def runs_of(indices):

@@ -5,8 +5,10 @@ import tracemalloc
 import pytest
 
 from conftest import WORKED_CLASSES, WORKED_IFACES, random_hierarchy, worked_allocs
-from oracles import closure_supertypes, compatible_indices
+from oracles import closure_supertypes, compatible_indices, walk_type_mask
+from rangepta import hierarchy
 from rangepta.errors import (
+    ConfigMismatchError,
     DuplicateTypeError,
     InheritanceCycleError,
     UnknownTypeError,
@@ -19,6 +21,27 @@ from rangepta.hierarchy import (
     intervals_of,
     number_allocations,
 )
+from rangepta.pag import GenParams, generate_synthetic, parse_program
+from rangepta.solver import SolverConfig, propagate
+
+# the shape of the benchmark's wide workload (800 classes, 40 interfaces),
+# with fewer statements
+WIDE_SHAPE = GenParams(
+    num_classes=800,
+    num_interfaces=40,
+    max_depth=10,
+    num_fields=30,
+    num_vars=1500,
+    num_statements=3000,
+    allocs_per_class=(1, 4),
+    store_load_ratio=0.4,
+    violation_rate=0.05,
+)
+
+
+@pytest.fixture(scope="module")
+def wide_text():
+    return generate_synthetic(WIDE_SHAPE, 0)
 
 
 class TestBuildHierarchy:
@@ -212,6 +235,46 @@ class TestMaskBits:
         m = build_type_mask(worked_numbering, worked_hierarchy, "I")
         assert [i for i in range(1, 13) if m >> i & 1] == [6, 9, 10, 11, 12]
 
+    def test_unknown_name(self, worked_numbering, worked_hierarchy):
+        with pytest.raises(UnknownTypeError, match="unknown type: Nope"):
+            build_type_mask(worked_numbering, worked_hierarchy, "Nope")
+        # the table built by the failed lookup answers later ones
+        assert build_type_mask(worked_numbering, worked_hierarchy, "D") == sum(
+            1 << i for i in range(9, 13)
+        )
+
+    def test_other_hierarchy(self, worked_numbering):
+        # an equal hierarchy is still not the one the numbering was made over
+        other = build_hierarchy(WORKED_CLASSES, WORKED_IFACES)
+        with pytest.raises(ConfigMismatchError):
+            build_type_mask(worked_numbering, other, "A")
+
+
+def _all_masks_match_walk(h, nr):
+    for t in h.types:
+        assert build_type_mask(nr, h, t) == walk_type_mask(nr, h, t), t
+
+
+def test_mask_table_matches_walk_on_random_hierarchies():
+    rng = random.Random(5)
+    for _ in range(40):
+        classes, ifaces, allocs = random_hierarchy(rng)
+        names = [c[0] for c in classes]
+        arrays = {f"{c}[]" for c in rng.sample(names, min(3, len(names)))}
+        arrays |= {f"{a}[]" for a in rng.sample(sorted(arrays), 1)}
+        h = build_hierarchy(classes, ifaces, array_types=sorted(arrays))
+        classlike = sorted(h.parent)  # arrays included
+        allocs += [AllocSite(f"x{k}", rng.choice(classlike)) for k in range(rng.randint(0, 8))]
+        nr = number_allocations(h, allocs)
+        _all_masks_match_walk(h, nr)
+
+
+def test_mask_table_matches_walk_on_wide_corpus(wide_text):
+    h, pag = parse_program(wide_text)
+    nr = number_allocations(h, list(pag.allocs.values()))
+    assert len(h.interface_names()) == WIDE_SHAPE.num_interfaces
+    _all_masks_match_walk(h, nr)
+
 
 class TestRandomizedProperties:
     def test_contiguity_laminar_masks_and_interface_cover(self):
@@ -286,13 +349,16 @@ def test_deep_chain_bookkeeping_is_linear():
     assert intervals_of(nr, h, "I") == [nr.type2interval["C0"]]
 
 
-def _line_events(fn, *args):
+def _line_events(fn, *args, only=None):
     """Call fn(*args) and count the line events it runs: a measure of work
-    that, unlike wall time, is the same on every run."""
+    that, unlike wall time, is the same on every run.  With only, count just
+    the lines of code from that source file."""
     count = 0
 
     def tracer(frame, event, arg):
         nonlocal count
+        if only is not None and frame.f_code.co_filename != only:
+            return None
         if event == "line":
             count += 1
         return tracer
@@ -321,3 +387,17 @@ def test_leaf_first_chain_builds_in_one_walk():
     nr = number_allocations(h, allocs)
     assert [a.id for a in nr.global_array] == [a.id for a in allocs]
     assert h.children["C0"] == ["C1"] and h.parent["C0"] == "Object"
+
+
+def test_mask_building_is_linear_in_the_hierarchy(wide_text):
+    # a subtype test of every class against every type made the masks of an
+    # 800-class corpus cost ~10^7 traced lines; one pass over allocs,
+    # classes and class-interface pairs costs ~2 * 10^4
+    h, pag = parse_program(wide_text)
+    nr = number_allocations(h, list(pag.allocs.values()))
+    _, lines = _line_events(
+        propagate, pag, nr, SolverConfig("pure", "mask"), only=hierarchy.__file__
+    )
+    iface_pairs = sum(len(h.interfaces_of_class(c)) for c in h.parent)
+    size = len(h.types) + nr.total_allocs + iface_pairs
+    assert lines <= 10 * size, (lines, size)
