@@ -90,11 +90,6 @@ class RangedBitVector:
         self.value |= bit
         return True
 
-    def get(self, abs_index: int) -> bool:
-        if self.num_chunks == 0 or not (self.aligned_lower <= abs_index <= self.span_end):
-            return False
-        return bool(self.value >> (abs_index - self.aligned_lower) & 1)
-
     def or_overlapping(self, bits: int) -> bool:
         """Chunk-wise union: take every bit of a full-universe int (bit i
         for absolute index i) that falls inside the allocated chunks.

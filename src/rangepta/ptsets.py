@@ -19,10 +19,10 @@ ascending order would put them.
 A kind thus writes its representation through ``add_all`` alone:
 ``add(idx)`` is a union with a private one-member source, so a single
 insertion takes the same filter, spill and fold as any other union.  The
-queries ``in``, ``len`` and ``iterate`` are read from ``as_int``.
-``naive``, ``shared`` and the hybrids keep a direct ``__contains__``: the
-solver probes it through ``contains_object`` on every field access, and
-their int view would be rebuilt per probe.
+queries ``in``, ``len`` and ``iterate`` are read from ``as_int``, and
+``contains_object`` and ``iterate_objects`` from ``objects_int``; only
+``naive``, the oracle, answers ``in``, ``len`` and ``iterate`` from its own
+hash set.
 
 A union takes its source from the destination's own ``SetFactory``: one
 solve builds every set with one factory, and ``add_all`` raises
@@ -205,7 +205,7 @@ class PointsToSet:
 
     def contains_object(self, idx: int) -> bool:
         """Membership under the iterate_objects interpretation."""
-        return idx in self
+        return bool(self.objects_int() >> idx & 1)
 
     def footprint_bytes(self) -> int:
         raise NotImplementedError
@@ -337,11 +337,6 @@ class _InlineThenOverflow(PointsToSet):
             return self.overflow.as_int()
         return _bits_of(self.inline)
 
-    def __contains__(self, idx):
-        if self.overflow is not None:
-            return idx in self.overflow
-        return idx in self.inline
-
     def footprint_bytes(self):
         base = OBJECT_HEADER + HYBRID_INLINE_CAP * REF_BYTES
         if self.overflow is not None:
@@ -408,9 +403,6 @@ class SharedBitVectorSet(PointsToSet):
 
     def as_int(self):
         return self.base | _bits_of(self.overflow)
-
-    def __contains__(self, idx):
-        return bool(self.base >> idx & 1) or idx in self.overflow
 
     def footprint_bytes(self):
         # base is shared; SetFactory.total_footprint charges it once
@@ -522,10 +514,6 @@ class RangedPointsToSet(PointsToSet):
             v |= (vec.value & vec.interval_mask) << vec.aligned_lower
         return v
 
-    def contains_object(self, idx):
-        v = self._route(idx)
-        return v is not None and v.get(idx)
-
     def iterate_objects(self):
         return _iter_bits(self.objects_int(), 0)
 
@@ -570,11 +558,6 @@ class HybridRangedPointsToSet(_InlineThenOverflow):
 
     def iterate_objects(self):
         return _iter_bits(self.objects_int(), 0)
-
-    def contains_object(self, idx):
-        if self.overflow is not None:
-            return self.overflow.contains_object(idx)
-        return idx in self.inline and bool(self._mask >> idx & 1)
 
 
 SET_KINDS: dict[str, type[PointsToSet]] = {

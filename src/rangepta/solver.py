@@ -8,9 +8,24 @@ FIFO queue of sets seeded by the allocation edges; a set re-enters the
 queue whenever it changes.  Concrete field sets are created lazily, keyed
 by (allocation index, field), with the field's declared type as owner.
 Every constraint is re-applied whenever one of its inputs changes, so the
-drained worklist is the least fixpoint.  ``run_extra_pass`` checks that
-from outside: one full pass over the PAG's edge lists, by variable name and
-not through the solver's indices, must perform zero successful unions.
+drained worklist is the least fixpoint.
+
+When a pop grows field set (o, f), each load ``dst = base.f`` whose base
+holds o unites that set into dst, in load order.  Those loads come from an
+index, ``holders[f][o]``, whose bit j is set iff the base of load j of f
+holds o under ``iterate_objects``.  Field sets are never load bases, and
+every successful union into a variable set calls ``enqueue``, which adds
+the base's new objects to the index; so the index is exact at every point
+of the drain.  The feedback step visits the set bits in ascending order
+and re-reads the bits above j after each successful union, since that
+union may have made a later load's base hold o.  It thus unites exactly
+the loads that probing every load of f in order would, in the same order,
+and the union schedule (counts, shared folds, modeled bytes) is that of
+the probe.
+
+``run_extra_pass`` checks the fixpoint from outside: one full pass over
+the PAG's edge lists, by variable name and not through the solver's
+indices, must perform zero successful unions.
 """
 
 from __future__ import annotations
@@ -19,7 +34,7 @@ import time
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 
-from .bitsets import ChunkConfig
+from .bitsets import ChunkConfig, _iter_bits
 from .errors import ConfigConflictError, UniverseMismatchError
 from .hierarchy import NumberingResult
 from .pag import PAG
@@ -122,16 +137,33 @@ def propagate(pag: PAG, nr: NumberingResult, cfg: SolverConfig) -> Solution:
         stores_by_src[var_sets[src]].append((var_sets[base], f))
         stores_by_base[var_sets[base]].append((f, var_sets[src]))
     loads_by_base = defaultdict(list)  # base -> [(f, dst)]
-    loads_by_field = defaultdict(list)  # f -> [(base, dst)]
+    loads_by_field = defaultdict(list)  # f -> [dst], by load position
+    # holders[f][o]: bit j set iff load position j of f has a base holding o
+    holders: dict[str, dict[int, int]] = {}
+    load_slots = defaultdict(list)  # base -> [(holders[f], 1 << j)]
     for dst, base, f in pag.load_edges:
-        loads_by_base[var_sets[base]].append((f, var_sets[dst]))
-        loads_by_field[f].append((var_sets[base], var_sets[dst]))
+        pb, pd = var_sets[base], var_sets[dst]
+        loads_by_base[pb].append((f, pd))
+        by_obj = holders.setdefault(f, {})
+        load_slots[pb].append((by_obj, 1 << len(loads_by_field[f])))
+        loads_by_field[f].append(pd)
+    indexed = dict.fromkeys(load_slots, 0)  # base -> objects already in holders
 
     queue: deque[PointsToSet] = deque()
     queued: set[PointsToSet] = set()
     unions = pops = 0
 
     def enqueue(s: PointsToSet):
+        """Called after every successful union into a var set: index the
+        objects s newly holds, then queue s."""
+        slots = load_slots.get(s)
+        if slots is not None:
+            new = s.objects_int() & ~indexed[s]
+            if new:
+                indexed[s] |= new
+                for o in _iter_bits(new, 0):
+                    for by_obj, bit in slots:
+                        by_obj[o] = by_obj.get(o, 0) | bit
         if s not in queued:
             queued.add(s)
             queue.append(s)
@@ -174,10 +206,18 @@ def propagate(pag: PAG, nr: NumberingResult, cfg: SolverConfig) -> Solution:
                     enqueue(pd)
 
         for o, f, fs in changed_fields:
-            for pb, pd in loads_by_field.get(f, ()):
-                if pb.contains_object(o) and pd.add_all(fs):
+            by_obj = holders.get(f, {})
+            pending = by_obj.get(o, 0)
+            while pending:
+                low = pending & -pending
+                pd = loads_by_field[f][low.bit_length() - 1]
+                if pd.add_all(fs):
                     unions += 1
                     enqueue(pd)
+                    # the union may have made a later load's base hold o
+                    pending = by_obj[o] & ~(2 * low - 1)
+                else:
+                    pending ^= low
 
     wall_time = time.perf_counter() - start
     all_sets = list(var_sets.values()) + list(field_sets.values())

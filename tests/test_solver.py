@@ -2,6 +2,8 @@ import pytest
 
 from oracles import brute_force_propagate, closure_supertypes
 from test_acceptance import SUITE_CHUNK, suite_text
+from test_hierarchy import _line_events
+from rangepta import ptsets, solver
 from rangepta.errors import ConfigConflictError, UniverseMismatchError
 from rangepta.hierarchy import number_allocations
 from rangepta.pag import GenParams, generate_synthetic, parse_program
@@ -273,6 +275,69 @@ def test_union_schedule_is_pinned(corpus):
         s = sol.stats
         got[cfg.set_kind] = (s.union_ops, s.nodes_processed, s.total_footprint_bytes)
     assert got == UNION_SCHEDULE[corpus]
+
+
+# the feedback union into y makes y, the base of the later load z = y.f,
+# hold o1
+FEEDBACK_CHAIN = """\
+class Object
+var s : Object
+var x : Object
+var y : Object
+var z : Object
+var w : Object
+field f : Object
+alloc o1 : Object
+new s o1
+new x o1
+store x f s
+load y x f
+load z y f
+assign w x
+"""
+
+
+@pytest.mark.parametrize("cfg", EXACT_CONFIGS + RANGED_CONFIGS, ids=lambda c: c.set_kind)
+def test_feedback_union_order_is_pinned(cfg, monkeypatch):
+    # union and pop counts cannot tell this order from "s x (1,f) y w z",
+    # which a feedback step blind to its own unions would give
+    done = []
+    for cls in vars(ptsets).values():
+        if isinstance(cls, type) and "add_all" in cls.__dict__:
+
+            def add_all(s, src, _orig=cls.__dict__["add_all"]):
+                changed = _orig(s, src)
+                if changed:
+                    done.append(s)
+                return changed
+
+            monkeypatch.setattr(cls, "add_all", add_all)
+    sol = solve_text(FEEDBACK_CHAIN, cfg)
+    names = {id(s): v for v, s in sol.var_sets.items()}
+    names.update({id(s): key for key, s in sol.field_sets.items()})
+    order = [names[id(s)] for s in done if id(s) in names]
+    assert order == ["s", "x", (1, "f"), "y", "z", "w"]
+
+
+def test_field_feedback_is_linear_in_the_index():
+    # n stores grow o.f n times while n loads of f have bases that never
+    # hold o; probing every load of f on each growth cost ~n^2 lines
+    n = 400
+    lines = ["class Object", "field f : Object", "var x : Object", "alloc ox : Object"]
+    lines += ["alloc ob : Object", "new x ox"]
+    for i in range(n):
+        lines += [f"var s{i} : Object", f"var b{i} : Object", f"var y{i} : Object"]
+        lines += [f"alloc os{i} : Object", f"new s{i} os{i}", f"new b{i} ob"]
+        lines += [f"store x f s{i}", f"load y{i} b{i} f"]
+    pag, nr = load_corpus("\n".join(lines) + "\n")
+    sol, events = _line_events(
+        propagate, pag, nr, SolverConfig("pure", "mask"), only=solver.__file__
+    )
+    facts = len(pag.alloc_edges) + len(pag.assign_edges)
+    facts += len(pag.store_edges) + len(pag.load_edges)
+    index_entries = sum(len(sol.var_sets[b]) for _, b, _ in pag.load_edges)
+    size = facts + sol.stats.union_ops + index_entries
+    assert events <= 25 * size, (events, size)
 
 
 class TestStats:
