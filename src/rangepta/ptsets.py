@@ -2,9 +2,12 @@
 
 Seven kinds share the contract: a naive hash-set oracle, a pure masked
 bit-vector, Spark-style hybrid (16 inline slots, then pure), Heintze-style
-shared base + overflow list, GCC/LLVM-style sparse bitmaps, the ranged set
+shared base + overflow, GCC/LLVM-style sparse bitmaps, the ranged set
 (one ranged vector per interval of the owner type) and its hybrid variant.
-``SET_KINDS`` registers them by name.
+``SET_KINDS`` registers them by name.  The hybrids' inline members and the
+shared overflow are held as one full-universe int each; the memory model
+still charges them as the slots they stand for (16 inline slots, one slot
+per overflow member).
 
 Every kind exposes its members as one full-universe int (``as_int``, bit i
 set iff i is a member, slack included) and its dereferenceable members as
@@ -21,8 +24,8 @@ A kind thus writes its representation through ``add_all`` alone:
 insertion takes the same filter, spill and fold as any other union.  The
 queries ``in``, ``len`` and ``iterate`` are read from ``as_int``, and
 ``contains_object`` and ``iterate_objects`` from ``objects_int``; only
-``naive``, the oracle, answers ``in``, ``len`` and ``iterate`` from its own
-hash set.
+``naive``, the oracle, answers ``in``, ``len``, ``iterate`` and
+``iterate_objects`` from its own hash set.
 
 A union takes its source from the destination's own ``SetFactory``: one
 solve builds every set with one factory, and ``add_all`` raises
@@ -197,11 +200,12 @@ class PointsToSet:
         return _iter_bits(self.as_int(), 0)
 
     def iterate_objects(self) -> Iterator[int]:
-        """Members interpreted as real objects of the owner's type.
+        """Members interpreted as real objects of the owner's type, in
+        ascending order.
 
         For exactly filtered kinds this is iterate(); ranged kinds skip
         slack bits so a falsely included index is never dereferenced."""
-        return self.iterate()
+        return _iter_bits(self.objects_int(), 0)
 
     def contains_object(self, idx: int) -> bool:
         """Membership under the iterate_objects interpretation."""
@@ -230,7 +234,8 @@ class NaiveSet(PointsToSet):
     def add_all(self, src):
         self._check_universe(src)
         before = len(self.members)
-        self.members |= self._compatible.intersection(src.iterate())
+        held = src.members if isinstance(src, NaiveSet) else src.iterate()
+        self.members |= self._compatible.intersection(held)
         return len(self.members) != before
 
     def as_int(self):
@@ -244,6 +249,8 @@ class NaiveSet(PointsToSet):
 
     def iterate(self):
         return iter(sorted(self.members))
+
+    iterate_objects = iterate
 
     def footprint_bytes(self):
         return OBJECT_HEADER + len(self.members) * REF_BYTES
@@ -297,18 +304,19 @@ class PureBitVectorSet(PointsToSet):
 
 class _InlineThenOverflow(PointsToSet):
     """Spark's hybrid set (Lhotak & Hendren, CC 2003), the shape of both
-    hybrid kinds: up to 16 members in an inline list, then every operation
-    goes to an overflow set built at the 17th member.
+    hybrid kinds: up to 16 members inline, then every operation goes to an
+    overflow set built at the 17th member.  The inline members are held as
+    one full-universe int; the model charges the 16 slots they stand for.
 
     A kind supplies ``_admitted(src)``, the bits a union takes from src
     (what the spilled form would admit, so membership never depends on
     whether the set has spilled yet), and ``_spill()``."""
 
-    dense_chunks = True  # once spilled; the inline list has no chunk arrays
+    dense_chunks = True  # once spilled; the inline slots have no chunk arrays
 
     def __init__(self, factory, owner):
         super().__init__(factory, owner)
-        self.inline: list[int] = []
+        self.inline = 0
         self.overflow: Optional[PointsToSet] = None
 
     def _admitted(self, src: PointsToSet) -> int:
@@ -322,11 +330,11 @@ class _InlineThenOverflow(PointsToSet):
         self._check_universe(src)
         if self.overflow is not None:
             return self.overflow.add_all(src)
-        new = self._admitted(src) & ~_bits_of(self.inline)
+        new = self._admitted(src) & ~self.inline
         if not new:
             return False
-        if len(self.inline) + new.bit_count() <= HYBRID_INLINE_CAP:
-            self.inline.extend(_iter_bits(new, 0))
+        if self.inline.bit_count() + new.bit_count() <= HYBRID_INLINE_CAP:
+            self.inline |= new
         else:
             self._spill()
             self.overflow.add_all(src)
@@ -335,7 +343,7 @@ class _InlineThenOverflow(PointsToSet):
     def as_int(self):
         if self.overflow is not None:
             return self.overflow.as_int()
-        return _bits_of(self.inline)
+        return self.inline
 
     def footprint_bytes(self):
         base = OBJECT_HEADER + HYBRID_INLINE_CAP * REF_BYTES
@@ -361,52 +369,53 @@ class HybridSet(_InlineThenOverflow):
 
     def _spill(self):
         self.overflow = PureBitVectorSet(self.factory, self.owner)
-        self.overflow.bits = _bits_of(self.inline)
-        self.inline = []
+        self.overflow.bits = self.inline
+        self.inline = 0
 
 
 class SharedBitVectorSet(PointsToSet):
-    """Immutable interned base vector plus a small overflow list.
+    """Immutable interned base vector plus a small overflow.
 
     When the overflow would exceed 20 members, base and overflow are folded
-    into a new canonical base and interned in a content-keyed table."""
+    into a new canonical base and interned in a content-keyed table.  The
+    overflow is held as one full-universe int; the model charges one slot
+    per member."""
 
     kind = "shared"
 
     def __init__(self, factory, owner):
         super().__init__(factory, owner)
         self.base: int = factory.intern_base(0)
-        self.overflow: list[int] = []
+        self.overflow = 0
         self._mask = factory.mask_bits(owner.name)
 
     def add_all(self, src):
         self._check_universe(src)
-        held = self.as_int()
+        held = self.base | self.overflow
         new = src.as_int() & self._mask & ~held
         if not new:
             return False
-        n = len(self.overflow) + new.bit_count()
+        n = self.overflow.bit_count() + new.bit_count()
         if n <= SHARED_OVERFLOW_CAP:
-            self.overflow.extend(_iter_bits(new, 0))
+            self.overflow |= new
             return True
         # ascending insertion folds each time the overflow reaches 21, so
         # the overflow keeps the last n % 21 new members and the base the rest
-        keep = []
+        keep = 0
         for _ in range(n % (SHARED_OVERFLOW_CAP + 1)):
-            top = new.bit_length() - 1
-            keep.append(top)
-            new ^= 1 << top
-        keep.reverse()
+            top = 1 << (new.bit_length() - 1)
+            keep |= top
+            new ^= top
         self.base = self.factory.intern_base(held | new)
         self.overflow = keep
         return True
 
     def as_int(self):
-        return self.base | _bits_of(self.overflow)
+        return self.base | self.overflow
 
     def footprint_bytes(self):
         # base is shared; SetFactory.total_footprint charges it once
-        return OBJECT_HEADER + REF_BYTES + len(self.overflow) * REF_BYTES
+        return OBJECT_HEADER + REF_BYTES + self.overflow.bit_count() * REF_BYTES
 
 
 class SparseBitmapSet(PointsToSet):
@@ -514,9 +523,6 @@ class RangedPointsToSet(PointsToSet):
             v |= (vec.value & vec.interval_mask) << vec.aligned_lower
         return v
 
-    def iterate_objects(self):
-        return _iter_bits(self.objects_int(), 0)
-
     def footprint_bytes(self):
         cb = self.factory.cfg.chunk_bytes
         return OBJECT_HEADER + sum(
@@ -529,7 +535,7 @@ class RangedPointsToSet(PointsToSet):
 
 class HybridRangedPointsToSet(_InlineThenOverflow):
     """Up to 16 members inline; becomes a ranged set on the 17th.  The
-    inline list admits what the ranged vectors would: an unranged source
+    inline slots admit what the ranged vectors would: an unranged source
     by interval, a ranged one by chunk span."""
 
     kind = "ranged-hybrid"
@@ -546,18 +552,15 @@ class HybridRangedPointsToSet(_InlineThenOverflow):
     def _spill(self):
         """Rehouse the inline members, slack bits included, in ranged vectors."""
         r = RangedPointsToSet(self.factory, self.owner)
-        for i in self.inline:
+        for i in _iter_bits(self.inline, 0):
             r._set_raw(i)
         self.overflow = r
-        self.inline = []
+        self.inline = 0
 
     def objects_int(self):
         if self.overflow is not None:
             return self.overflow.objects_int()
-        return _bits_of(self.inline) & self._mask
-
-    def iterate_objects(self):
-        return _iter_bits(self.objects_int(), 0)
+        return self.inline & self._mask
 
 
 SET_KINDS: dict[str, type[PointsToSet]] = {

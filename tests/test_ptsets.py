@@ -4,6 +4,8 @@ import pytest
 
 from conftest import random_hierarchy, worked_allocs
 from oracles import zero_window_savings
+from test_hierarchy import _line_events
+from rangepta import ptsets
 from rangepta.bitsets import ChunkConfig
 from rangepta.errors import (
     ConfigMismatchError,
@@ -22,6 +24,7 @@ from rangepta.ptsets import (
     HYBRID_INLINE_CAP,
     OBJECT_HEADER,
     SET_KINDS,
+    SHARED_OVERFLOW_CAP,
     SetFactory,
     SPARSE_ELEMENT_WORDS,
     sparse_savings,
@@ -63,7 +66,7 @@ class TestMakeSet:
 
     def test_hybrid_ranged_initial(self, factory64):
         s = factory64.make_set("ranged-hybrid", "A")
-        assert s.inline == [] and s.overflow is None and len(s) == 0
+        assert s.inline == 0 and s.overflow is None and len(s) == 0
 
     def test_unknown_owner(self, factory64):
         with pytest.raises(UnknownTypeError):
@@ -221,7 +224,7 @@ def assert_bulk_matches_elementwise(factory, kind, owner, log):
     assert bulk.footprint_bytes() == one.footprint_bytes(), (kind, owner)
     if kind == "shared":
         assert bulk.base == one.base, owner
-        assert set(bulk.overflow) == set(one.overflow), owner
+        assert bulk.overflow == one.overflow, owner
 
 
 class TestOracleEquivalence:
@@ -371,6 +374,37 @@ class TestSetContract:
                 s.add_all(src)
                 assert len(s) == k, (held, k)
                 assert (s.overflow is None) == (k <= HYBRID_INLINE_CAP), (held, k)
+
+
+@pytest.mark.parametrize(
+    "kind, cap",
+    [
+        ("hybrid", HYBRID_INLINE_CAP),
+        ("ranged-hybrid", HYBRID_INLINE_CAP),
+        ("shared", SHARED_OVERFLOW_CAP),
+    ],
+)
+def test_union_cost_does_not_grow_with_unspilled_members(kind, cap):
+    # a union must not cost more for each member held inline or in the
+    # overflow: those members are one int, not a list to rebuild
+    f = big_factory()  # A's interval is [31, 90]
+    per_union = []
+    for held in (1, cap):
+        s = f.make_set(kind, "A")
+        src = f.make_set("pure", "A")
+        for i in range(31, 31 + held):
+            s.add(i)
+            src.add(i)
+        if kind == "shared":
+            assert s.base == 0  # not folded
+        else:
+            assert s.overflow is None  # not spilled
+        changed, lines = _line_events(
+            lambda: [s.add_all(src) for _ in range(100)], only=ptsets.__file__
+        )
+        assert not any(changed)
+        per_union.append(lines / 100)
+    assert per_union[0] == per_union[1], per_union
 
 
 class TestSharingSafety:
