@@ -3,9 +3,9 @@
 Every other bit array in the package is a plain full-universe Python int
 (bit i for absolute index i).  The ranged vector also stores its bits as an
 int, but relative to a chunk-aligned base, and tracks its chunk geometry
-(aligned lower bound, chunk count) explicitly: the union into it proceeds
-chunk by chunk, and modeled memory accounting depends on the number of
-allocated chunks.
+(aligned lower bound, chunk count) explicitly: its one writer,
+``or_overlapping``, unites chunk by chunk, and modeled memory accounting
+depends on the number of allocated chunks.
 """
 
 from __future__ import annotations
@@ -49,8 +49,10 @@ def _iter_bits(value: int, base: int) -> Iterator[int]:
 class RangedBitVector:
     """Bit vector over one interval, stored relative to a chunk-aligned base.
 
-    Positions within the allocated chunks but outside the interval (slack)
-    can only become set through chunk-wise union, never through set().
+    Every write is a chunk-wise union (``or_overlapping``) of bits the
+    caller has already filtered; positions within the allocated chunks
+    but outside the interval (slack) are set only when the caller passes
+    them.
     """
 
     __slots__ = ("cfg", "interval", "aligned_lower", "num_chunks", "interval_mask", "value")
@@ -75,21 +77,6 @@ class RangedBitVector:
             )
         self.value = 0  # bit p holds absolute index aligned_lower + p
 
-    @property
-    def span_end(self) -> int:
-        """Last absolute index covered by the allocated chunks."""
-        return self.aligned_lower + self.num_chunks * self.cfg.chunk_bits - 1
-
-    def set(self, abs_index: int) -> bool:
-        """Insert with strict interval filtering; no-op outside the interval."""
-        if not self.interval.contains(abs_index):
-            return False
-        bit = 1 << (abs_index - self.aligned_lower)
-        if self.value & bit:
-            return False
-        self.value |= bit
-        return True
-
     def or_overlapping(self, bits: int) -> bool:
         """Chunk-wise union: take every bit of a full-universe int (bit i
         for absolute index i) that falls inside the allocated chunks.
@@ -103,19 +90,6 @@ class RangedBitVector:
         if new == self.value:
             return False
         self.value = new
-        return True
-
-    def set_raw(self, abs_index: int) -> bool:
-        """Set a bit anywhere in the allocated chunks, slack included.
-
-        Used when migrating members that were already admitted through
-        chunk-wise unions; ordinary insertion goes through set()."""
-        if self.num_chunks == 0 or not (self.aligned_lower <= abs_index <= self.span_end):
-            return False
-        bit = 1 << (abs_index - self.aligned_lower)
-        if self.value & bit:
-            return False
-        self.value |= bit
         return True
 
     def iterate(self) -> Iterator[int]:

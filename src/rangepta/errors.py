@@ -37,11 +37,9 @@ class UndeclaredVariableError(PtaError):
 class FactSyntaxError(PtaError):
     """Syntax error in the fact format, with a source position."""
 
-    def __init__(self, message, line, column=None):
+    def __init__(self, message, line):
         self.line = line
-        self.column = column
-        where = f"line {line}" if column is None else f"line {line}, col {column}"
-        super().__init__(f"{where}: {message}")
+        super().__init__(f"line {line}: {message}")
 
 
 class InvalidParamsError(PtaError):

@@ -46,9 +46,6 @@ class Interval:
     def empty(self) -> bool:
         return self.upper == self.lower - 1
 
-    def contains(self, idx: int) -> bool:
-        return self.lower <= idx <= self.upper
-
 
 class ClassHierarchy:
     """Single-inheritance class tree plus interface implementation relation.

@@ -17,15 +17,17 @@ exact kinds; chunk spans for a ranged source entering a ranged set,
 intervals for any other source), followed only by the kind's own
 re-encoding of the new bits.  No kind falls back to element-wise insertion,
 so spill and fold points land exactly where element-wise insertion in
-ascending order would put them.
+ascending order would put them.  A ranged vector's only writer is its
+chunk-wise ``or_overlapping``; the ranged-hybrid spill places its inline
+members with one masked call per vector.
 
 A kind thus writes its representation through ``add_all`` alone:
 ``add(idx)`` is a union with a private one-member source, so a single
 insertion takes the same filter, spill and fold as any other union.  The
 queries ``in``, ``len`` and ``iterate`` are read from ``as_int``, and
-``contains_object`` and ``iterate_objects`` from ``objects_int``; only
-``naive``, the oracle, answers ``in``, ``len``, ``iterate`` and
-``iterate_objects`` from its own hash set.
+``iterate_objects`` from ``objects_int``; only ``naive``, the oracle,
+answers ``in``, ``len``, ``iterate`` and ``iterate_objects`` from its own
+hash set.
 
 A union takes its source from the destination's own ``SetFactory``: one
 solve builds every set with one factory, and ``add_all`` raises
@@ -40,7 +42,6 @@ interned base across a whole solution.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from typing import Iterable, Iterator, Optional
 
 from .bitsets import ChunkConfig, RangedBitVector, _iter_bits, chunk_index_of
@@ -206,10 +207,6 @@ class PointsToSet:
         For exactly filtered kinds this is iterate(); ranged kinds skip
         slack bits so a falsely included index is never dereferenced."""
         return _iter_bits(self.objects_int(), 0)
-
-    def contains_object(self, idx: int) -> bool:
-        """Membership under the iterate_objects interpretation."""
-        return bool(self.objects_int() >> idx & 1)
 
     def footprint_bytes(self) -> int:
         raise NotImplementedError
@@ -476,27 +473,6 @@ class RangedPointsToSet(PointsToSet):
         self.vectors = [
             RangedBitVector(iv, factory.cfg) for iv in factory.intervals(owner.name)
         ]
-        self._lowers = [v.interval.lower for v in self.vectors]
-
-    def _route(self, idx) -> Optional[RangedBitVector]:
-        pos = bisect_right(self._lowers, idx) - 1
-        if pos >= 0 and self.vectors[pos].interval.contains(idx):
-            return self.vectors[pos]
-        return None
-
-    def _set_raw(self, idx) -> bool:
-        """Place an already-admitted member (possibly slack) by span.
-
-        An in-interval home takes priority: a member stored as slack of a
-        neighboring vector would not survive re-export, since unions trim
-        the source to its interval."""
-        v = self._route(idx)
-        if v is not None:
-            return v.set(idx)
-        for v in self.vectors:
-            if v.set_raw(idx):
-                return True
-        return False
 
     def add_all(self, src):
         self._check_universe(src)
@@ -550,10 +526,17 @@ class HybridRangedPointsToSet(_InlineThenOverflow):
         return src.objects_int() & (self._span_bits if src.ranged else self._mask)
 
     def _spill(self):
-        """Rehouse the inline members, slack bits included, in ranged vectors."""
+        """Rehouse the inline members, slack bits included, in ranged vectors.
+
+        A member goes to the vector whose interval holds it: stored as a
+        neighbor's slack it would not survive re-export, since unions trim
+        the source to its intervals.  A slack member goes to the first
+        vector, by lower bound, whose chunk span covers it."""
         r = RangedPointsToSet(self.factory, self.owner)
-        for i in _iter_bits(self.inline, 0):
-            r._set_raw(i)
+        slack = self.inline & ~self._mask
+        for vec in r.vectors:
+            vec.or_overlapping(self.inline & (vec.interval_mask << vec.aligned_lower) | slack)
+            slack &= ~(vec.value << vec.aligned_lower)
         self.overflow = r
         self.inline = 0
 

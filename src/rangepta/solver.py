@@ -31,6 +31,7 @@ indices, must perform zero successful unions.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 
@@ -43,6 +44,8 @@ from .ptsets import SET_KINDS, PointsToSet, SetFactory
 FILTER_MODES = ("mask", "intrinsic", "none")
 
 HISTOGRAM_BUCKETS = ("0", "1", "2", "3-10", "11-100", "101-1000", "1000+")
+# the largest set size of each bucket but the last
+HISTOGRAM_BOUNDS = (0, 1, 2, 10, 100, 1000)
 
 
 @dataclass(frozen=True)
@@ -274,26 +277,13 @@ def precision_histogram(sol: Solution) -> tuple[list[float], int]:
     population size); an empty population reports all-zero percentages.
     """
     population = sol.pag.dereferenced_vars()
-    counts = [0] * 7
+    counts = [0] * len(HISTOGRAM_BUCKETS)
     for v in population:
         n = len(sol.var_sets[v]) if v in sol.var_sets else 0
-        if n == 0:
-            counts[0] += 1
-        elif n == 1:
-            counts[1] += 1
-        elif n == 2:
-            counts[2] += 1
-        elif n <= 10:
-            counts[3] += 1
-        elif n <= 100:
-            counts[4] += 1
-        elif n <= 1000:
-            counts[5] += 1
-        else:
-            counts[6] += 1
+        counts[bisect_left(HISTOGRAM_BOUNDS, n)] += 1
     total = len(population)
     if total == 0:
-        return [0.0] * 7, 0
+        return [0.0] * len(HISTOGRAM_BUCKETS), 0
     return [100.0 * c / total for c in counts], total
 
 

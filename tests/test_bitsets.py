@@ -10,10 +10,16 @@ from rangepta.hierarchy import AllocSite, Interval, build_hierarchy, number_allo
 from rangepta.ptsets import SetFactory
 
 
+def bits_of(indices):
+    return sum(1 << i for i in indices)
+
+
 def make_rbv(interval, cb, bits=()):
+    """A vector holding bits, each inside its interval."""
     v = RangedBitVector(Interval(*interval), ChunkConfig(cb))
     for b in bits:
-        assert v.set(b)
+        assert interval[0] <= b <= interval[1]
+    v.or_overlapping(bits_of(bits))
     return v
 
 
@@ -62,32 +68,16 @@ class TestNew:
                     assert v.num_chunks == hi // cb - lo // cb + 1
 
 
-class TestSet:
-    def test_idempotent(self):
-        v = make_rbv((3, 8), 64)
-        assert v.set(5) is True
-        assert v.set(5) is False
-
-    def test_strict_filter(self):
-        v = make_rbv((3, 8), 64)
-        assert v.set(9) is False
-        assert members(v) == set()
-
-    def test_offset_in_chunks(self):
-        v = make_rbv((10, 20), 8)
-        assert v.set(10)
-        # position 10 - alignedLower(8) = 2 within chunk 1
-        assert v.value == 1 << 2
-        assert members(v) == {10}
-
-
-def bits_of(indices):
-    return sum(1 << i for i in indices)
-
-
 class TestOr:
     """The union the solver runs: or_overlapping with a source already
     trimmed to its intervals, as RangedPointsToSet.objects_int passes it."""
+
+    def test_offset_in_chunks(self):
+        v = make_rbv((10, 20), 8)
+        assert v.or_overlapping(bits_of([10]))
+        # position 10 - alignedLower(8) = 2 within chunk 1
+        assert v.value == 1 << 2
+        assert members(v) == {10}
 
     def test_subrange_into_super(self):
         x = make_rbv((1, 12), 8)
@@ -198,13 +188,11 @@ def test_or_overlapping_matches_bit_oracle():
         cb = rng.choice([8, 64])
         lo = rng.randint(1, 150)
         xi = (lo, lo + rng.randint(-1, 90))  # (lo, lo - 1) is empty
-        x = RangedBitVector(Interval(*xi), ChunkConfig(cb))
+        held = []
         if xi[1] >= xi[0]:
-            for b in rng.sample(range(xi[0], xi[1] + 1), min(3, xi[1] - xi[0] + 1)):
-                x.set(b)
-            window = range(x.aligned_lower, x.span_end + 1)
-        else:
-            window = range(0)
+            held = rng.sample(range(xi[0], xi[1] + 1), min(3, xi[1] - xi[0] + 1))
+        x = make_rbv(xi, cb, held)
+        window = range(x.aligned_lower, x.aligned_lower + x.num_chunks * cb)
         before = members(x)
         # argument bits scattered below, across and above the span, so the
         # source's span may overlap this one only partly

@@ -366,6 +366,21 @@ class TestHistogram:
         sol = solve_text("class Object\nvar x : Object\n", SolverConfig("naive", "mask"))
         assert precision_histogram(sol) == ([0.0] * 7, 0)
 
+    def test_bucket_edges(self):
+        # one dereferenced variable on each side of every bucket edge
+        sizes = (0, 1, 2, 3, 10, 11, 100, 101, 1000, 1001)
+        lines = ["class Object", "field f : Object", "var x : Object"]
+        lines += [f"alloc o{i} : Object" for i in range(max(sizes))]
+        for k, n in enumerate(sizes):
+            lines.append(f"var d{k} : Object")
+            lines += [f"new d{k} o{i}" for i in range(n)]
+            lines.append(f"load x d{k} f")
+        sol = solve_text("\n".join(lines) + "\n", SolverConfig("naive", "mask"))
+        assert [len(sol.var_sets[f"d{k}"]) for k in range(len(sizes))] == list(sizes)
+        pct, total = precision_histogram(sol)
+        assert total == len(sizes)
+        assert pct == [10.0, 10.0, 10.0, 20.0, 20.0, 20.0, 10.0]
+
 
 class TestCompare:
     def test_equal(self):
