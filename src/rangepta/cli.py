@@ -53,6 +53,7 @@ class RunReport:
     total_allocs: int
     num_vars: int
     union_ops: int
+    union_attempts: int
     nodes_processed: int
     wall_time_s: str
     var_set_bytes: int
@@ -79,7 +80,7 @@ class RunReport:
         )
         lines.append(f"universe: {self.total_allocs} allocs, {self.num_vars} vars")
         lines.append(
-            f"propagation: unions={self.union_ops} "
+            f"propagation: unions={self.union_ops} attempts={self.union_attempts} "
             f"nodes={self.nodes_processed} time={self.wall_time_s}s"
         )
         lines.append(
@@ -114,6 +115,7 @@ def _make_report(path: str, sol: Solution) -> RunReport:
         total_allocs=sol.nr.total_allocs,
         num_vars=len(sol.pag.var_types),
         union_ops=sol.stats.union_ops,
+        union_attempts=sol.stats.union_attempts,
         nodes_processed=sol.stats.nodes_processed,
         wall_time_s=f"{sol.stats.wall_time:.4f}",
         var_set_bytes=var_bytes,

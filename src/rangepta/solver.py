@@ -23,6 +23,32 @@ the loads that probing every load of f in order would, in the same order,
 and the union schedule (counts, shared folds, modeled bytes) is that of
 the probe.
 
+A popped base does not re-unite every object it holds for each of its
+stores and loads.  Each such edge keeps the base's objects as of its last
+run and skips only calls that would have returned False, so the
+successful unions, and with them the schedule above, are those of
+re-walking every object (but see the spill below).  A union that has once
+carried a source into a destination changes nothing when repeated until
+that source grows, and:
+
+- an object the base gained since the edge last ran is always united;
+- for a store ``base.f = src``, an object it already saw holds src as of
+  src's last growth unless src is still queued: a popped src has itself
+  united into o.f for every object o of the base;
+- for a load ``dst = base.f``, an object o it already saw has reached dst
+  unless o.f grew earlier in the same pop: growth in an earlier pop went
+  to every load whose base holds o through the feedback step of that pop.
+
+One union is not idempotent in that sense.  A ``ranged-hybrid`` spill
+places an inline slack member in one vector, where a chunk-wise union
+writes it into every vector whose span covers it; so a repeated union
+after a spill can return True by adding such a copy.  Skipping it leaves
+the members as they are, and only that slack copy and its count differ
+from the re-walk.
+
+``PropagationStats.union_attempts`` counts the add/add_all calls made,
+seeding included; ``union_ops`` counts those that changed a set.
+
 ``run_extra_pass`` checks the fixpoint from outside: one full pass over
 the PAG's edge lists, by variable name and not through the solver's
 indices, must perform zero successful unions.
@@ -74,6 +100,7 @@ class SolverConfig:
 class PropagationStats:
     union_ops: int = 0  # successful (state-changing) unions/insertions
     nodes_processed: int = 0
+    union_attempts: int = 0  # add/add_all calls, seeding included
     wall_time: float = 0.0
     total_footprint_bytes: int = 0
 
@@ -135,26 +162,30 @@ def propagate(pag: PAG, nr: NumberingResult, cfg: SolverConfig) -> Solution:
     for dst, src in pag.assign_edges:
         assign_out[var_sets[src]].append(var_sets[dst])
     stores_by_src = defaultdict(list)  # src -> [(base, f)]
-    stores_by_base = defaultdict(list)  # base -> [(f, src)]
-    for base, f, src in pag.store_edges:
+    stores_by_base = defaultdict(list)  # base -> [(f, src, store number)]
+    for k, (base, f, src) in enumerate(pag.store_edges):
         stores_by_src[var_sets[src]].append((var_sets[base], f))
-        stores_by_base[var_sets[base]].append((f, var_sets[src]))
-    loads_by_base = defaultdict(list)  # base -> [(f, dst)]
+        stores_by_base[var_sets[base]].append((f, var_sets[src], k))
+    loads_by_base = defaultdict(list)  # base -> [(f, dst, load number)]
     loads_by_field = defaultdict(list)  # f -> [dst], by load position
     # holders[f][o]: bit j set iff load position j of f has a base holding o
     holders: dict[str, dict[int, int]] = {}
     load_slots = defaultdict(list)  # base -> [(holders[f], 1 << j)]
-    for dst, base, f in pag.load_edges:
+    for k, (dst, base, f) in enumerate(pag.load_edges):
         pb, pd = var_sets[base], var_sets[dst]
-        loads_by_base[pb].append((f, pd))
+        loads_by_base[pb].append((f, pd, k))
         by_obj = holders.setdefault(f, {})
         load_slots[pb].append((by_obj, 1 << len(loads_by_field[f])))
         loads_by_field[f].append(pd)
     indexed = dict.fromkeys(load_slots, 0)  # base -> objects already in holders
+    # each store's and load's base objects when the edge last ran
+    store_seen = [0] * len(pag.store_edges)
+    load_seen = [0] * len(pag.load_edges)
 
     queue: deque[PointsToSet] = deque()
     queued: set[PointsToSet] = set()
     unions = pops = 0
+    attempts = len(pag.alloc_edges)
 
     def enqueue(s: PointsToSet):
         """Called after every successful union into a var set: index the
@@ -183,35 +214,59 @@ def propagate(pag: PAG, nr: NumberingResult, cfg: SolverConfig) -> Solution:
         pops += 1
         changed_fields = []  # (o, f, set of o.f) for each field set that grew
 
-        for pd in assign_out.get(pv, ()):
+        dsts = assign_out.get(pv, ())
+        attempts += len(dsts)
+        for pd in dsts:
             if pd.add_all(pv):
                 unions += 1
                 enqueue(pd)
 
         for pb, f in stores_by_src.get(pv, ()):
-            for o in list(pb.iterate_objects()):
+            objects = list(pb.iterate_objects())
+            attempts += len(objects)
+            for o in objects:
                 fs = field_set(o, f)
                 if fs.add_all(pv):
                     unions += 1
                     changed_fields.append((o, f, fs))
 
-        for f, ps in stores_by_base.get(pv, ()):
-            for o in list(pv.iterate_objects()):
+        # an object the store already saw holds src, unless src has grown
+        # and not yet popped (module doc)
+        stores = stores_by_base.get(pv, ())
+        if stores:  # only field sets grow in this loop
+            held = indexed[pv] if pv in indexed else pv.objects_int()
+        for f, ps, k in stores:
+            todo = held if ps in queued else held & ~store_seen[k]
+            store_seen[k] = held
+            attempts += todo.bit_count()
+            for o in _iter_bits(todo, 0):
                 fs = field_set(o, f)
                 if fs.add_all(ps):
                     unions += 1
                     changed_fields.append((o, f, fs))
 
-        for f, pd in loads_by_base.get(pv, ()):
-            for o in list(pv.iterate_objects()):
-                if pd.add_all(field_set(o, f)):
-                    unions += 1
-                    enqueue(pd)
+        loads = loads_by_base.get(pv)
+        if loads:
+            grown = defaultdict(int)  # f -> objects o whose o.f grew this pop
+            for o, f, _ in changed_fields:
+                grown[f] |= 1 << o
+            # an object the load already saw has reached dst through the
+            # field feedback, unless its field grew earlier in this pop
+            for f, pd, k in loads:
+                held = indexed[pv]
+                todo = held & (~load_seen[k] | grown[f])
+                load_seen[k] = held
+                attempts += todo.bit_count()
+                for o in _iter_bits(todo, 0):
+                    if pd.add_all(field_set(o, f)):
+                        unions += 1
+                        enqueue(pd)
 
         for o, f, fs in changed_fields:
             by_obj = holders.get(f, {})
             pending = by_obj.get(o, 0)
             while pending:
+                attempts += 1
                 low = pending & -pending
                 pd = loads_by_field[f][low.bit_length() - 1]
                 if pd.add_all(fs):
@@ -224,7 +279,13 @@ def propagate(pag: PAG, nr: NumberingResult, cfg: SolverConfig) -> Solution:
 
     wall_time = time.perf_counter() - start
     all_sets = list(var_sets.values()) + list(field_sets.values())
-    stats = PropagationStats(unions, pops, wall_time, factory.total_footprint(all_sets))
+    stats = PropagationStats(
+        union_ops=unions,
+        nodes_processed=pops,
+        union_attempts=attempts,
+        wall_time=wall_time,
+        total_footprint_bytes=factory.total_footprint(all_sets),
+    )
     return Solution(cfg, nr, pag, factory, var_sets, field_sets, stats)
 
 

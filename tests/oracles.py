@@ -4,10 +4,18 @@ These deliberately avoid the production code paths: subtyping is a
 transitive closure over the raw declarations, propagation is a brute-force
 round-based fixpoint over plain Python sets, the ranged-union and
 spill-placement oracles manipulate index sets bit by bit, and the type-mask
-oracle tests every class against the type one by one.
+oracle tests every class against the type one by one.  The one reference
+that runs on production sets, ``rewalk_propagate``, does so because what it
+pins is the order in which those sets are united; its worklist scans the
+edge lists and re-unites every object of a popped base.
 """
 
 from __future__ import annotations
+
+from collections import deque
+
+from rangepta.bitsets import ChunkConfig
+from rangepta.ptsets import SetFactory
 
 
 def closure_supertypes(class_decls, iface_decls):
@@ -159,6 +167,79 @@ def brute_force_propagate(pag, index_of, type_of_index, supertypes, filtered=Tru
         {v: frozenset(s) for v, s in pt.items()},
         {k: frozenset(s) for k, s in fpt.items()},
     )
+
+
+def rewalk_propagate(pag, nr, cfg):
+    """The worklist solve over production sets with no skipped unions.
+
+    A popped variable v is united into each assign target; each store
+    whose source is v, and then each store and load whose base is v,
+    unites across every object its base holds; then, for each field set
+    (o, f) that grew, every load of f whose base holds o is probed in load
+    order.  Returns (var sets, field sets, successful unions, pops).
+    """
+    factory = SetFactory(nr, ChunkConfig(cfg.chunk_bits))
+
+    def make(type_name):
+        owner = factory.h.root.name if cfg.filter_mode == "none" else type_name
+        return factory.make_set(cfg.set_kind, owner)
+
+    var_sets = {}
+    for v in pag.var_types:
+        var_sets[v] = make(pag.var_types[v])
+    field_sets = {}
+
+    def field_set(o, f):
+        if (o, f) not in field_sets:
+            field_sets[o, f] = make(pag.field_types[f])
+        return field_sets[o, f]
+
+    queue, queued = deque(), set()
+    unions = pops = 0
+
+    def push(v):
+        """Count a successful union into v's set, then queue v."""
+        nonlocal unions
+        unions += 1
+        if v not in queued:
+            queued.add(v)
+            queue.append(v)
+
+    for oid, v in pag.alloc_edges:
+        if var_sets[v].add(nr.index_of[oid]):
+            push(v)
+    while queue:
+        v = queue.popleft()
+        queued.discard(v)
+        pops += 1
+        pv = var_sets[v]
+        grown = []
+        for dst, src in pag.assign_edges:
+            if src == v and var_sets[dst].add_all(pv):
+                push(dst)
+        for base, f, src in pag.store_edges:
+            if src == v:
+                for o in list(var_sets[base].iterate_objects()):
+                    if field_set(o, f).add_all(pv):
+                        unions += 1
+                        grown.append((o, f))
+        for base, f, src in pag.store_edges:
+            if base == v:
+                for o in list(pv.iterate_objects()):
+                    if field_set(o, f).add_all(var_sets[src]):
+                        unions += 1
+                        grown.append((o, f))
+        for dst, base, f in pag.load_edges:
+            if base == v:
+                for o in list(pv.iterate_objects()):
+                    if var_sets[dst].add_all(field_set(o, f)):
+                        push(dst)
+        for o, f in grown:
+            for dst, base, g in pag.load_edges:
+                if g == f and o in var_sets[base].iterate_objects():
+                    if var_sets[dst].add_all(field_sets[o, f]):
+                        push(dst)
+    return var_sets, field_sets, unions, pops
 
 
 def zero_window_savings(arrays, cb):

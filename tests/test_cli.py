@@ -107,9 +107,16 @@ class TestSolve:
         out = capsys.readouterr().out
         header, values = csv_path.read_text().splitlines()
         row = dict(zip(header.split(","), values.split(",")))
-        assert f"total={row['total_bytes']}" in out
-        assert f"unions={row['union_ops']}" in out
-        assert f"| total_bytes | {row['total_bytes']} |" in md_path.read_text()
+        text = dict(tok.split("=", 1) for tok in out.split() if "=" in tok)
+        md = md_path.read_text()
+        for column, label in [
+            ("total_bytes", "total"),
+            ("union_ops", "unions"),
+            ("union_attempts", "attempts"),
+            ("nodes_processed", "nodes"),
+        ]:
+            assert text[label] == row[column], column
+            assert f"| {column} | {row[column]} |" in md
 
     def test_chunk_env_default(self, corpus, capsys, monkeypatch):
         monkeypatch.setenv("RANGE_PTA_CHUNK", "8")

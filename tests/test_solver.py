@@ -1,6 +1,6 @@
 import pytest
 
-from oracles import brute_force_propagate, closure_supertypes
+from oracles import brute_force_propagate, closure_supertypes, rewalk_propagate
 from test_acceptance import SUITE_CHUNK, suite_text
 from test_hierarchy import _line_events
 from rangepta import ptsets, solver
@@ -420,3 +420,213 @@ class TestCompare:
         assert a.nr.index_of["o1"] != b.nr.index_of["o1"]
         with pytest.raises(UniverseMismatchError):
             compare_solutions(a, b)
+
+
+def union_log(monkeypatch):
+    """Log every outermost add_all call, as (dst, src, changed), from here
+    to the end of the test; add(idx) logs its one-member union."""
+    log = []
+    depth = 0
+    for cls in vars(ptsets).values():
+        if isinstance(cls, type) and "add_all" in cls.__dict__:
+
+            def add_all(s, src, _orig=cls.__dict__["add_all"]):
+                nonlocal depth
+                depth += 1
+                try:
+                    changed = _orig(s, src)
+                finally:
+                    depth -= 1
+                if depth == 0:
+                    log.append((s, src, changed))
+                return changed
+
+            monkeypatch.setattr(cls, "add_all", add_all)
+    return log
+
+
+def schedule(log, var_sets, field_sets):
+    """The successful unions of log as (dst, src) names; a one-member
+    source is named ("new", index)."""
+    names = {id(s): v for v, s in var_sets.items()}
+    names.update({id(s): key for key, s in field_sets.items()})
+
+    def name(s):
+        if id(s) in names:
+            return names[id(s)]
+        return ("new", s.bits.bit_length() - 1)
+
+    return [(name(dst), name(src)) for dst, src, changed in log if changed]
+
+
+def rewalk_corpora():
+    """Suite corpora 0, 1 and 45 at the suite chunk width, then 20 small
+    generated corpora, interfaces and stores included, at chunk 8 and 64."""
+    out = [(suite_text(i), SUITE_CHUNK) for i in (0, 1, 45)]
+    for seed in range(20):
+        p = GenParams(
+            num_classes=8 + seed % 5,
+            num_interfaces=2 + seed % 3,
+            num_fields=3,
+            num_vars=14 + seed % 7,
+            num_statements=60 + 5 * seed,
+            allocs_per_class=(0, 3),
+            store_load_ratio=0.2 + 0.02 * (seed % 6),
+        )
+        text = generate_synthetic(p, 100 + seed)
+        out += [(text, 8), (text, 64)]
+    return out
+
+
+@pytest.mark.parametrize("cfg", EXACT_CONFIGS + RANGED_CONFIGS, ids=lambda c: c.set_kind)
+def test_union_schedule_matches_rewalk(cfg, monkeypatch):
+    # the unions propagate skips would each have changed nothing: the
+    # successful unions of a solve that re-walks every object of a popped
+    # base come in the same order
+    log = union_log(monkeypatch)
+    for text, chunk in rewalk_corpora():
+        pag, nr = load_corpus(text)
+        c = SolverConfig(cfg.set_kind, cfg.filter_mode, chunk)
+        log.clear()
+        sol = propagate(pag, nr, c)
+        got = schedule(log, sol.var_sets, sol.field_sets)
+        log.clear()
+        var_sets, field_sets, unions, pops = rewalk_propagate(pag, nr, c)
+        assert got == schedule(log, var_sets, field_sets), chunk
+        assert (sol.stats.union_ops, sol.stats.nodes_processed) == (unions, pops)
+        assert set(sol.field_sets) == set(field_sets)
+
+
+@pytest.mark.parametrize("cfg", EXACT_CONFIGS + RANGED_CONFIGS, ids=lambda c: c.set_kind)
+def test_union_attempts_count_outermost_calls(cfg, monkeypatch):
+    log = union_log(monkeypatch)
+    for text in [BASIC, FEEDBACK_CHAIN] + small_corpora()[:2]:
+        log.clear()
+        sol = solve_text(text, cfg)
+        assert sol.stats.union_attempts == len(log)
+        assert sol.stats.union_ops == sum(changed for _, _, changed in log)
+
+
+# x pops again, holding o2, while s has grown and not yet popped: the
+# store x.f = s unites s into o1.f then, and not at s's pop
+STORE_SRC_QUEUED = """\
+class Object
+var x : Object
+var x2 : Object
+var s : Object
+var s2 : Object
+field f : Object
+alloc o1 : Object
+alloc os1 : Object
+alloc o2 : Object
+alloc os2 : Object
+new x o1
+new s os1
+new x2 o2
+new s2 os2
+store x f s
+assign x x2
+assign s s2
+"""
+
+# x pops again, holding o2, and the store w.f = x grows o1.f in that pop:
+# the load y = x.f unites o1.f into y then, before the load z = x.g runs,
+# and not in the feedback after it
+LOAD_FIELD_GROWN = """\
+class Object
+var x : Object
+var w : Object
+var v : Object
+var x2 : Object
+var y : Object
+var z : Object
+field f : Object
+field g : Object
+alloc o1 : Object
+alloc o2 : Object
+new x o1
+new w o1
+new v o2
+new x2 o2
+load y x f
+load z x g
+store w f x
+store v g v
+assign x x2
+"""
+
+BASE_SIDE_ORDERS = {
+    "STORE_SRC_QUEUED": (STORE_SRC_QUEUED, [
+        ("x", ("new", 1)), ("s", ("new", 2)), ("x2", ("new", 3)), ("s2", ("new", 4)),
+        ((1, "f"), "s"), ("x", "x2"), ("s", "s2"), ((1, "f"), "s"), ((3, "f"), "s"),
+    ]),
+    "LOAD_FIELD_GROWN": (LOAD_FIELD_GROWN, [
+        ("x", ("new", 1)), ("w", ("new", 1)), ("v", ("new", 2)), ("x2", ("new", 2)),
+        ((1, "f"), "x"), ("y", (1, "f")), ((2, "g"), "v"), ("x", "x2"),
+        ((1, "f"), "x"), ("y", (1, "f")), ("z", (2, "g")),
+    ]),
+}
+
+
+@pytest.mark.parametrize("corpus", sorted(BASE_SIDE_ORDERS))
+@pytest.mark.parametrize("cfg", EXACT_CONFIGS + RANGED_CONFIGS, ids=lambda c: c.set_kind)
+def test_base_side_union_order_is_pinned(cfg, corpus, monkeypatch):
+    text, order = BASE_SIDE_ORDERS[corpus]
+    log = union_log(monkeypatch)
+    sol = solve_text(text, cfg)
+    assert schedule(log, sol.var_sets, sol.field_sets) == order
+
+
+def test_base_side_attempts_are_linear():
+    # x1 pops about n times along the assign chain, one new object each
+    # time; re-walking all its objects for its load and its store cost
+    # ~n^2 calls that change nothing
+    n = 200
+    lines = ["class Object", "field f : Object", "var s : Object", "var y : Object"]
+    lines += ["alloc os : Object", "new s os", "store x1 f s", "load y x1 f"]
+    for i in range(1, n + 1):
+        lines += [f"var x{i} : Object", f"alloc o{i} : Object", f"new x{i} o{i}"]
+    lines += [f"assign x{i} x{i + 1}" for i in range(1, n)]
+    sol = solve_text("\n".join(lines) + "\n", SolverConfig("pure", "mask"))
+    assert len(sol.var_sets["x1"]) == n
+    assert sol.stats.union_attempts - sol.stats.union_ops <= 4 * n
+
+
+# I's two intervals share chunk 0, and b (a B) is slack in both spans.  d
+# takes b from o1.f while inline, then spills, placing b in one vector; x
+# pops again for o2, and a re-walk of o1 would copy b into the other vector
+SPILL_SLACK_COPY = "\n".join(
+    [
+        "class Object", "interface I", "class A extends Object implements I",
+        "class B extends Object", "class C extends Object implements I",
+        "var x : Object", "var x2 : Object", "var y : Object", "var w : Object",
+        "var d : I", "var t : I", "field f : Object",
+        "alloc b : B", "alloc o1 : A", "alloc o2 : A",
+        "new x o1", "new y o1", "new w b", "new x2 o2",
+        "store y f w", "load d x f",
+    ]
+    + [f"alloc a{i} : {'AC'[i % 2]}\nnew t a{i}" for i in range(20)]
+    + ["assign d t", "assign x x2", ""]
+)
+
+
+@pytest.mark.parametrize("kind", ["ranged", "ranged-hybrid"])
+def test_skips_differ_from_rewalk_only_in_a_spilled_slack_copy(kind, monkeypatch):
+    log = union_log(monkeypatch)
+    pag, nr = load_corpus(SPILL_SLACK_COPY)
+    cfg = SolverConfig(kind, "intrinsic", 64)
+    sol = propagate(pag, nr, cfg)
+    got = schedule(log, sol.var_sets, sol.field_sets)
+    log.clear()
+    var_sets, field_sets, unions, _ = rewalk_propagate(pag, nr, cfg)
+    want = schedule(log, var_sets, field_sets)
+    for v, s in sol.var_sets.items():
+        assert s.as_int() == var_sets[v].as_int(), v
+    if kind == "ranged":
+        assert got == want
+    else:
+        assert want == got + [("d", (1, "f"))]
+        assert sol.stats.union_ops == unions - 1
+        mine, theirs = sol.var_sets["d"].chunk_arrays(), var_sets["d"].chunk_arrays()
+        assert theirs[0] == mine[0]
+        assert theirs[1][1] == mine[1][1] | 1 << nr.index_of["b"]
