@@ -55,6 +55,7 @@ class RunReport:
     union_ops: int
     union_attempts: int
     nodes_processed: int
+    spilled_sets: int
     wall_time_s: str
     var_set_bytes: int
     field_set_bytes: int
@@ -81,7 +82,8 @@ class RunReport:
         lines.append(f"universe: {self.total_allocs} allocs, {self.num_vars} vars")
         lines.append(
             f"propagation: unions={self.union_ops} attempts={self.union_attempts} "
-            f"nodes={self.nodes_processed} time={self.wall_time_s}s"
+            f"nodes={self.nodes_processed} spills={self.spilled_sets} "
+            f"time={self.wall_time_s}s"
         )
         lines.append(
             "modeled space (bytes): "
@@ -117,6 +119,7 @@ def _make_report(path: str, sol: Solution) -> RunReport:
         union_ops=sol.stats.union_ops,
         union_attempts=sol.stats.union_attempts,
         nodes_processed=sol.stats.nodes_processed,
+        spilled_sets=sol.stats.spilled_sets,
         wall_time_s=f"{sol.stats.wall_time:.4f}",
         var_set_bytes=var_bytes,
         field_set_bytes=field_bytes,
@@ -153,9 +156,13 @@ def cmd_gen(args) -> int:
 
 
 def _config_from(args, suffix: str = "") -> SolverConfig:
+    kind = getattr(args, "set" + suffix)
+    mode = getattr(args, "filter" + suffix)
+    if mode is None:  # the kind's own filter
+        mode = "intrinsic" if SET_KINDS[kind].ranged else "mask"
     cfg = SolverConfig(
-        set_kind=getattr(args, "set" + suffix),
-        filter_mode=getattr(args, "filter" + suffix),
+        set_kind=kind,
+        filter_mode=mode,
         chunk_bits=_default_chunk() if args.chunk is None else args.chunk,
     )
     cfg.validate()
@@ -241,7 +248,8 @@ def _add_solver_flags(p, suffix: str = ""):
     p.add_argument("--set" + suffix.replace("_", "-"), dest="set" + suffix,
                    choices=SET_KINDS, default="hybrid")
     p.add_argument("--filter" + suffix.replace("_", "-"), dest="filter" + suffix,
-                   choices=FILTER_MODES, default="mask")
+                   choices=FILTER_MODES,
+                   help="default: intrinsic for a ranged set kind, mask otherwise")
 
 
 def build_parser() -> argparse.ArgumentParser:

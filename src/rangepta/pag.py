@@ -336,32 +336,17 @@ def generate_synthetic(params: GenParams, seed: int) -> str:
         else:
             implements[c] = ()
 
-    # subtype closure over the generated tree, for type-directed statements
-    chain: dict[str, list[str]] = {}
-    for c in classes:
-        anc = []
-        cur: str | None = c
-        while cur is not None:
-            anc.append(cur)
-            cur = parent[cur]
-        chain[c] = anc
-    iface_sup: dict[str, set[str]] = {}
-    for i in interfaces:
-        seen = {i}
-        work = [i]
-        while work:
-            for s in iface_exts[work.pop()]:
-                if s not in seen:
-                    seen.add(s)
-                    work.append(s)
-        iface_sup[i] = seen
-    supers: dict[str, set[str]] = {}  # class -> all supertypes incl. interfaces
-    for c in classes:
-        sup = set(chain[c])
-        for a in chain[c]:
-            for i in implements[a]:
-                sup |= iface_sup[i]
-        supers[c] = sup
+    # each type's supertypes, itself included, for type-directed statements
+    h = build_hierarchy(
+        [(c, parent[c], implements[c]) for c in classes],
+        [(i, iface_exts[i]) for i in interfaces],
+    )
+    supers: dict[str, frozenset[str]] = {
+        i: h.super_interfaces(i) for i in interfaces
+    }
+    for c in classes:  # a class comes after its parent
+        own = frozenset((c,)) | h.interfaces_of_class(c)
+        supers[c] = own if parent[c] is None else supers[parent[c]] | own
 
     alloc_counts: dict[str, int] = {}
     for c in classes:
@@ -395,21 +380,9 @@ def generate_synthetic(params: GenParams, seed: int) -> str:
     for t in classes:
         holders[t] = [v for v in var_names if var_types[v] in supers[t]]
     # vars whose declared type is a subtype of t (sources for dst of type t)
-    class_set = set(classes)
-
-    def sources_for(tname: str) -> list[str]:
-        out = []
-        for v in var_names:
-            vt = var_types[v]
-            if vt in class_set:
-                if tname in supers[vt]:
-                    out.append(v)
-            else:  # interface-typed var
-                if tname in iface_sup.get(vt, ()) or tname == vt:
-                    out.append(v)
-        return out
-
-    src_cache = {t: sources_for(t) for t in var_pool}
+    src_cache = {
+        t: [v for v in var_names if t in supers[var_types[v]]] for t in var_pool
+    }
 
     lines: list[str] = [
         f"# synthetic corpus (seed {seed})",

@@ -4,10 +4,13 @@ Seven kinds share the contract: a naive hash-set oracle, a pure masked
 bit-vector, Spark-style hybrid (16 inline slots, then pure), Heintze-style
 shared base + overflow, GCC/LLVM-style sparse bitmaps, the ranged set
 (one ranged vector per interval of the owner type) and its hybrid variant.
-``SET_KINDS`` registers them by name.  The hybrids' inline members and the
-shared overflow are held as one full-universe int each; the memory model
-still charges them as the slots they stand for (16 inline slots, one slot
-per overflow member).
+``SET_KINDS`` registers them by name.  Each exact kind holds its members
+once, as one full-universe int, and the memory model reads the layout it
+charges from that int: ``hybrid`` is ``pure`` charged as 16 inline slots up
+to 16 members, ``sparse`` is charged one element per eight-chunk window its
+members touch, and ``shared``'s overflow one slot per member.  Only the
+ranged hybrid keeps a real spill, from an inline int to ranged vectors,
+since where it places a member decides the chunk arrays.
 
 Every kind exposes its members as one full-universe int (``as_int``, bit i
 set iff i is a member, slack included) and its dereferenceable members as
@@ -37,7 +40,8 @@ an equal numbering and chunk width.
 Memory accounting is a deterministic model, not process measurement:
 16 bytes per object header, 16 per array header, 8 per reference slot,
 chunk_bits/8 bytes per chunk.  Shared bases are counted once per distinct
-interned base across a whole solution.
+interned base across a whole solution.  A hybrid set's ``spilled`` says
+which of its two forms the model charges.
 """
 
 from __future__ import annotations
@@ -158,6 +162,7 @@ class PointsToSet:
     kind = "abstract"
     ranged = False  # unions are chunk-wise and may admit slack
     dense_chunks = False  # members kept in dense chunk arrays: sparse_savings applies
+    spilled = False  # a hybrid past its inline slots
 
     def __init__(self, factory: SetFactory, owner: TypeRef):
         self.factory = factory
@@ -299,75 +304,28 @@ class PureBitVectorSet(PointsToSet):
         return [(self.factory.universe_chunks, self.bits)]
 
 
-class _InlineThenOverflow(PointsToSet):
-    """Spark's hybrid set (Lhotak & Hendren, CC 2003), the shape of both
-    hybrid kinds: up to 16 members inline, then every operation goes to an
-    overflow set built at the 17th member.  The inline members are held as
-    one full-universe int; the model charges the 16 slots they stand for.
+class HybridSet(PureBitVectorSet):
+    """Spark's hybrid set (Lhotak & Hendren, CC 2003): up to 16 members in
+    inline slots, then a pure bit vector built at the 17th.
 
-    A kind supplies ``_admitted(src)``, the bits a union takes from src
-    (what the spilled form would admit, so membership never depends on
-    whether the set has spilled yet), and ``_spill()``."""
-
-    dense_chunks = True  # once spilled; the inline slots have no chunk arrays
-
-    def __init__(self, factory, owner):
-        super().__init__(factory, owner)
-        self.inline = 0
-        self.overflow: Optional[PointsToSet] = None
-
-    def _admitted(self, src: PointsToSet) -> int:
-        raise NotImplementedError
-
-    def _spill(self):
-        """Move the inline members into a new overflow set."""
-        raise NotImplementedError
-
-    def add_all(self, src):
-        self._check_universe(src)
-        if self.overflow is not None:
-            return self.overflow.add_all(src)
-        new = self._admitted(src) & ~self.inline
-        if not new:
-            return False
-        if self.inline.bit_count() + new.bit_count() <= HYBRID_INLINE_CAP:
-            self.inline |= new
-        else:
-            self._spill()
-            self.overflow.add_all(src)
-        return True
-
-    def as_int(self):
-        if self.overflow is not None:
-            return self.overflow.as_int()
-        return self.inline
-
-    def footprint_bytes(self):
-        base = OBJECT_HEADER + HYBRID_INLINE_CAP * REF_BYTES
-        if self.overflow is not None:
-            base += REF_BYTES + self.overflow.footprint_bytes()
-        return base
-
-    def chunk_arrays(self):
-        return [] if self.overflow is None else self.overflow.chunk_arrays()
-
-
-class HybridSet(_InlineThenOverflow):
-    """Up to 16 members inline; becomes a pure bit-vector set on the 17th."""
+    Both forms admit ``src.as_int() & mask`` and members only grow, so the
+    form is a function of the member count: the set holds its members as
+    ``pure`` does, and the byte model charges the form the count implies."""
 
     kind = "hybrid"
 
-    def __init__(self, factory, owner):
-        super().__init__(factory, owner)
-        self._mask = factory.mask_bits(owner.name)
+    @property
+    def spilled(self) -> bool:
+        return self.bits.bit_count() > HYBRID_INLINE_CAP
 
-    def _admitted(self, src):
-        return src.as_int() & self._mask
+    def footprint_bytes(self):
+        inline = OBJECT_HEADER + HYBRID_INLINE_CAP * REF_BYTES
+        if not self.spilled:
+            return inline
+        return inline + REF_BYTES + super().footprint_bytes()
 
-    def _spill(self):
-        self.overflow = PureBitVectorSet(self.factory, self.owner)
-        self.overflow.bits = self.inline
-        self.inline = 0
+    def chunk_arrays(self):
+        return super().chunk_arrays() if self.spilled else []
 
 
 class SharedBitVectorSet(PointsToSet):
@@ -416,16 +374,18 @@ class SharedBitVectorSet(PointsToSet):
 
 
 class SparseBitmapSet(PointsToSet):
-    """Ordered sequence of eight-word bit blocks, allocated only where at
-    least one bit is set.  The members are also kept as one int, so a union
-    splits only its new bits into blocks."""
+    """GCC/LLVM-style sparse bitmap: an ordered list of eight-word elements,
+    one allocated only where at least one member falls.  The members are
+    held as one int and the allocated elements as another (bit e set iff
+    element e, members [e * element_bits, (e + 1) * element_bits), is
+    allocated); a union splits only its new bits by element."""
 
     kind = "sparse"
 
     def __init__(self, factory, owner):
         super().__init__(factory, owner)
         self.element_bits = SPARSE_ELEMENT_WORDS * factory.cfg.chunk_bits
-        self.blocks: dict[int, int] = {}
+        self.elements = 0
         self._bits = 0
         self._mask = factory.mask_bits(owner.name)
 
@@ -436,15 +396,15 @@ class SparseBitmapSet(PointsToSet):
             return False
         self._bits |= new
         eb = self.element_bits
-        block_mask = (1 << eb) - 1
+        elements = self.elements
         e = 0
         while new:
             skip = ((new & -new).bit_length() - 1) // eb
-            new >>= skip * eb
             e += skip
-            self.blocks[e] = self.blocks.get(e, 0) | (new & block_mask)
-            new >>= eb
+            elements |= 1 << e
+            new >>= (skip + 1) * eb
             e += 1
+        self.elements = elements
         return True
 
     def as_int(self):
@@ -456,7 +416,7 @@ class SparseBitmapSet(PointsToSet):
             + SPARSE_ELEMENT_WORDS * self.factory.cfg.chunk_bytes
             + REF_BYTES  # next link
         )
-        return OBJECT_HEADER + len(self.blocks) * per_element
+        return OBJECT_HEADER + self.elements.bit_count() * per_element
 
 
 class RangedPointsToSet(PointsToSet):
@@ -509,21 +469,42 @@ class RangedPointsToSet(PointsToSet):
         return [(v.num_chunks, v.value) for v in self.vectors]
 
 
-class HybridRangedPointsToSet(_InlineThenOverflow):
-    """Up to 16 members inline; becomes a ranged set on the 17th.  The
-    inline slots admit what the ranged vectors would: an unranged source
-    by interval, a ranged one by chunk span."""
+class HybridRangedPointsToSet(PointsToSet):
+    """Spark's hybrid over ranged vectors: up to 16 members inline (one int,
+    charged as 16 slots), then a ranged set built at the 17th.  The inline
+    slots admit what the vectors would: an unranged source by interval, a
+    ranged one by chunk span.  The spill is real, since the vector a member
+    lands in decides the chunk arrays."""
 
     kind = "ranged-hybrid"
     ranged = True
+    dense_chunks = True  # once spilled; the inline slots have no chunk arrays
 
     def __init__(self, factory, owner):
         super().__init__(factory, owner)
+        self.inline = 0
+        self.overflow: Optional[RangedPointsToSet] = None
         # _mask holds the interval bits
         self._mask, self._span_bits = factory.ranged_geometry(owner.name)
 
-    def _admitted(self, src):
-        return src.objects_int() & (self._span_bits if src.ranged else self._mask)
+    @property
+    def spilled(self) -> bool:
+        return self.overflow is not None
+
+    def add_all(self, src):
+        self._check_universe(src)
+        if self.overflow is not None:
+            return self.overflow.add_all(src)
+        new = src.objects_int() & (self._span_bits if src.ranged else self._mask)
+        new &= ~self.inline
+        if not new:
+            return False
+        if self.inline.bit_count() + new.bit_count() <= HYBRID_INLINE_CAP:
+            self.inline |= new
+        else:
+            self._spill()
+            self.overflow.add_all(src)
+        return True
 
     def _spill(self):
         """Rehouse the inline members, slack bits included, in ranged vectors.
@@ -540,10 +521,24 @@ class HybridRangedPointsToSet(_InlineThenOverflow):
         self.overflow = r
         self.inline = 0
 
+    def as_int(self):
+        if self.overflow is not None:
+            return self.overflow.as_int()
+        return self.inline
+
     def objects_int(self):
         if self.overflow is not None:
             return self.overflow.objects_int()
         return self.inline & self._mask
+
+    def footprint_bytes(self):
+        base = OBJECT_HEADER + HYBRID_INLINE_CAP * REF_BYTES
+        if self.overflow is not None:
+            base += REF_BYTES + self.overflow.footprint_bytes()
+        return base
+
+    def chunk_arrays(self):
+        return [] if self.overflow is None else self.overflow.chunk_arrays()
 
 
 SET_KINDS: dict[str, type[PointsToSet]] = {

@@ -47,7 +47,9 @@ the members as they are, and only that slack copy and its count differ
 from the re-walk.
 
 ``PropagationStats.union_attempts`` counts the add/add_all calls made,
-seeding included; ``union_ops`` counts those that changed a set.
+seeding included; ``union_ops`` counts those that changed a set; and
+``spilled_sets`` the var and field sets that end past a hybrid's inline
+slots.
 
 ``run_extra_pass`` checks the fixpoint from outside: one full pass over
 the PAG's edge lists, by variable name and not through the solver's
@@ -101,6 +103,7 @@ class PropagationStats:
     union_ops: int = 0  # successful (state-changing) unions/insertions
     nodes_processed: int = 0
     union_attempts: int = 0  # add/add_all calls, seeding included
+    spilled_sets: int = 0  # var and field sets past a hybrid's inline slots
     wall_time: float = 0.0
     total_footprint_bytes: int = 0
 
@@ -283,6 +286,7 @@ def propagate(pag: PAG, nr: NumberingResult, cfg: SolverConfig) -> Solution:
         union_ops=unions,
         nodes_processed=pops,
         union_attempts=attempts,
+        spilled_sets=sum(s.spilled for s in all_sets),
         wall_time=wall_time,
         total_footprint_bytes=factory.total_footprint(all_sets),
     )

@@ -392,11 +392,11 @@ def _bit_offsets(value):
 def _savings_oracle(s, cb):
     """Brute-force zero-window count over a set's bit arrays; cb is the
     chunk width in bits, a window is eight chunks."""
-    if isinstance(s, (HybridSet, HybridRangedPointsToSet)):
-        if s.overflow is None:
-            return 0
+    if isinstance(s, (HybridSet, HybridRangedPointsToSet)) and not s.spilled:
+        return 0
+    if isinstance(s, HybridRangedPointsToSet):
         return _savings_oracle(s.overflow, cb)
-    if isinstance(s, PureBitVectorSet):
+    if isinstance(s, PureBitVectorSet):  # a spilled hybrid set too
         arrays = [(s.factory.universe_chunks, _bit_offsets(s.bits))]
     else:
         assert isinstance(s, RangedPointsToSet)

@@ -74,8 +74,12 @@ class TestSolve:
         assert "modeled space" in out
 
     def test_conflicting_config(self, corpus, capsys):
-        assert main(["solve", str(corpus), "--set", "ranged"]) == 1
+        assert main(["solve", str(corpus), "--set", "hybrid", "--filter", "intrinsic"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_filter_defaults_to_the_kinds_own(self, corpus, capsys):
+        assert main(["solve", str(corpus), "--set", "ranged-hybrid"]) == 0
+        assert "config: set=ranged-hybrid filter=intrinsic chunk=64" in capsys.readouterr().out
 
     def test_missing_corpus(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "nope.facts")]) == 1
@@ -114,6 +118,7 @@ class TestSolve:
             ("union_ops", "unions"),
             ("union_attempts", "attempts"),
             ("nodes_processed", "nodes"),
+            ("spilled_sets", "spills"),
         ]:
             assert text[label] == row[column], column
             assert f"| {column} | {row[column]} |" in md

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 
@@ -195,6 +196,28 @@ class TestGenerator:
         p = GenParams(num_classes=8, num_vars=10, num_statements=40)
         for seed in range(10):
             parse_program(generate_synthetic(p, seed))
+
+    def test_output_is_pinned(self):
+        # the benchmark's recorded bytes and every pinned schedule depend
+        # on these texts; a refactor of the generator must leave them be
+        wide = GenParams(
+            num_classes=300, num_interfaces=30, max_depth=10, num_fields=12,
+            num_vars=400, num_statements=1500,
+        )
+        corpora = [
+            (GenParams(), 0),
+            (GenParams(), 7),
+            (GenParams(pad_chunk=8), 0),
+            (GenParams(num_classes=80, num_interfaces=0, max_depth=12), 3),
+            (wide, 0),
+            (wide, 3),
+        ]
+        digest = hashlib.sha256()
+        for params, seed in corpora:
+            digest.update(generate_synthetic(params, seed).encode())
+        assert digest.hexdigest() == (
+            "55e71d78b9291d877fb87796caa525fa91816153e9a9789ba2d1e073bdd39c7c"
+        )
 
 
 FUZZ_PARAMS = GenParams(

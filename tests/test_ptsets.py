@@ -96,9 +96,9 @@ class TestAdd:
         s = f.make_set("hybrid", "Object")
         for i in range(1, 17):
             assert s.add(i) is True
-        assert s.overflow is None
+        assert not s.spilled
         assert s.add(17) is True
-        assert s.overflow is not None
+        assert s.spilled
         assert len(s) == 17
         assert set(s.iterate()) == set(range(1, 18))
 
@@ -361,7 +361,7 @@ class TestSetContract:
                         apply_op(f, kind, s, op)
                         assert_set_contract(s)
                     if kind in ("hybrid", "ranged-hybrid"):
-                        spilled += s.overflow is not None
+                        spilled += s.spilled
                     elif kind == "shared":
                         folded += s.base != 0
         # the logs must reach both re-encodings, or the test checks less
@@ -381,7 +381,7 @@ class TestSetContract:
                     src.add(i)
                 s.add_all(src)
                 assert len(s) == k, (held, k)
-                assert (s.overflow is None) == (k <= HYBRID_INLINE_CAP), (held, k)
+                assert s.spilled == (k > HYBRID_INLINE_CAP), (held, k)
 
 
 @pytest.mark.parametrize(
@@ -406,13 +406,60 @@ def test_union_cost_does_not_grow_with_unspilled_members(kind, cap):
         if kind == "shared":
             assert s.base == 0  # not folded
         else:
-            assert s.overflow is None  # not spilled
+            assert not s.spilled
         changed, lines = _line_events(
             lambda: [s.add_all(src) for _ in range(100)], only=ptsets.__file__
         )
         assert not any(changed)
         per_union.append(lines / 100)
     assert per_union[0] == per_union[1], per_union
+
+
+@pytest.mark.parametrize("cb", [8, 64])
+def test_byte_rules_read_the_member_int(cb):
+    # hybrid holds pure's members and is charged 16 inline slots up to 16
+    # of them, then the pure vector plus a reference to it; sparse is
+    # charged one element per eight-chunk window its members touch
+    rng = random.Random(33)
+    window_bits = 8 * cb
+    seen = {"at cap": 0, "spilled": 0, "several elements": 0}
+    for _ in range(12):
+        classes, ifaces, _ = random_hierarchy(rng)
+        allocs = [
+            AllocSite(f"{c[0]}_{k}", c[0])
+            for c in classes
+            for k in range(rng.randint(0, 100))
+        ]
+        if not allocs:
+            continue
+        nr = number_allocations(build_hierarchy(classes, ifaces), allocs)
+        f = SetFactory(nr, ChunkConfig(cb))
+        type_names = [c[0] for c in classes] + [i[0] for i in ifaces]
+        for _ in range(6):
+            owner = rng.choice(type_names)
+            sets = {k: f.make_set(k, owner) for k in ("pure", "hybrid", "sparse")}
+            for op in random_log(rng, nr.total_allocs, type_names):
+                for kind, s in sets.items():
+                    apply_op(f, kind, s, op)
+                members = sets["pure"].as_int()
+                hybrid, sparse = sets["hybrid"], sets["sparse"]
+                assert hybrid.as_int() == members
+                if members.bit_count() <= 16:
+                    assert hybrid.footprint_bytes() == 144
+                else:
+                    assert hybrid.footprint_bytes() == 152 + sets["pure"].footprint_bytes()
+                windows = {
+                    i // window_bits for i in range(members.bit_length()) if members >> i & 1
+                }
+                assert sparse.as_int() == members
+                assert sparse.elements == sum(1 << w for w in windows)
+                assert sparse.footprint_bytes() == 16 + len(windows) * (24 + cb)
+                seen["at cap"] += members.bit_count() == 16
+                seen["spilled"] += members.bit_count() > 16
+                seen["several elements"] += len(windows) > 1
+    # every branch of both rules is reached, or the test checks less than
+    # it claims
+    assert all(seen.values()), seen
 
 
 @pytest.mark.parametrize("cb", [8, 64])

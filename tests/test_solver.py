@@ -348,6 +348,22 @@ class TestStats:
         assert sol.stats.wall_time >= 0.0
         assert sol.stats.total_footprint_bytes > 0
 
+    @pytest.mark.parametrize("cfg", EXACT_CONFIGS + RANGED_CONFIGS, ids=lambda c: c.set_kind)
+    def test_spilled_sets_are_hybrids_past_their_inline_slots(self, cfg):
+        # a hybrid set spills at its 17th member, a ranged-hybrid one when
+        # it builds its ranged set; no other kind has inline slots
+        text = suite_text(45)
+        sol = solve_text(text, SolverConfig(cfg.set_kind, cfg.filter_mode, SUITE_CHUNK))
+        sets = list(sol.var_sets.values()) + list(sol.field_sets.values())
+        if cfg.set_kind == "hybrid":
+            want = sum(len(s) > 16 for s in sets)
+        elif cfg.set_kind == "ranged-hybrid":
+            want = sum(s.overflow is not None for s in sets)
+        else:
+            want = 0
+        assert sol.stats.spilled_sets == want
+        assert want > 0 or "hybrid" not in cfg.set_kind
+
 
 class TestHistogram:
     def test_basic_population(self):
