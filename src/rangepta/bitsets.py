@@ -1,11 +1,12 @@
 """Chunk geometry and the ranged bit vector.
 
 Every other bit array in the package is a plain full-universe Python int
-(bit i for absolute index i).  The ranged vector also stores its bits as an
-int, but relative to a chunk-aligned base, and tracks its chunk geometry
-(aligned lower bound, chunk count) explicitly: its one writer,
-``or_overlapping``, unites chunk by chunk, and modeled memory accounting
-depends on the number of allocated chunks.
+(bit i for absolute index i).  The ranged vector stores its bits as an int
+relative to a chunk-aligned base, and tracks its chunk geometry (aligned
+lower bound, chunk count) explicitly, since modeled memory accounting
+depends on the number of allocated chunks.  ``ptsets`` lays out a ranged
+set's vectors from this geometry, and ``or_overlapping`` is the reference
+chunk-wise union that the ranged set's union reproduces.
 """
 
 from __future__ import annotations

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
-    ConfigMismatchError,
     DuplicateTypeError,
     InheritanceCycleError,
     UnknownTypeError,
@@ -383,29 +382,25 @@ def _merged_intervals(nr: NumberingResult, classes: list[str]) -> list[Interval]
     return merged
 
 
-def intervals_of(nr: NumberingResult, h: ClassHierarchy, t) -> list[Interval]:
+def intervals_of(nr: NumberingResult, t) -> list[Interval]:
     """Index intervals covering all allocs compatible with t.
 
     Classes get their single interval; interfaces get one interval per
     topmost implementing class, merged when adjacent, sorted by lower bound.
     """
     name = t.name if isinstance(t, TypeRef) else t
-    tt = h.lookup(name)
-    if tt.kind == "interface":
+    if nr.hierarchy.lookup(name).kind == "interface":
         return list(nr.iface2intervals[name])
     return [nr.type2interval[name]]
 
 
-def build_type_mask(nr: NumberingResult, h: ClassHierarchy, t) -> int:
+def build_type_mask(nr: NumberingResult, t) -> int:
     """Full-universe int with bit i set iff the alloc with index i is
     compatible with t.
 
     The masks of all types are built together in one pass per numbering, on
-    the first call, and cached on nr; later calls look them up.  h must be
-    nr's own hierarchy.
+    the first call, and cached on nr; later calls look them up.
     """
-    if h is not nr.hierarchy:
-        raise ConfigMismatchError("type mask asked of a hierarchy other than the numbering's")
     name = t.name if isinstance(t, TypeRef) else t
     if nr._masks is None:
         nr._masks = _type_mask_table(nr)

@@ -8,9 +8,11 @@ shared base + overflow, GCC/LLVM-style sparse bitmaps, the ranged set
 once, as one full-universe int, and the memory model reads the layout it
 charges from that int: ``hybrid`` is ``pure`` charged as 16 inline slots up
 to 16 members, ``sparse`` is charged one element per eight-chunk window its
-members touch, and ``shared``'s overflow one slot per member.  Only the
-ranged hybrid keeps a real spill, from an inline int to ranged vectors,
-since where it places a member decides the chunk arrays.
+members touch, and ``shared``'s overflow one slot per member.  The ranged
+kinds do the same: ``ranged`` reads its vectors from its member int, a
+second int of the shared positions a ranged source has copied, and the
+owner's geometry, and ``ranged-hybrid`` is ``ranged`` charged as 16 inline
+slots up to 16 members.  No kind moves its members when it spills.
 
 Every kind exposes its members as one full-universe int (``as_int``, bit i
 set iff i is a member, slack included) and its dereferenceable members as
@@ -20,9 +22,10 @@ exact kinds; chunk spans for a ranged source entering a ranged set,
 intervals for any other source), followed only by the kind's own
 re-encoding of the new bits.  No kind falls back to element-wise insertion,
 so spill and fold points land exactly where element-wise insertion in
-ascending order would put them.  A ranged vector's only writer is its
-chunk-wise ``or_overlapping``; the ranged-hybrid spill places its inline
-members with one masked call per vector.
+ascending order would put them.  A ranged union gives each vector exactly
+what ``RangedBitVector.or_overlapping``, the reference chunk-wise union,
+would: a ranged source's members within its chunk span, an unranged
+source's within its interval.
 
 A kind thus writes its representation through ``add_all`` alone:
 ``add(idx)`` is a union with a private one-member source, so a single
@@ -40,13 +43,15 @@ an equal numbering and chunk width.
 Memory accounting is a deterministic model, not process measurement:
 16 bytes per object header, 16 per array header, 8 per reference slot,
 chunk_bits/8 bytes per chunk.  Shared bases are counted once per distinct
-interned base across a whole solution.  A hybrid set's ``spilled`` says
-which of its two forms the model charges.
+interned base across a whole solution.  A ranged set's vectors, and so
+its modeled bytes, depend on its owner type alone;
+``SetFactory.ranged_geometry`` computes them once per type.
+A hybrid set's ``spilled`` says which of its two forms the model charges.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple
 
 from .bitsets import ChunkConfig, RangedBitVector, _iter_bits, chunk_index_of
 from .errors import (
@@ -72,6 +77,20 @@ SHARED_OVERFLOW_CAP = 20
 SPARSE_ELEMENT_WORDS = 8
 
 
+class RangedGeometry(NamedTuple):
+    """A type's ranged vectors as full-universe ints.  Span bits outside
+    the intervals are slack; shared bits are interval positions that
+    another vector's chunk span also covers."""
+
+    interval_bits: int
+    span_bits: int
+    shared_bits: int
+    # per vector, by lower bound: (chunk count, aligned lower bound,
+    # interval bits, chunk-span bits)
+    vectors: tuple[tuple[int, int, int, int], ...]
+    bytes: int  # the modeled footprint of a set over these vectors
+
+
 class SetFactory:
     """Builds sets over one numbering/chunk configuration and caches the
     per-type masks, compatible-index sets, merged intervals, ranged
@@ -87,13 +106,13 @@ class SetFactory:
         self._masks: dict[str, int] = {}
         self._compatible: dict[str, frozenset[int]] = {}
         self._intervals: dict[str, tuple[Interval, ...]] = {}
-        self._geometry: dict[str, tuple[int, int]] = {}
+        self._geometry: dict[str, RangedGeometry] = {}
         self._interned_bases: dict[int, int] = {}
 
     def mask_bits(self, type_name: str) -> int:
         m = self._masks.get(type_name)
         if m is None:
-            m = build_type_mask(self.nr, self.h, type_name)
+            m = build_type_mask(self.nr, type_name)
             self._masks[type_name] = m
         return m
 
@@ -109,22 +128,36 @@ class SetFactory:
         ivs = self._intervals.get(type_name)
         if ivs is None:
             ivs = tuple(
-                iv for iv in intervals_of(self.nr, self.h, type_name) if not iv.empty
+                iv for iv in intervals_of(self.nr, type_name) if not iv.empty
             )
             self._intervals[type_name] = ivs
         return ivs
 
-    def ranged_geometry(self, type_name: str) -> tuple[int, int]:
-        """(interval bits, chunk-span bits) of the type's ranged vectors as
-        full-universe ints.  Span bits outside the intervals are slack."""
+    def ranged_geometry(self, type_name: str) -> RangedGeometry:
+        """The type's ranged vectors, laid out once per owner type."""
         g = self._geometry.get(type_name)
         if g is None:
-            interval_bits = span_bits = 0
+            cb = self.cfg.chunk_bits
+            vectors = []
             for iv in self.intervals(type_name):
                 v = RangedBitVector(iv, self.cfg)
-                interval_bits |= v.interval_mask << v.aligned_lower
-                span_bits |= ((1 << (v.num_chunks * self.cfg.chunk_bits)) - 1) << v.aligned_lower
-            g = (interval_bits, span_bits)
+                own = v.interval_mask << v.aligned_lower
+                span = ((1 << (v.num_chunks * cb)) - 1) << v.aligned_lower
+                vectors.append((v.num_chunks, v.aligned_lower, own, span))
+            interval_bits = span_bits = shared_bits = 0
+            for _, _, own, span in vectors:
+                interval_bits |= own
+                span_bits |= span
+            for _, _, own, span in vectors:
+                shared_bits |= span & interval_bits & ~own
+            chunks = sum(n for n, *_ in vectors)
+            g = RangedGeometry(
+                interval_bits,
+                span_bits,
+                shared_bits,
+                tuple(vectors),
+                OBJECT_HEADER + len(vectors) * ARRAY_HEADER + chunks * self.cfg.chunk_bytes,
+            )
             self._geometry[type_name] = g
         return g
 
@@ -422,7 +455,16 @@ class SparseBitmapSet(PointsToSet):
 class RangedPointsToSet(PointsToSet):
     """One ranged bit vector per (non-empty, merged) interval of the owner
     type; a union filters an unranged source at the interval and a ranged
-    one at chunk granularity."""
+    one at chunk granularity.
+
+    The vectors are read from two ints and the owner's geometry.  ``bits``
+    holds the members, slack included.  A vector holds every member in its
+    chunk span except another interval's members that never came from a
+    ranged source: only a ranged source's chunk-wise union copies a member
+    into every vector whose span covers it.  ``copies`` records those of
+    the geometry's shared positions (interval positions another vector's
+    span covers) that have come from a ranged source.  Slack outside every
+    interval arrives only that way, so it is in every covering vector."""
 
     kind = "ranged"
     ranged = True
@@ -430,115 +472,69 @@ class RangedPointsToSet(PointsToSet):
 
     def __init__(self, factory, owner):
         super().__init__(factory, owner)
-        self.vectors = [
-            RangedBitVector(iv, factory.cfg) for iv in factory.intervals(owner.name)
-        ]
+        self.geometry = factory.ranged_geometry(owner.name)
+        self.bits = 0
+        self.copies = 0
 
     def add_all(self, src):
         self._check_universe(src)
-        bits = src.objects_int()
-        changed = False
-        for vec in self.vectors:
-            # a ranged source unites chunk-wise; any other source, add()'s
-            # one-member source included, is filtered strictly by this
-            # vector's interval
-            incoming = bits if src.ranged else bits & (vec.interval_mask << vec.aligned_lower)
-            if vec.or_overlapping(incoming):
-                changed = True
-        return changed
+        g = self.geometry
+        if src.ranged:
+            incoming = src.objects_int() & g.span_bits
+            copies = self.copies | (incoming & g.shared_bits)
+        else:
+            # add()'s one-member source included: strictly by interval
+            incoming = src.objects_int() & g.interval_bits
+            copies = self.copies
+        new = self.bits | incoming
+        if new == self.bits and copies == self.copies:
+            return False
+        self.bits = new
+        self.copies = copies
+        return True
 
     def as_int(self):
-        v = 0
-        for vec in self.vectors:
-            v |= vec.value << vec.aligned_lower
-        return v
+        return self.bits
 
     def objects_int(self):
-        v = 0
-        for vec in self.vectors:
-            v |= (vec.value & vec.interval_mask) << vec.aligned_lower
-        return v
+        return self.bits & self.geometry.interval_bits
 
     def footprint_bytes(self):
-        cb = self.factory.cfg.chunk_bytes
-        return OBJECT_HEADER + sum(
-            ARRAY_HEADER + v.num_chunks * cb for v in self.vectors
-        )
+        return self.geometry.bytes
 
     def chunk_arrays(self):
-        return [(v.num_chunks, v.value) for v in self.vectors]
+        g = self.geometry
+        uncopied = g.interval_bits & ~self.copies
+        return [
+            (chunks, (self.bits & span & ~(uncopied & ~own)) >> lower)
+            for chunks, lower, own, span in g.vectors
+        ]
 
 
-class HybridRangedPointsToSet(PointsToSet):
+class HybridRangedPointsToSet(RangedPointsToSet):
     """Spark's hybrid over ranged vectors: up to 16 members inline (one int,
-    charged as 16 slots), then a ranged set built at the 17th.  The inline
-    slots admit what the vectors would: an unranged source by interval, a
-    ranged one by chunk span.  The spill is real, since the vector a member
-    lands in decides the chunk arrays."""
+    charged as 16 slots), then the ranged vectors.
+
+    Both forms admit what the vectors would, an unranged source by
+    interval and a ranged one by chunk span, and members only grow, so the
+    form is a function of the member count: the set holds its members as
+    ``ranged`` does, and the byte model charges the form the count
+    implies."""
 
     kind = "ranged-hybrid"
-    ranged = True
-    dense_chunks = True  # once spilled; the inline slots have no chunk arrays
-
-    def __init__(self, factory, owner):
-        super().__init__(factory, owner)
-        self.inline = 0
-        self.overflow: Optional[RangedPointsToSet] = None
-        # _mask holds the interval bits
-        self._mask, self._span_bits = factory.ranged_geometry(owner.name)
 
     @property
     def spilled(self) -> bool:
-        return self.overflow is not None
-
-    def add_all(self, src):
-        self._check_universe(src)
-        if self.overflow is not None:
-            return self.overflow.add_all(src)
-        new = src.objects_int() & (self._span_bits if src.ranged else self._mask)
-        new &= ~self.inline
-        if not new:
-            return False
-        if self.inline.bit_count() + new.bit_count() <= HYBRID_INLINE_CAP:
-            self.inline |= new
-        else:
-            self._spill()
-            self.overflow.add_all(src)
-        return True
-
-    def _spill(self):
-        """Rehouse the inline members, slack bits included, in ranged vectors.
-
-        A member goes to the vector whose interval holds it: stored as a
-        neighbor's slack it would not survive re-export, since unions trim
-        the source to its intervals.  A slack member goes to the first
-        vector, by lower bound, whose chunk span covers it."""
-        r = RangedPointsToSet(self.factory, self.owner)
-        slack = self.inline & ~self._mask
-        for vec in r.vectors:
-            vec.or_overlapping(self.inline & (vec.interval_mask << vec.aligned_lower) | slack)
-            slack &= ~(vec.value << vec.aligned_lower)
-        self.overflow = r
-        self.inline = 0
-
-    def as_int(self):
-        if self.overflow is not None:
-            return self.overflow.as_int()
-        return self.inline
-
-    def objects_int(self):
-        if self.overflow is not None:
-            return self.overflow.objects_int()
-        return self.inline & self._mask
+        return self.bits.bit_count() > HYBRID_INLINE_CAP
 
     def footprint_bytes(self):
-        base = OBJECT_HEADER + HYBRID_INLINE_CAP * REF_BYTES
-        if self.overflow is not None:
-            base += REF_BYTES + self.overflow.footprint_bytes()
-        return base
+        inline = OBJECT_HEADER + HYBRID_INLINE_CAP * REF_BYTES
+        if not self.spilled:
+            return inline
+        return inline + REF_BYTES + super().footprint_bytes()
 
     def chunk_arrays(self):
-        return [] if self.overflow is None else self.overflow.chunk_arrays()
+        return super().chunk_arrays() if self.spilled else []
 
 
 SET_KINDS: dict[str, type[PointsToSet]] = {

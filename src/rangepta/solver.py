@@ -27,9 +27,8 @@ A popped base does not re-unite every object it holds for each of its
 stores and loads.  Each such edge keeps the base's objects as of its last
 run and skips only calls that would have returned False, so the
 successful unions, and with them the schedule above, are those of
-re-walking every object (but see the spill below).  A union that has once
-carried a source into a destination changes nothing when repeated until
-that source grows, and:
+re-walking every object.  A union that has once carried a source into a
+destination changes nothing when repeated until that source grows, and:
 
 - an object the base gained since the edge last ran is always united;
 - for a store ``base.f = src``, an object it already saw holds src as of
@@ -38,13 +37,6 @@ that source grows, and:
 - for a load ``dst = base.f``, an object o it already saw has reached dst
   unless o.f grew earlier in the same pop: growth in an earlier pop went
   to every load whose base holds o through the feedback step of that pop.
-
-One union is not idempotent in that sense.  A ``ranged-hybrid`` spill
-places an inline slack member in one vector, where a chunk-wise union
-writes it into every vector whose span covers it; so a repeated union
-after a spill can return True by adding such a copy.  Skipping it leaves
-the members as they are, and only that slack copy and its count differ
-from the re-walk.
 
 ``PropagationStats.union_attempts`` counts the add/add_all calls made,
 seeding included; ``union_ops`` counts those that changed a set; and
@@ -371,8 +363,8 @@ def _slack_flag(s: PointsToSet | None, idx: int) -> bool:
     outside its intervals."""
     if s is None or not s.ranged:
         return False
-    interval_bits, span_bits = s.factory.ranged_geometry(s.owner.name)
-    return bool((span_bits & ~interval_bits) >> idx & 1)
+    g = s.factory.ranged_geometry(s.owner.name)
+    return bool((g.span_bits & ~g.interval_bits) >> idx & 1)
 
 
 def compare_solutions(a: Solution, b: Solution) -> CompareResult:

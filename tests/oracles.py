@@ -2,12 +2,12 @@
 
 These deliberately avoid the production code paths: subtyping is a
 transitive closure over the raw declarations, propagation is a brute-force
-round-based fixpoint over plain Python sets, the ranged-union and
-spill-placement oracles manipulate index sets bit by bit, and the type-mask
-oracle tests every class against the type one by one.  The one reference
-that runs on production sets, ``rewalk_propagate``, does so because what it
-pins is the order in which those sets are united; its worklist scans the
-edge lists and re-unites every object of a popped base.
+round-based fixpoint over plain Python sets, the ranged-union oracle
+manipulates index sets bit by bit, and the type-mask oracle tests every
+class against the type one by one.  The one reference that runs on
+production sets, ``rewalk_propagate``, does so because what it pins is the
+order in which those sets are united; its worklist scans the edge lists and
+re-unites every object of a popped base.
 """
 
 from __future__ import annotations
@@ -97,29 +97,6 @@ def ranged_union_oracle(interval, held, incoming, cb):
         return set(held)
     lo, hi = aligned_span(interval, cb)
     return set(held) | {b for b in incoming if lo <= b <= hi}
-
-
-def spill_placement(intervals, members, cb):
-    """Chunk arrays of ranged vectors filled one member at a time.
-
-    intervals: the owner's (lo, hi) pairs; members: absolute indices, each
-    inside some interval's aligned chunk span.  In ascending order, a member
-    goes to the vector whose interval holds it, otherwise (slack) to the
-    first vector, by lower bound, whose span covers it.  Returns one
-    (chunk count, value relative to the aligned lower bound) per interval.
-    """
-    intervals = sorted(intervals)
-    spans = [aligned_span(iv, cb) for iv in intervals]
-    placed = [set() for _ in intervals]
-    for m in sorted(members):
-        home = [k for k, (lo, hi) in enumerate(intervals) if lo <= m <= hi]
-        if not home:
-            home = [k for k, (lo, hi) in enumerate(spans) if lo <= m <= hi]
-        placed[home[0]].add(m)
-    return [
-        ((hi - lo + 1) // cb, sum(1 << (m - lo) for m in held))
-        for (lo, hi), held in zip(spans, placed)
-    ]
 
 
 def brute_force_propagate(pag, index_of, type_of_index, supertypes, filtered=True):

@@ -1,0 +1,98 @@
+"""Print the numbers a refactor must keep, one line per configuration.
+
+    python3 tests/same_numbers.py [workload ...] > numbers.txt
+
+Run from the repository root, once on each of two checkouts, and diff the
+outputs.  For every benchmark workload (``perfbench/workloads.py``, all
+three by default), statement shuffle seed 0-2 (as ``perfbench/run.py``
+shuffles), chunk width 8/16/32/64 and set kind, the line gives:
+
+- ``members``, ``chunks`` and ``savings``: digests of every var and field
+  set's ``as_int()``, of its ``chunk_arrays()`` (dense-chunk kinds only) and
+  of its ``sparse_savings`` (the total comes first);
+- ``unions``, ``pops`` and ``attempts``: the solver's counters;
+- ``spills`` and ``bytes``: spilled sets and modeled bytes;
+- ``extra``: successful unions of ``run_extra_pass``, taken after the
+  digests, since a pass that finds work changes the sets.
+
+Digests hash the sets in sorted key order, so two solves that reach the
+same sets through a different union order print the same line.  The file
+name does not start with ``test_``, so pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+from rangepta import hierarchy, pag, solver  # noqa: E402
+from rangepta.bitsets import ChunkConfig  # noqa: E402
+from rangepta.ptsets import sparse_savings  # noqa: E402
+from run import shuffle_statements  # noqa: E402
+from workloads import KINDS, WORKLOADS  # noqa: E402
+
+SEEDS = (0, 1, 2)
+CHUNKS = (8, 16, 32, 64)
+
+
+def sorted_sets(sol):
+    yield from sorted(sol.var_sets.items())
+    yield from sorted(sol.field_sets.items())
+
+
+def digest(parts) -> str:
+    h = hashlib.sha256()
+    for p in parts:
+        h.update(repr(p).encode())
+    return h.hexdigest()[:12]
+
+
+def numbers(progs, kind: str, mode: str, chunk: int) -> str:
+    cfg = solver.SolverConfig(kind, mode, chunk)
+    members, chunks, savings = [], [], []
+    total_savings = 0
+    counts = dict.fromkeys(("unions", "pops", "attempts", "spills", "bytes", "extra"), 0)
+    for p, nr in progs:
+        sol = solver.propagate(p, nr, cfg)
+        for key, s in sorted_sets(sol):
+            members.append((key, s.as_int()))
+            if s.dense_chunks:
+                saved = sparse_savings(s, ChunkConfig(chunk))
+                chunks.append((key, s.chunk_arrays()))
+                savings.append((key, saved))
+                total_savings += saved
+        st = sol.stats
+        counts["unions"] += st.union_ops
+        counts["pops"] += st.nodes_processed
+        counts["attempts"] += st.union_attempts
+        counts["spills"] += st.spilled_sets
+        counts["bytes"] += st.total_footprint_bytes
+        counts["extra"] += solver.run_extra_pass(sol)
+    return (
+        f"members={digest(members)} chunks={digest(chunks)} "
+        f"savings={total_savings}/{digest(savings)} "
+        + " ".join(f"{k}={v}" for k, v in counts.items())
+    )
+
+
+def main(names) -> None:
+    for name in names or WORKLOADS:
+        w = WORKLOADS[name]
+        texts = [pag.generate_synthetic(p, s) for p, s in w.programs]
+        for seed in SEEDS:
+            progs = []
+            for text in texts:
+                h, p = pag.parse_program(shuffle_statements(text, seed))
+                progs.append((p, hierarchy.number_allocations(h, list(p.allocs.values()))))
+            for chunk in CHUNKS:
+                for kind, mode in KINDS:
+                    line = numbers(progs, kind, mode, chunk)
+                    print(f"{name} seed={seed} chunk={chunk} {kind} {line}", flush=True)
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])

@@ -217,7 +217,13 @@ def _union_corpus(rng):
 
 
 def _held(s):
-    return [set(v.iterate()) for v in s.vectors]
+    """The absolute indices each of s's vectors holds, by lower bound."""
+    cb = s.factory.cfg.chunk_bits
+    ivs = s.factory.intervals(s.owner.name)
+    return [
+        {aligned_span((iv.lower, iv.upper), cb)[0] + b for b in _bit_offsets(value)}
+        for iv, (_, value) in zip(ivs, s.chunk_arrays())
+    ]
 
 
 def test_criterion_03_ranged_or_oracle():
@@ -225,8 +231,8 @@ def test_criterion_03_ranged_or_oracle():
     v = RangedBitVector(Interval(10, 20), ChunkConfig(8))
     assert v.aligned_lower == 8 and v.num_chunks == 2
 
-    # the union the solver runs (RangedPointsToSet.add_all, one
-    # or_overlapping per destination vector) against a bit-level oracle:
+    # the union the solver runs (RangedPointsToSet.add_all) against a
+    # bit-level oracle:
     # each vector gains the source's in-interval members inside its
     # aligned chunk span, whatever the two types' intervals
     rng = random.Random(23)
@@ -237,7 +243,9 @@ def test_criterion_03_ranged_or_oracle():
         f = SetFactory(nr, ChunkConfig(cb))
         sets = {t: f.make_set("ranged", t) for t in compat}
         for t, s in sets.items():
-            assert [(v.interval.lower, v.interval.upper) for v in s.vectors] == runs_of(compat[t])
+            ivs = f.intervals(t)
+            assert [(iv.lower, iv.upper) for iv in ivs] == runs_of(compat[t])
+            assert len(s.chunk_arrays()) == len(ivs)
             for i in compat[t]:
                 if rng.random() < 0.3:
                     s.add(i)
@@ -253,8 +261,8 @@ def test_criterion_03_ranged_or_oracle():
             incoming = src_held & compat[st]
             before = _held(dst)
             expected = [
-                ranged_union_oracle((vec.interval.lower, vec.interval.upper), held, incoming, cb)
-                for vec, held in zip(dst.vectors, before)
+                ranged_union_oracle((iv.lower, iv.upper), held, incoming, cb)
+                for iv, held in zip(f.intervals(dt), before)
             ]
             changed = dst.add_all(src)
             assert _held(dst) == expected, (dt, st, cb)
@@ -394,13 +402,11 @@ def _savings_oracle(s, cb):
     chunk width in bits, a window is eight chunks."""
     if isinstance(s, (HybridSet, HybridRangedPointsToSet)) and not s.spilled:
         return 0
-    if isinstance(s, HybridRangedPointsToSet):
-        return _savings_oracle(s.overflow, cb)
     if isinstance(s, PureBitVectorSet):  # a spilled hybrid set too
         arrays = [(s.factory.universe_chunks, _bit_offsets(s.bits))]
     else:
-        assert isinstance(s, RangedPointsToSet)
-        arrays = [(v.num_chunks, _bit_offsets(v.value)) for v in s.vectors]
+        assert isinstance(s, RangedPointsToSet)  # a spilled ranged-hybrid set too
+        arrays = [(n, _bit_offsets(value)) for n, value in s.chunk_arrays()]
     window_bits = 8 * cb
     saved = 0
     for num_chunks, offsets in arrays:

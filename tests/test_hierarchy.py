@@ -8,7 +8,6 @@ from conftest import WORKED_CLASSES, WORKED_IFACES, random_hierarchy, worked_all
 from oracles import closure_supertypes, compatible_indices, walk_type_mask
 from rangepta import hierarchy
 from rangepta.errors import (
-    ConfigMismatchError,
     DuplicateTypeError,
     InheritanceCycleError,
     UnknownTypeError,
@@ -134,14 +133,14 @@ class TestNumbering:
 
 
 class TestIntervalsOf:
-    def test_root_class(self, worked_numbering, worked_hierarchy):
-        assert intervals_of(worked_numbering, worked_hierarchy, "Object") == [
+    def test_root_class(self, worked_numbering):
+        assert intervals_of(worked_numbering, "Object") == [
             Interval(1, 12)
         ]
 
-    def test_interface_two_tops(self, worked_numbering, worked_hierarchy):
+    def test_interface_two_tops(self, worked_numbering):
         # I implemented by B and D only
-        assert intervals_of(worked_numbering, worked_hierarchy, "I") == [
+        assert intervals_of(worked_numbering, "I") == [
             Interval(6, 6),
             Interval(9, 12),
         ]
@@ -160,7 +159,7 @@ class TestIntervalsOf:
         for cls, n in [("Object", 2), ("A", 3), ("B", 1), ("C", 2)]:
             allocs += [AllocSite(f"{cls}{i}", cls) for i in range(n)]
         nr = number_allocations(h, allocs)
-        assert intervals_of(nr, h, "I") == [Interval(3, 8)]
+        assert intervals_of(nr, "I") == [Interval(3, 8)]
 
     def test_adjacent_merged(self):
         # B and C adjacent subtrees both implement I: one merged interval
@@ -174,11 +173,11 @@ class TestIntervalsOf:
         )
         allocs = [AllocSite("b", "B"), AllocSite("c", "C")]
         nr = number_allocations(h, allocs)
-        assert intervals_of(nr, h, "I") == [Interval(1, 2)]
+        assert intervals_of(nr, "I") == [Interval(1, 2)]
 
-    def test_unknown(self, worked_numbering, worked_hierarchy):
+    def test_unknown(self, worked_numbering):
         with pytest.raises(UnknownTypeError):
-            intervals_of(worked_numbering, worked_hierarchy, "Nope")
+            intervals_of(worked_numbering, "Nope")
 
 
 class TestIsSubtype:
@@ -217,42 +216,36 @@ class TestIsSubtype:
 
 
 class TestMaskBits:
-    def test_mid_class(self, worked_numbering, worked_hierarchy):
-        m = build_type_mask(worked_numbering, worked_hierarchy, "A")
+    def test_mid_class(self, worked_numbering):
+        m = build_type_mask(worked_numbering, "A")
         assert [i for i in range(1, 13) if m >> i & 1] == [3, 4, 5, 6, 7, 8]
 
-    def test_root(self, worked_numbering, worked_hierarchy):
-        m = build_type_mask(worked_numbering, worked_hierarchy, "Object")
+    def test_root(self, worked_numbering):
+        m = build_type_mask(worked_numbering, "Object")
         assert m == sum(1 << i for i in range(1, 13))
 
     def test_empty_leaf(self):
         h = build_hierarchy([("Object", None, ()), ("L", "Object", ())])
         nr = number_allocations(h, [AllocSite("o", "Object")])
-        m = build_type_mask(nr, h, "L")
+        m = build_type_mask(nr, "L")
         assert m == 0
 
-    def test_interface_mask(self, worked_numbering, worked_hierarchy):
-        m = build_type_mask(worked_numbering, worked_hierarchy, "I")
+    def test_interface_mask(self, worked_numbering):
+        m = build_type_mask(worked_numbering, "I")
         assert [i for i in range(1, 13) if m >> i & 1] == [6, 9, 10, 11, 12]
 
-    def test_unknown_name(self, worked_numbering, worked_hierarchy):
+    def test_unknown_name(self, worked_numbering):
         with pytest.raises(UnknownTypeError, match="unknown type: Nope"):
-            build_type_mask(worked_numbering, worked_hierarchy, "Nope")
+            build_type_mask(worked_numbering, "Nope")
         # the table built by the failed lookup answers later ones
-        assert build_type_mask(worked_numbering, worked_hierarchy, "D") == sum(
+        assert build_type_mask(worked_numbering, "D") == sum(
             1 << i for i in range(9, 13)
         )
-
-    def test_other_hierarchy(self, worked_numbering):
-        # an equal hierarchy is still not the one the numbering was made over
-        other = build_hierarchy(WORKED_CLASSES, WORKED_IFACES)
-        with pytest.raises(ConfigMismatchError):
-            build_type_mask(worked_numbering, other, "A")
 
 
 def _all_masks_match_walk(h, nr):
     for t in h.types:
-        assert build_type_mask(nr, h, t) == walk_type_mask(nr, h, t), t
+        assert build_type_mask(nr, t) == walk_type_mask(nr, h, t), t
 
 
 def test_mask_table_matches_walk_on_random_hierarchies():
@@ -293,7 +286,7 @@ class TestRandomizedProperties:
                 # contiguity: compatible allocs fill the interval exactly
                 assert compat == expected, cls
                 # mask/interval agreement
-                m = build_type_mask(nr, h, cls)
+                m = build_type_mask(nr, cls)
                 assert m == sum(1 << i for i in expected)
             # laminar family
             for x in ivs:
@@ -306,7 +299,7 @@ class TestRandomizedProperties:
             # interface cover
             for iname, _ in ifaces:
                 covered = set()
-                merged = intervals_of(nr, h, iname)
+                merged = intervals_of(nr, iname)
                 assert merged == sorted(merged, key=lambda i: i.lower)
                 for iv in merged:
                     block = set(range(iv.lower, iv.upper + 1))
@@ -346,7 +339,7 @@ def test_deep_chain_bookkeeping_is_linear():
     assert nr.total_allocs == depth // 100
     assert h.is_subtype(f"C{depth - 1}", "C0") and not h.is_subtype("C0", "C1")
     assert h.is_subtype(f"C{depth - 1}", "I") and not h.is_subtype("Object", "I")
-    assert intervals_of(nr, h, "I") == [nr.type2interval["C0"]]
+    assert intervals_of(nr, "I") == [nr.type2interval["C0"]]
 
 
 def _line_events(fn, *args, only=None):
