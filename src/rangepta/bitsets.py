@@ -56,11 +56,10 @@ class RangedBitVector:
     them.
     """
 
-    __slots__ = ("cfg", "interval", "aligned_lower", "num_chunks", "interval_mask", "value")
+    __slots__ = ("cfg", "aligned_lower", "num_chunks", "interval_mask", "value")
 
     def __init__(self, interval: Interval, cfg: ChunkConfig):
         self.cfg = cfg
-        self.interval = interval
         if interval.empty:
             self.aligned_lower = 0
             self.num_chunks = 0

@@ -104,19 +104,17 @@ class ClassHierarchy:
         """All interfaces cls is compatible with, via ancestors and extension."""
         return self._all_ifaces_of_class[cls]
 
-    def is_subtype(self, s, t) -> bool:
+    def is_subtype(self, s: str, t: str) -> bool:
         """True iff a value of type s may be held by a slot of type t."""
-        sn = s.name if isinstance(s, TypeRef) else s
-        tn = t.name if isinstance(t, TypeRef) else t
-        st = self.lookup(sn)
-        tt = self.lookup(tn)
-        if sn == tn:
+        st = self.lookup(s)
+        tt = self.lookup(t)
+        if s == t:
             return True
         if st.kind == "interface":
-            return tt.kind == "interface" and tn in self.super_interfaces(sn)
+            return tt.kind == "interface" and t in self.super_interfaces(s)
         if tt.kind == "interface":
-            return tn in self._all_ifaces_of_class[sn]
-        return self._pre[tn] <= self._pre[sn] <= self._last[tn]
+            return t in self._all_ifaces_of_class[s]
+        return self._pre[t] <= self._pre[s] <= self._last[t]
 
     # -- construction helpers -----------------------------------------
 
@@ -382,26 +380,24 @@ def _merged_intervals(nr: NumberingResult, classes: list[str]) -> list[Interval]
     return merged
 
 
-def intervals_of(nr: NumberingResult, t) -> list[Interval]:
-    """Index intervals covering all allocs compatible with t.
+def intervals_of(nr: NumberingResult, name: str) -> list[Interval]:
+    """Index intervals covering all allocs compatible with the named type.
 
     Classes get their single interval; interfaces get one interval per
     topmost implementing class, merged when adjacent, sorted by lower bound.
     """
-    name = t.name if isinstance(t, TypeRef) else t
     if nr.hierarchy.lookup(name).kind == "interface":
         return list(nr.iface2intervals[name])
     return [nr.type2interval[name]]
 
 
-def build_type_mask(nr: NumberingResult, t) -> int:
+def build_type_mask(nr: NumberingResult, name: str) -> int:
     """Full-universe int with bit i set iff the alloc with index i is
-    compatible with t.
+    compatible with the named type.
 
     The masks of all types are built together in one pass per numbering, on
     the first call, and cached on nr; later calls look them up.
     """
-    name = t.name if isinstance(t, TypeRef) else t
     if nr._masks is None:
         nr._masks = _type_mask_table(nr)
     try:

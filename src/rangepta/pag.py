@@ -25,6 +25,7 @@ import random
 import re
 from dataclasses import dataclass, field
 
+from .bitsets import _VALID_CHUNK_BITS
 from .errors import (
     DeclError,
     DuplicateNameError,
@@ -297,8 +298,8 @@ class GenParams:
             raise InvalidParamsError("store_load_ratio must be in [0,1]")
         if not 0.0 <= self.violation_rate <= 1.0:
             raise InvalidParamsError("violation_rate must be in [0,1]")
-        if self.pad_chunk is not None and self.pad_chunk not in (8, 16, 32, 64):
-            raise InvalidParamsError("pad_chunk must be one of 8/16/32/64")
+        if self.pad_chunk is not None and self.pad_chunk not in _VALID_CHUNK_BITS:
+            raise InvalidParamsError(f"pad_chunk must be one of {_VALID_CHUNK_BITS}")
 
 
 def generate_synthetic(params: GenParams, seed: int) -> str:

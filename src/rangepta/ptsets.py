@@ -4,28 +4,39 @@ Seven kinds share the contract: a naive hash-set oracle, a pure masked
 bit-vector, Spark-style hybrid (16 inline slots, then pure), Heintze-style
 shared base + overflow, GCC/LLVM-style sparse bitmaps, the ranged set
 (one ranged vector per interval of the owner type) and its hybrid variant.
-``SET_KINDS`` registers them by name.  Each exact kind holds its members
-once, as one full-universe int, and the memory model reads the layout it
-charges from that int: ``hybrid`` is ``pure`` charged as 16 inline slots up
-to 16 members, ``sparse`` is charged one element per eight-chunk window its
-members touch, and ``shared``'s overflow one slot per member.  The ranged
-kinds do the same: ``ranged`` reads its vectors from its member int, a
-second int of the shared positions a ranged source has copied, and the
-owner's geometry, and ``ranged-hybrid`` is ``ranged`` charged as 16 inline
-slots up to 16 members.  No kind moves its members when it spills.
+``SET_KINDS`` registers them by name.
+
+The seven kinds run on four union kernels; the rest is a charging rule
+that the memory model reads from the members a kernel keeps:
+
+- ``naive``: a hash set of the owner's compatible members;
+- ``pure``: one full-universe member int, ORed under the owner's type
+  mask.  ``pure`` is charged the full-universe array; ``hybrid`` 16
+  inline slots up to 16 members, then pure's array plus a reference to
+  it; ``sparse`` one eight-word element per eight-chunk window its member
+  int occupies;
+- ``shared``: an interned base int and an overflow int, folded into a new
+  base past 20 overflow members; charged one slot per overflow member;
+- ``ranged``: a member int (slack included) and an int of the shared
+  positions a ranged source has copied, read against the owner's
+  geometry.  ``ranged`` is charged its vectors; ``ranged-hybrid`` 16
+  inline slots up to 16 members, then the vectors plus a reference.
+
+Members only grow, so every charging rule is a function of the final
+member int, and no kind moves its members when it spills.
 
 Every kind exposes its members as one full-universe int (``as_int``, bit i
 set iff i is a member, slack included) and its dereferenceable members as
-another (``objects_int``).  Each kind's ``add_all`` is one bulk union over
-the source's int view: a masked OR under the owner's filter (type mask for
-exact kinds; chunk spans for a ranged source entering a ranged set,
-intervals for any other source), followed only by the kind's own
-re-encoding of the new bits.  No kind falls back to element-wise insertion,
-so spill and fold points land exactly where element-wise insertion in
-ascending order would put them.  A ranged union gives each vector exactly
-what ``RangedBitVector.or_overlapping``, the reference chunk-wise union,
-would: a ranged source's members within its chunk span, an unranged
-source's within its interval.
+another (``objects_int``).  Each kernel's ``add_all`` is one bulk union
+over the source's int view: a masked OR under the owner's filter (type
+mask for exact kinds; chunk spans for a ranged source entering a ranged
+set, intervals for any other source), followed only by ``shared``'s fold
+or ``ranged``'s record of copied positions.  No kind falls back to
+element-wise insertion, so spill and fold points land exactly where
+element-wise insertion in ascending order would put them.  A ranged union
+gives each vector exactly what ``RangedBitVector.or_overlapping``, the
+reference chunk-wise union, would: a ranged source's members within its
+chunk span, an unranged source's within its interval.
 
 A kind thus writes its representation through ``add_all`` alone:
 ``add(idx)`` is a union with a private one-member source, so a single
@@ -164,8 +175,8 @@ class SetFactory:
     def intern_base(self, value: int) -> int:
         return self._interned_bases.setdefault(value, value)
 
-    def make_set(self, kind: str, owner) -> "PointsToSet":
-        owner_t = self.h.lookup(owner.name if isinstance(owner, TypeRef) else owner)
+    def make_set(self, kind: str, owner: str) -> "PointsToSet":
+        owner_t = self.h.lookup(owner)
         cls = SET_KINDS.get(kind)
         if cls is None:
             raise UnsupportedKindError(f"unknown set kind: {kind}")
@@ -337,15 +348,16 @@ class PureBitVectorSet(PointsToSet):
         return [(self.factory.universe_chunks, self.bits)]
 
 
-class HybridSet(PureBitVectorSet):
-    """Spark's hybrid set (Lhotak & Hendren, CC 2003): up to 16 members in
-    inline slots, then a pure bit vector built at the 17th.
+class _InlineSlots:
+    """Spark's hybrid rule (Lhotak & Hendren, CC 2003): up to 16 members in
+    inline slots, then the base kind's layout, built at the 17th, plus a
+    reference to it.
 
-    Both forms admit ``src.as_int() & mask`` and members only grow, so the
-    form is a function of the member count: the set holds its members as
-    ``pure`` does, and the byte model charges the form the count implies."""
-
-    kind = "hybrid"
+    Both forms admit what the base kind's union admits, and members only
+    grow, so the form is a function of the member count: a hybrid holds its
+    members as its base kind does, and the byte model charges the form the
+    count implies.  ``spilled`` says which; no members move when it turns
+    True.  Mixed in before a base kind that keeps its members in ``bits``."""
 
     @property
     def spilled(self) -> bool:
@@ -359,6 +371,13 @@ class HybridSet(PureBitVectorSet):
 
     def chunk_arrays(self):
         return super().chunk_arrays() if self.spilled else []
+
+
+class HybridSet(_InlineSlots, PureBitVectorSet):
+    """Spark's hybrid set: a ``pure`` set charged as 16 inline slots while
+    it holds at most 16 members."""
+
+    kind = "hybrid"
 
 
 class SharedBitVectorSet(PointsToSet):
@@ -406,50 +425,26 @@ class SharedBitVectorSet(PointsToSet):
         return OBJECT_HEADER + REF_BYTES + self.overflow.bit_count() * REF_BYTES
 
 
-class SparseBitmapSet(PointsToSet):
+class SparseBitmapSet(PureBitVectorSet):
     """GCC/LLVM-style sparse bitmap: an ordered list of eight-word elements,
-    one allocated only where at least one member falls.  The members are
-    held as one int and the allocated elements as another (bit e set iff
-    element e, members [e * element_bits, (e + 1) * element_bits), is
-    allocated); a union splits only its new bits by element."""
+    one allocated only where at least one member falls.  A ``pure`` set
+    charged one element per eight-chunk window its member int occupies:
+    members only grow, so the windows it ever touched are exactly those.
+    It keeps no dense chunk arrays."""
 
     kind = "sparse"
-
-    def __init__(self, factory, owner):
-        super().__init__(factory, owner)
-        self.element_bits = SPARSE_ELEMENT_WORDS * factory.cfg.chunk_bits
-        self.elements = 0
-        self._bits = 0
-        self._mask = factory.mask_bits(owner.name)
-
-    def add_all(self, src):
-        self._check_universe(src)
-        new = src.as_int() & self._mask & ~self._bits
-        if not new:
-            return False
-        self._bits |= new
-        eb = self.element_bits
-        elements = self.elements
-        e = 0
-        while new:
-            skip = ((new & -new).bit_length() - 1) // eb
-            e += skip
-            elements |= 1 << e
-            new >>= (skip + 1) * eb
-            e += 1
-        self.elements = elements
-        return True
-
-    def as_int(self):
-        return self._bits
+    dense_chunks = False
 
     def footprint_bytes(self):
+        cfg = self.factory.cfg
         per_element = (
             OBJECT_HEADER
-            + SPARSE_ELEMENT_WORDS * self.factory.cfg.chunk_bytes
+            + SPARSE_ELEMENT_WORDS * cfg.chunk_bytes
             + REF_BYTES  # next link
         )
-        return OBJECT_HEADER + self.elements.bit_count() * per_element
+        return OBJECT_HEADER + _occupied_windows(self.bits, cfg) * per_element
+
+    chunk_arrays = PointsToSet.chunk_arrays  # not pure's dense array
 
 
 class RangedPointsToSet(PointsToSet):
@@ -511,30 +506,11 @@ class RangedPointsToSet(PointsToSet):
         ]
 
 
-class HybridRangedPointsToSet(RangedPointsToSet):
-    """Spark's hybrid over ranged vectors: up to 16 members inline (one int,
-    charged as 16 slots), then the ranged vectors.
-
-    Both forms admit what the vectors would, an unranged source by
-    interval and a ranged one by chunk span, and members only grow, so the
-    form is a function of the member count: the set holds its members as
-    ``ranged`` does, and the byte model charges the form the count
-    implies."""
+class HybridRangedPointsToSet(_InlineSlots, RangedPointsToSet):
+    """Spark's hybrid over ranged vectors: a ``ranged`` set charged as 16
+    inline slots while it holds at most 16 members."""
 
     kind = "ranged-hybrid"
-
-    @property
-    def spilled(self) -> bool:
-        return self.bits.bit_count() > HYBRID_INLINE_CAP
-
-    def footprint_bytes(self):
-        inline = OBJECT_HEADER + HYBRID_INLINE_CAP * REF_BYTES
-        if not self.spilled:
-            return inline
-        return inline + REF_BYTES + super().footprint_bytes()
-
-    def chunk_arrays(self):
-        return super().chunk_arrays() if self.spilled else []
 
 
 SET_KINDS: dict[str, type[PointsToSet]] = {
@@ -551,6 +527,18 @@ SET_KINDS: dict[str, type[PointsToSet]] = {
 }
 
 
+def _occupied_windows(value: int, cfg: ChunkConfig) -> int:
+    """Eight-chunk windows of value (bit 0 starts window 0) that hold a set
+    bit."""
+    window_bits = SPARSE_ELEMENT_WORDS * cfg.chunk_bits
+    n = 0
+    while value:
+        low = (value & -value).bit_length() - 1
+        value >>= (low // window_bits + 1) * window_bits
+        n += 1
+    return n
+
+
 def sparse_savings(s: PointsToSet, cfg: ChunkConfig) -> int:
     """Bytes a sparse eight-word-element decomposition of s's bit arrays
     would not allocate (all-zero windows), post-propagation."""
@@ -558,12 +546,8 @@ def sparse_savings(s: PointsToSet, cfg: ChunkConfig) -> int:
         raise UnsupportedKindError(
             f"sparse savings undefined for set kind {s.kind!r}"
         )
-    element_bits = SPARSE_ELEMENT_WORDS * cfg.chunk_bits
-    payload_bytes = SPARSE_ELEMENT_WORDS * cfg.chunk_bytes
-    saved = 0
+    empty = 0
     for num_chunks, value in s.chunk_arrays():
         windows = -(-num_chunks // SPARSE_ELEMENT_WORDS)
-        for w in range(windows):
-            if not value >> (w * element_bits) & ((1 << element_bits) - 1):
-                saved += payload_bytes
-    return saved
+        empty += windows - _occupied_windows(value, cfg)
+    return empty * SPARSE_ELEMENT_WORDS * cfg.chunk_bytes

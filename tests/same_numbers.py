@@ -17,7 +17,8 @@ shuffles), chunk width 8/16/32/64 and set kind, the line gives:
 
 Digests hash the sets in sorted key order, so two solves that reach the
 same sets through a different union order print the same line.  The file
-name does not start with ``test_``, so pytest does not collect it.
+name does not start with ``test_``, so pytest does not collect it;
+``test_same_numbers.py`` runs ``numbers`` on one small corpus.
 """
 
 from __future__ import annotations
@@ -79,15 +80,21 @@ def numbers(progs, kind: str, mode: str, chunk: int) -> str:
     )
 
 
+def programs(texts, seed: int) -> list:
+    """(PAG, numbering) of each corpus text, its statements shuffled by seed."""
+    progs = []
+    for text in texts:
+        h, p = pag.parse_program(shuffle_statements(text, seed))
+        progs.append((p, hierarchy.number_allocations(h, list(p.allocs.values()))))
+    return progs
+
+
 def main(names) -> None:
     for name in names or WORKLOADS:
         w = WORKLOADS[name]
         texts = [pag.generate_synthetic(p, s) for p, s in w.programs]
         for seed in SEEDS:
-            progs = []
-            for text in texts:
-                h, p = pag.parse_program(shuffle_statements(text, seed))
-                progs.append((p, hierarchy.number_allocations(h, list(p.allocs.values()))))
+            progs = programs(texts, seed)
             for chunk in CHUNKS:
                 for kind, mode in KINDS:
                     line = numbers(progs, kind, mode, chunk)

@@ -414,12 +414,46 @@ def test_union_cost_does_not_grow_with_unspilled_members(kind, cap):
 
 @pytest.mark.parametrize("cb", [8, 64])
 def test_byte_rules_read_the_member_int(cb):
-    # hybrid holds pure's members and is charged 16 inline slots up to 16
-    # of them, then the pure vector plus a reference to it; sparse is
-    # charged one element per eight-chunk window its members touch
+    # hybrid and sparse are pure sets: under the same log all three change
+    # on the same ops and hold the same members.  hybrid is charged 16
+    # inline slots up to 16 members, then the pure vector plus a reference
+    # to it; sparse is charged one element per eight-chunk window its
+    # members touch, and sparse_savings of the pure set charges the others
     rng = random.Random(33)
     window_bits = 8 * cb
     seen = {"at cap": 0, "spilled": 0, "several elements": 0}
+
+    def replay(f, owner, log):
+        sets = {k: f.make_set(k, owner) for k in ("pure", "hybrid", "sparse")}
+        pure, hybrid, sparse = sets.values()
+        all_windows = -(-f.universe_chunks // SPARSE_ELEMENT_WORDS)
+        for op in [None, *log]:
+            if op is not None:
+                changed = {apply_op(f, k, s, op) for k, s in sets.items()}
+                assert len(changed) == 1, op
+            members = pure.as_int()
+            assert hybrid.as_int() == sparse.as_int() == members
+            if members.bit_count() <= 16:
+                assert hybrid.footprint_bytes() == 144
+            else:
+                assert hybrid.footprint_bytes() == 152 + pure.footprint_bytes()
+            windows = {
+                i // window_bits for i in range(members.bit_length()) if members >> i & 1
+            }
+            assert sparse.footprint_bytes() == 16 + len(windows) * (24 + cb), op
+            assert sparse_savings(pure, f.cfg) == (all_windows - len(windows)) * cb, op
+            seen["at cap"] += members.bit_count() == 16
+            seen["spilled"] += members.bit_count() > 16
+            seen["several elements"] += len(windows) > 1
+
+    # window boundaries: the empty set, a lone member on a window's first
+    # bit, and a member on a window's last bit next to one in the following
+    # window (universe of 600 allocs: 2 windows at cb 64, 10 at cb 8)
+    f = big_factory(per_class=200, cb=cb)
+    replay(f, "Object", [])
+    replay(f, "Object", [("add", window_bits)])
+    replay(f, "Object", [("addall", "Object", [window_bits - 1, window_bits])])
+    replay(f, "Object", [("add", window_bits - 1), ("add", window_bits)])
     for _ in range(12):
         classes, ifaces, _ = random_hierarchy(rng)
         allocs = [
@@ -433,27 +467,7 @@ def test_byte_rules_read_the_member_int(cb):
         f = SetFactory(nr, ChunkConfig(cb))
         type_names = [c[0] for c in classes] + [i[0] for i in ifaces]
         for _ in range(6):
-            owner = rng.choice(type_names)
-            sets = {k: f.make_set(k, owner) for k in ("pure", "hybrid", "sparse")}
-            for op in random_log(rng, nr.total_allocs, type_names):
-                for kind, s in sets.items():
-                    apply_op(f, kind, s, op)
-                members = sets["pure"].as_int()
-                hybrid, sparse = sets["hybrid"], sets["sparse"]
-                assert hybrid.as_int() == members
-                if members.bit_count() <= 16:
-                    assert hybrid.footprint_bytes() == 144
-                else:
-                    assert hybrid.footprint_bytes() == 152 + sets["pure"].footprint_bytes()
-                windows = {
-                    i // window_bits for i in range(members.bit_length()) if members >> i & 1
-                }
-                assert sparse.as_int() == members
-                assert sparse.elements == sum(1 << w for w in windows)
-                assert sparse.footprint_bytes() == 16 + len(windows) * (24 + cb)
-                seen["at cap"] += members.bit_count() == 16
-                seen["spilled"] += members.bit_count() > 16
-                seen["several elements"] += len(windows) > 1
+            replay(f, rng.choice(type_names), random_log(rng, nr.total_allocs, type_names))
     # every branch of both rules is reached, or the test checks less than
     # it claims
     assert all(seen.values()), seen
