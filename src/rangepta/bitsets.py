@@ -1,12 +1,13 @@
-"""Chunk geometry and the ranged bit vector.
+"""Chunk geometry and the reference ranged bit vector.
 
 Every other bit array in the package is a plain full-universe Python int
 (bit i for absolute index i).  The ranged vector stores its bits as an int
 relative to a chunk-aligned base, and tracks its chunk geometry (aligned
 lower bound, chunk count) explicitly, since modeled memory accounting
-depends on the number of allocated chunks.  ``ptsets`` lays out a ranged
-set's vectors from this geometry, and ``or_overlapping`` is the reference
-chunk-wise union that the ranged set's union reproduces.
+depends on the number of allocated chunks.  It is the reference that the
+ranged set is checked against: ``ptsets`` lays out a ranged set's vectors
+from its intervals and the chunk width alone, to the same geometry, and
+its union reproduces ``or_overlapping``, the reference chunk-wise union.
 """
 
 from __future__ import annotations

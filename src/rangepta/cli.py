@@ -15,7 +15,6 @@ from dataclasses import dataclass, fields as dc_fields
 from pathlib import Path
 from typing import Optional
 
-from .bitsets import ChunkConfig
 from .errors import FactSyntaxError, InvalidParamsError, PtaError, UnsupportedKindError
 from .hierarchy import NumberingResult, number_allocations
 from .pag import PAG, GenParams, generate_synthetic, parse_program
@@ -217,9 +216,8 @@ def cmd_savings(args) -> int:
             f"sparse savings undefined for set kind {cfg.set_kind!r}"
         )
     sol = propagate(*_load_corpus(args.corpus), cfg)
-    chunk_cfg = ChunkConfig(cfg.chunk_bits)
     all_sets = list(sol.var_sets.values()) + list(sol.field_sets.values())
-    saved = sum(sparse_savings(s, chunk_cfg) for s in all_sets)
+    saved = sum(sparse_savings(s) for s in all_sets)
     total = sol.stats.total_footprint_bytes
     print(f"corpus: {args.corpus}")
     print(f"config: set={cfg.set_kind} filter={cfg.filter_mode} chunk={cfg.chunk_bits}")

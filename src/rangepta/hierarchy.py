@@ -1,8 +1,10 @@
 """Class hierarchy, allocation-site numbering, intervals and type masks.
 
-Allocation sites are renumbered by a depth-first walk of the class tree so
-that every class owns one contiguous index interval covering its own sites
-and those of all its subclasses.  Interfaces map to one interval per topmost
+A depth-first walk of the class tree gives every class one contiguous
+preorder range: the class and its subclasses.  The range is the class's
+subtype test, and numbering allocation sites class by class in the same
+preorder makes it the class's index interval too: the allocations of the
+classes in its preorder range.  Interfaces map to one interval per topmost
 implementing class.  Indices are 1-based.
 """
 
@@ -33,7 +35,6 @@ class TypeRef:
 class AllocSite:
     id: str
     type_name: str
-    index: Optional[int] = None  # assigned by number_allocations
 
 
 @dataclass(frozen=True)
@@ -61,7 +62,8 @@ class ClassHierarchy:
         self.iface_extends: dict[str, tuple[str, ...]] = {}
         # caches filled by _finalize
         self._all_ifaces_of_class: dict[str, frozenset[str]] = {}
-        # a class's subtree is the preorder range [_pre[c], _last[c]]
+        # a class's subtree is the preorder range [_pre[c], _last[c]];
+        # _pre lists the classes in preorder
         self._pre: dict[str, int] = {}
         self._last: dict[str, int] = {}
 
@@ -292,7 +294,7 @@ class NumberingResult:
     type2interval: dict[str, Interval]
     iface2intervals: dict[str, tuple[Interval, ...]]
     total_allocs: int
-    postorder: tuple[str, ...]  # interval creation order
+    postorder: tuple[str, ...]  # every class after its descendants
     index_of: dict[str, int] = field(default_factory=dict)  # alloc id -> index
     # type name -> mask, built by the first build_type_mask call
     _masks: Optional[dict[str, int]] = field(
@@ -307,8 +309,9 @@ class NumberingResult:
 
 
 def number_allocations(h: ClassHierarchy, allocs: Sequence[AllocSite]) -> NumberingResult:
-    """Depth-first renumbering; fills indices and per-type intervals."""
-    class2allocs: dict[str, list[AllocSite]] = {c: [] for c in h.parent}
+    """Number the allocations class by class in the hierarchy's preorder;
+    a class's interval holds the allocations of its preorder range."""
+    class2allocs: dict[str, list[AllocSite]] = {c: [] for c in h._pre}
     for a in allocs:
         t = h.lookup(a.type_name)
         if not t.is_classlike:
@@ -318,37 +321,26 @@ def number_allocations(h: ClassHierarchy, allocs: Sequence[AllocSite]) -> Number
         class2allocs[a.type_name].append(a)
 
     global_array: list[AllocSite] = []
-    type2interval: dict[str, Interval] = {}
-    postorder: list[str] = []
-
-    def enter(cls: str):
-        lower = len(global_array) + 1
-        for alloc in class2allocs[cls]:
-            global_array.append(alloc)
-            alloc.index = len(global_array)
-        return cls, lower, iter(h.children[cls])
-
-    # depth-first with an explicit stack, so deep class chains cannot
-    # exhaust the interpreter's recursion limit
-    stack = [enter(h.root.name)]
-    while stack:
-        cls, lower, children = stack[-1]
-        child = next(children, None)
-        if child is not None:
-            stack.append(enter(child))
-            continue
-        stack.pop()
-        type2interval[cls] = Interval(lower, len(global_array))
-        postorder.append(cls)
+    # before[n]: how many allocations the classes at preorder positions
+    # below n hold
+    before: list[int] = []
+    for sites in class2allocs.values():  # preorder
+        before.append(len(global_array))
+        global_array.extend(sites)
+    before.append(len(global_array))
+    # a class finishes with the last class of its range, after its descendants
+    postorder = sorted(h._pre, key=lambda c: (h._last[c], -h._pre[c]))
 
     nr = NumberingResult(
         hierarchy=h,
         global_array=tuple(global_array),
-        type2interval=type2interval,
+        type2interval={
+            c: Interval(before[h._pre[c]] + 1, before[h._last[c] + 1]) for c in postorder
+        },
         iface2intervals={},
         total_allocs=len(global_array),
         postorder=tuple(postorder),
-        index_of={a.id: a.index for a in global_array},
+        index_of={a.id: i for i, a in enumerate(global_array, start=1)},
     )
     # an implementing class is topmost for an interface iff its parent is
     # not compatible with it; one walk finds the topmost classes of all
@@ -383,12 +375,14 @@ def _merged_intervals(nr: NumberingResult, classes: list[str]) -> list[Interval]
 def intervals_of(nr: NumberingResult, name: str) -> list[Interval]:
     """Index intervals covering all allocs compatible with the named type.
 
-    Classes get their single interval; interfaces get one interval per
-    topmost implementing class, merged when adjacent, sorted by lower bound.
+    Classes get their single interval, none if it is empty; interfaces get
+    one nonempty interval per topmost implementing class, merged when
+    adjacent, sorted by lower bound.
     """
     if nr.hierarchy.lookup(name).kind == "interface":
         return list(nr.iface2intervals[name])
-    return [nr.type2interval[name]]
+    iv = nr.type2interval[name]
+    return [] if iv.empty else [iv]
 
 
 def build_type_mask(nr: NumberingResult, name: str) -> int:

@@ -56,7 +56,8 @@ Memory accounting is a deterministic model, not process measurement:
 chunk_bits/8 bytes per chunk.  Shared bases are counted once per distinct
 interned base across a whole solution.  A ranged set's vectors, and so
 its modeled bytes, depend on its owner type alone;
-``SetFactory.ranged_geometry`` computes them once per type.
+``SetFactory.ranged_geometry`` lays them out once per type, from its
+intervals and the chunk width.
 A hybrid set's ``spilled`` says which of its two forms the model charges.
 """
 
@@ -64,7 +65,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, NamedTuple
 
-from .bitsets import ChunkConfig, RangedBitVector, _iter_bits, chunk_index_of
+from .bitsets import ChunkConfig, _iter_bits, chunk_index_of
 from .errors import (
     ConfigMismatchError,
     IndexOutOfRangeError,
@@ -138,9 +139,7 @@ class SetFactory:
     def intervals(self, type_name: str) -> tuple[Interval, ...]:
         ivs = self._intervals.get(type_name)
         if ivs is None:
-            ivs = tuple(
-                iv for iv in intervals_of(self.nr, type_name) if not iv.empty
-            )
+            ivs = tuple(intervals_of(self.nr, type_name))
             self._intervals[type_name] = ivs
         return ivs
 
@@ -151,10 +150,11 @@ class SetFactory:
             cb = self.cfg.chunk_bits
             vectors = []
             for iv in self.intervals(type_name):
-                v = RangedBitVector(iv, self.cfg)
-                own = v.interval_mask << v.aligned_lower
-                span = ((1 << (v.num_chunks * cb)) - 1) << v.aligned_lower
-                vectors.append((v.num_chunks, v.aligned_lower, own, span))
+                # the chunks holding the interval's first and last index
+                first, last = iv.lower // cb, iv.upper // cb
+                own = (1 << iv.upper + 1) - (1 << iv.lower)
+                span = (1 << (last + 1) * cb) - (1 << first * cb)
+                vectors.append((last - first + 1, first * cb, own, span))
             interval_bits = span_bits = shared_bits = 0
             for _, _, own, span in vectors:
                 interval_bits |= own
@@ -539,13 +539,15 @@ def _occupied_windows(value: int, cfg: ChunkConfig) -> int:
     return n
 
 
-def sparse_savings(s: PointsToSet, cfg: ChunkConfig) -> int:
-    """Bytes a sparse eight-word-element decomposition of s's bit arrays
-    would not allocate (all-zero windows), post-propagation."""
+def sparse_savings(s: PointsToSet) -> int:
+    """Bytes a sparse eight-word-element decomposition of s's bit arrays,
+    at s's own chunk width, would not allocate (all-zero windows),
+    post-propagation."""
     if not s.dense_chunks:
         raise UnsupportedKindError(
             f"sparse savings undefined for set kind {s.kind!r}"
         )
+    cfg = s.factory.cfg
     empty = 0
     for num_chunks, value in s.chunk_arrays():
         windows = -(-num_chunks // SPARSE_ELEMENT_WORDS)

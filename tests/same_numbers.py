@@ -31,7 +31,6 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from rangepta import hierarchy, pag, solver  # noqa: E402
-from rangepta.bitsets import ChunkConfig  # noqa: E402
 from rangepta.ptsets import sparse_savings  # noqa: E402
 from run import shuffle_statements  # noqa: E402
 from workloads import KINDS, WORKLOADS  # noqa: E402
@@ -62,7 +61,7 @@ def numbers(progs, kind: str, mode: str, chunk: int) -> str:
         for key, s in sorted_sets(sol):
             members.append((key, s.as_int()))
             if s.dense_chunks:
-                saved = sparse_savings(s, ChunkConfig(chunk))
+                saved = sparse_savings(s)
                 chunks.append((key, s.chunk_arrays()))
                 savings.append((key, saved))
                 total_savings += saved

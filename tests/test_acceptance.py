@@ -17,7 +17,7 @@ from oracles import (
     ranged_union_oracle,
     runs_of,
 )
-from rangepta.bitsets import ChunkConfig, RangedBitVector
+from rangepta.bitsets import ChunkConfig
 from rangepta.cli import main
 from rangepta.hierarchy import (
     AllocSite,
@@ -227,9 +227,14 @@ def _held(s):
 
 
 def test_criterion_03_ranged_or_oracle():
-    # the documented geometry: interval [10,20] with 8-bit chunks
-    v = RangedBitVector(Interval(10, 20), ChunkConfig(8))
-    assert v.aligned_lower == 8 and v.num_chunks == 2
+    # the documented geometry: with 8-bit chunks, a type whose interval
+    # is [10,20] gets one vector of 2 chunks from aligned lower bound 8
+    h = build_hierarchy([("Object", None, ()), ("L", "Object", ())])
+    allocs = [AllocSite(f"o{i}", "Object") for i in range(9)]
+    allocs += [AllocSite(f"l{i}", "L") for i in range(11)]
+    f = SetFactory(number_allocations(h, allocs), ChunkConfig(8))
+    assert f.intervals("L") == (Interval(10, 20),)
+    assert [v[:2] for v in f.ranged_geometry("L").vectors] == [(2, 8)]
 
     # the union the solver runs (RangedPointsToSet.add_all) against a
     # bit-level oracle:
@@ -433,9 +438,8 @@ def test_criterion_08_sparse_savings_oracle(tmp_path, capsys):
         kind, mode = kinds[seed % len(kinds)]
         chunk = (8, 64)[seed % 2]
         sol = solve_text(generate_synthetic(params, seed), kind, mode, chunk)
-        cfg = ChunkConfig(chunk)
         all_sets = list(sol.var_sets.values()) + list(sol.field_sets.values())
-        got = sum(sparse_savings(s, cfg) for s in all_sets)
+        got = sum(sparse_savings(s) for s in all_sets)
         want = sum(_savings_oracle(s, chunk) for s in all_sets)
         assert got == want, seed
         checked += 1

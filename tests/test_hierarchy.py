@@ -103,7 +103,7 @@ class TestNumbering:
         }
         assert nr.postorder == ("B", "C", "A", "D", "Object")
         assert nr.total_allocs == 12
-        assert [a.index for a in nr.global_array] == list(range(1, 13))
+        assert [nr.index_of[a.id] for a in nr.global_array] == list(range(1, 13))
 
     def test_empty_program(self):
         h = build_hierarchy([("Object", None, ())])
@@ -269,14 +269,40 @@ def test_mask_table_matches_walk_on_wide_corpus(wide_text):
     _all_masks_match_walk(h, nr)
 
 
+def _dfs_orders(h):
+    """Preorder and postorder of a recursive walk over the class tree."""
+    pre, post = [], []
+
+    def walk(c):
+        pre.append(c)
+        for child in h.children[c]:
+            walk(child)
+        post.append(c)
+
+    walk(h.root.name)
+    return pre, post
+
+
 class TestRandomizedProperties:
     def test_contiguity_laminar_masks_and_interface_cover(self):
         rng = random.Random(7)
+        empty_classes = 0
         for _ in range(60):
             classes, ifaces, allocs = random_hierarchy(rng)
             h = build_hierarchy(classes, ifaces)
             nr = number_allocations(h, allocs)
             supers = closure_supertypes(classes, ifaces)
+
+            # the numbering's order is the tree's own depth-first order:
+            # classes in preorder, each class's allocs in the given order
+            pre, post = _dfs_orders(h)
+            assert nr.postorder == tuple(post)
+            assert [a.id for a in nr.global_array] == [
+                a.id for a in sorted(allocs, key=lambda a: pre.index(a.type_name))
+            ]
+            for cls, iv in nr.type2interval.items():
+                assert intervals_of(nr, cls) == ([] if iv.empty else [iv]), cls
+                empty_classes += iv.empty
 
             ivs = list(nr.type2interval.values())
             for cls in nr.type2interval:
@@ -306,6 +332,8 @@ class TestRandomizedProperties:
                     assert not covered & block  # pairwise disjoint
                     covered |= block
                 assert covered == compatible_indices(nr, supers, iname)
+        # allocation-less classes occur, or their intervals go unchecked
+        assert empty_classes, empty_classes
 
     def test_subtype_matches_closure(self):
         rng = random.Random(11)

@@ -441,7 +441,7 @@ def test_byte_rules_read_the_member_int(cb):
                 i // window_bits for i in range(members.bit_length()) if members >> i & 1
             }
             assert sparse.footprint_bytes() == 16 + len(windows) * (24 + cb), op
-            assert sparse_savings(pure, f.cfg) == (all_windows - len(windows)) * cb, op
+            assert sparse_savings(pure) == (all_windows - len(windows)) * cb, op
             seen["at cap"] += members.bit_count() == 16
             seen["spilled"] += members.bit_count() > 16
             seen["several elements"] += len(windows) > 1
@@ -521,7 +521,7 @@ def test_ranged_hybrid_is_ranged_charged_by_member_count(cb):
     assert all(seen.values()), seen
 
 
-@pytest.mark.parametrize("cb", [8, 64])
+@pytest.mark.parametrize("cb", [8, 16, 32, 64])
 def test_ranged_geometry_matches_aligned_spans(cb):
     # per owner, index by index: interval bits are the compatible allocs,
     # span bits the chunks of their runs, shared bits the compatible allocs
@@ -625,7 +625,7 @@ class TestSparseSavings:
         f = big_factory(per_class=200, cb=8)  # universe 600 allocs, 76 chunks
         s = f.make_set("pure", "Object")
         windows = -(-(f.total // 8 + 1) // SPARSE_ELEMENT_WORDS)
-        assert sparse_savings(s, f.cfg) == windows * SPARSE_ELEMENT_WORDS
+        assert sparse_savings(s) == windows * SPARSE_ELEMENT_WORDS
 
     def test_one_bit_per_window(self):
         f = big_factory(per_class=200, cb=8)
@@ -634,7 +634,7 @@ class TestSparseSavings:
         for w in range(-(-(f.total // 8 + 1) // SPARSE_ELEMENT_WORDS)):
             idx = max(1, w * window_bits)
             s.add(idx)
-        assert sparse_savings(s, f.cfg) == 0
+        assert sparse_savings(s) == 0
 
     def test_random_matches_window_oracle(self):
         rng = random.Random(31)
@@ -647,8 +647,8 @@ class TestSparseSavings:
                 (n, {b for b in range(value.bit_length()) if value >> b & 1})
                 for n, value in s.chunk_arrays()
             ]
-            assert sparse_savings(s, f.cfg) == zero_window_savings(arrays, 8)
+            assert sparse_savings(s) == zero_window_savings(arrays, 8)
 
     def test_unsupported_kind(self, factory64):
         with pytest.raises(UnsupportedKindError):
-            sparse_savings(factory64.make_set("naive", "A"), factory64.cfg)
+            sparse_savings(factory64.make_set("naive", "A"))
