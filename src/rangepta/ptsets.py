@@ -219,6 +219,8 @@ class PointsToSet:
             )
 
     def _check_universe(self, src: "PointsToSet"):
+        # each add_all makes the same test inline and calls this only when
+        # it fails, which saves a call per union
         if src.factory is not self.factory:
             raise ConfigMismatchError("sets built by different factories")
 
@@ -278,7 +280,8 @@ class NaiveSet(PointsToSet):
         self._compatible = factory.compatible(owner.name)
 
     def add_all(self, src):
-        self._check_universe(src)
+        if src.factory is not self.factory:
+            self._check_universe(src)
         before = len(self.members)
         held = src.members if isinstance(src, NaiveSet) else src.iterate()
         self.members |= self._compatible.intersection(held)
@@ -327,7 +330,8 @@ class PureBitVectorSet(PointsToSet):
         self.mask = factory.mask_bits(owner.name)
 
     def add_all(self, src):
-        self._check_universe(src)
+        if src.factory is not self.factory:
+            self._check_universe(src)
         new = self.bits | (src.as_int() & self.mask)
         if new == self.bits:
             return False
@@ -397,7 +401,8 @@ class SharedBitVectorSet(PointsToSet):
         self._mask = factory.mask_bits(owner.name)
 
     def add_all(self, src):
-        self._check_universe(src)
+        if src.factory is not self.factory:
+            self._check_universe(src)
         held = self.base | self.overflow
         new = src.as_int() & self._mask & ~held
         if not new:
@@ -472,7 +477,8 @@ class RangedPointsToSet(PointsToSet):
         self.copies = 0
 
     def add_all(self, src):
-        self._check_universe(src)
+        if src.factory is not self.factory:
+            self._check_universe(src)
         g = self.geometry
         if src.ranged:
             incoming = src.objects_int() & g.span_bits

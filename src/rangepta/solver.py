@@ -18,28 +18,43 @@ every successful union into a variable set calls ``enqueue``, which adds
 the base's new objects to the index; so the index is exact at every point
 of the drain.  The feedback step visits the set bits in ascending order
 and re-reads the bits above j after each successful union, since that
-union may have made a later load's base hold o.  It thus unites exactly
-the loads that probing every load of f in order would, in the same order,
-and the union schedule (counts, shared folds, modeled bytes) is that of
-the probe.
+union may have made a later load's base hold o.  Field sets are found
+through a per-field index, ``by_field[f][o]``; ``Solution.field_sets``
+keeps the (o, f) keys in creation order.
 
-A popped base does not re-unite every object it holds for each of its
-stores and loads.  Each such edge keeps the base's objects as of its last
-run and skips only calls that would have returned False, so the
-successful unions, and with them the schedule above, are those of
-re-walking every object.  A union that has once carried a source into a
-destination changes nothing when repeated until that source grows, and:
+The solver makes no union call whose result is known to be False.  A union
+that has once carried a source into a destination changes nothing when
+repeated until that source grows, and members only grow, so a source with
+the member count it had then holds the same members.  Every call skipped
+below is thus one that re-walking every object of a popped base and
+probing every load of f would make (``tests/oracles.rewalk_propagate``)
+and that would return False; the successful unions, their order, the pops
+and shared's folds, and with them the modeled bytes, are the re-walk's.
+Only ``union_attempts`` differs.
 
-- an object the base gained since the edge last ran is always united;
-- for a store ``base.f = src``, an object it already saw holds src as of
-  src's last growth unless src is still queued: a popped src has itself
-  united into o.f for every object o of the base;
-- for a load ``dst = base.f``, an object o it already saw has reached dst
-  unless o.f grew earlier in the same pop: growth in an earlier pop went
-  to every load whose base holds o through the feedback step of that pop.
+1. Each distinct assign, store and load edge is indexed once, in
+   first-occurrence order: a repeat would run right after its first copy
+   with the same inputs.  The exception is a base that some load of its
+   own writes to (``x = x.f``): such a load grows the base in the middle
+   of the base's load loop, so a later copy of any of its loads can see
+   new objects, and its loads keep their repeats.
+2. A feedback walk tries each destination once: the field set it unites
+   does not change during the walk.
+3. The load loop creates a field set it has not seen, so the set keys and
+   modeled bytes stay those of the re-walk, but does not unite it: a new
+   field set is empty.
+4. Each store ``base.f = src`` keeps a mark, (src's member count, the
+   base's objects), set whenever the edge has covered every object of its
+   base: after a popped src has run it, and after a popped base has.  A
+   run from either side skips the marked objects while src still has the
+   marked count, since each of them already holds src.
+5. A load ``dst = base.f`` run from its popped base unites the objects
+   the base gained since the load last ran, and the objects o it already
+   saw only if o.f grew earlier in the same pop: growth in an earlier pop
+   went to every load whose base holds o through that pop's feedback.
 
-``PropagationStats.union_attempts`` counts the add/add_all calls made,
-seeding included; ``union_ops`` counts those that changed a set; and
+``PropagationStats.union_attempts`` counts the add/add_all calls actually
+made, seeding included; ``union_ops`` counts those that changed a set; and
 ``spilled_sets`` the var and field sets that end past a hybrid's inline
 slots.
 
@@ -131,6 +146,21 @@ def _set_at(
     return s
 
 
+def _distinct_edges(pag: PAG) -> tuple[list, list, list]:
+    """The assign, store and load edges, each distinct edge once in
+    first-occurrence order, except that every copy of a load is kept whose
+    base some load writes to (module doc, rule 1)."""
+    self_loaded = {base for dst, base, _ in pag.load_edges if dst == base}
+    loads, seen = [], set()
+    for e in pag.load_edges:
+        if e not in seen or e[1] in self_loaded:
+            seen.add(e)
+            loads.append(e)
+    assigns = list(dict.fromkeys(pag.assign_edges))
+    stores = list(dict.fromkeys(pag.store_edges))
+    return assigns, stores, loads
+
+
 def propagate(pag: PAG, nr: NumberingResult, cfg: SolverConfig) -> Solution:
     """Run inclusion-based propagation to the least fixpoint."""
     cfg.validate()
@@ -139,43 +169,62 @@ def propagate(pag: PAG, nr: NumberingResult, cfg: SolverConfig) -> Solution:
     var_sets: dict[str, PointsToSet] = {}
     field_sets: dict[tuple[int, str], PointsToSet] = {}
 
+    assign_edges, store_edges, load_edges = _distinct_edges(pag)
+
     # sets for every constraint-named variable before seeding (module doc)
-    named = [v for dst, src in pag.assign_edges for v in (dst, src)]
-    named += [v for base, _, src in pag.store_edges for v in (base, src)]
-    named += [v for dst, base, _ in pag.load_edges for v in (dst, base)]
+    named = [v for dst, src in assign_edges for v in (dst, src)]
+    named += [v for base, _, src in store_edges for v in (base, src)]
+    named += [v for dst, base, _ in load_edges for v in (dst, base)]
     named += [v for _, v in pag.alloc_edges]
-    for v in named:
+    for v in dict.fromkeys(named):
         _set_at(var_sets, v, factory, cfg, pag.var_types[v])
 
-    def field_set(o: int, f: str) -> PointsToSet:
-        s = field_sets.get((o, f))
-        if s is None:
-            s = _set_at(field_sets, (o, f), factory, cfg, pag.field_types[f])
+    by_field = defaultdict(dict)  # f -> {o: field set (o, f)}
+
+    def new_field_set(o: int, f: str) -> PointsToSet:
+        s = _set_at(field_sets, (o, f), factory, cfg, pag.field_types[f])
+        by_field[f][o] = s
         return s
 
     assign_out = defaultdict(list)  # src -> [dst]
-    for dst, src in pag.assign_edges:
+    for dst, src in assign_edges:
         assign_out[var_sets[src]].append(var_sets[dst])
-    stores_by_src = defaultdict(list)  # src -> [(base, f)]
-    stores_by_base = defaultdict(list)  # base -> [(f, src, store number)]
-    for k, (base, f, src) in enumerate(pag.store_edges):
-        stores_by_src[var_sets[src]].append((var_sets[base], f))
-        stores_by_base[var_sets[base]].append((f, var_sets[src], k))
-    loads_by_base = defaultdict(list)  # base -> [(f, dst, load number)]
-    loads_by_field = defaultdict(list)  # f -> [dst], by load position
+    # v -> [(base, src, f's sets, f, store number)]: the stores whose
+    # source is v, then those whose base is v
+    stores = [
+        (var_sets[base], var_sets[src], by_field[f], f, k)
+        for k, (base, f, src) in enumerate(store_edges)
+    ]
+    stores_of = defaultdict(list)
+    for store in stores:
+        stores_of[store[1]].append(store)
+    for store in stores:
+        stores_of[store[0]].append(store)
+    loads_by_base = defaultdict(list)  # base -> [(f's sets, f, dst, load number)]
+    load_dsts = defaultdict(list)  # f -> [dst], by load position
     # holders[f][o]: bit j set iff load position j of f has a base holding o
     holders: dict[str, dict[int, int]] = {}
     load_slots = defaultdict(list)  # base -> [(holders[f], 1 << j)]
-    for k, (dst, base, f) in enumerate(pag.load_edges):
+    for k, (dst, base, f) in enumerate(load_edges):
         pb, pd = var_sets[base], var_sets[dst]
-        loads_by_base[pb].append((f, pd, k))
+        loads_by_base[pb].append((by_field[f], f, pd, k))
         by_obj = holders.setdefault(f, {})
-        load_slots[pb].append((by_obj, 1 << len(loads_by_field[f])))
-        loads_by_field[f].append(pd)
+        load_slots[pb].append((by_obj, 1 << len(load_dsts[f])))
+        load_dsts[f].append(pd)
+    # f -> (holders[f], [dst], [bits of every position of f's loads into
+    # that dst]), both lists by load position
+    feedback = {}
+    for f, dsts in load_dsts.items():
+        into = defaultdict(int)
+        for j, pd in enumerate(dsts):
+            into[pd] |= 1 << j
+        feedback[f] = (holders[f], dsts, [into[pd] for pd in dsts])
     indexed = dict.fromkeys(load_slots, 0)  # base -> objects already in holders
-    # each store's and load's base objects when the edge last ran
-    store_seen = [0] * len(pag.store_edges)
-    load_seen = [0] * len(pag.load_edges)
+    # per store, src's member count and the base's objects when the edge
+    # last covered its base; per load, its base's objects when it last ran
+    mark_size = [0] * len(store_edges)
+    mark_objs = [0] * len(store_edges)
+    load_seen = [0] * len(load_edges)
 
     queue: deque[PointsToSet] = deque()
     queued: set[PointsToSet] = set()
@@ -216,26 +265,19 @@ def propagate(pag: PAG, nr: NumberingResult, cfg: SolverConfig) -> Solution:
                 unions += 1
                 enqueue(pd)
 
-        for pb, f in stores_by_src.get(pv, ()):
-            objects = list(pb.iterate_objects())
-            attempts += len(objects)
-            for o in objects:
-                fs = field_set(o, f)
-                if fs.add_all(pv):
-                    unions += 1
-                    changed_fields.append((o, f, fs))
-
-        # an object the store already saw holds src, unless src has grown
-        # and not yet popped (module doc)
-        stores = stores_by_base.get(pv, ())
-        if stores:  # only field sets grow in this loop
-            held = indexed[pv] if pv in indexed else pv.objects_int()
-        for f, ps, k in stores:
-            todo = held if ps in queued else held & ~store_seen[k]
-            store_seen[k] = held
+        # a store skips the objects of its mark while src keeps the mark's
+        # member count (module doc, rule 4); only field sets grow here
+        for pb, ps, fsets, f, k in stores_of.get(pv, ()):
+            held = indexed[pb] if pb in indexed else pb.objects_int()
+            size = len(ps)
+            todo = held & ~mark_objs[k] if mark_size[k] == size else held
+            mark_size[k] = size
+            mark_objs[k] = held
             attempts += todo.bit_count()
             for o in _iter_bits(todo, 0):
-                fs = field_set(o, f)
+                fs = fsets.get(o)
+                if fs is None:
+                    fs = new_field_set(o, f)
                 if fs.add_all(ps):
                     unions += 1
                     changed_fields.append((o, f, fs))
@@ -246,31 +288,40 @@ def propagate(pag: PAG, nr: NumberingResult, cfg: SolverConfig) -> Solution:
             for o, f, _ in changed_fields:
                 grown[f] |= 1 << o
             # an object the load already saw has reached dst through the
-            # field feedback, unless its field grew earlier in this pop
-            for f, pd, k in loads:
+            # field feedback, unless its field grew earlier in this pop (rule 5)
+            for fsets, f, pd, k in loads:
                 held = indexed[pv]
                 todo = held & (~load_seen[k] | grown[f])
                 load_seen[k] = held
-                attempts += todo.bit_count()
                 for o in _iter_bits(todo, 0):
-                    if pd.add_all(field_set(o, f)):
+                    fs = fsets.get(o)
+                    if fs is None:  # new, so empty (rule 3)
+                        new_field_set(o, f)
+                        continue
+                    attempts += 1
+                    if pd.add_all(fs):
                         unions += 1
                         enqueue(pd)
 
+        # fs stays fixed during its walk, so each dst is tried once (rule 2)
         for o, f, fs in changed_fields:
-            by_obj = holders.get(f, {})
+            if f not in feedback:
+                continue
+            by_obj, targets, into = feedback[f]
             pending = by_obj.get(o, 0)
+            done = 0  # positions below the walk and those of dsts tried
             while pending:
                 attempts += 1
                 low = pending & -pending
-                pd = loads_by_field[f][low.bit_length() - 1]
-                if pd.add_all(fs):
+                j = low.bit_length() - 1
+                done |= into[j] | (low - 1)
+                if targets[j].add_all(fs):
                     unions += 1
-                    enqueue(pd)
+                    enqueue(targets[j])
                     # the union may have made a later load's base hold o
-                    pending = by_obj[o] & ~(2 * low - 1)
+                    pending = by_obj[o] & ~done
                 else:
-                    pending ^= low
+                    pending &= ~done
 
     wall_time = time.perf_counter() - start
     all_sets = list(var_sets.values()) + list(field_sets.values())

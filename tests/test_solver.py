@@ -492,13 +492,72 @@ SPILL_SLACK_COPY = "\n".join(
 )
 
 
+
+def _corpus(names, allocs, statements):
+    """Corpus text over one class, Object: fields f and g, a var per name,
+    an alloc per alloc name, then the statements."""
+    lines = ["class Object", "field f : Object", "field g : Object"]
+    lines += [f"var {v} : Object" for v in names]
+    lines += [f"alloc {o} : Object" for o in allocs]
+    return "\n".join(lines + statements) + "\n"
+
+
+# each of the solver's skips (module doc, rules 1-4) has a corpus here
+SKIP_CORPORA = {
+    # every assign, store and load edge twice; only the first copies run
+    "DUPLICATE_EDGES": _corpus(
+        ("a", "b", "x", "y"), ("oa", "ox"),
+        ["new b oa", "new x ox", "assign a b", "store x f b", "load y x f",
+         "assign a b", "store x f b", "load y x f"],
+    ),
+    # x pops holding o1: the store grows o1.f to {o2}, the self load x = x.f
+    # then adds o2 to x, and the repeated load y = x.g, run after it, unites
+    # o2.g into y in the same pop; without that repeat y would take o2.g
+    # only at x's next pop, after s's
+    "SELF_LOAD_REPEAT": _corpus(
+        ("u", "t", "x", "s", "y"), ("o1", "o2", "o3"),
+        ["new u o2", "new t o3", "new x o1", "new s o2", "store u g t",
+         "store x f s", "load y x g", "load x x f", "load y x g"],
+    ),
+    # s pops after t: o1.f grows, and the feedback walk unites it into e,
+    # which then holds o1, and into d; d = e.f, a later load of f into d,
+    # is not tried again in that walk
+    "FEEDBACK_REPEAT": _corpus(
+        ("b", "c", "t", "s", "d", "e"), ("o1",),
+        ["new b o1", "new c o1", "new t o1", "store b f s", "load e c f",
+         "load d c f", "load d e f", "assign s t"],
+    ),
+    # x pops while s is queued and unites s into o1.f and o2.f; s then
+    # pops unchanged and its store unites nothing
+    "STORE_SRC_UNCHANGED": _corpus(
+        ("x", "s"), ("o1", "o2", "os"),
+        ["new x o1", "new x o2", "new s os", "store x f s"],
+    ),
+}
+
+
 def rewalk_corpora():
     """Suite corpora 0, 1 and 45 at the suite chunk width, suite corpus 38
     and SPILL_SLACK_COPY at chunk 64 (a ranged-hybrid set there holds slack
-    in two vectors), then 20 small generated corpora, interfaces and stores
-    included, at chunk 8 and 64."""
+    in two vectors), the SKIP_CORPORA, two deep-shaped generated corpora
+    (few variables, many statements, so many repeated edges and some self
+    loads) at chunk 8, then 20 small generated corpora, interfaces and
+    stores included, at chunk 8 and 64."""
     out = [(suite_text(i), SUITE_CHUNK) for i in (0, 1, 45)]
     out += [(suite_text(38), 64), (SPILL_SLACK_COPY, 64)]
+    out += [(text, 8) for text in SKIP_CORPORA.values()]
+    deep_shaped = GenParams(
+        num_classes=16,
+        max_depth=8,
+        num_interfaces=0,
+        num_fields=3,
+        num_vars=8,
+        num_statements=300,
+        allocs_per_class=(2, 4),
+        store_load_ratio=0.15,
+        violation_rate=0.02,
+    )
+    out += [(generate_synthetic(deep_shaped, seed), 8) for seed in (200, 201)]
     for seed in range(20):
         p = GenParams(
             num_classes=8 + seed % 5,
@@ -531,6 +590,29 @@ def test_union_schedule_matches_rewalk(cfg, monkeypatch):
         assert got == schedule(log, var_sets, field_sets), chunk
         assert (sol.stats.union_ops, sol.stats.nodes_processed) == (unions, pops)
         assert set(sol.field_sets) == set(field_sets)
+
+
+# (union calls made, successful unions) on each SKIP_CORPORA corpus, the
+# same under every kind.  Calls the rules skip, beside the successful ones:
+# DUPLICATE_EDGES each second copy on every side it runs from (4), the
+# feedback walk's repeat of y, and x's store of b over ox, which b's pop
+# already ran (12 calls made without the skips); SELF_LOAD_REPEAT three store calls over marked objects,
+# from either side, and the load loop's union from the new o1.g (18);
+# FEEDBACK_REPEAT d = e.f in the walk (12); STORE_SRC_UNCHANGED s's store
+# over o1 and o2 (7)
+SKIP_ATTEMPTS = {
+    "DUPLICATE_EDGES": (6, 5),
+    "SELF_LOAD_REPEAT": (14, 9),
+    "FEEDBACK_REPEAT": (11, 7),
+    "STORE_SRC_UNCHANGED": (5, 5),
+}
+
+
+@pytest.mark.parametrize("corpus", sorted(SKIP_ATTEMPTS))
+@pytest.mark.parametrize("cfg", EXACT_CONFIGS + RANGED_CONFIGS, ids=lambda c: c.set_kind)
+def test_skipped_union_calls_are_pinned(cfg, corpus):
+    sol = solve_text(SKIP_CORPORA[corpus], cfg)
+    assert (sol.stats.union_attempts, sol.stats.union_ops) == SKIP_ATTEMPTS[corpus]
 
 
 @pytest.mark.parametrize("cfg", EXACT_CONFIGS + RANGED_CONFIGS, ids=lambda c: c.set_kind)
