@@ -300,6 +300,10 @@ class NumberingResult:
     _masks: Optional[dict[str, int]] = field(
         default=None, init=False, repr=False, compare=False
     )
+    # chunk width -> {type name -> ranged geometry}, filled by ptsets.SetFactory
+    _ranged_geometry: dict[int, dict] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def type_of_index(self, idx: int) -> str:
         return self.global_array[idx - 1].type_name

@@ -51,19 +51,29 @@ solve builds every set with one factory, and ``add_all`` raises
 ``ConfigMismatchError`` for a source made by another factory, even one over
 an equal numbering and chunk width.
 
+A set is made by its factory's maker for (kind, owner type): a
+zero-argument constructor that already holds the owner and the kind's
+per-type state (the type mask, the ranged geometry or naive's compatible
+index set), so making a set is one call that reads no table.  The type
+masks (``build_type_mask``) and the ranged geometries are cached on the
+``NumberingResult``, the geometries per chunk width, so every factory over
+one numbering shares them; interned shared bases and naive's compatible
+sets are per factory.
+
 Memory accounting is a deterministic model, not process measurement:
 16 bytes per object header, 16 per array header, 8 per reference slot,
 chunk_bits/8 bytes per chunk.  Shared bases are counted once per distinct
 interned base across a whole solution.  A ranged set's vectors, and so
 its modeled bytes, depend on its owner type alone;
-``SetFactory.ranged_geometry`` lays them out once per type, from its
-intervals and the chunk width.
+``SetFactory.ranged_geometry`` lays them out once per type and chunk
+width, from its intervals.
 A hybrid set's ``spilled`` says which of its two forms the model charges.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple
+from functools import partial
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .bitsets import ChunkConfig, _iter_bits, chunk_index_of
 from .errors import (
@@ -75,7 +85,6 @@ from .hierarchy import (
     ClassHierarchy,
     Interval,
     NumberingResult,
-    TypeRef,
     build_type_mask,
     intervals_of,
 )
@@ -104,9 +113,14 @@ class RangedGeometry(NamedTuple):
 
 
 class SetFactory:
-    """Builds sets over one numbering/chunk configuration and caches the
-    per-type masks, compatible-index sets, merged intervals, ranged
-    geometry and interned shared bases."""
+    """Builds sets over one numbering/chunk configuration.
+
+    ``maker(kind, owner)`` is the one way a set is made: its constructor
+    holds the owner and the kind's per-type state, built on the first
+    maker for that type.  Type masks and ranged geometry come from caches
+    on the numbering, which every factory over it shares; the factory
+    caches its makers, naive's compatible-index sets and the interned
+    shared bases."""
 
     def __init__(self, nr: NumberingResult, cfg: ChunkConfig = ChunkConfig()):
         self.nr = nr
@@ -115,36 +129,27 @@ class SetFactory:
         self.total = nr.total_allocs
         # chunks of a full-universe bit array over indices 0..total
         self.universe_chunks = 0 if self.total == 0 else chunk_index_of(self.total, cfg) + 1
-        self._masks: dict[str, int] = {}
         self._compatible: dict[str, frozenset[int]] = {}
-        self._intervals: dict[str, tuple[Interval, ...]] = {}
-        self._geometry: dict[str, RangedGeometry] = {}
+        self._geometry: dict[str, RangedGeometry] = nr._ranged_geometry.setdefault(
+            cfg.chunk_bits, {}
+        )
+        self._makers: dict[tuple[str, str], Callable[[], PointsToSet]] = {}
         self._interned_bases: dict[int, int] = {}
-
-    def mask_bits(self, type_name: str) -> int:
-        m = self._masks.get(type_name)
-        if m is None:
-            m = build_type_mask(self.nr, type_name)
-            self._masks[type_name] = m
-        return m
 
     def compatible(self, type_name: str) -> frozenset[int]:
         """The indices set in the type's mask, as a hash set."""
         c = self._compatible.get(type_name)
         if c is None:
-            c = frozenset(_iter_bits(self.mask_bits(type_name), 0))
+            c = frozenset(_iter_bits(build_type_mask(self.nr, type_name), 0))
             self._compatible[type_name] = c
         return c
 
     def intervals(self, type_name: str) -> tuple[Interval, ...]:
-        ivs = self._intervals.get(type_name)
-        if ivs is None:
-            ivs = tuple(intervals_of(self.nr, type_name))
-            self._intervals[type_name] = ivs
-        return ivs
+        return tuple(intervals_of(self.nr, type_name))
 
     def ranged_geometry(self, type_name: str) -> RangedGeometry:
-        """The type's ranged vectors, laid out once per owner type."""
+        """The type's ranged vectors, laid out once per numbering, chunk
+        width and owner type."""
         g = self._geometry.get(type_name)
         if g is None:
             cb = self.cfg.chunk_bits
@@ -175,12 +180,21 @@ class SetFactory:
     def intern_base(self, value: int) -> int:
         return self._interned_bases.setdefault(value, value)
 
+    def maker(self, kind: str, owner: str) -> Callable[[], "PointsToSet"]:
+        """The zero-argument constructor of empty ``kind`` sets owned by the
+        named type, made once per factory."""
+        make = self._makers.get((kind, owner))
+        if make is None:
+            owner_t = self.h.lookup(owner)
+            cls = SET_KINDS.get(kind)
+            if cls is None:
+                raise UnsupportedKindError(f"unknown set kind: {kind}")
+            make = partial(cls, self, owner_t, cls.type_state(self, owner))
+            self._makers[kind, owner] = make
+        return make
+
     def make_set(self, kind: str, owner: str) -> "PointsToSet":
-        owner_t = self.h.lookup(owner)
-        cls = SET_KINDS.get(kind)
-        if cls is None:
-            raise UnsupportedKindError(f"unknown set kind: {kind}")
-        return cls(self, owner_t)
+        return self.maker(kind, owner)()
 
     def total_footprint(self, sets: Iterable["PointsToSet"]) -> int:
         """Sum of modeled set sizes plus each distinct shared base once."""
@@ -208,9 +222,13 @@ class PointsToSet:
     dense_chunks = False  # members kept in dense chunk arrays: sparse_savings applies
     spilled = False  # a hybrid past its inline slots
 
-    def __init__(self, factory: SetFactory, owner: TypeRef):
-        self.factory = factory
-        self.owner = owner
+    @classmethod
+    def type_state(cls, factory: SetFactory, type_name: str):
+        """The per-type state each set of this kind owned by the type holds,
+        built once per factory and type by ``SetFactory.maker``: the type
+        mask unless the kind says otherwise.  A kind's constructor takes
+        (factory, owner ``TypeRef``, this state)."""
+        return build_type_mask(factory.nr, type_name)
 
     def _check_index(self, idx: int):
         if not 1 <= idx <= self.factory.total:
@@ -274,10 +292,15 @@ class NaiveSet(PointsToSet):
 
     kind = "naive"
 
-    def __init__(self, factory, owner):
-        super().__init__(factory, owner)
+    def __init__(self, factory, owner, compatible):
+        self.factory = factory
+        self.owner = owner
         self.members: set[int] = set()
-        self._compatible = factory.compatible(owner.name)
+        self._compatible = compatible
+
+    @classmethod
+    def type_state(cls, factory, type_name):
+        return factory.compatible(type_name)
 
     def add_all(self, src):
         if src.factory is not self.factory:
@@ -324,10 +347,11 @@ class PureBitVectorSet(PointsToSet):
     kind = "pure"
     dense_chunks = True
 
-    def __init__(self, factory, owner):
-        super().__init__(factory, owner)
+    def __init__(self, factory, owner, mask):
+        self.factory = factory
+        self.owner = owner
         self.bits = 0
-        self.mask = factory.mask_bits(owner.name)
+        self.mask = mask
 
     def add_all(self, src):
         if src.factory is not self.factory:
@@ -394,11 +418,12 @@ class SharedBitVectorSet(PointsToSet):
 
     kind = "shared"
 
-    def __init__(self, factory, owner):
-        super().__init__(factory, owner)
-        self.base: int = factory.intern_base(0)
+    def __init__(self, factory, owner, mask):
+        self.factory = factory
+        self.owner = owner
+        self.base = 0  # the empty base: equal ints are one base to the model
         self.overflow = 0
-        self._mask = factory.mask_bits(owner.name)
+        self._mask = mask
 
     def add_all(self, src):
         if src.factory is not self.factory:
@@ -470,11 +495,16 @@ class RangedPointsToSet(PointsToSet):
     ranged = True
     dense_chunks = True
 
-    def __init__(self, factory, owner):
-        super().__init__(factory, owner)
-        self.geometry = factory.ranged_geometry(owner.name)
+    def __init__(self, factory, owner, geometry):
+        self.factory = factory
+        self.owner = owner
+        self.geometry = geometry
         self.bits = 0
         self.copies = 0
+
+    @classmethod
+    def type_state(cls, factory, type_name):
+        return factory.ranged_geometry(type_name)
 
     def add_all(self, src):
         if src.factory is not self.factory:

@@ -10,6 +10,11 @@ by (allocation index, field), with the field's declared type as owner.
 Every constraint is re-applied whenever one of its inputs changes, so the
 drained worklist is the least fixpoint.
 
+Every set is made by calling the factory's maker for its kind and owner
+type (``SetFactory.maker``), resolved once per declared type on its first
+set; under filter mode ``none`` that owner is the root for every type.
+``run_extra_pass`` makes its missing sets the same way.
+
 When a pop grows field set (o, f), each load ``dst = base.f`` whose base
 holds o unites that set into dst, in load order.  Those loads come from an
 index, ``holders[f][o]``, whose bit j is set iff the base of load j of f
@@ -52,6 +57,9 @@ Only ``union_attempts`` differs.
    the base gained since the load last ran, and the objects o it already
    saw only if o.f grew earlier in the same pop: growth in an earlier pop
    went to every load whose base holds o through that pop's feedback.
+6. A store whose src is empty (member count 0) makes no union call: it
+   creates the field sets it has not seen, as rule 3's load does, and
+   keeps its mark.
 
 ``PropagationStats.union_attempts`` counts the add/add_all calls actually
 made, seeding included; ``union_ops`` counts those that changed a set; and
@@ -134,16 +142,19 @@ class Solution:
         return tuple(s.iterate()) if s is not None else ()
 
 
-def _set_at(
-    sets: dict, key, factory: SetFactory, cfg: SolverConfig, type_name: str
-) -> PointsToSet:
-    """sets[key], first made as an empty set of the declared type; under
-    filter mode 'none' every set takes the root type instead."""
-    s = sets.get(key)
-    if s is None:
-        owner = factory.h.root.name if cfg.filter_mode == "none" else type_name
-        s = sets[key] = factory.make_set(cfg.set_kind, owner)
-    return s
+class _Makers(dict):
+    """Declared type name -> the maker of its sets, resolved on first use;
+    under filter mode 'none' every set takes the root type instead."""
+
+    def __init__(self, factory: SetFactory, cfg: SolverConfig):
+        super().__init__()
+        self.factory = factory
+        self.kind = cfg.set_kind
+        self.root = factory.h.root.name if cfg.filter_mode == "none" else None
+
+    def __missing__(self, type_name: str):
+        make = self[type_name] = self.factory.maker(self.kind, self.root or type_name)
+        return make
 
 
 def _distinct_edges(pag: PAG) -> tuple[list, list, list]:
@@ -166,6 +177,8 @@ def propagate(pag: PAG, nr: NumberingResult, cfg: SolverConfig) -> Solution:
     cfg.validate()
     start = time.perf_counter()
     factory = SetFactory(nr, ChunkConfig(cfg.chunk_bits))
+    makers = _Makers(factory, cfg)
+    field_types = pag.field_types
     var_sets: dict[str, PointsToSet] = {}
     field_sets: dict[tuple[int, str], PointsToSet] = {}
 
@@ -177,22 +190,18 @@ def propagate(pag: PAG, nr: NumberingResult, cfg: SolverConfig) -> Solution:
     named += [v for dst, base, _ in load_edges for v in (dst, base)]
     named += [v for _, v in pag.alloc_edges]
     for v in dict.fromkeys(named):
-        _set_at(var_sets, v, factory, cfg, pag.var_types[v])
+        var_sets[v] = makers[pag.var_types[v]]()
 
-    by_field = defaultdict(dict)  # f -> {o: field set (o, f)}
-
-    def new_field_set(o: int, f: str) -> PointsToSet:
-        s = _set_at(field_sets, (o, f), factory, cfg, pag.field_types[f])
-        by_field[f][o] = s
-        return s
+    # f -> {o: field set (o, f)}; a new set goes into it and field_sets
+    by_field = defaultdict(dict)
 
     assign_out = defaultdict(list)  # src -> [dst]
     for dst, src in assign_edges:
         assign_out[var_sets[src]].append(var_sets[dst])
-    # v -> [(base, src, f's sets, f, store number)]: the stores whose
-    # source is v, then those whose base is v
+    # v -> [(base, src, f's sets, f, f's type, store number)]: the stores
+    # whose source is v, then those whose base is v
     stores = [
-        (var_sets[base], var_sets[src], by_field[f], f, k)
+        (var_sets[base], var_sets[src], by_field[f], f, field_types[f], k)
         for k, (base, f, src) in enumerate(store_edges)
     ]
     stores_of = defaultdict(list)
@@ -200,14 +209,15 @@ def propagate(pag: PAG, nr: NumberingResult, cfg: SolverConfig) -> Solution:
         stores_of[store[1]].append(store)
     for store in stores:
         stores_of[store[0]].append(store)
-    loads_by_base = defaultdict(list)  # base -> [(f's sets, f, dst, load number)]
+    # base -> [(f's sets, f, f's type, dst, load number)]
+    loads_by_base = defaultdict(list)
     load_dsts = defaultdict(list)  # f -> [dst], by load position
     # holders[f][o]: bit j set iff load position j of f has a base holding o
     holders: dict[str, dict[int, int]] = {}
     load_slots = defaultdict(list)  # base -> [(holders[f], 1 << j)]
     for k, (dst, base, f) in enumerate(load_edges):
         pb, pd = var_sets[base], var_sets[dst]
-        loads_by_base[pb].append((by_field[f], f, pd, k))
+        loads_by_base[pb].append((by_field[f], f, field_types[f], pd, k))
         by_obj = holders.setdefault(f, {})
         load_slots[pb].append((by_obj, 1 << len(load_dsts[f])))
         load_dsts[f].append(pd)
@@ -267,17 +277,22 @@ def propagate(pag: PAG, nr: NumberingResult, cfg: SolverConfig) -> Solution:
 
         # a store skips the objects of its mark while src keeps the mark's
         # member count (module doc, rule 4); only field sets grow here
-        for pb, ps, fsets, f, k in stores_of.get(pv, ()):
+        for pb, ps, fsets, f, ft, k in stores_of.get(pv, ()):
             held = indexed[pb] if pb in indexed else pb.objects_int()
             size = len(ps)
             todo = held & ~mark_objs[k] if mark_size[k] == size else held
             mark_size[k] = size
             mark_objs[k] = held
+            if not size:  # an empty src only creates sets (rule 6)
+                for o in _iter_bits(todo, 0):
+                    if o not in fsets:
+                        fsets[o] = field_sets[o, f] = makers[ft]()
+                continue
             attempts += todo.bit_count()
             for o in _iter_bits(todo, 0):
                 fs = fsets.get(o)
                 if fs is None:
-                    fs = new_field_set(o, f)
+                    fs = fsets[o] = field_sets[o, f] = makers[ft]()
                 if fs.add_all(ps):
                     unions += 1
                     changed_fields.append((o, f, fs))
@@ -289,14 +304,14 @@ def propagate(pag: PAG, nr: NumberingResult, cfg: SolverConfig) -> Solution:
                 grown[f] |= 1 << o
             # an object the load already saw has reached dst through the
             # field feedback, unless its field grew earlier in this pop (rule 5)
-            for fsets, f, pd, k in loads:
+            for fsets, f, ft, pd, k in loads:
                 held = indexed[pv]
                 todo = held & (~load_seen[k] | grown[f])
                 load_seen[k] = held
                 for o in _iter_bits(todo, 0):
                     fs = fsets.get(o)
                     if fs is None:  # new, so empty (rule 3)
-                        new_field_set(o, f)
+                        fsets[o] = field_sets[o, f] = makers[ft]()
                         continue
                     attempts += 1
                     if pd.add_all(fs):
@@ -341,13 +356,20 @@ def run_extra_pass(sol: Solution) -> int:
     returns the number of successful unions (zero exactly at a fixpoint).
     A missing variable or field set is made in sol, so a solve that skipped
     one shows in sol's set keys."""
-    pag, factory, cfg = sol.pag, sol.factory, sol.config
+    pag = sol.pag
+    makers = _Makers(sol.factory, sol.config)
+
+    def set_at(sets, key, type_name):
+        s = sets.get(key)
+        if s is None:
+            s = sets[key] = makers[type_name]()
+        return s
 
     def var_of(v):
-        return _set_at(sol.var_sets, v, factory, cfg, pag.var_types[v])
+        return set_at(sol.var_sets, v, pag.var_types[v])
 
     def field_of(o, f):
-        return _set_at(sol.field_sets, (o, f), factory, cfg, pag.field_types[f])
+        return set_at(sol.field_sets, (o, f), pag.field_types[f])
 
     hits = 0
     for oid, v in pag.alloc_edges:

@@ -88,6 +88,77 @@ class TestMakeSet:
             assert len(s) == 0 and list(s.iterate()) == []
 
 
+# footprint_bytes() and chunk_arrays() (None: not a dense-chunk kind) of a
+# new set owned by a class, an interface and the root, at chunk 8 on the
+# worked numbering (A's interval [3, 8], I's [6, 6] and [9, 12], 12 allocs)
+MAKER_OWNERS = ("A", "I", "Object")
+NEW_SET_SHAPES = {
+    "naive": [(16, None)] * 3,
+    "pure": [(34, [(2, 0)])] * 3,
+    "hybrid": [(144, [])] * 3,
+    "shared": [(24, None)] * 3,
+    "sparse": [(16, None)] * 3,
+    "ranged": [(34, [(2, 0)]), (50, [(1, 0), (1, 0)]), (34, [(2, 0)])],
+    "ranged-hybrid": [(144, [])] * 3,
+}
+
+
+def shape(s):
+    arrays = s.chunk_arrays() if s.dense_chunks else None
+    return s.footprint_bytes(), arrays
+
+
+class TestMaker:
+    @pytest.mark.parametrize("kind", sorted(SET_KINDS))
+    def test_makes_fresh_empty_sets(self, kind, factory8, worked_hierarchy):
+        for owner, want in zip(MAKER_OWNERS, NEW_SET_SHAPES[kind]):
+            make = factory8.maker(kind, owner)
+            assert factory8.maker(kind, owner) is make
+            first = make()
+            assert first.kind == kind and first.factory is factory8
+            assert first.owner == worked_hierarchy.lookup(owner)
+            assert len(first) == 0 and shape(first) == want
+            for i in range(1, factory8.total + 1):  # past hybrid's slots
+                first.add(i)
+            assert len(first) > 0
+            later = make()
+            assert later is not first and len(later) == 0 and shape(later) == want
+            if kind == "naive":
+                assert later.members == set() and later.members is not first.members
+
+    def test_unknown_kind_or_type_raises(self, factory8):
+        for _ in range(2):  # a failed lookup caches nothing
+            with pytest.raises(UnsupportedKindError):
+                factory8.maker("fancy", "A")
+            with pytest.raises(UnknownTypeError):
+                factory8.maker("pure", "Nope")
+            with pytest.raises(UnknownTypeError):
+                factory8.make_set("ranged", "Nope")
+            with pytest.raises(UnsupportedKindError):
+                factory8.make_set("fancy", "Object")
+
+    def test_geometry_is_shared_per_numbering_and_chunk_width(self, worked_numbering):
+        f8, g8 = (SetFactory(worked_numbering, ChunkConfig(8)) for _ in range(2))
+        f64 = SetFactory(worked_numbering, ChunkConfig(64))
+        for owner in MAKER_OWNERS:
+            assert f8.ranged_geometry(owner) is g8.ranged_geometry(owner)
+            assert f8.ranged_geometry(owner) is not f64.ranged_geometry(owner)
+            assert f8.make_set("ranged", owner).geometry is g8.ranged_geometry(owner)
+        assert f8.maker("ranged", "A") is not g8.maker("ranged", "A")
+
+    def test_interned_bases_are_per_factory(self):
+        f = big_factory()
+        g = SetFactory(f.nr, f.cfg)
+        folded = []
+        for factory in (f, g, f):
+            s = factory.make_set("shared", "Object")
+            for i in range(1, 22):  # one fold, into a base of 1..21
+                s.add(i)
+            folded.append(s.base)
+        assert folded[0] == folded[1] == folded[2]
+        assert folded[2] is folded[0] and folded[1] is not folded[0]
+
+
 class TestAdd:
     def test_naive_filters_incompatible(self, factory64):
         s = factory64.make_set("naive", "D")

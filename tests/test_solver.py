@@ -340,6 +340,36 @@ def test_field_feedback_is_linear_in_the_index():
     assert events <= 25 * size, (events, size)
 
 
+@pytest.mark.parametrize("cfg", EXACT_CONFIGS + RANGED_CONFIGS, ids=lambda c: c.set_kind)
+def test_field_set_creation_cost_is_constant(cfg):
+    # x holds n objects and its store's source stays empty, so the solve
+    # differs from the one with an assign in the store's place by the n
+    # field sets x.f, made and never united (rule 6).  Making each through
+    # make_set's lookups and an __init__ chain, then uniting the empty
+    # source, cost 37-46 solver and ptsets lines a set; a maker call, the
+    # loop around it and the set's footprint cost 13-23
+    def corpus(n, statement):
+        lines = ["class Object", "field f : Object", "var x : Object", "var s : Object"]
+        lines.append(statement)
+        for i in range(n):
+            lines += [f"alloc o{i} : Object", f"new x o{i}"]
+        return "\n".join(lines) + "\n"
+
+    def lines_run(text):
+        pag, nr = load_corpus(text)
+        total = 0
+        for module in (solver, ptsets):
+            sol, events = _line_events(propagate, pag, nr, cfg, only=module.__file__)
+            total += events
+        return sol, total
+
+    for n in (100, 400):
+        sol, with_store = lines_run(corpus(n, "store x f s"))
+        assert len(sol.field_sets) == n and sol.stats.union_attempts == n
+        _, without = lines_run(corpus(n, "assign s x"))
+        assert with_store - without <= 25 * n, (with_store - without) / n
+
+
 class TestStats:
     def test_counters_populated(self):
         sol = solve_text(BASIC, SolverConfig("hybrid", "mask"))
@@ -502,7 +532,7 @@ def _corpus(names, allocs, statements):
     return "\n".join(lines + statements) + "\n"
 
 
-# each of the solver's skips (module doc, rules 1-4) has a corpus here
+# each of the solver's skips (module doc, rules 1-4 and 6) has a corpus here
 SKIP_CORPORA = {
     # every assign, store and load edge twice; only the first copies run
     "DUPLICATE_EDGES": _corpus(
@@ -533,6 +563,14 @@ SKIP_CORPORA = {
         ("x", "s"), ("o1", "o2", "os"),
         ["new x o1", "new x o2", "new s os", "store x f s"],
     ),
+    # x pops holding o1, then again holding o2, while s is empty: its store
+    # creates o1.f and then o2.f and unites neither; s then takes os along
+    # t -> u -> s, pops, and its store unites it into both
+    "STORE_SRC_EMPTY": _corpus(
+        ("x", "x2", "s", "t", "u"), ("o1", "o2", "os"),
+        ["new x o1", "new x2 o2", "new t os", "store x f s", "assign x x2",
+         "assign u t", "assign s u"],
+    ),
 }
 
 
@@ -541,7 +579,9 @@ def rewalk_corpora():
     and SPILL_SLACK_COPY at chunk 64 (a ranged-hybrid set there holds slack
     in two vectors), the SKIP_CORPORA, two deep-shaped generated corpora
     (few variables, many statements, so many repeated edges and some self
-    loads) at chunk 8, then 20 small generated corpora, interfaces and
+    loads) at chunk 8, a wide-shaped one (many types, fields and
+    variables, so most field sets are created by stores whose source stays
+    empty) at chunk 64, then 20 small generated corpora, interfaces and
     stores included, at chunk 8 and 64."""
     out = [(suite_text(i), SUITE_CHUNK) for i in (0, 1, 45)]
     out += [(suite_text(38), 64), (SPILL_SLACK_COPY, 64)]
@@ -558,6 +598,17 @@ def rewalk_corpora():
         violation_rate=0.02,
     )
     out += [(generate_synthetic(deep_shaped, seed), 8) for seed in (200, 201)]
+    wide_shaped = GenParams(
+        num_classes=60,
+        num_interfaces=6,
+        num_fields=12,
+        num_vars=120,
+        num_statements=400,
+        allocs_per_class=(1, 3),
+        store_load_ratio=0.4,
+        violation_rate=0.05,
+    )
+    out.append((generate_synthetic(wide_shaped, 300), 64))
     for seed in range(20):
         p = GenParams(
             num_classes=8 + seed % 5,
@@ -598,13 +649,15 @@ def test_union_schedule_matches_rewalk(cfg, monkeypatch):
 # feedback walk's repeat of y, and x's store of b over ox, which b's pop
 # already ran (12 calls made without the skips); SELF_LOAD_REPEAT three store calls over marked objects,
 # from either side, and the load loop's union from the new o1.g (18);
-# FEEDBACK_REPEAT d = e.f in the walk (12); STORE_SRC_UNCHANGED s's store
-# over o1 and o2 (7)
+# FEEDBACK_REPEAT d = e.f in the walk and b's store while s is empty (12);
+# STORE_SRC_UNCHANGED s's store over o1 and o2 (7); STORE_SRC_EMPTY x's
+# store over o1, then over o2, while s is empty (10)
 SKIP_ATTEMPTS = {
     "DUPLICATE_EDGES": (6, 5),
     "SELF_LOAD_REPEAT": (14, 9),
-    "FEEDBACK_REPEAT": (11, 7),
+    "FEEDBACK_REPEAT": (10, 7),
     "STORE_SRC_UNCHANGED": (5, 5),
+    "STORE_SRC_EMPTY": (8, 8),
 }
 
 
