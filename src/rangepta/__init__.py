@@ -1,7 +1,7 @@
 """Points-to analysis with type-aware interval numbering of allocation
 sites and ranged bit-vector points-to sets."""
 
-from .bitsets import ChunkConfig, RangedBitVector, chunk_index_of
+from .bitsets import ChunkConfig, chunk_index_of
 from .hierarchy import (
     AllocSite,
     ClassHierarchy,
@@ -35,7 +35,6 @@ __all__ = [
     "Interval",
     "NumberingResult",
     "PAG",
-    "RangedBitVector",
     "SET_KINDS",
     "SetFactory",
     "Solution",

@@ -8,10 +8,12 @@ measurement.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import os
 import statistics
 import sys
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import astuple, dataclass, fields as dc_fields
 from pathlib import Path
 from typing import Optional
 
@@ -34,7 +36,7 @@ from .solver import (
 def _default_chunk() -> int:
     raw = os.environ.get("RANGE_PTA_CHUNK")
     if not raw:
-        return 64
+        return SolverConfig.chunk_bits
     try:
         return int(raw)
     except ValueError:
@@ -62,15 +64,17 @@ class RunReport:
     total_bytes: int
 
     def to_csv(self) -> str:
-        names = [f.name for f in dc_fields(self)]
-        values = [str(getattr(self, n)) for n in names]
-        return ",".join(names) + "\n" + ",".join(values) + "\n"
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerows(
+            [[f.name for f in dc_fields(self)], astuple(self)]
+        )
+        return out.getvalue()
 
     def to_markdown(self) -> str:
-        names = [f.name for f in dc_fields(self)]
         lines = ["| metric | value |", "| --- | --- |"]
-        for n in names:
-            lines.append(f"| {n} | {getattr(self, n)} |")
+        for f in dc_fields(self):
+            value = str(getattr(self, f.name)).replace("|", r"\|")
+            lines.append(f"| {f.name} | {value} |")
         return "\n".join(lines) + "\n"
 
     def to_text(self) -> str:
@@ -127,19 +131,24 @@ def _make_report(path: str, sol: Solution) -> RunReport:
     )
 
 
+# gen flag -> the GenParams field it sets, and takes its default from;
+# --allocs-min and --allocs-max set the two ends of allocs_per_class
+_GEN_FLAGS = {
+    "--classes": "num_classes",
+    "--interfaces": "num_interfaces",
+    "--max-depth": "max_depth",
+    "--fields": "num_fields",
+    "--vars": "num_vars",
+    "--statements": "num_statements",
+    "--store-load-ratio": "store_load_ratio",
+    "--violation-rate": "violation_rate",
+    "--pad-chunk": "pad_chunk",
+}
+
+
 def _gen_params(args) -> GenParams:
-    return GenParams(
-        num_classes=args.classes,
-        num_interfaces=args.interfaces,
-        max_depth=args.max_depth,
-        num_fields=args.fields,
-        num_vars=args.vars,
-        num_statements=args.statements,
-        allocs_per_class=(args.allocs_min, args.allocs_max),
-        store_load_ratio=args.store_load_ratio,
-        violation_rate=args.violation_rate,
-        pad_chunk=args.pad_chunk,
-    )
+    fields = {name: getattr(args, name) for name in _GEN_FLAGS.values()}
+    return GenParams(allocs_per_class=(args.allocs_min, args.allocs_max), **fields)
 
 
 def cmd_gen(args) -> int:
@@ -244,7 +253,7 @@ def cmd_bench(args) -> int:
 
 def _add_solver_flags(p, suffix: str = ""):
     p.add_argument("--set" + suffix.replace("_", "-"), dest="set" + suffix,
-                   choices=SET_KINDS, default="hybrid")
+                   choices=SET_KINDS, default=SolverConfig.set_kind)
     p.add_argument("--filter" + suffix.replace("_", "-"), dest="filter" + suffix,
                    choices=FILTER_MODES,
                    help="default: intrinsic for a ranged set kind, mask otherwise")
@@ -258,48 +267,47 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate a synthetic corpus")
-    g.add_argument("--classes", type=int, default=30)
-    g.add_argument("--interfaces", type=int, default=5)
-    g.add_argument("--max-depth", type=int, default=6)
-    g.add_argument("--fields", type=int, default=8)
-    g.add_argument("--vars", type=int, default=60)
-    g.add_argument("--statements", type=int, default=400)
-    g.add_argument("--allocs-min", type=int, default=1)
-    g.add_argument("--allocs-max", type=int, default=4)
-    g.add_argument("--store-load-ratio", type=float, default=0.2)
-    g.add_argument("--violation-rate", type=float, default=0.1)
-    g.add_argument("--pad-chunk", type=int, default=None)
+    defaults = GenParams()
+    for flag, name in _GEN_FLAGS.items():
+        default = getattr(defaults, name)
+        # the ratios are floats; every other field, pad_chunk included, an int
+        g.add_argument(flag, dest=name, default=default,
+                       type=float if isinstance(default, float) else int)
+    lo, hi = defaults.allocs_per_class
+    g.add_argument("--allocs-min", type=int, default=lo)
+    g.add_argument("--allocs-max", type=int, default=hi)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("-o", "--out", required=True)
     g.add_argument("--force", action="store_true")
     g.set_defaults(func=cmd_gen)
 
-    s = sub.add_parser("solve", help="run the analysis and print a report")
-    s.add_argument("corpus")
+    # the corpus and chunk width of every subcommand that solves
+    solving = argparse.ArgumentParser(add_help=False)
+    solving.add_argument("corpus")
+    solving.add_argument("--chunk", type=int)
+
+    s = sub.add_parser("solve", parents=[solving],
+                       help="run the analysis and print a report")
     _add_solver_flags(s)
-    s.add_argument("--chunk", type=int)
     s.add_argument("--emit-solution", metavar="PATH")
     s.add_argument("--csv", metavar="PATH")
     s.add_argument("--md", metavar="PATH")
     s.set_defaults(func=cmd_solve)
 
-    c = sub.add_parser("compare", help="compare two configurations on one corpus")
-    c.add_argument("corpus")
+    c = sub.add_parser("compare", parents=[solving],
+                       help="compare two configurations on one corpus")
     _add_solver_flags(c, "_a")
     _add_solver_flags(c, "_b")
-    c.add_argument("--chunk", type=int)
     c.set_defaults(func=cmd_compare)
 
-    v = sub.add_parser("savings", help="sparse-bitmap space savings report")
-    v.add_argument("corpus")
+    v = sub.add_parser("savings", parents=[solving],
+                       help="sparse-bitmap space savings report")
     _add_solver_flags(v)
-    v.add_argument("--chunk", type=int)
     v.set_defaults(func=cmd_savings)
 
-    b = sub.add_parser("bench", help="repeat solve and report the median time")
-    b.add_argument("corpus")
+    b = sub.add_parser("bench", parents=[solving],
+                       help="repeat solve and report the median time")
     _add_solver_flags(b)
-    b.add_argument("--chunk", type=int)
     b.add_argument("--repeat", type=int, default=5)
     b.set_defaults(func=cmd_bench)
 
@@ -310,10 +318,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except PtaError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (PtaError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

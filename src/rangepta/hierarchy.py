@@ -161,11 +161,7 @@ def build_hierarchy(
     """
     h = ClassHierarchy()
     names: set[str] = set()
-    for name, _, _ in class_decls:
-        if name in names:
-            raise DuplicateTypeError(f"duplicate type: {name}")
-        names.add(name)
-    for name, _ in iface_decls:
+    for name in [d[0] for d in class_decls] + [d[0] for d in iface_decls]:
         if name in names:
             raise DuplicateTypeError(f"duplicate type: {name}")
         names.add(name)
@@ -181,24 +177,23 @@ def build_hierarchy(
             f"expected exactly one root class, found {len(roots)}", decl=at
         )
 
-    iface_names = {name for name, _ in iface_decls}
-    class_names = {name for name, _, _ in class_decls}
+    child_decls: dict[str, list] = {name: [] for name, _, _ in class_decls}
+    ext_map = {name: tuple(exts) for name, exts in iface_decls}
 
     for name, parent, ifaces in class_decls:
-        if parent is not None and parent not in class_names:
+        if parent is not None and parent not in child_decls:
             raise UnknownTypeError(f"class {name}: unknown parent {parent}", decl=name)
         for i in ifaces:
-            if i not in iface_names:
+            if i not in ext_map:
                 raise UnknownTypeError(f"class {name}: unknown interface {i}", decl=name)
-    for name, exts in iface_decls:
+    for name, exts in ext_map.items():
         for e in exts:
-            if e not in iface_names:
+            if e not in ext_map:
                 raise UnknownTypeError(f"interface {name}: unknown interface {e}", decl=name)
 
     h.root = TypeRef(roots[0][0], "class")
     # one walk from the root, pushing each class's child declarations in
     # reverse so that children lists keep declaration order
-    child_decls: dict[str, list] = {name: [] for name in class_names}
     for d in class_decls:
         if d[1] is not None:
             child_decls[d[1]].append(d)
@@ -217,7 +212,6 @@ def build_hierarchy(
         )
 
     # cycle check on interface extension
-    ext_map = {name: tuple(exts) for name, exts in iface_decls}
     istate: dict[str, int] = {}
 
     # depth-first with an explicit stack, so deep extension chains cannot
@@ -241,9 +235,9 @@ def build_hierarchy(
                 istate[sup] = 1
                 stack.append((sup, iter(ext_map[sup])))
 
-    for name, exts in iface_decls:
+    for name, exts in ext_map.items():
         h.types[name] = TypeRef(name, "interface")
-        h.iface_extends[name] = tuple(exts)
+        h.iface_extends[name] = exts
 
     for a in array_types:
         _ensure_array(h, a)

@@ -91,6 +91,11 @@ def parse_program(text: str) -> tuple[ClassHierarchy, PAG]:
             raise DuplicateNameError(f"line {line}: duplicate {what} name {name!r}")
         decl_lines[name] = line
 
+    def declare_type(name: str, line: int):
+        if name in type_lines:
+            raise DuplicateNameError(f"line {line}: duplicate type {name!r}")
+        type_lines[name] = line
+
     def note_type(name: str, line: int):
         if name.endswith("[]"):
             type_lines.setdefault(name, line)
@@ -118,9 +123,7 @@ def parse_program(text: str) -> tuple[ClassHierarchy, PAG]:
                 if rest[0] != "implements":
                     raise FactSyntaxError("expected 'implements'", lineno)
                 ifaces = _split_list(rest[1], lineno)
-            if name in type_lines:
-                raise DuplicateNameError(f"line {lineno}: duplicate type {name!r}")
-            type_lines[name] = lineno
+            declare_type(name, lineno)
             pag.class_decls.append((name, parent, ifaces))
         elif directive == "interface":
             if len(toks) not in (2, 4):
@@ -131,9 +134,7 @@ def parse_program(text: str) -> tuple[ClassHierarchy, PAG]:
                 if toks[2] != "extends":
                     raise FactSyntaxError("expected 'extends'", lineno)
                 exts = _split_list(toks[3], lineno)
-            if name in type_lines:
-                raise DuplicateNameError(f"line {lineno}: duplicate type {name!r}")
-            type_lines[name] = lineno
+            declare_type(name, lineno)
             pag.iface_decls.append((name, exts))
         elif directive in ("field", "var", "alloc"):
             if len(toks) != 4 or toks[2] != ":":
@@ -178,16 +179,12 @@ def parse_program(text: str) -> tuple[ClassHierarchy, PAG]:
         # with no class declared at all, a missing root is reported at line 1
         raise type(e)(f"line {type_lines.get(e.decl, 1)}: {e}") from None
 
-    for name, tname in pag.var_types.items():
-        if not h.is_declared(tname):
-            raise UnknownTypeError(
-                f"line {decl_lines[name]}: var {name}: unknown type {tname}"
-            )
-    for name, tname in pag.field_types.items():
-        if not h.is_declared(tname):
-            raise UnknownTypeError(
-                f"line {decl_lines[name]}: field {name}: unknown type {tname}"
-            )
+    for what, types in (("var", pag.var_types), ("field", pag.field_types)):
+        for name, tname in types.items():
+            if not h.is_declared(tname):
+                raise UnknownTypeError(
+                    f"line {decl_lines[name]}: {what} {name}: unknown type {tname}"
+                )
     for a in pag.allocs.values():
         if not h.is_declared(a.type_name):
             problem = f"unknown type {a.type_name}"
@@ -323,25 +320,22 @@ def generate_synthetic(params: GenParams, seed: int) -> str:
         depth[c] = depth[par] + 1
 
     interfaces = [f"I{i}" for i in range(1, p.num_interfaces + 1)]
-    iface_exts: dict[str, tuple[str, ...]] = {}
+    iface_decls: list[tuple[str, tuple[str, ...]]] = []
     for i, name in enumerate(interfaces):
         if i > 0 and rng.random() < 0.3:
-            iface_exts[name] = (rng.choice(interfaces[:i]),)
+            iface_decls.append((name, (rng.choice(interfaces[:i]),)))
         else:
-            iface_exts[name] = ()
+            iface_decls.append((name, ()))
 
-    implements: dict[str, tuple[str, ...]] = {}
+    class_decls: list[tuple[str, str | None, tuple[str, ...]]] = []
     for c in classes:
         if interfaces and c != "Object" and rng.random() < 0.3:
-            implements[c] = (rng.choice(interfaces),)
+            class_decls.append((c, parent[c], (rng.choice(interfaces),)))
         else:
-            implements[c] = ()
+            class_decls.append((c, parent[c], ()))
 
     # each type's supertypes, itself included, for type-directed statements
-    h = build_hierarchy(
-        [(c, parent[c], implements[c]) for c in classes],
-        [(i, iface_exts[i]) for i in interfaces],
-    )
+    h = build_hierarchy(class_decls, iface_decls)
     supers: dict[str, frozenset[str]] = {
         i: h.super_interfaces(i) for i in interfaces
     }
@@ -385,29 +379,19 @@ def generate_synthetic(params: GenParams, seed: int) -> str:
         t: [v for v in var_names if t in supers[var_types[v]]] for t in var_pool
     }
 
+    decls = PAG(
+        var_types=var_types,
+        field_types=field_types,
+        allocs={oid: AllocSite(oid, c) for oid, c in allocs},
+        class_decls=class_decls,
+        iface_decls=iface_decls,
+    )
     lines: list[str] = [
         f"# synthetic corpus (seed {seed})",
         f"# classes={p.num_classes} interfaces={p.num_interfaces} "
         f"vars={p.num_vars} statements={p.num_statements}",
+        format_program(decls).rstrip("\n"),
     ]
-    for c in classes:
-        line = f"class {c}"
-        if parent[c] is not None:
-            line += f" extends {parent[c]}"
-        if implements[c]:
-            line += " implements " + ",".join(implements[c])
-        lines.append(line)
-    for i in interfaces:
-        line = f"interface {i}"
-        if iface_exts[i]:
-            line += " extends " + ",".join(iface_exts[i])
-        lines.append(line)
-    for f in field_names:
-        lines.append(f"field {f} : {field_types[f]}")
-    for v in var_names:
-        lines.append(f"var {v} : {var_types[v]}")
-    for oid, c in allocs:
-        lines.append(f"alloc {oid} : {c}")
 
     sl = p.store_load_ratio
     weights = [(1 - sl) * 0.5, (1 - sl) * 0.5, sl * 0.5, sl * 0.5]

@@ -57,8 +57,8 @@ per-type state (the type mask, the ranged geometry or naive's compatible
 index set), so making a set is one call that reads no table.  The type
 masks (``build_type_mask``) and the ranged geometries are cached on the
 ``NumberingResult``, the geometries per chunk width, so every factory over
-one numbering shares them; interned shared bases and naive's compatible
-sets are per factory.
+one numbering shares them.  The makers, and so naive's compatible index
+sets, and the interned shared bases are per factory.
 
 Memory accounting is a deterministic model, not process measurement:
 16 bytes per object header, 16 per array header, 8 per reference slot,
@@ -119,8 +119,8 @@ class SetFactory:
     holds the owner and the kind's per-type state, built on the first
     maker for that type.  Type masks and ranged geometry come from caches
     on the numbering, which every factory over it shares; the factory
-    caches its makers, naive's compatible-index sets and the interned
-    shared bases."""
+    caches its makers, which hold every other per-type state, and the
+    interned shared bases."""
 
     def __init__(self, nr: NumberingResult, cfg: ChunkConfig = ChunkConfig()):
         self.nr = nr
@@ -129,20 +129,11 @@ class SetFactory:
         self.total = nr.total_allocs
         # chunks of a full-universe bit array over indices 0..total
         self.universe_chunks = 0 if self.total == 0 else chunk_index_of(self.total, cfg) + 1
-        self._compatible: dict[str, frozenset[int]] = {}
         self._geometry: dict[str, RangedGeometry] = nr._ranged_geometry.setdefault(
             cfg.chunk_bits, {}
         )
         self._makers: dict[tuple[str, str], Callable[[], PointsToSet]] = {}
         self._interned_bases: dict[int, int] = {}
-
-    def compatible(self, type_name: str) -> frozenset[int]:
-        """The indices set in the type's mask, as a hash set."""
-        c = self._compatible.get(type_name)
-        if c is None:
-            c = frozenset(_iter_bits(build_type_mask(self.nr, type_name), 0))
-            self._compatible[type_name] = c
-        return c
 
     def intervals(self, type_name: str) -> tuple[Interval, ...]:
         return tuple(intervals_of(self.nr, type_name))
@@ -300,7 +291,8 @@ class NaiveSet(PointsToSet):
 
     @classmethod
     def type_state(cls, factory, type_name):
-        return factory.compatible(type_name)
+        # the indices set in the type's mask, as a hash set
+        return frozenset(_iter_bits(build_type_mask(factory.nr, type_name), 0))
 
     def add_all(self, src):
         if src.factory is not self.factory:

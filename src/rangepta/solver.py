@@ -111,6 +111,7 @@ class SolverConfig:
             raise ConfigConflictError(
                 "mask filtering requires a non-ranged set kind"
             )
+        ChunkConfig(self.chunk_bits)  # rejects an unsupported chunk width
 
 
 @dataclass
@@ -436,7 +437,7 @@ def _slack_flag(s: PointsToSet | None, idx: int) -> bool:
     outside its intervals."""
     if s is None or not s.ranged:
         return False
-    g = s.factory.ranged_geometry(s.owner.name)
+    g = s.geometry
     return bool((g.span_bits & ~g.interval_bits) >> idx & 1)
 
 

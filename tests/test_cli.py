@@ -1,8 +1,11 @@
+import csv
+import re
+
 import pytest
 
 from rangepta import cli
 from rangepta.cli import main
-from rangepta.pag import parse_program
+from rangepta.pag import GenParams, generate_synthetic, parse_program
 
 GEN_ARGS = [
     "gen", "--classes", "8", "--interfaces", "2", "--vars", "14",
@@ -41,6 +44,12 @@ class TestGen:
 
     def test_force_overwrites(self, corpus):
         assert main(GEN_ARGS + ["-o", str(corpus), "--force"]) == 0
+
+    def test_defaults_are_gen_params(self, tmp_path):
+        # every flag left out takes GenParams' own default, the seed 0
+        out = tmp_path / "x.facts"
+        assert main(["gen", "-o", str(out)]) == 0
+        assert out.read_text() == generate_synthetic(GenParams(), 0)
 
     def test_ignores_chunk_env(self, tmp_path, monkeypatch):
         # gen takes no chunk width, so a bad RANGE_PTA_CHUNK is not its error
@@ -122,6 +131,36 @@ class TestSolve:
         ]:
             assert text[label] == row[column], column
             assert f"| {column} | {row[column]} |" in md
+
+    def test_csv_and_md_quote_an_unusual_path(self, corpus, tmp_path, capsys):
+        odd = tmp_path / "a,b|c" / "c.facts"
+        odd.parent.mkdir()
+        odd.write_bytes(corpus.read_bytes())
+        csv_path, md_path = tmp_path / "r.csv", tmp_path / "r.md"
+        assert main([
+            "solve", str(odd), "--csv", str(csv_path), "--md", str(md_path),
+        ]) == 0
+        header, values = csv.reader(csv_path.read_text().splitlines())
+        assert len(values) == len(header)
+        assert dict(zip(header, values))["corpus"] == str(odd)
+        rows = md_path.read_text().splitlines()
+        # each row has two cells: three pipes that no backslash escapes
+        assert all(len(re.split(r"(?<!\\)\|", row)) == 4 for row in rows)
+        escaped = str(odd).replace("|", "\\|")
+        assert f"| corpus | {escaped} |" in rows
+
+    @pytest.mark.parametrize("how", ["flag", "env"])
+    def test_bad_chunk_rejected_before_parsing(
+        self, corpus, capsys, monkeypatch, parse_calls, how
+    ):
+        argv = ["solve", str(corpus)]
+        if how == "flag":
+            argv += ["--chunk", "12"]
+        else:
+            monkeypatch.setenv("RANGE_PTA_CHUNK", "12")
+        assert main(argv) == 1
+        assert "chunk_bits must be one of" in capsys.readouterr().err
+        assert parse_calls == []
 
     def test_chunk_env_default(self, corpus, capsys, monkeypatch):
         monkeypatch.setenv("RANGE_PTA_CHUNK", "8")

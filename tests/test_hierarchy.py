@@ -1,6 +1,8 @@
+import hashlib
 import random
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -422,3 +424,53 @@ def test_mask_building_is_linear_in_the_hierarchy(wide_text):
     iface_pairs = sum(len(h.interfaces_of_class(c)) for c in h.parent)
     size = len(h.types) + nr.total_allocs + iface_pairs
     assert lines <= 10 * size, (lines, size)
+
+
+# array types, an interface extending another and an empty class, beside
+# the generated corpora, which declare none of these
+ARRAY_CORPUS = """\
+class Object
+class A extends Object implements J
+class B extends A
+class C extends Object implements I
+class D extends A
+interface I
+interface J extends I
+alloc o1 : B[]
+alloc o2 : A
+alloc o3 : Object[]
+alloc o4 : C
+alloc o5 : A[][]
+alloc o6 : B
+alloc o7 : A[]
+alloc o8 : Object
+alloc o9 : C[]
+"""
+
+
+def test_numbering_is_pinned():
+    # every modeled byte the benchmark records reads the numbering of its
+    # corpora; a refactor of the hierarchy must leave it be
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from workloads import WORKLOADS
+
+    texts = [
+        generate_synthetic(*WORKLOADS["deep"].programs[0]),
+        generate_synthetic(*WORKLOADS["wide"].programs[0]),
+        generate_synthetic(*WORKLOADS["suite"].programs[0]),
+        ARRAY_CORPUS,
+    ]
+    digest = hashlib.sha256()
+    for text in texts:
+        h, pag = parse_program(text)
+        nr = number_allocations(h, list(pag.allocs.values()))
+        digest.update(repr((
+            [a.id for a in nr.global_array],
+            sorted(nr.type2interval.items()),
+            sorted(nr.iface2intervals.items()),
+            nr.postorder,
+            sorted(nr.index_of.items()),
+        )).encode())
+    assert digest.hexdigest() == (
+        "57f2ee7dc5d6ef706918911b3b482753e7d09bfa2240e01a62aba3b0169829e9"
+    )
