@@ -5,7 +5,8 @@ preorder range: the class and its subclasses.  The range is the class's
 subtype test, and numbering allocation sites class by class in the same
 preorder makes it the class's index interval too: the allocations of the
 classes in its preorder range.  Interfaces map to one interval per topmost
-implementing class.  Indices are 1-based.
+implementing class.  Indices are 1-based.  A type's mask, the filter of
+the exactly filtered set kinds, is the bits of its intervals.
 """
 
 from __future__ import annotations
@@ -290,9 +291,9 @@ class NumberingResult:
     total_allocs: int
     postorder: tuple[str, ...]  # every class after its descendants
     index_of: dict[str, int] = field(default_factory=dict)  # alloc id -> index
-    # type name -> mask, built by the first build_type_mask call
-    _masks: Optional[dict[str, int]] = field(
-        default=None, init=False, repr=False, compare=False
+    # type name -> mask, filled by build_type_mask
+    _masks: dict[str, int] = field(
+        default_factory=dict, init=False, repr=False, compare=False
     )
     # chunk width -> {type name -> ranged geometry}, filled by ptsets.SetFactory
     _ranged_geometry: dict[int, dict] = field(
@@ -385,35 +386,11 @@ def intervals_of(nr: NumberingResult, name: str) -> list[Interval]:
 
 def build_type_mask(nr: NumberingResult, name: str) -> int:
     """Full-universe int with bit i set iff the alloc with index i is
-    compatible with the named type.
-
-    The masks of all types are built together in one pass per numbering, on
-    the first call, and cached on nr; later calls look them up.
-    """
-    if nr._masks is None:
-        nr._masks = _type_mask_table(nr)
-    try:
-        return nr._masks[name]
-    except KeyError:
-        raise UnknownTypeError(f"unknown type: {name}") from None
-
-
-def _type_mask_table(nr: NumberingResult) -> dict[str, int]:
-    # deliberately defined via the subtype relation (parent chain and
-    # interface closure), not via intervals, so that mask/interval agreement
-    # stays a checkable property of the numbering
-    h = nr.hierarchy
-    own = dict.fromkeys(h.types, 0)
-    for i, site in enumerate(nr.global_array, start=1):
-        own[site.type_name] |= 1 << i
-    masks = dict(own)
-    for c in nr.postorder:  # descendants before ancestors
-        parent = h.parent[c]
-        if parent is not None:
-            masks[parent] |= masks[c]
-    for c in h.parent:
-        bits = own[c]
-        if bits:
-            for i in h.interfaces_of_class(c):
-                masks[i] |= bits
-    return masks
+    compatible with the named type: the bits of its intervals, built on
+    the first call for the type and cached on nr."""
+    m = nr._masks.get(name)
+    if m is None:
+        m = nr._masks[name] = sum(
+            (1 << iv.upper + 1) - (1 << iv.lower) for iv in intervals_of(nr, name)
+        )
+    return m

@@ -100,7 +100,7 @@ def parse_program(text: str) -> tuple[ClassHierarchy, PAG]:
         if name.endswith("[]"):
             type_lines.setdefault(name, line)
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -54,8 +54,9 @@ an equal numbering and chunk width.
 A set is made by its factory's maker for (kind, owner type): a
 zero-argument constructor that already holds the owner and the kind's
 per-type state (the type mask, the ranged geometry or naive's compatible
-index set), so making a set is one call that reads no table.  The type
-masks (``build_type_mask``) and the ranged geometries are cached on the
+index set), so making a set is one call that reads no table.  All three
+are read off the owner's intervals.  The type masks
+(``build_type_mask``) and the ranged geometries are cached on the
 ``NumberingResult``, the geometries per chunk width, so every factory over
 one numbering shares them.  The makers, and so naive's compatible index
 sets, and the interned shared bases are per factory.
@@ -291,8 +292,10 @@ class NaiveSet(PointsToSet):
 
     @classmethod
     def type_state(cls, factory, type_name):
-        # the indices set in the type's mask, as a hash set
-        return frozenset(_iter_bits(build_type_mask(factory.nr, type_name), 0))
+        # the indices of the type's intervals, as a hash set
+        return frozenset(
+            i for iv in factory.intervals(type_name) for i in range(iv.lower, iv.upper + 1)
+        )
 
     def add_all(self, src):
         if src.factory is not self.factory:

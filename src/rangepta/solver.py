@@ -284,17 +284,13 @@ def propagate(pag: PAG, nr: NumberingResult, cfg: SolverConfig) -> Solution:
             todo = held & ~mark_objs[k] if mark_size[k] == size else held
             mark_size[k] = size
             mark_objs[k] = held
-            if not size:  # an empty src only creates sets (rule 6)
-                for o in _iter_bits(todo, 0):
-                    if o not in fsets:
-                        fsets[o] = field_sets[o, f] = makers[ft]()
-                continue
-            attempts += todo.bit_count()
+            if size:  # an empty src only creates sets (rule 6)
+                attempts += todo.bit_count()
             for o in _iter_bits(todo, 0):
                 fs = fsets.get(o)
                 if fs is None:
                     fs = fsets[o] = field_sets[o, f] = makers[ft]()
-                if fs.add_all(ps):
+                if size and fs.add_all(ps):
                     unions += 1
                     changed_fields.append((o, f, fs))
 

@@ -57,7 +57,8 @@ def compatible_indices(nr, supertypes, tname):
 
 def walk_type_mask(nr, h, tname):
     """tname's mask by one subtype test per class and one scan of all allocs:
-    the per-type walk the production mask table replaced."""
+    the subtype relation, independent of the intervals the production masks
+    are read from."""
     compat = {c for c in h.parent if h.is_subtype(c, tname)}
     bits = 0
     for i, site in enumerate(nr.global_array, start=1):

@@ -23,6 +23,7 @@ from rangepta.hierarchy import (
     number_allocations,
 )
 from rangepta.pag import GenParams, generate_synthetic, parse_program
+from rangepta.ptsets import NaiveSet, SetFactory
 from rangepta.solver import SolverConfig, propagate
 
 # the shape of the benchmark's wide workload (800 classes, 40 interfaces),
@@ -239,15 +240,21 @@ class TestMaskBits:
     def test_unknown_name(self, worked_numbering):
         with pytest.raises(UnknownTypeError, match="unknown type: Nope"):
             build_type_mask(worked_numbering, "Nope")
-        # the table built by the failed lookup answers later ones
+        # a failed lookup caches nothing, and later lookups still answer
         assert build_type_mask(worked_numbering, "D") == sum(
             1 << i for i in range(9, 13)
         )
 
 
 def _all_masks_match_walk(h, nr):
+    factory = SetFactory(nr)
     for t in h.types:
-        assert build_type_mask(nr, t) == walk_type_mask(nr, h, t), t
+        walk = walk_type_mask(nr, h, t)
+        assert build_type_mask(nr, t) == walk, t
+        # naive's filter reads the intervals too, not the mask
+        assert NaiveSet.type_state(factory, t) == {
+            i for i in range(1, nr.total_allocs + 1) if walk >> i & 1
+        }, t
 
 
 def test_mask_table_matches_walk_on_random_hierarchies():
@@ -414,8 +421,8 @@ def test_leaf_first_chain_builds_in_one_walk():
 
 def test_mask_building_is_linear_in_the_hierarchy(wide_text):
     # a subtype test of every class against every type made the masks of an
-    # 800-class corpus cost ~10^7 traced lines; one pass over allocs,
-    # classes and class-interface pairs costs ~2 * 10^4
+    # 800-class corpus cost ~10^7 traced lines; reading each mask the solve
+    # uses off its type's intervals costs ~1.3 * 10^4
     h, pag = parse_program(wide_text)
     nr = number_allocations(h, list(pag.allocs.values()))
     _, lines = _line_events(

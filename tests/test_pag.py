@@ -55,6 +55,22 @@ class TestParser:
         with pytest.raises(FactSyntaxError, match="line 1"):
             parse_program("frobnicate x y\n")
 
+    @pytest.mark.parametrize(
+        "text", ["class Object # a\x0cb\nbogus x\n", "class Object # \x1c\nbogus\n"]
+    )
+    def test_only_newline_ends_a_line(self, text):
+        # other line boundaries stay inside the comment, as in the CLI's
+        # line count for a decoding error
+        with pytest.raises(FactSyntaxError, match="line 2: unknown directive 'bogus'"):
+            parse_program(text)
+
+    def test_crlf_corpus_parses_as_lf(self):
+        text = MINIMAL + "field f : A\nstore x f x  # c\nload x x f\n"
+        h_lf, pag_lf = parse_program(text)
+        h_crlf, pag_crlf = parse_program(text.replace("\n", "\r\n"))
+        assert pag_crlf == pag_lf
+        assert h_crlf.parent == h_lf.parent
+
     def test_duplicate_var(self):
         with pytest.raises(DuplicateNameError):
             parse_program("class Object\nvar x : Object\nvar x : Object\n")

@@ -5,7 +5,7 @@ from test_acceptance import SUITE_CHUNK, suite_text
 from test_hierarchy import _line_events
 from rangepta import ptsets, solver
 from rangepta.errors import ConfigConflictError, UniverseMismatchError
-from rangepta.hierarchy import number_allocations
+from rangepta.hierarchy import build_type_mask, number_allocations
 from rangepta.pag import GenParams, generate_synthetic, parse_program
 from rangepta.ptsets import SET_KINDS
 from rangepta.solver import (
@@ -769,3 +769,24 @@ def test_extra_pass_is_noop_where_vectors_share_slack(kind):
     # interval that another of its vectors' spans covers; a union the extra
     # pass repeats must find them copied wherever a ranged source put them
     assert run_extra_pass(solve_text(suite_text(38), SolverConfig(kind, "intrinsic", 64))) == 0
+
+
+def test_ranged_and_naive_kinds_build_no_mask(monkeypatch):
+    # each mask kind reads its filter off build_type_mask once per owner
+    # type; the ranged kinds and naive read the intervals instead
+    calls = []
+
+    def counted(nr, name):
+        calls.append(name)
+        return build_type_mask(nr, name)
+
+    monkeypatch.setattr(ptsets, "build_type_mask", counted)
+    pag, nr = load_corpus(suite_text(0))
+    for cfg in EXACT_CONFIGS + RANGED_CONFIGS:
+        calls.clear()
+        sol = propagate(pag, nr, SolverConfig(cfg.set_kind, cfg.filter_mode, SUITE_CHUNK))
+        if cfg.set_kind in ("naive", "ranged", "ranged-hybrid"):
+            assert calls == [], cfg.set_kind
+        else:
+            sets = [*sol.var_sets.values(), *sol.field_sets.values()]
+            assert sorted(calls) == sorted({s.owner.name for s in sets}), cfg.set_kind
