@@ -42,10 +42,29 @@ def chunk_index_of(abs_index: int, cfg: ChunkConfig) -> int:
 
 
 def _iter_bits(value: int, base: int) -> Iterator[int]:
-    while value:
-        low = value & -value
-        yield base + low.bit_length() - 1
-        value ^= low
+    """base + i for each set bit i of value, lazily and in ascending order.
+
+    Peeling off the lowest bit costs O(width), so the peel loop costs
+    O(members x width).  One ``bin()`` conversion and one ``str.rfind`` per
+    member cost O(width + members), but the conversion outweighs a few
+    peels: one member at 5,567 bits takes 0.8 us peeled and 8.5 us scanned
+    (CPython 3.11).  So a value of at most 16 members is peeled and any
+    other scanned.  Timed on random values, the scan wins from 12-20
+    members at 5,567 and 89,501 bits, and from 24-64 members at 360-2,800
+    bits, where both walks are cheap.
+    """
+    if value.bit_count() <= 16:
+        while value:
+            low = value & -value
+            yield base + low.bit_length() - 1
+            value ^= low
+        return
+    digits = bin(value)  # "0b" then the bits, most significant first
+    top = base + len(digits) - 1  # digit i stands for index top - i
+    i = digits.rfind("1", 2)
+    while i >= 0:
+        yield top - i
+        i = digits.rfind("1", 2, i)
 
 
 class RangedBitVector:

@@ -18,10 +18,12 @@ set; under filter mode ``none`` that owner is the root for every type.
 When a pop grows field set (o, f), each load ``dst = base.f`` whose base
 holds o unites that set into dst, in load order.  Those loads come from an
 index, ``holders[f][o]``, whose bit j is set iff the base of load j of f
-holds o under ``iterate_objects``.  Field sets are never load bases, and
-every successful union into a variable set calls ``enqueue``, which adds
-the base's new objects to the index; so the index is exact at every point
-of the drain.  The feedback step visits the set bits in ascending order
+holds o under ``iterate_objects``.  Field sets are never load bases.
+Seeding reads no index, so it only queues each set at its first change;
+then ``enqueue`` indexes every seeded set once.  During the drain every
+successful union into a variable set calls ``enqueue``, which adds the
+base's new objects to the index; so the index is exact at every point of
+the drain.  The feedback step visits the set bits in ascending order
 and re-reads the bits above j after each successful union, since that
 union may have made a later load's base hold o.  Field sets are found
 through a per-field index, ``by_field[f][o]``; ``Solution.field_sets``
@@ -243,8 +245,9 @@ def propagate(pag: PAG, nr: NumberingResult, cfg: SolverConfig) -> Solution:
     attempts = len(pag.alloc_edges)
 
     def enqueue(s: PointsToSet):
-        """Called after every successful union into a var set: index the
-        objects s newly holds, then queue s."""
+        """Index the objects s holds that holders lacks, if s is a load
+        base, then queue s unless it is queued.  Called once per seeded set
+        after seeding, then after every successful union into a var set."""
         slots = load_slots.get(s)
         if slots is not None:
             new = s.objects_int() & ~indexed[s]
@@ -257,11 +260,17 @@ def propagate(pag: PAG, nr: NumberingResult, cfg: SolverConfig) -> Solution:
             queued.add(s)
             queue.append(s)
 
+    # seeding reads no index: queue each set at its first change, then
+    # index each once, with all its allocations
     for oid, v in pag.alloc_edges:
         pv = var_sets[v]
         if pv.add(nr.index_of[oid]):
             unions += 1
-            enqueue(pv)
+            if pv not in queued:
+                queued.add(pv)
+                queue.append(pv)
+    for pv in queue:
+        enqueue(pv)  # pv is queued already, so this only indexes it
 
     while queue:
         pv = queue.popleft()

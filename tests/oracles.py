@@ -3,11 +3,12 @@
 These deliberately avoid the production code paths: subtyping is a
 transitive closure over the raw declarations, propagation is a brute-force
 round-based fixpoint over plain Python sets, the ranged-union oracle
-manipulates index sets bit by bit, and the type-mask oracle tests every
-class against the type one by one.  The one reference that runs on
-production sets, ``rewalk_propagate``, does so because what it pins is the
-order in which those sets are united; its worklist scans the edge lists and
-re-unites every object of a popped base.
+manipulates index sets bit by bit, the bit-walk oracle peels one bit at a
+time, and the type-mask oracle tests every class against the type one by
+one.  The one reference that runs on production sets, ``rewalk_propagate``,
+does so because what it pins is the order in which those sets are united;
+its worklist scans the edge lists and re-unites every object of a popped
+base.
 """
 
 from __future__ import annotations
@@ -65,6 +66,17 @@ def walk_type_mask(nr, h, tname):
         if site.type_name in compat:
             bits |= 1 << i
     return bits
+
+
+def peel_bits(value, base):
+    """base + i for each set bit i of value, ascending: the lowest bit is
+    peeled off one at a time."""
+    out = []
+    while value:
+        low = value & -value
+        out.append(base + low.bit_length() - 1)
+        value ^= low
+    return out
 
 
 def runs_of(indices):

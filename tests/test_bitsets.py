@@ -1,10 +1,11 @@
+import inspect
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import aligned_span, ranged_union_oracle
-from rangepta.bitsets import ChunkConfig, RangedBitVector, chunk_index_of
+from oracles import aligned_span, peel_bits, ranged_union_oracle
+from rangepta.bitsets import ChunkConfig, RangedBitVector, _iter_bits, chunk_index_of
 from rangepta.errors import ConfigMismatchError, InvalidParamsError
 from rangepta.hierarchy import AllocSite, Interval, build_hierarchy, number_allocations
 from rangepta.ptsets import SetFactory
@@ -221,3 +222,28 @@ class TestIterate:
             bits = sorted(rng.sample(range(lo, hi + 1), rng.randint(0, min(10, hi - lo + 1))))
             v = make_rbv((lo, hi), 8, bits)
             assert list(v.iterate()) == bits
+
+
+# widths around a machine word, suite's (~360), wide's (1,998), deep's (5,567)
+# and deep x16's (89,501) universes
+WALK_WIDTHS = (0, 1, 63, 64, 65, 360, 1998, 5567, 89501)
+
+
+@pytest.mark.parametrize("width", WALK_WIDTHS)
+def test_iter_bits_matches_peel_oracle(width):
+    # member counts on both sides of the 16-member switch to the scan and a
+    # half-full value, against the oracle; all-ones and top-bit-only values
+    # against their closed forms; each at base 0 and base 37
+    rng = random.Random(width)
+    cases = [(0, [])]
+    if width:
+        top = 1 << width - 1
+        cases += [((1 << width) - 1, list(range(width))), (top, [width - 1])]
+        for n in (1, 2, 15, 16, 17, 40, 300, width // 2):
+            value = top | bits_of(rng.sample(range(width - 1), min(n, width - 1)))
+            cases.append((value, peel_bits(value, 0)))
+    for value, members in cases:
+        for base in (0, 37):
+            walk = _iter_bits(value, base)
+            assert inspect.isgenerator(walk)
+            assert list(walk) == [base + i for i in members]

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from oracles import brute_force_propagate, closure_supertypes, rewalk_propagate
@@ -579,7 +581,8 @@ def rewalk_corpora():
     and SPILL_SLACK_COPY at chunk 64 (a ranged-hybrid set there holds slack
     in two vectors), the SKIP_CORPORA, two deep-shaped generated corpora
     (few variables, many statements, so many repeated edges and some self
-    loads) at chunk 8, a wide-shaped one (many types, fields and
+    loads) and a deep-width one (over 1,000 sites, sets of hundreds of
+    members) at chunk 8, a wide-shaped one (many types, fields and
     variables, so most field sets are created by stores whose source stays
     empty) at chunk 64, then 20 small generated corpora, interfaces and
     stores included, at chunk 8 and 64."""
@@ -598,6 +601,12 @@ def rewalk_corpora():
         violation_rate=0.02,
     )
     out += [(generate_synthetic(deep_shaped, seed), 8) for seed in (200, 201)]
+    # a universe of 1,089 sites and sets of up to 297 members, so that both
+    # paths of the bit walk and the index built after seeding run at
+    # deep-like width
+    deep_width = replace(deep_shaped, num_vars=6, num_statements=800,
+                         allocs_per_class=(60, 80), store_load_ratio=0.1)
+    out.append((generate_synthetic(deep_width, 400), 8))
     wide_shaped = GenParams(
         num_classes=60,
         num_interfaces=6,
@@ -761,6 +770,30 @@ def test_base_side_attempts_are_linear():
     sol = solve_text("\n".join(lines) + "\n", SolverConfig("pure", "mask"))
     assert len(sol.var_sets["x1"]) == n
     assert sol.stats.union_attempts - sol.stats.union_ops <= 4 * n
+
+
+@pytest.mark.parametrize("cfg", EXACT_CONFIGS + RANGED_CONFIGS, ids=lambda c: c.set_kind)
+def test_seeding_indexes_a_load_base_once(cfg, monkeypatch):
+    # x, the base of a load, takes n objects from n allocation edges and
+    # is no union's source; indexing it after each one read its objects n
+    # times (naive rebuilds them from its hash set on every read)
+    n = 50
+    lines = ["class Object", "field f : Object", "var x : Object", "var y : Object"]
+    for i in range(n):
+        lines += [f"alloc o{i} : Object", f"new x o{i}"]
+    pag, nr = load_corpus("\n".join(lines + ["load y x f"]) + "\n")
+    reads = []
+    for cls in vars(ptsets).values():
+        if isinstance(cls, type) and "objects_int" in cls.__dict__:
+
+            def objects_int(s, _orig=cls.__dict__["objects_int"]):
+                reads.append(s)
+                return _orig(s)
+
+            monkeypatch.setattr(cls, "objects_int", objects_int)
+    sol = propagate(pag, nr, cfg)
+    assert len(sol.var_sets["x"]) == n
+    assert sum(s is sol.var_sets["x"] for s in reads) == 1
 
 
 @pytest.mark.parametrize("kind", ["ranged", "ranged-hybrid"])
