@@ -76,14 +76,13 @@ class RangedBitVector:
     them.
     """
 
-    __slots__ = ("cfg", "aligned_lower", "num_chunks", "interval_mask", "value")
+    __slots__ = ("cfg", "aligned_lower", "num_chunks", "value")
 
     def __init__(self, interval: Interval, cfg: ChunkConfig):
         self.cfg = cfg
         if interval.empty:
             self.aligned_lower = 0
             self.num_chunks = 0
-            self.interval_mask = 0
         else:
             cb = cfg.chunk_bits
             self.aligned_lower = (interval.lower // cb) * cb
@@ -91,9 +90,6 @@ class RangedBitVector:
                 chunk_index_of(interval.upper, cfg)
                 - chunk_index_of(interval.lower, cfg)
                 + 1
-            )
-            self.interval_mask = ((1 << (interval.upper - interval.lower + 1)) - 1) << (
-                interval.lower - self.aligned_lower
             )
         self.value = 0  # bit p holds absolute index aligned_lower + p
 

@@ -13,7 +13,6 @@ import io
 import os
 import statistics
 import sys
-from dataclasses import astuple, dataclass, fields as dc_fields
 from pathlib import Path
 from typing import Optional
 
@@ -45,57 +44,6 @@ def _default_chunk() -> int:
         ) from None
 
 
-@dataclass
-class RunReport:
-    corpus: str
-    set_kind: str
-    filter_mode: str
-    chunk_bits: int
-    total_allocs: int
-    num_vars: int
-    union_ops: int
-    union_attempts: int
-    nodes_processed: int
-    spilled_sets: int
-    wall_time_s: str
-    var_set_bytes: int
-    field_set_bytes: int
-    shared_base_bytes: int
-    total_bytes: int
-
-    def to_csv(self) -> str:
-        out = io.StringIO()
-        csv.writer(out, lineterminator="\n").writerows(
-            [[f.name for f in dc_fields(self)], astuple(self)]
-        )
-        return out.getvalue()
-
-    def to_markdown(self) -> str:
-        lines = ["| metric | value |", "| --- | --- |"]
-        for f in dc_fields(self):
-            value = str(getattr(self, f.name)).replace("|", r"\|")
-            lines.append(f"| {f.name} | {value} |")
-        return "\n".join(lines) + "\n"
-
-    def to_text(self) -> str:
-        lines = [f"corpus: {self.corpus}"]
-        lines.append(
-            f"config: set={self.set_kind} filter={self.filter_mode} chunk={self.chunk_bits}"
-        )
-        lines.append(f"universe: {self.total_allocs} allocs, {self.num_vars} vars")
-        lines.append(
-            f"propagation: unions={self.union_ops} attempts={self.union_attempts} "
-            f"nodes={self.nodes_processed} spills={self.spilled_sets} "
-            f"time={self.wall_time_s}s"
-        )
-        lines.append(
-            "modeled space (bytes): "
-            f"var-sets={self.var_set_bytes} field-sets={self.field_set_bytes} "
-            f"shared-bases={self.shared_base_bytes} total={self.total_bytes}"
-        )
-        return "\n".join(lines) + "\n"
-
-
 def _load_corpus(path: str) -> tuple[PAG, NumberingResult]:
     """Decode, parse and number a fact file: the input of every solve."""
     data = Path(path).read_bytes()
@@ -108,27 +56,56 @@ def _load_corpus(path: str) -> tuple[PAG, NumberingResult]:
     return pag, number_allocations(h, list(pag.allocs.values()))
 
 
-def _make_report(path: str, sol: Solution) -> RunReport:
+def _make_report(path: str, sol: Solution) -> dict:
+    """The solve report: column name -> value, in CSV column order.  Every
+    report format reads this one dict."""
+    stats, cfg = sol.stats, sol.config
     var_bytes = sum(s.footprint_bytes() for s in sol.var_sets.values())
     field_bytes = sum(s.footprint_bytes() for s in sol.field_sets.values())
-    total = sol.stats.total_footprint_bytes
-    return RunReport(
-        corpus=path,
-        set_kind=sol.config.set_kind,
-        filter_mode=sol.config.filter_mode,
-        chunk_bits=sol.config.chunk_bits,
-        total_allocs=sol.nr.total_allocs,
-        num_vars=len(sol.pag.var_types),
-        union_ops=sol.stats.union_ops,
-        union_attempts=sol.stats.union_attempts,
-        nodes_processed=sol.stats.nodes_processed,
-        spilled_sets=sol.stats.spilled_sets,
-        wall_time_s=f"{sol.stats.wall_time:.4f}",
-        var_set_bytes=var_bytes,
-        field_set_bytes=field_bytes,
-        shared_base_bytes=total - var_bytes - field_bytes,
-        total_bytes=total,
-    )
+    total = stats.total_footprint_bytes
+    return {
+        "corpus": path,
+        "set_kind": cfg.set_kind,
+        "filter_mode": cfg.filter_mode,
+        "chunk_bits": cfg.chunk_bits,
+        "total_allocs": sol.nr.total_allocs,
+        "num_vars": len(sol.pag.var_types),
+        "union_ops": stats.union_ops,
+        "union_attempts": stats.union_attempts,
+        "nodes_processed": stats.nodes_processed,
+        "spilled_sets": stats.spilled_sets,
+        "wall_time_s": f"{stats.wall_time:.4f}",
+        "var_set_bytes": var_bytes,
+        "field_set_bytes": field_bytes,
+        "shared_base_bytes": total - var_bytes - field_bytes,
+        "total_bytes": total,
+    }
+
+
+def _report_text(report: dict) -> str:
+    return (
+        "corpus: {corpus}\n"
+        "config: set={set_kind} filter={filter_mode} chunk={chunk_bits}\n"
+        "universe: {total_allocs} allocs, {num_vars} vars\n"
+        "propagation: unions={union_ops} attempts={union_attempts} "
+        "nodes={nodes_processed} spills={spilled_sets} time={wall_time_s}s\n"
+        "modeled space (bytes): var-sets={var_set_bytes} field-sets={field_set_bytes} "
+        "shared-bases={shared_base_bytes} total={total_bytes}\n"
+    ).format(**report)
+
+
+def _report_csv(report: dict) -> str:
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows([report.keys(), report.values()])
+    return out.getvalue()
+
+
+def _report_markdown(report: dict) -> str:
+    lines = ["| metric | value |", "| --- | --- |"]
+    for name, value in report.items():
+        value = str(value).replace("|", r"\|")
+        lines.append(f"| {name} | {value} |")
+    return "\n".join(lines) + "\n"
 
 
 # gen flag -> the GenParams field it sets, and takes its default from;
@@ -181,13 +158,13 @@ def cmd_solve(args) -> int:
     cfg = _config_from(args)
     sol = propagate(*_load_corpus(args.corpus), cfg)
     report = _make_report(args.corpus, sol)
-    print(report.to_text(), end="")
+    print(_report_text(report), end="")
     if args.emit_solution:
         Path(args.emit_solution).write_text(emit_solution(sol))
     if args.csv:
-        Path(args.csv).write_text(report.to_csv())
+        Path(args.csv).write_text(_report_csv(report))
     if args.md:
-        Path(args.md).write_text(report.to_markdown())
+        Path(args.md).write_text(_report_markdown(report))
     return 0
 
 
@@ -245,8 +222,7 @@ def cmd_bench(args) -> int:
     for _ in range(args.repeat):
         sol = propagate(pag, nr, cfg)
         times.append(sol.stats.wall_time)
-    report = _make_report(args.corpus, sol)
-    print(report.to_text(), end="")
+    print(_report_text(_make_report(args.corpus, sol)), end="")
     print(f"median propagation time over {args.repeat} runs: {statistics.median(times):.4f}s")
     return 0
 

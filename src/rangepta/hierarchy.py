@@ -60,7 +60,9 @@ class ClassHierarchy:
         self.parent: dict[str, Optional[str]] = {}
         self.children: dict[str, list[str]] = {}  # declaration order
         self.implements: dict[str, tuple[str, ...]] = {}
-        self.iface_extends: dict[str, tuple[str, ...]] = {}
+        # interface -> itself and everything it extends, transitively;
+        # filled by build_hierarchy's cycle walk
+        self._iface_closure: dict[str, frozenset[str]] = {}
         # caches filled by _finalize
         self._all_ifaces_of_class: dict[str, frozenset[str]] = {}
         # a class's subtree is the preorder range [_pre[c], _last[c]];
@@ -94,14 +96,7 @@ class ClassHierarchy:
 
     def super_interfaces(self, iface: str) -> frozenset[str]:
         """iface plus everything it extends, transitively."""
-        seen = {iface}
-        work = [iface]
-        while work:
-            for sup in self.iface_extends.get(work.pop(), ()):
-                if sup not in seen:
-                    seen.add(sup)
-                    work.append(sup)
-        return frozenset(seen)
+        return self._iface_closure[iface]
 
     def interfaces_of_class(self, cls: str) -> frozenset[str]:
         """All interfaces cls is compatible with, via ancestors and extension."""
@@ -212,33 +207,34 @@ def build_hierarchy(
             decl=unreached[0],
         )
 
-    # cycle check on interface extension
-    istate: dict[str, int] = {}
-
-    # depth-first with an explicit stack, so deep extension chains cannot
-    # exhaust the interpreter's recursion limit
+    # cycle check on interface extension, depth-first with an explicit
+    # stack, so deep extension chains cannot exhaust the interpreter's
+    # recursion limit; an interface finishes after everything it extends,
+    # so its closure is itself plus theirs
+    closure = h._iface_closure
+    open_ifaces: set[str] = set()  # on the stack
     for start in ext_map:
-        if start in istate:
+        if start in closure:
             continue
-        istate[start] = 1
+        open_ifaces.add(start)
         stack = [(start, iter(ext_map[start]))]
         while stack:
             i, sups = stack[-1]
             sup = next(sups, None)
             if sup is None:
-                istate[i] = 2
+                closure[i] = frozenset((i,)).union(*(closure[e] for e in ext_map[i]))
+                open_ifaces.discard(i)
                 stack.pop()
-            elif istate.get(sup) == 1:
+            elif sup in open_ifaces:
                 raise InheritanceCycleError(
                     f"interface extension cycle through {sup}", decl=i
                 )
-            elif sup not in istate:
-                istate[sup] = 1
+            elif sup not in closure:
+                open_ifaces.add(sup)
                 stack.append((sup, iter(ext_map[sup])))
 
-    for name, exts in ext_map.items():
+    for name in ext_map:
         h.types[name] = TypeRef(name, "interface")
-        h.iface_extends[name] = exts
 
     for a in array_types:
         _ensure_array(h, a)

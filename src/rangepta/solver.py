@@ -437,20 +437,14 @@ class CompareResult:
     witnesses: list[DiffEntry] = field(default_factory=list)  # members of b missing in a
 
 
-def _slack_flag(s: PointsToSet | None, idx: int) -> bool:
-    """True iff s is ranged and idx lies in its owner's chunk spans but
-    outside its intervals."""
-    if s is None or not s.ranged:
-        return False
-    g = s.geometry
-    return bool((g.span_bits & ~g.interval_bits) >> idx & 1)
-
-
 def compare_solutions(a: Solution, b: Solution) -> CompareResult:
     """Per-node membership comparison of two solutions over the same corpus.
 
     Members are alloc indices, so both solutions must number the same
-    allocs in the same order."""
+    allocs in the same order.  Each node's diffs and witnesses come in
+    ascending order from the member ints; a diff is in slack iff a's set
+    holds it outside its objects (``as_int() & ~objects_int()``), which no
+    exactly filtered set does."""
     ids_a = [site.id for site in a.nr.global_array]
     ids_b = [site.id for site in b.nr.global_array]
     if ids_a != ids_b or set(a.pag.var_types) != set(b.pag.var_types):
@@ -458,26 +452,19 @@ def compare_solutions(a: Solution, b: Solution) -> CompareResult:
     diffs: list[DiffEntry] = []
     witnesses: list[DiffEntry] = []
 
-    def check(label: str, sa, ma: frozenset, mb: frozenset):
-        for e in sorted(ma - mb):
-            diffs.append(DiffEntry(label, e, _slack_flag(sa, e)))
-        for e in sorted(mb - ma):
-            witnesses.append(DiffEntry(label, e, False))
+    def check(label: str, sa: PointsToSet | None, sb: PointsToSet | None):
+        ma = 0 if sa is None else sa.as_int()
+        mb = 0 if sb is None else sb.as_int()
+        extra = ma & ~mb
+        if extra:  # so sa is a set
+            slack = ma & ~sa.objects_int()
+            diffs.extend(DiffEntry(label, e, bool(slack >> e & 1)) for e in _iter_bits(extra, 0))
+        witnesses.extend(DiffEntry(label, e, False) for e in _iter_bits(mb & ~ma, 0))
 
     for v in sorted(a.pag.var_types):
-        check(
-            f"var {v}",
-            a.var_sets.get(v),
-            frozenset(a.var_members(v)),
-            frozenset(b.var_members(v)),
-        )
+        check(f"var {v}", a.var_sets.get(v), b.var_sets.get(v))
     for key in sorted(set(a.field_sets) | set(b.field_sets)):
-        check(
-            f"field {key[0]} {key[1]}",
-            a.field_sets.get(key),
-            frozenset(a.field_members(key)),
-            frozenset(b.field_members(key)),
-        )
+        check(f"field {key[0]} {key[1]}", a.field_sets.get(key), b.field_sets.get(key))
     if witnesses:
         return CompareResult("incomparable", diffs, witnesses)
     if diffs:

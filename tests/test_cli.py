@@ -132,6 +132,40 @@ class TestSolve:
             assert text[label] == row[column], column
             assert f"| {column} | {row[column]} |" in md
 
+    def test_report_formats_are_pinned(self, corpus, tmp_path, capsys):
+        # the columns, their order and the text labels, with the wall time
+        # masked; shared is the kind whose shared-bases column is not 0
+        csv_path, md_path = tmp_path / "r.csv", tmp_path / "r.md"
+        assert main([
+            "solve", str(corpus), "--set", "shared",
+            "--csv", str(csv_path), "--md", str(md_path),
+        ]) == 0
+        out = capsys.readouterr().out
+        text = re.sub(r"time=\d+\.\d{4}s", "time=Ts", out)
+        assert text.splitlines() == [
+            f"corpus: {corpus}",
+            "config: set=shared filter=mask chunk=64",
+            "universe: 18 allocs, 14 vars",
+            "propagation: unions=28 attempts=48 nodes=15 spills=0 time=Ts",
+            "modeled space (bytes): var-sets=568 field-sets=648 shared-bases=24 total=1240",
+        ]
+        header, values = csv.reader(csv_path.read_text().splitlines())
+        assert header == [
+            "corpus", "set_kind", "filter_mode", "chunk_bits", "total_allocs",
+            "num_vars", "union_ops", "union_attempts", "nodes_processed",
+            "spilled_sets", "wall_time_s", "var_set_bytes", "field_set_bytes",
+            "shared_base_bytes", "total_bytes",
+        ]
+        wall = values[header.index("wall_time_s")]
+        assert re.fullmatch(r"\d+\.\d{4}", wall) and f" time={wall}s\n" in out
+        assert values == [
+            str(corpus), "shared", "mask", "64", "18", "14", "28", "48", "15",
+            "0", wall, "568", "648", "24", "1240",
+        ]
+        assert md_path.read_text().splitlines() == [
+            "| metric | value |", "| --- | --- |",
+        ] + [f"| {name} | {value} |" for name, value in zip(header, values)]
+
     def test_csv_and_md_quote_an_unusual_path(self, corpus, tmp_path, capsys):
         odd = tmp_path / "a,b|c" / "c.facts"
         odd.parent.mkdir()

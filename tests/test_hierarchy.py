@@ -357,6 +357,55 @@ class TestRandomizedProperties:
                     assert h.is_subtype(s, t) == (t in supers[s]), (s, t)
 
 
+def _iface_closures(iface_decls):
+    """interface -> itself and everything it extends, from the raw
+    declarations: the oracle's supertypes of a class that implements only
+    that interface, less the class and the root."""
+    classes = [("Object", None, ())] + [(f"K{i}", "Object", (i,)) for i, _ in iface_decls]
+    supers = closure_supertypes(classes, iface_decls)
+    return {i: supers[f"K{i}"] - {f"K{i}", "Object"} for i, _ in iface_decls}
+
+
+def test_interface_subtyping_matches_declarations():
+    # random extension DAGs, declared in shuffled order so that a walk meets
+    # interfaces it has not finished
+    rng = random.Random(22)
+    diamonds = 0
+    for _ in range(40):
+        names = [f"I{k}" for k in range(rng.randint(2, 14))]
+        decls = [
+            (n, tuple(rng.sample(names[:k], rng.randint(0, min(3, k)))))
+            for k, n in enumerate(names)
+        ]
+        rng.shuffle(decls)
+        h = build_hierarchy([("Object", None, ())], decls)
+        closures = _iface_closures(decls)
+        ext = dict(decls)
+        # a diamond: two of an interface's direct supertypes share one
+        diamonds += any(
+            closures[a] & closures[b]
+            for i in names for a in ext[i] for b in ext[i] if a < b
+        )
+        for i in names:
+            assert h.super_interfaces(i) == closures[i], i
+            for j in names:
+                assert h.is_subtype(i, j) == (j in closures[i]), (i, j)
+    assert diamonds >= 10, diamonds
+
+
+def test_deep_interface_chain():
+    # deeper than the interpreter's default recursion limit; no time bound
+    depth = 3000
+    decls = [(f"I{k}", (f"I{k - 1}",) if k else ()) for k in range(depth)]
+    leaf_name = f"I{depth - 1}"
+    h = build_hierarchy([("Object", None, (leaf_name,))], decls[::-1])
+    leaf = h.super_interfaces(leaf_name)
+    assert len(leaf) == depth and leaf == {n for n, _ in decls}
+    assert h.super_interfaces("I0") == {"I0"}
+    assert h.is_subtype(leaf_name, "I0") and not h.is_subtype("I0", "I1")
+    assert h.interfaces_of_class("Object") == leaf
+
+
 def test_deep_chain_bookkeeping_is_linear():
     # per-class ancestor sets would make this quadratic in chain depth
     depth = 3000

@@ -2,7 +2,14 @@ from dataclasses import replace
 
 import pytest
 
-from oracles import brute_force_propagate, closure_supertypes, rewalk_propagate
+from oracles import (
+    aligned_span,
+    brute_force_propagate,
+    closure_supertypes,
+    compatible_indices,
+    rewalk_propagate,
+    runs_of,
+)
 from test_acceptance import SUITE_CHUNK, suite_text
 from test_hierarchy import _line_events
 from rangepta import ptsets, solver
@@ -443,6 +450,58 @@ class TestCompare:
         res = compare_solutions(a, b)
         assert res.status in ("equal", "a_superset")
         assert not res.witnesses
+
+    def test_slack_flags_match_the_chunk_spans(self):
+        # b drops every other new, so a also holds members outside its slack:
+        # a flag that is always True, or always False, fails
+        cb = 64
+        slack = non_slack = 0
+        for text in small_corpora()[:3]:
+            lines = text.splitlines(keepends=True)
+            news = [k for k, line in enumerate(lines) if line.startswith("new ")]
+            dropped = set(news[::2])
+            fewer_news = "".join(line for k, line in enumerate(lines) if k not in dropped)
+            a = solve_text(text, SolverConfig("ranged", "intrinsic", chunk_bits=cb))
+            b = solve_text(fewer_news, SolverConfig("naive", "mask"))
+            res = compare_solutions(a, b)
+            assert res.status == "a_superset" and not res.witnesses
+
+            # the slack of an owner type's sets, from the raw declarations:
+            # each run of its compatible indices widened to its chunks, minus
+            # those indices
+            pag, nr = a.pag, a.nr
+            sup = closure_supertypes(pag.class_decls, pag.iface_decls)
+            slack_of = {}
+            for t in set(pag.var_types.values()) | set(pag.field_types.values()):
+                compat = compatible_indices(nr, sup, t)
+                span = set()
+                for run in runs_of(compat):
+                    lo, hi = aligned_span(run, cb)
+                    span.update(range(lo, hi + 1))
+                slack_of[t] = span - compat
+
+            by_node = {}
+            for d in res.diffs:
+                by_node.setdefault(d.node, []).append(d.extra_index)
+                what, *key = d.node.split()
+                if what == "var":
+                    owner = pag.var_types[key[0]]
+                else:
+                    owner = pag.field_types[key[1]]
+                assert d.in_slack == (d.extra_index in slack_of[owner]), d
+                slack += d.in_slack
+                non_slack += not d.in_slack
+            for node, extras in by_node.items():
+                assert extras == sorted(set(extras)), node
+        assert slack and non_slack, (slack, non_slack)
+
+    def test_exact_kinds_flag_no_slack(self):
+        text = small_corpora()[2]
+        a = solve_text(text, SolverConfig("naive", "none"))
+        b = solve_text(text, SolverConfig("naive", "mask"))
+        res = compare_solutions(a, b)
+        assert res.status == "a_superset" and res.diffs
+        assert not any(d.in_slack for d in res.diffs)
 
     def test_incomparable(self):
         a = solve_text(BASIC, SolverConfig("naive", "mask"))
