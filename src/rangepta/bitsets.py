@@ -13,10 +13,12 @@ its union reproduces ``or_overlapping``, the reference chunk-wise union.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from .errors import InvalidParamsError
-from .hierarchy import Interval
+
+if TYPE_CHECKING:
+    from .hierarchy import Interval
 
 _VALID_CHUNK_BITS = (8, 16, 32, 64)
 

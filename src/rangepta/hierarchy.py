@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
+from .bitsets import _iter_bits
 from .errors import (
     DuplicateTypeError,
     InheritanceCycleError,
@@ -21,7 +22,7 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TypeRef:
     name: str
     kind: str  # 'class' | 'interface' | 'array'
@@ -32,13 +33,13 @@ class TypeRef:
         return self.kind != "interface"
 
 
-@dataclass
+@dataclass(slots=True)
 class AllocSite:
     id: str
     type_name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Interval:
     lower: int
     upper: int
@@ -60,11 +61,15 @@ class ClassHierarchy:
         self.parent: dict[str, Optional[str]] = {}
         self.children: dict[str, list[str]] = {}  # declaration order
         self.implements: dict[str, tuple[str, ...]] = {}
+        # interface sets are ints over interface ordinals: bit k stands for
+        # _iface_names[k], in declaration order
+        self._iface_names: list[str] = []
+        self._iface_ord: dict[str, int] = {}
         # interface -> itself and everything it extends, transitively;
         # filled by build_hierarchy's cycle walk
-        self._iface_closure: dict[str, frozenset[str]] = {}
-        # caches filled by _finalize
-        self._all_ifaces_of_class: dict[str, frozenset[str]] = {}
+        self._iface_closure: dict[str, int] = {}
+        # class -> every interface it is compatible with; filled by _finalize
+        self._ifaces_of_class: dict[str, int] = {}
         # a class's subtree is the preorder range [_pre[c], _last[c]];
         # _pre lists the classes in preorder
         self._pre: dict[str, int] = {}
@@ -78,9 +83,6 @@ class ClassHierarchy:
         except KeyError:
             raise UnknownTypeError(f"unknown type: {name}") from None
 
-    def is_declared(self, name: str) -> bool:
-        return name in self.types
-
     def class_names(self) -> list[str]:
         """All class-like type names in preorder of the tree."""
         out = []
@@ -92,15 +94,19 @@ class ClassHierarchy:
         return out
 
     def interface_names(self) -> list[str]:
-        return [n for n, t in self.types.items() if t.kind == "interface"]
+        return list(self._iface_names)
+
+    def _iface_set(self, bits: int) -> frozenset[str]:
+        names = self._iface_names
+        return frozenset(names[k] for k in _iter_bits(bits, 0))
 
     def super_interfaces(self, iface: str) -> frozenset[str]:
         """iface plus everything it extends, transitively."""
-        return self._iface_closure[iface]
+        return self._iface_set(self._iface_closure[iface])
 
     def interfaces_of_class(self, cls: str) -> frozenset[str]:
         """All interfaces cls is compatible with, via ancestors and extension."""
-        return self._all_ifaces_of_class[cls]
+        return self._iface_set(self._ifaces_of_class[cls])
 
     def is_subtype(self, s: str, t: str) -> bool:
         """True iff a value of type s may be held by a slot of type t."""
@@ -109,9 +115,11 @@ class ClassHierarchy:
         if s == t:
             return True
         if st.kind == "interface":
-            return tt.kind == "interface" and t in self.super_interfaces(s)
+            if tt.kind != "interface":
+                return False
+            return bool(self._iface_closure[s] >> self._iface_ord[t] & 1)
         if tt.kind == "interface":
-            return t in self._all_ifaces_of_class[s]
+            return bool(self._ifaces_of_class[s] >> self._iface_ord[t] & 1)
         return self._pre[t] <= self._pre[s] <= self._last[t]
 
     # -- construction helpers -----------------------------------------
@@ -130,11 +138,10 @@ class ClassHierarchy:
         order = self.class_names()
         for cls in order:
             parent = self.parent[cls]
-            ifs = frozenset() if parent is None else self._all_ifaces_of_class[parent]
-            own = self.implements[cls]
-            if own:
-                ifs = ifs.union(*(self.super_interfaces(i) for i in own))
-            self._all_ifaces_of_class[cls] = ifs
+            ifs = 0 if parent is None else self._ifaces_of_class[parent]
+            for i in self.implements[cls]:
+                ifs |= self._iface_closure[i]
+            self._ifaces_of_class[cls] = ifs
         self._pre = {cls: n for n, cls in enumerate(order)}
         self._last = dict(self._pre)
         for cls in reversed(order):  # descendants before ancestors
@@ -211,6 +218,8 @@ def build_hierarchy(
     # stack, so deep extension chains cannot exhaust the interpreter's
     # recursion limit; an interface finishes after everything it extends,
     # so its closure is itself plus theirs
+    h._iface_names = list(ext_map)
+    h._iface_ord = {name: k for k, name in enumerate(h._iface_names)}
     closure = h._iface_closure
     open_ifaces: set[str] = set()  # on the stack
     for start in ext_map:
@@ -222,7 +231,10 @@ def build_hierarchy(
             i, sups = stack[-1]
             sup = next(sups, None)
             if sup is None:
-                closure[i] = frozenset((i,)).union(*(closure[e] for e in ext_map[i]))
+                bits = 1 << h._iface_ord[i]
+                for e in ext_map[i]:
+                    bits |= closure[e]
+                closure[i] = bits
                 open_ifaces.discard(i)
                 stack.pop()
             elif sup in open_ifaces:
@@ -339,14 +351,15 @@ def number_allocations(h: ClassHierarchy, allocs: Sequence[AllocSite]) -> Number
     )
     # an implementing class is topmost for an interface iff its parent is
     # not compatible with it; one walk finds the topmost classes of all
-    tops: dict[str, list[str]] = {i: [] for i in h.interface_names()}
+    tops: list[list[str]] = [[] for _ in h._iface_names]
+    ifaces_of = h._ifaces_of_class
     for c, parent in h.parent.items():
-        ifs = h.interfaces_of_class(c)
+        ifs = ifaces_of[c]
         if parent is not None:
-            ifs = ifs - h.interfaces_of_class(parent)
-        for i in ifs:
-            tops[i].append(c)
-    for iface, classes in tops.items():
+            ifs &= ~ifaces_of[parent]
+        for k in _iter_bits(ifs, 0):
+            tops[k].append(c)
+    for iface, classes in zip(h._iface_names, tops):
         nr.iface2intervals[iface] = tuple(_merged_intervals(nr, classes))
     return nr
 

@@ -17,6 +17,12 @@ whitespace separated::
 
 Calls are expected to arrive pre-lowered to assignments (parameter and
 return copies); there is no call statement.
+
+A parsed program holds each name once.  Every var, field and alloc name in
+an edge is the declaration's own string object, and every type name (of a
+var, a field or an ``AllocSite``) is the hierarchy's key for the type, so
+a name that many statements mention costs one string.  The objects come
+from the lookups that check the names; the records are slotted.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ import random
 import re
 from dataclasses import dataclass, field
 
-from .bitsets import _VALID_CHUNK_BITS
+from .bitsets import ChunkConfig
 from .errors import (
     DeclError,
     DuplicateNameError,
@@ -82,6 +88,10 @@ def parse_program(text: str) -> tuple[ClassHierarchy, PAG]:
     """Parse fact text into a validated hierarchy and PAG."""
     pag = PAG()
     decl_lines: dict[str, int] = {}  # field, var and alloc name -> line
+    # each declared var and field name -> itself: the one object the
+    # parsed program holds for it
+    var_names: dict[str, str] = {}
+    field_names: dict[str, str] = {}
     type_lines: dict[str, int] = {}  # class, interface, first array mention -> line
     stmt_lines: list[int] = []  # parallel to statements for late diagnostics
     statements: list[tuple] = []
@@ -145,8 +155,10 @@ def parse_program(text: str) -> tuple[ClassHierarchy, PAG]:
             declare_name(name, directive, lineno)
             if directive == "field":
                 pag.field_types[name] = tname
+                field_names[name] = name
             elif directive == "var":
                 pag.var_types[name] = tname
+                var_names[name] = name
             else:
                 pag.allocs[name] = AllocSite(id=name, type_name=tname)
         elif directive == "new":
@@ -179,53 +191,61 @@ def parse_program(text: str) -> tuple[ClassHierarchy, PAG]:
         # with no class declared at all, a missing root is reported at line 1
         raise type(e)(f"line {type_lines.get(e.decl, 1)}: {e}") from None
 
-    for what, types in (("var", pag.var_types), ("field", pag.field_types)):
-        for name, tname in types.items():
-            if not h.is_declared(tname):
+    # every type name the program holds becomes the hierarchy's key
+    types = h.types
+    for what, named in (("var", pag.var_types), ("field", pag.field_types)):
+        for name, tname in named.items():
+            t = types.get(tname)
+            if t is None:
                 raise UnknownTypeError(
                     f"line {decl_lines[name]}: {what} {name}: unknown type {tname}"
                 )
+            named[name] = t.name
     for a in pag.allocs.values():
-        if not h.is_declared(a.type_name):
+        t = types.get(a.type_name)
+        if t is None:
             problem = f"unknown type {a.type_name}"
-        elif not h.lookup(a.type_name).is_classlike:
+        elif not t.is_classlike:
             problem = f"allocated type {a.type_name} is an interface"
         else:
+            a.type_name = t.name
             continue
         raise UnknownTypeError(f"line {decl_lines[a.id]}: alloc {a.id}: {problem}")
 
-    def need_var(name: str, line: int):
-        if name not in pag.var_types:
+    # each edge holds the declared name objects, not the statement's tokens
+    def need_var(name: str, line: int) -> str:
+        v = var_names.get(name)
+        if v is None:
             raise UndeclaredVariableError(f"line {line}: undeclared variable {name!r}")
+        return v
 
-    def need_field(name: str, line: int):
-        if name not in pag.field_types:
+    def need_field(name: str, line: int) -> str:
+        f = field_names.get(name)
+        if f is None:
             raise UndeclaredVariableError(f"line {line}: undeclared field {name!r}")
+        return f
 
     for stmt, line in zip(statements, stmt_lines):
         if stmt[0] == "new":
             _, v, o = stmt
-            need_var(v, line)
-            if o not in pag.allocs:
+            v = need_var(v, line)
+            a = pag.allocs.get(o)
+            if a is None:
                 raise UndeclaredVariableError(f"line {line}: undeclared alloc {o!r}")
-            pag.alloc_edges.append((o, v))
+            pag.alloc_edges.append((a.id, v))
         elif stmt[0] == "assign":
             _, dst, src = stmt
-            need_var(dst, line)
-            need_var(src, line)
-            pag.assign_edges.append((dst, src))
+            pag.assign_edges.append((need_var(dst, line), need_var(src, line)))
         elif stmt[0] == "store":
             _, base, f, src = stmt
-            need_var(base, line)
-            need_field(f, line)
-            need_var(src, line)
-            pag.store_edges.append((base, f, src))
+            pag.store_edges.append(
+                (need_var(base, line), need_field(f, line), need_var(src, line))
+            )
         else:
             _, dst, base, f = stmt
-            need_var(dst, line)
-            need_var(base, line)
-            need_field(f, line)
-            pag.load_edges.append((dst, base, f))
+            pag.load_edges.append(
+                (need_var(dst, line), need_var(base, line), need_field(f, line))
+            )
 
     return h, pag
 
@@ -295,8 +315,11 @@ class GenParams:
             raise InvalidParamsError("store_load_ratio must be in [0,1]")
         if not 0.0 <= self.violation_rate <= 1.0:
             raise InvalidParamsError("violation_rate must be in [0,1]")
-        if self.pad_chunk is not None and self.pad_chunk not in _VALID_CHUNK_BITS:
-            raise InvalidParamsError(f"pad_chunk must be one of {_VALID_CHUNK_BITS}")
+        if self.pad_chunk is not None:
+            try:
+                ChunkConfig(self.pad_chunk)
+            except InvalidParamsError as e:
+                raise InvalidParamsError(f"pad_chunk: {e}") from None
 
 
 def generate_synthetic(params: GenParams, seed: int) -> str:

@@ -58,8 +58,10 @@ index set), so making a set is one call that reads no table.  All three
 are read off the owner's intervals.  The type masks
 (``build_type_mask``) and the ranged geometries are cached on the
 ``NumberingResult``, the geometries per chunk width, so every factory over
-one numbering shares them.  The makers, and so naive's compatible index
-sets, and the interned shared bases are per factory.
+one numbering shares them.  The per-type states, and so naive's compatible
+index sets, and the interned shared bases are per factory.  A factory
+holds no maker, which would refer back to it, so a finished solve is freed
+by reference counting alone.
 
 Memory accounting is a deterministic model, not process measurement:
 16 bytes per object header, 16 per array header, 8 per reference slot,
@@ -120,7 +122,7 @@ class SetFactory:
     holds the owner and the kind's per-type state, built on the first
     maker for that type.  Type masks and ranged geometry come from caches
     on the numbering, which every factory over it shares; the factory
-    caches its makers, which hold every other per-type state, and the
+    caches every (kind, owner)'s class, owner and per-type state, and the
     interned shared bases."""
 
     def __init__(self, nr: NumberingResult, cfg: ChunkConfig = ChunkConfig()):
@@ -133,7 +135,8 @@ class SetFactory:
         self._geometry: dict[str, RangedGeometry] = nr._ranged_geometry.setdefault(
             cfg.chunk_bits, {}
         )
-        self._makers: dict[tuple[str, str], Callable[[], PointsToSet]] = {}
+        # (kind, owner) -> (set class, owner type, per-type state)
+        self._type_states: dict[tuple[str, str], tuple] = {}
         self._interned_bases: dict[int, int] = {}
 
     def intervals(self, type_name: str) -> tuple[Interval, ...]:
@@ -174,16 +177,19 @@ class SetFactory:
 
     def maker(self, kind: str, owner: str) -> Callable[[], "PointsToSet"]:
         """The zero-argument constructor of empty ``kind`` sets owned by the
-        named type, made once per factory."""
-        make = self._makers.get((kind, owner))
-        if make is None:
+        named type.  Each call makes a new one over the per-type state
+        built on the first call for (kind, owner)."""
+        made = self._type_states.get((kind, owner))
+        if made is None:
             owner_t = self.h.lookup(owner)
             cls = SET_KINDS.get(kind)
             if cls is None:
                 raise UnsupportedKindError(f"unknown set kind: {kind}")
-            make = partial(cls, self, owner_t, cls.type_state(self, owner))
-            self._makers[kind, owner] = make
-        return make
+            made = self._type_states[kind, owner] = (
+                cls, owner_t, cls.type_state(self, owner)
+            )
+        cls, owner_t, state = made
+        return partial(cls, self, owner_t, state)
 
     def make_set(self, kind: str, owner: str) -> "PointsToSet":
         return self.maker(kind, owner)()

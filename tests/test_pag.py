@@ -1,6 +1,7 @@
 import hashlib
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +15,9 @@ from rangepta.errors import (
     UndeclaredVariableError,
     UnknownTypeError,
 )
+from rangepta.hierarchy import number_allocations
 from rangepta.pag import GenParams, format_program, generate_synthetic, parse_program
+from test_acceptance import suite_text
 
 # declarations before the line-3 cases of test_type_errors_have_line
 HEAD = "class Object\ninterface I\n"
@@ -194,6 +197,9 @@ class TestGenerator:
             generate_synthetic(GenParams(num_classes=0), 1)
         with pytest.raises(InvalidParamsError):
             generate_synthetic(GenParams(allocs_per_class=(3, 1)), 1)
+        # the chunk-width rule is ChunkConfig's; the message names the field
+        with pytest.raises(InvalidParamsError, match=r"^pad_chunk: .* got 7$"):
+            generate_synthetic(GenParams(pad_chunk=7), 1)
 
     def test_padded_counts_are_chunk_multiples(self):
         p = GenParams(num_classes=10, pad_chunk=8, allocs_per_class=(0, 3))
@@ -234,6 +240,71 @@ class TestGenerator:
         assert digest.hexdigest() == (
             "55e71d78b9291d877fb87796caa525fa91816153e9a9789ba2d1e073bdd39c7c"
         )
+
+
+# statements before the declarations they name, and array types
+LATE_DECLS = """\
+new x o1
+assign y x
+store x f y
+load y x f
+class Object
+interface I
+class A extends Object implements I
+var x : A[]
+var y : I
+field f : A[]
+alloc o1 : A[][]
+alloc o2 : A
+"""
+
+
+def _canonical(d):
+    """Each key of d mapped to itself: the key object for an equal name."""
+    return {k: k for k in d}
+
+
+class TestCanonicalNames:
+    @pytest.mark.parametrize("text", [LATE_DECLS, suite_text(49)], ids=["late", "suite49"])
+    def test_parsed_names_are_the_declared_objects(self, text):
+        h, pag = parse_program(text)
+        var = _canonical(pag.var_types)
+        fld = _canonical(pag.field_types)
+        alloc = _canonical(pag.allocs)
+        typ = _canonical(h.types)
+        for o, v in pag.alloc_edges:
+            assert alloc[o] is o and pag.allocs[o].id is o and var[v] is v
+        for dst, src in pag.assign_edges:
+            assert var[dst] is dst and var[src] is src
+        for base, f, src in pag.store_edges:
+            assert var[base] is base and fld[f] is f and var[src] is src
+        for dst, base, f in pag.load_edges:
+            assert var[dst] is dst and var[base] is base and fld[f] is f
+        for tname in [*pag.var_types.values(), *pag.field_types.values()]:
+            assert typ[tname] is tname
+        for a in pag.allocs.values():
+            assert typ[a.type_name] is a.type_name is h.types[a.type_name].name
+
+    def test_records_are_slotted(self):
+        h, pag = parse_program(LATE_DECLS)
+        nr = number_allocations(h, list(pag.allocs.values()))
+        for record in (h.types["A[]"], pag.allocs["o1"], nr.type2interval["A"]):
+            assert not hasattr(record, "__dict__"), type(record).__name__
+
+    def test_parsed_corpus_memory_is_bounded(self):
+        # a 2,000-statement suite corpus, parsed and numbered, holds ~330 KiB
+        # with each name once; holding every statement token it held ~600 KiB
+        text = suite_text(49)
+        tracemalloc.start()
+        try:
+            h, pag = parse_program(text)
+            nr = number_allocations(h, list(pag.allocs.values()))
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert nr.total_allocs == len(pag.allocs)
+        assert held < 450 * 2**10, held
+        assert peak < 1024 * 2**10, peak
 
 
 FUZZ_PARAMS = GenParams(

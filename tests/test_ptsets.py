@@ -110,10 +110,20 @@ def shape(s):
 
 class TestMaker:
     @pytest.mark.parametrize("kind", sorted(SET_KINDS))
-    def test_makes_fresh_empty_sets(self, kind, factory8, worked_hierarchy):
-        for owner, want in zip(MAKER_OWNERS, NEW_SET_SHAPES[kind]):
+    def test_makes_fresh_empty_sets(self, kind, factory8, worked_hierarchy, monkeypatch):
+        # each maker is new, but the per-type state is built once per type
+        built = []
+        type_state = SET_KINDS[kind].type_state
+
+        def counted(cls, factory, type_name):
+            built.append(type_name)
+            return type_state(factory, type_name)
+
+        monkeypatch.setattr(SET_KINDS[kind], "type_state", classmethod(counted))
+        for k, (owner, want) in enumerate(zip(MAKER_OWNERS, NEW_SET_SHAPES[kind])):
             make = factory8.maker(kind, owner)
-            assert factory8.maker(kind, owner) is make
+            assert factory8.maker(kind, owner) is not make
+            assert built == list(MAKER_OWNERS[: k + 1])
             first = make()
             assert first.kind == kind and first.factory is factory8
             assert first.owner == worked_hierarchy.lookup(owner)

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -882,3 +884,20 @@ def test_ranged_and_naive_kinds_build_no_mask(monkeypatch):
         else:
             sets = [*sol.var_sets.values(), *sol.field_sets.values()]
             assert sorted(calls) == sorted({s.owner.name for s in sets}), cfg.set_kind
+
+
+@pytest.mark.parametrize("cfg", EXACT_CONFIGS + RANGED_CONFIGS, ids=lambda c: c.set_kind)
+def test_finished_solve_is_freed_by_reference_counting(cfg):
+    # nothing a solution holds refers back to it or to its factory, so the
+    # sets, the factory and its per-type state go at the last reference,
+    # without waiting for a full collection
+    pag, nr = load_corpus(suite_text(0))
+    gc.disable()
+    try:
+        sol = propagate(pag, nr, replace(cfg, chunk_bits=SUITE_CHUNK))
+        assert run_extra_pass(sol) == 0
+        factory = weakref.ref(sol.factory)
+        del sol
+        assert factory() is None
+    finally:
+        gc.enable()
