@@ -19,10 +19,13 @@ Calls are expected to arrive pre-lowered to assignments (parameter and
 return copies); there is no call statement.
 
 A parsed program holds each name once.  Every var, field and alloc name in
-an edge is the declaration's own string object, and every type name (of a
-var, a field or an ``AllocSite``) is the hierarchy's key for the type, so
-a name that many statements mention costs one string.  The objects come
-from the lookups that check the names; the records are slotted.
+an edge or a declaration is one string object, that of the name's first
+mention, and every type name (of a var, a field or an ``AllocSite``) is
+the hierarchy's key for the type, so a name that many statements mention
+costs one string.  The parser resolves a statement's names on its own line
+and appends its edge there, keeping no statement; a name mentioned before
+any declaration of it is checked once the file has been read.  The records
+are slotted.
 """
 
 from __future__ import annotations
@@ -88,13 +91,16 @@ def parse_program(text: str) -> tuple[ClassHierarchy, PAG]:
     """Parse fact text into a validated hierarchy and PAG."""
     pag = PAG()
     decl_lines: dict[str, int] = {}  # field, var and alloc name -> line
-    # each declared var and field name -> itself: the one object the
-    # parsed program holds for it
+    # each var, field and alloc name -> the one object the parsed program
+    # holds for it: the string of its first mention
     var_names: dict[str, str] = {}
     field_names: dict[str, str] = {}
+    alloc_names: dict[str, str] = {}
+    namespaces = {"var": var_names, "field": field_names, "alloc": alloc_names}
+    # (what, name, line) of each name a statement mentions before any
+    # declaration or statement does, in file order
+    first_mentions: list[tuple[str, str, int]] = []
     type_lines: dict[str, int] = {}  # class, interface, first array mention -> line
-    stmt_lines: list[int] = []  # parallel to statements for late diagnostics
-    statements: list[tuple] = []
 
     def declare_name(name: str, what: str, line: int):
         if name in decl_lines:
@@ -109,6 +115,13 @@ def parse_program(text: str) -> tuple[ClassHierarchy, PAG]:
     def note_type(name: str, line: int):
         if name.endswith("[]"):
             type_lines.setdefault(name, line)
+
+    def mention(names: dict[str, str], what: str, tok: str, line: int) -> str:
+        name = names.get(tok)
+        if name is None:
+            name = names[tok] = tok
+            first_mentions.append((what, tok, line))
+        return name
 
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -146,41 +159,48 @@ def parse_program(text: str) -> tuple[ClassHierarchy, PAG]:
                 exts = _split_list(toks[3], lineno)
             declare_type(name, lineno)
             pag.iface_decls.append((name, exts))
-        elif directive in ("field", "var", "alloc"):
+        elif directive in namespaces:
             if len(toks) != 4 or toks[2] != ":":
                 raise FactSyntaxError(f"malformed {directive} declaration", lineno)
             name = _check_ident(toks[1], lineno, bare=True)
             tname = _check_ident(toks[3], lineno)
             note_type(tname, lineno)
             declare_name(name, directive, lineno)
+            name = namespaces[directive].setdefault(name, name)
             if directive == "field":
                 pag.field_types[name] = tname
-                field_names[name] = name
             elif directive == "var":
                 pag.var_types[name] = tname
-                var_names[name] = name
             else:
                 pag.allocs[name] = AllocSite(id=name, type_name=tname)
         elif directive == "new":
             if len(toks) != 3:
                 raise FactSyntaxError("expected: new <var> <allocId>", lineno)
-            statements.append(("new", toks[1], toks[2]))
-            stmt_lines.append(lineno)
+            v = mention(var_names, "variable", toks[1], lineno)
+            pag.alloc_edges.append((mention(alloc_names, "alloc", toks[2], lineno), v))
         elif directive == "assign":
             if len(toks) != 3:
                 raise FactSyntaxError("expected: assign <dst> <src>", lineno)
-            statements.append(("assign", toks[1], toks[2]))
-            stmt_lines.append(lineno)
+            pag.assign_edges.append((
+                mention(var_names, "variable", toks[1], lineno),
+                mention(var_names, "variable", toks[2], lineno),
+            ))
         elif directive == "store":
             if len(toks) != 4:
                 raise FactSyntaxError("expected: store <base> <field> <src>", lineno)
-            statements.append(("store", toks[1], toks[2], toks[3]))
-            stmt_lines.append(lineno)
+            pag.store_edges.append((
+                mention(var_names, "variable", toks[1], lineno),
+                mention(field_names, "field", toks[2], lineno),
+                mention(var_names, "variable", toks[3], lineno),
+            ))
         elif directive == "load":
             if len(toks) != 4:
                 raise FactSyntaxError("expected: load <dst> <base> <field>", lineno)
-            statements.append(("load", toks[1], toks[2], toks[3]))
-            stmt_lines.append(lineno)
+            pag.load_edges.append((
+                mention(var_names, "variable", toks[1], lineno),
+                mention(var_names, "variable", toks[2], lineno),
+                mention(field_names, "field", toks[3], lineno),
+            ))
         else:
             raise FactSyntaxError(f"unknown directive {directive!r}", lineno)
 
@@ -212,40 +232,11 @@ def parse_program(text: str) -> tuple[ClassHierarchy, PAG]:
             continue
         raise UnknownTypeError(f"line {decl_lines[a.id]}: alloc {a.id}: {problem}")
 
-    # each edge holds the declared name objects, not the statement's tokens
-    def need_var(name: str, line: int) -> str:
-        v = var_names.get(name)
-        if v is None:
-            raise UndeclaredVariableError(f"line {line}: undeclared variable {name!r}")
-        return v
-
-    def need_field(name: str, line: int) -> str:
-        f = field_names.get(name)
-        if f is None:
-            raise UndeclaredVariableError(f"line {line}: undeclared field {name!r}")
-        return f
-
-    for stmt, line in zip(statements, stmt_lines):
-        if stmt[0] == "new":
-            _, v, o = stmt
-            v = need_var(v, line)
-            a = pag.allocs.get(o)
-            if a is None:
-                raise UndeclaredVariableError(f"line {line}: undeclared alloc {o!r}")
-            pag.alloc_edges.append((a.id, v))
-        elif stmt[0] == "assign":
-            _, dst, src = stmt
-            pag.assign_edges.append((need_var(dst, line), need_var(src, line)))
-        elif stmt[0] == "store":
-            _, base, f, src = stmt
-            pag.store_edges.append(
-                (need_var(base, line), need_field(f, line), need_var(src, line))
-            )
-        else:
-            _, dst, base, f = stmt
-            pag.load_edges.append(
-                (need_var(dst, line), need_var(base, line), need_field(f, line))
-            )
+    # a statement's name that no declaration took over is undeclared
+    declared = {"variable": pag.var_types, "field": pag.field_types, "alloc": pag.allocs}
+    for what, name, line in first_mentions:
+        if name not in declared[what]:
+            raise UndeclaredVariableError(f"line {line}: undeclared {what} {name!r}")
 
     return h, pag
 
@@ -336,11 +327,15 @@ def generate_synthetic(params: GenParams, seed: int) -> str:
     classes = ["Object"] + [f"C{i}" for i in range(1, p.num_classes)]
     depth = {"Object": 0}
     parent: dict[str, str | None] = {"Object": None}
+    # classes shallow enough to take a subclass, in class order; validate
+    # admits a second class only if Object is one of them
+    candidates = ["Object"]
     for c in classes[1:]:
-        candidates = [x for x in classes if x in depth and depth[x] < p.max_depth - 1]
         par = rng.choice(candidates)
         parent[c] = par
         depth[c] = depth[par] + 1
+        if depth[c] < p.max_depth - 1:
+            candidates.append(c)
 
     interfaces = [f"I{i}" for i in range(1, p.num_interfaces + 1)]
     iface_decls: list[tuple[str, tuple[str, ...]]] = []
