@@ -23,9 +23,10 @@ an edge or a declaration is one string object, that of the name's first
 mention, and every type name (of a var, a field or an ``AllocSite``) is
 the hierarchy's key for the type, so a name that many statements mention
 costs one string.  The parser resolves a statement's names on its own line
-and appends its edge there, keeping no statement; a name mentioned before
-any declaration of it is checked once the file has been read.  The records
-are slotted.
+and appends its edge there, keeping no statement.  A name's first mention
+must be an identifier, as a declared name must, or it is a syntax error at
+that line; a name mentioned before any declaration of it is checked once
+the file has been read.  The records are slotted.
 """
 
 from __future__ import annotations
@@ -118,8 +119,8 @@ def parse_program(text: str) -> tuple[ClassHierarchy, PAG]:
 
     def mention(names: dict[str, str], what: str, tok: str, line: int) -> str:
         name = names.get(tok)
-        if name is None:
-            name = names[tok] = tok
+        if name is None:  # a name seen before passed this or its declaration's check
+            name = names[tok] = _check_ident(tok, line, bare=True)
             first_mentions.append((what, tok, line))
         return name
 

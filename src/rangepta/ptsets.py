@@ -17,10 +17,11 @@ that the memory model reads from the members a kernel keeps:
   int occupies;
 - ``shared``: an interned base int and an overflow int, folded into a new
   base past 20 overflow members; charged one slot per overflow member;
-- ``ranged``: a member int (slack included) and an int of the shared
-  positions a ranged source has copied, read against the owner's
-  geometry.  ``ranged`` is charged its vectors; ``ranged-hybrid`` 16
-  inline slots up to 16 members, then the vectors plus a reference.
+- ``ranged``: three ints read against the owner's geometry: the members
+  (slack included), the members within the owner's intervals (the
+  objects), and the shared positions a ranged source has copied.
+  ``ranged`` is charged its vectors; ``ranged-hybrid`` 16 inline slots up
+  to 16 members, then the vectors plus a reference.
 
 Members only grow, so every charging rule is a function of the final
 member int, and no kind moves its members when it spills.
@@ -484,7 +485,10 @@ class RangedPointsToSet(PointsToSet):
     one at chunk granularity.
 
     The vectors are read from two ints and the owner's geometry.  ``bits``
-    holds the members, slack included.  A vector holds every member in its
+    holds the members, slack included.  ``objects`` caches ``bits`` within
+    the intervals, which every ranged union reads from its source; it is
+    the very int ``bits`` holds while the set holds no slack, so only a set
+    with slack keeps a second one.  A vector holds every member in its
     chunk span except another interval's members that never came from a
     ranged source: only a ranged source's chunk-wise union copies a member
     into every vector whose span covers it.  ``copies`` records those of
@@ -501,6 +505,7 @@ class RangedPointsToSet(PointsToSet):
         self.owner = owner
         self.geometry = geometry
         self.bits = 0
+        self.objects = 0
         self.copies = 0
 
     @classmethod
@@ -512,7 +517,7 @@ class RangedPointsToSet(PointsToSet):
             self._check_universe(src)
         g = self.geometry
         if src.ranged:
-            incoming = src.objects_int() & g.span_bits
+            incoming = src.objects & g.span_bits
             copies = self.copies | (incoming & g.shared_bits)
         else:
             # add()'s one-member source included: strictly by interval
@@ -522,6 +527,9 @@ class RangedPointsToSet(PointsToSet):
         if new == self.bits and copies == self.copies:
             return False
         self.bits = new
+        objects = new & g.interval_bits
+        # without slack the members are the objects: hold one int
+        self.objects = new if objects == new else objects
         self.copies = copies
         return True
 
@@ -529,7 +537,7 @@ class RangedPointsToSet(PointsToSet):
         return self.bits
 
     def objects_int(self):
-        return self.bits & self.geometry.interval_bits
+        return self.objects
 
     def footprint_bytes(self):
         return self.geometry.bytes

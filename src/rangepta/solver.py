@@ -19,6 +19,12 @@ When a pop grows field set (o, f), each load ``dst = base.f`` whose base
 holds o unites that set into dst, in load order.  Those loads come from an
 index, ``holders[f][o]``, whose bit j is set iff the base of load j of f
 holds o under ``iterate_objects``.  Field sets are never load bases.
+Every base of a store or a load is indexed: its objects are kept both as
+an int and as an ascending tuple, built from the walk of the new objects
+that fills ``holders``.  A store or load that walks every object of its
+base iterates the tuple, and a partial walk peels the int.  A growth
+replaces the tuple, so a walk in progress keeps the objects it started
+with; ``x = x.f`` grows its own base during its walk.
 Seeding reads no index, so it only queues each set at its first change;
 then ``enqueue`` indexes every seeded set once.  During the drain every
 successful union into a variable set calls ``enqueue``, which adds the
@@ -218,9 +224,11 @@ def propagate(pag: PAG, nr: NumberingResult, cfg: SolverConfig) -> Solution:
     # holders[f][o]: bit j set iff load position j of f has a base holding o
     holders: dict[str, dict[int, int]] = {}
     load_slots = defaultdict(list)  # base -> [(holders[f], 1 << j)]
+    load_fields = defaultdict(dict)  # base -> {f: 0} for each f it loads
     for k, (dst, base, f) in enumerate(load_edges):
         pb, pd = var_sets[base], var_sets[dst]
         loads_by_base[pb].append((by_field[f], f, field_types[f], pd, k))
+        load_fields[pb][f] = 0
         by_obj = holders.setdefault(f, {})
         load_slots[pb].append((by_obj, 1 << len(load_dsts[f])))
         load_dsts[f].append(pd)
@@ -232,7 +240,10 @@ def propagate(pag: PAG, nr: NumberingResult, cfg: SolverConfig) -> Solution:
         for j, pd in enumerate(dsts):
             into[pd] |= 1 << j
         feedback[f] = (holders[f], dsts, [into[pd] for pd in dsts])
-    indexed = dict.fromkeys(load_slots, 0)  # base -> objects already in holders
+    # every store or load base -> its objects indexed so far, as an int and
+    # as an ascending tuple (module doc)
+    indexed = dict.fromkeys([store[0] for store in stores] + list(loads_by_base), 0)
+    objects = dict.fromkeys(indexed, ())
     # per store, src's member count and the base's objects when the edge
     # last covered its base; per load, its base's objects when it last ran
     mark_size = [0] * len(store_edges)
@@ -245,16 +256,24 @@ def propagate(pag: PAG, nr: NumberingResult, cfg: SolverConfig) -> Solution:
     attempts = len(pag.alloc_edges)
 
     def enqueue(s: PointsToSet):
-        """Index the objects s holds that holders lacks, if s is a load
-        base, then queue s unless it is queued.  Called once per seeded set
-        after seeding, then after every successful union into a var set."""
-        slots = load_slots.get(s)
-        if slots is not None:
-            new = s.objects_int() & ~indexed[s]
+        """Index the objects s holds that the index lacks, if s is a store
+        or load base, then queue s unless it is queued.  Called once per
+        seeded set after seeding, then after every successful union into a
+        var set."""
+        held = indexed.get(s)
+        if held is not None:
+            new = s.objects_int() & ~held
             if new:
-                indexed[s] |= new
-                for o in _iter_bits(new, 0):
-                    for by_obj, bit in slots:
+                indexed[s] = held | new
+                fresh = tuple(_iter_bits(new, 0))
+                old = objects[s]
+                # two ascending runs: sorting merges them in linear time
+                if old and old[-1] > fresh[0]:
+                    objects[s] = tuple(sorted(old + fresh))
+                else:
+                    objects[s] = old + fresh
+                for by_obj, bit in load_slots.get(s, ()):
+                    for o in fresh:
                         by_obj[o] = by_obj.get(o, 0) | bit
         if s not in queued:
             queued.add(s)
@@ -288,14 +307,14 @@ def propagate(pag: PAG, nr: NumberingResult, cfg: SolverConfig) -> Solution:
         # a store skips the objects of its mark while src keeps the mark's
         # member count (module doc, rule 4); only field sets grow here
         for pb, ps, fsets, f, ft, k in stores_of.get(pv, ()):
-            held = indexed[pb] if pb in indexed else pb.objects_int()
+            held = indexed[pb]
             size = len(ps)
             todo = held & ~mark_objs[k] if mark_size[k] == size else held
             mark_size[k] = size
             mark_objs[k] = held
             if size:  # an empty src only creates sets (rule 6)
                 attempts += todo.bit_count()
-            for o in _iter_bits(todo, 0):
+            for o in objects[pb] if todo == held else _iter_bits(todo, 0):
                 fs = fsets.get(o)
                 if fs is None:
                     fs = fsets[o] = field_sets[o, f] = makers[ft]()
@@ -305,16 +324,18 @@ def propagate(pag: PAG, nr: NumberingResult, cfg: SolverConfig) -> Solution:
 
         loads = loads_by_base.get(pv)
         if loads:
-            grown = defaultdict(int)  # f -> objects o whose o.f grew this pop
+            # f -> objects o whose o.f grew this pop, for the fields pv loads
+            grown = load_fields[pv].copy()
             for o, f, _ in changed_fields:
-                grown[f] |= 1 << o
+                if f in grown:
+                    grown[f] |= 1 << o
             # an object the load already saw has reached dst through the
             # field feedback, unless its field grew earlier in this pop (rule 5)
             for fsets, f, ft, pd, k in loads:
                 held = indexed[pv]
                 todo = held & (~load_seen[k] | grown[f])
                 load_seen[k] = held
-                for o in _iter_bits(todo, 0):
+                for o in objects[pv] if todo == held else _iter_bits(todo, 0):
                     fs = fsets.get(o)
                     if fs is None:  # new, so empty (rule 3)
                         fsets[o] = field_sets[o, f] = makers[ft]()

@@ -201,6 +201,21 @@ class TestParser:
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             parse_program(text + "\n")
 
+    @pytest.mark.parametrize(
+        "stmts, message",
+        [
+            ("assign x :", "line 5: invalid identifier ':'"),
+            ("new x[] o", "line 5: invalid identifier 'x[]'"),
+            ("store x 1x x", "line 5: invalid identifier '1x'"),
+            # the syntax error wins over an undeclared name before it
+            ("assign x y\nload x x f[]", "line 6: invalid identifier 'f[]'"),
+        ],
+    )
+    def test_statement_names_are_identifiers(self, stmts, message):
+        decls = "class Object\nvar x : Object\nfield f : Object\nalloc o : Object\n"
+        with pytest.raises(FactSyntaxError, match=f"^{re.escape(message)}$"):
+            parse_program(decls + stmts + "\n")
+
     def test_fuzzed_lines_never_crash(self):
         rng = random.Random(5)
         tokens = ["class", "var", "alloc", "new", ":", "extends", "x", "1o", "[]",

@@ -603,6 +603,47 @@ def test_ranged_hybrid_is_ranged_charged_by_member_count(cb):
 
 
 @pytest.mark.parametrize("cb", [8, 16, 32, 64])
+@pytest.mark.parametrize("kind", RANGED)
+def test_ranged_objects_are_the_members_within_the_intervals(kind, cb):
+    # a ranged set keeps its objects as an int beside its members: after
+    # every add and add_all, from ranged sources (slack included) and
+    # unranged ones, that int is the members within the owner's intervals,
+    # and while the set holds no slack it is the member int itself
+    rng = random.Random(30)
+    seen = {"slack": 0, "ranged source": 0, "unranged source": 0}
+    for _ in range(12):
+        classes, ifaces, allocs = random_hierarchy(rng, max_ifaces=6)
+        if not allocs:
+            continue
+        nr = number_allocations(build_hierarchy(classes, ifaces), allocs)
+        f = SetFactory(nr, ChunkConfig(cb))
+        type_names = [c[0] for c in classes] + [i[0] for i in ifaces]
+        for owner in rng.sample(type_names, min(4, len(type_names))):
+            s = f.make_set(kind, owner)
+            interval_bits = f.ranged_geometry(owner).interval_bits
+            for _ in range(15):
+                if rng.random() < 0.3:
+                    s.add(rng.randint(1, nr.total_allocs))
+                else:
+                    src_kind = rng.choice(list(SET_KINDS))
+                    log = random_log(rng, nr.total_allocs, type_names)
+                    src = apply_log(f, src_kind, rng.choice(type_names), log)
+                    s.add_all(src)
+                    seen["ranged source" if src.ranged else "unranged source"] += 1
+                members, objects = s.as_int(), s.objects_int()
+                assert objects == members & interval_bits, (owner, cb)
+                assert list(s.iterate_objects()) == [
+                    i for i in range(objects.bit_length()) if objects >> i & 1
+                ]
+                if objects == members:
+                    assert objects is members
+                seen["slack"] += objects != members
+    # both kinds of source and sets holding slack are reached, or the test
+    # checks less than it claims
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("cb", [8, 16, 32, 64])
 def test_ranged_geometry_matches_aligned_spans(cb):
     # per owner, index by index: interval bits are the compatible allocs,
     # span bits the chunks of their runs, shared bits the compatible allocs

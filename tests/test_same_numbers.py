@@ -13,3 +13,47 @@ def test_numbers_line_is_stable_and_extra_pass_finds_nothing():
         fields = dict(f.split("=", 1) for f in line.split())
         assert fields["extra"] == "0", (kind, line)
         assert same_numbers.numbers(progs, kind, mode, 8) == line, kind
+
+
+# deep at shuffle seed 1, chunk 8, where a load grows its own base in the
+# middle of walks over every object of the base: a walk that also visited
+# the objects its base gained during the walk changed these lines, with
+# the same members and extra=0, where no other pinned number moved
+DEEP_SEED1_CHUNK8 = {
+    "naive": (
+        "members=074cde942140 chunks=e3b0c44298fc savings=0/e3b0c44298fc"
+        " unions=8751 pops=66 attempts=33062 spills=0 bytes=786864 extra=0"
+    ),
+    "pure": (
+        "members=074cde942140 chunks=576e4ce710c4 savings=3297952/6f4c0332b196"
+        " unions=8751 pops=66 attempts=33062 spills=0 bytes=3610880 extra=0"
+    ),
+    "hybrid": (
+        "members=074cde942140 chunks=d94fdf24227b savings=1114592/25ee35f963ae"
+        " unions=8751 pops=66 attempts=33062 spills=1743 bytes=1997088 extra=0"
+    ),
+    "shared": (
+        "members=074cde942140 chunks=e3b0c44298fc savings=0/e3b0c44298fc"
+        " unions=8751 pops=66 attempts=33062 spills=0 bytes=493032 extra=0"
+    ),
+    "sparse": (
+        "members=074cde942140 chunks=e3b0c44298fc savings=0/e3b0c44298fc"
+        " unions=8751 pops=66 attempts=33062 spills=0 bytes=696192 extra=0"
+    ),
+    "ranged": (
+        "members=add961c6ac24 chunks=f9457d7ac67c savings=43232/776deb89a0d1"
+        " unions=8751 pops=66 attempts=33062 spills=0 bytes=322654 extra=0"
+    ),
+    "ranged-hybrid": (
+        "members=add961c6ac24 chunks=dfaf50cddbcf savings=88/4cc8815bfba8"
+        " unions=8751 pops=66 attempts=33062 spills=2706 bytes=922946 extra=0"
+    ),
+}
+
+
+def test_deep_numbers_are_pinned():
+    w = same_numbers.WORKLOADS["deep"]
+    texts = [pag.generate_synthetic(params, s) for params, s in w.programs]
+    progs = same_numbers.programs(texts, seed=1)
+    for kind, mode in same_numbers.KINDS:
+        assert same_numbers.numbers(progs, kind, mode, 8) == DEEP_SEED1_CHUNK8[kind], kind

@@ -637,19 +637,33 @@ SKIP_CORPORA = {
 }
 
 
+# x takes o1 and o3 from w after the stores have made o1.f = {o2},
+# o2.f = {o4} and o3.f = {o5}, so no feedback reaches x.  At x's pop the
+# load x = x.f walks every object x holds and grows x in the middle of the
+# walk, by o2 (between o1 and o3) and o5: the walk keeps the objects it
+# started with, (o1, o3), as the re-walk's snapshot does, so y = x runs at
+# x's next pop before x takes o2.f
+SELF_LOAD_WALK = _corpus(
+    ("a", "b", "c", "d", "e", "h", "w", "x", "y"), ("o1", "o2", "o3", "o4", "o5"),
+    ["new a o1", "new b o2", "new c o2", "new d o4", "new e o3", "new h o5",
+     "new w o1", "new w o3", "store a f b", "store c f d", "store e f h",
+     "assign x w", "assign y x", "load x x f"],
+)
+
+
 def rewalk_corpora():
     """Suite corpora 0, 1 and 45 at the suite chunk width, suite corpus 38
     and SPILL_SLACK_COPY at chunk 64 (a ranged-hybrid set there holds slack
-    in two vectors), the SKIP_CORPORA, two deep-shaped generated corpora
-    (few variables, many statements, so many repeated edges and some self
-    loads) and a deep-width one (over 1,000 sites, sets of hundreds of
+    in two vectors), the SKIP_CORPORA and SELF_LOAD_WALK, two deep-shaped
+    generated corpora (few variables, many statements, so many repeated
+    edges and some self loads) and a deep-width one (over 1,000 sites, sets of hundreds of
     members) at chunk 8, a wide-shaped one (many types, fields and
     variables, so most field sets are created by stores whose source stays
     empty) at chunk 64, then 20 small generated corpora, interfaces and
     stores included, at chunk 8 and 64."""
     out = [(suite_text(i), SUITE_CHUNK) for i in (0, 1, 45)]
     out += [(suite_text(38), 64), (SPILL_SLACK_COPY, 64)]
-    out += [(text, 8) for text in SKIP_CORPORA.values()]
+    out += [(text, 8) for text in [*SKIP_CORPORA.values(), SELF_LOAD_WALK]]
     deep_shaped = GenParams(
         num_classes=16,
         max_depth=8,
