@@ -9,14 +9,20 @@ shared base + overflow, GCC/LLVM-style sparse bitmaps, the ranged set
 The seven kinds run on four union kernels; the rest is a charging rule
 that the memory model reads from the members a kernel keeps:
 
-- ``naive``: a hash set of the owner's compatible members;
+- ``naive``: a hash set of the owner's compatible members.  A naive
+  source whose compatible set lies within the owner's (a subset test made
+  once per pair of compatible sets) needs no filter: the union takes the
+  members the owner lacks, so one that adds nothing leaves the table as
+  it is.  Any other source is intersected with the compatible set;
 - ``pure``: one full-universe member int, ORed under the owner's type
   mask.  ``pure`` is charged the full-universe array; ``hybrid`` 16
   inline slots up to 16 members, then pure's array plus a reference to
   it; ``sparse`` one eight-word element per eight-chunk window its member
   int occupies;
-- ``shared``: an interned base int and an overflow int, folded into a new
-  base past 20 overflow members; charged one slot per overflow member;
+- ``shared``: one member int, ORed under the type mask as ``pure``'s,
+  beside an interned base int; the overflow is the members outside the
+  base, folded into a new base past 20 overflow members; charged one slot
+  per overflow member;
 - ``ranged``: three ints read against the owner's geometry: the members
   (slack included), the members within the owner's intervals (the
   objects), and the shared positions a ranged source has copied.
@@ -59,10 +65,10 @@ index set), so making a set is one call that reads no table.  All three
 are read off the owner's intervals.  The type masks
 (``build_type_mask``) and the ranged geometries are cached on the
 ``NumberingResult``, the geometries per chunk width, so every factory over
-one numbering shares them.  The per-type states, and so naive's compatible
-index sets, and the interned shared bases are per factory.  A factory
-holds no maker, which would refer back to it, so a finished solve is freed
-by reference counting alone.
+one numbering shares them.  The per-type states (so naive's compatible
+index sets), naive's subset tests and the interned shared bases are per
+factory.  A factory holds no maker, which would refer back to it, so a
+finished solve is freed by reference counting alone.
 
 Memory accounting is a deterministic model, not process measurement:
 16 bytes per object header, 16 per array header, 8 per reference slot,
@@ -123,8 +129,8 @@ class SetFactory:
     holds the owner and the kind's per-type state, built on the first
     maker for that type.  Type masks and ranged geometry come from caches
     on the numbering, which every factory over it shares; the factory
-    caches every (kind, owner)'s class, owner and per-type state, and the
-    interned shared bases."""
+    caches every (kind, owner)'s class, owner and per-type state, the
+    interned shared bases and naive's subset tests."""
 
     def __init__(self, nr: NumberingResult, cfg: ChunkConfig = ChunkConfig()):
         self.nr = nr
@@ -139,6 +145,9 @@ class SetFactory:
         # (kind, owner) -> (set class, owner type, per-type state)
         self._type_states: dict[tuple[str, str], tuple] = {}
         self._interned_bases: dict[int, int] = {}
+        # (source, destination) naive compatible sets, the source no larger
+        # -> whether the source lies within the destination
+        self._covers: dict[tuple[frozenset, frozenset], bool] = {}
 
     def intervals(self, type_name: str) -> tuple[Interval, ...]:
         return tuple(intervals_of(self.nr, type_name))
@@ -307,10 +316,34 @@ class NaiveSet(PointsToSet):
     def add_all(self, src):
         if src.factory is not self.factory:
             self._check_universe(src)
-        before = len(self.members)
-        held = src.members if isinstance(src, NaiveSet) else src.iterate()
-        self.members |= self._compatible.intersection(held)
-        return len(self.members) != before
+        members = self.members
+        if isinstance(src, NaiveSet):
+            compatible = self._compatible
+            inner = src._compatible
+            if inner is compatible:
+                covered = True
+            elif len(inner) > len(compatible):
+                covered = False  # a larger set cannot lie within the owner's
+            else:
+                key = inner, compatible
+                covers = self.factory._covers
+                covered = covers.get(key)
+                if covered is None:
+                    covered = covers[key] = inner <= compatible
+            if covered:
+                # the filter admits every source member: take only the new
+                # ones, so a union that adds nothing leaves the table as is
+                new = src.members - members
+                if not new:
+                    return False
+                members |= new
+                return True
+            held = src.members
+        else:
+            held = src.iterate()
+        before = len(members)
+        members |= self._compatible.intersection(held)
+        return len(members) != before
 
     def as_int(self):
         return _bits_of(self.members)
@@ -415,8 +448,10 @@ class SharedBitVectorSet(PointsToSet):
 
     When the overflow would exceed 20 members, base and overflow are folded
     into a new canonical base and interned in a content-keyed table.  The
-    overflow is held as one full-universe int; the model charges one slot
-    per member."""
+    set holds its members as one full-universe int, ``bits``, beside the
+    interned ``base``; the overflow is the members outside the base, and
+    the model charges one slot per overflow member.  A fold that keeps no
+    overflow makes ``bits`` the interned base itself."""
 
     kind = "shared"
 
@@ -424,33 +459,43 @@ class SharedBitVectorSet(PointsToSet):
         self.factory = factory
         self.owner = owner
         self.base = 0  # the empty base: equal ints are one base to the model
-        self.overflow = 0
+        self.bits = 0
         self._mask = mask
+
+    @property
+    def overflow(self) -> int:
+        return self.bits ^ self.base
 
     def add_all(self, src):
         if src.factory is not self.factory:
             self._check_universe(src)
-        held = self.base | self.overflow
-        new = src.as_int() & self._mask & ~held
-        if not new:
+        held = self.bits
+        grown = held | (src.as_int() & self._mask)
+        if grown == held:
             return False
-        n = self.overflow.bit_count() + new.bit_count()
+        n = (grown ^ self.base).bit_count()
         if n <= SHARED_OVERFLOW_CAP:
-            self.overflow |= new
+            self.bits = grown
             return True
         # ascending insertion folds each time the overflow reaches 21, so
-        # the overflow keeps the last n % 21 new members and the base the rest
+        # the overflow keeps the top n % 21 new members and the base the
+        # rest; the k-th '1' of bin(new) is its k-th highest member
         keep = 0
-        for _ in range(n % (SHARED_OVERFLOW_CAP + 1)):
-            top = 1 << (new.bit_length() - 1)
-            keep |= top
-            new ^= top
-        self.base = self.factory.intern_base(held | new)
-        self.overflow = keep
+        k = n % (SHARED_OVERFLOW_CAP + 1)
+        if k:
+            new = grown ^ held
+            digits = bin(new)
+            at = 1
+            for _ in range(k):
+                at = digits.index("1", at + 1)
+            low = len(digits) - 1 - at
+            keep = new >> low << low
+        base = self.base = self.factory.intern_base(grown ^ keep)
+        self.bits = grown if keep else base
         return True
 
     def as_int(self):
-        return self.base | self.overflow
+        return self.bits
 
     def footprint_bytes(self):
         # base is shared; SetFactory.total_footprint charges it once

@@ -1,5 +1,8 @@
+import collections
 import itertools
 import random
+import sys
+from functools import partial
 
 import pytest
 
@@ -316,6 +319,13 @@ def assert_bulk_matches_elementwise(factory, kind, owner, log):
     if kind == "shared":
         assert bulk.base == one.base, owner
         assert bulk.overflow == one.overflow, owner
+        for s in (bulk, one):
+            # the overflow is read off the member int and the interned base;
+            # a fold that keeps no overflow leaves no second int
+            assert s.overflow == s.bits ^ s.base, owner
+            if s.base and not s.overflow:
+                assert s.bits is s.base, owner
+    return bulk
 
 
 class TestOracleEquivalence:
@@ -363,6 +373,26 @@ class TestOracleEquivalence:
                 log.append(("addall", "Object", list(range(50, 50 + k))))
                 for kind in EXACT_KINDS:
                     assert_bulk_matches_elementwise(f, kind, "A", log)
+
+    def test_shared_fold_on_a_wide_universe(self):
+        # a universe of 1,200 allocations: one bulk union whose members
+        # reach across A's interval, after 0, 7 or 20 held overflow
+        # members below or above them, leaves every kept count 0..20 after
+        # one fold and after two; the overflow keeps the top new members
+        f = big_factory(per_class=400)  # A's interval is [401, 1200]
+        kept = set()
+        for held in (0, 7, 20):
+            for held_members in (range(401, 401 + held), range(1200, 1200 - held, -1)):
+                rest = [i for i in range(401, 1201) if i not in held_members]
+                for m in range(SHARED_OVERFLOW_CAP + 1 - held, 63 - held):
+                    bulk = [rest[j * len(rest) // m] for j in range(m)]
+                    log = [("add", i) for i in held_members]
+                    log.append(("addall", "Object", bulk))
+                    s = assert_bulk_matches_elementwise(f, "shared", "A", log)
+                    k = (held + m) % (SHARED_OVERFLOW_CAP + 1)
+                    assert s.overflow == sum(1 << i for i in bulk[m - k:]), (held, m)
+                    kept.add(k)
+        assert kept == set(range(SHARED_OVERFLOW_CAP + 1))
 
     def test_ranged_conservative_superset(self):
         rng = random.Random(22)
@@ -491,6 +521,72 @@ def test_union_cost_does_not_grow_with_unspilled_members(kind, cap):
         assert not any(changed)
         per_union.append(lines / 100)
     assert per_union[0] == per_union[1], per_union
+
+
+def owner_relation(compat, src_owner, dst_owner):
+    """How the source owner's compatible set meets the destination's."""
+    inner, outer = compat[src_owner], compat[dst_owner]
+    if src_owner == dst_owner:
+        return "same type"
+    if inner <= outer:
+        return "subset"
+    return "overlapping" if inner & outer else "disjoint"
+
+
+def test_naive_union_is_the_filtered_source():
+    # naive sets of every owner pair (the same type, a source type whose
+    # compatible set lies within the destination's, overlapping and
+    # disjoint ones, a type with no allocation) take exactly
+    # src ∩ compatible(dst) from each union, and report a change iff that
+    # adds a member.  A union from a source the filter cannot trim (the
+    # same type or a subset) that adds nothing leaves the destination's
+    # hash table at its size; merging a set into another resizes the table
+    # for the incoming count up front, new members or not
+    rng = random.Random(34)
+    seen = collections.Counter()
+    for _ in range(30):
+        classes, ifaces, allocs = random_hierarchy(rng, max_ifaces=5)
+        if not allocs:
+            continue
+        classes.append(("Bare", rng.choice(classes)[0], ()))  # no allocation
+        nr = number_allocations(build_hierarchy(classes, ifaces), allocs)
+        f = SetFactory(nr, ChunkConfig(8))
+        supertypes = closure_supertypes(classes, ifaces)
+        type_names = [c[0] for c in classes] + [i[0] for i in ifaces]
+        compat = {t: compatible_indices(nr, supertypes, t) for t in type_names}
+        assert not compat["Bare"]
+        sets = [f.make_set("naive", t) for t in type_names for _ in range(2)]
+        want = [set() for _ in sets]
+        for _ in range(400):
+            d = rng.randrange(len(sets))
+            dst, dst_owner = sets[d], sets[d].owner.name
+            if rng.random() < 0.3:
+                idx = rng.randint(1, nr.total_allocs)
+                calls, covered = 1, False
+                new = {idx} & compat[dst_owner] - want[d]
+                op = partial(dst.add, idx)
+            else:
+                s = rng.randrange(len(sets))
+                src_owner = sets[s].owner.name
+                relation = owner_relation(compat, src_owner, dst_owner)
+                seen[relation] += 1
+                seen["no allocation"] += "Bare" in (src_owner, dst_owner)
+                calls = 2  # the repeat adds nothing, whatever the first added
+                covered = relation in ("same type", "subset")
+                new = want[s] & compat[dst_owner] - want[d]
+                op = partial(dst.add_all, sets[s])
+            for _ in range(calls):
+                size = sys.getsizeof(dst.members)
+                assert op() == bool(new)
+                want[d] |= new
+                assert dst.members == want[d]
+                if covered and not new:
+                    assert sys.getsizeof(dst.members) == size
+                new = set()
+        seen["large sets"] += max(map(len, want)) > 20
+    # every owner relation, a type with no allocation and sets past 20
+    # members are reached, or the test checks less than it claims
+    assert len(seen) == 6 and all(seen.values()), seen
 
 
 @pytest.mark.parametrize("cb", [8, 64])
