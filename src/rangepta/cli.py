@@ -60,8 +60,9 @@ def _make_report(path: str, sol: Solution) -> dict:
     """The solve report: column name -> value, in CSV column order.  Every
     report format reads this one dict."""
     stats, cfg = sol.stats, sol.config
-    var_bytes = sum(s.footprint_bytes() for s in sol.var_sets.values())
-    field_bytes = sum(s.footprint_bytes() for s in sol.field_sets.values())
+    charge = SET_KINDS[cfg.set_kind].footprint_bytes
+    var_bytes = sum(map(charge, sol.var_sets.values()))
+    field_bytes = sum(map(charge, sol.field_sets.values()))
     total = stats.total_footprint_bytes
     return {
         "corpus": path,
@@ -144,7 +145,7 @@ def _config_from(args, suffix: str = "") -> SolverConfig:
     kind = getattr(args, "set" + suffix)
     mode = getattr(args, "filter" + suffix)
     if mode is None:  # the kind's own filter
-        mode = "intrinsic" if SET_KINDS[kind].ranged else "mask"
+        mode = "intrinsic" if SET_KINDS[kind].kernel.ranged else "mask"
     cfg = SolverConfig(
         set_kind=kind,
         filter_mode=mode,
@@ -197,13 +198,13 @@ def cmd_compare(args) -> int:
 
 def cmd_savings(args) -> int:
     cfg = _config_from(args)
-    if not SET_KINDS[cfg.set_kind].dense_chunks:
+    if SET_KINDS[cfg.set_kind].chunk_arrays is None:
         raise UnsupportedKindError(
             f"sparse savings undefined for set kind {cfg.set_kind!r}"
         )
     sol = propagate(*_load_corpus(args.corpus), cfg)
     all_sets = list(sol.var_sets.values()) + list(sol.field_sets.values())
-    saved = sum(sparse_savings(s) for s in all_sets)
+    saved = sum(sparse_savings(s, cfg.set_kind) for s in all_sets)
     total = sol.stats.total_footprint_bytes
     print(f"corpus: {args.corpus}")
     print(f"config: set={cfg.set_kind} filter={cfg.filter_mode} chunk={cfg.chunk_bits}")

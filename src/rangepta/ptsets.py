@@ -1,57 +1,60 @@
-"""Points-to set representations behind one mutation/query contract.
+"""Points-to set kinds: each is a union kernel and a charging row.
 
-Seven kinds share the contract: a naive hash-set oracle, a pure masked
-bit-vector, Spark-style hybrid (16 inline slots, then pure), Heintze-style
-shared base + overflow, GCC/LLVM-style sparse bitmaps, the ranged set
-(one ranged vector per interval of the owner type) and its hybrid variant.
-``SET_KINDS`` registers them by name.
+Seven kinds share one mutation/query contract: a naive hash-set oracle, a
+pure masked bit-vector, Spark-style hybrid (16 inline slots, then pure),
+Heintze-style shared base + overflow, GCC/LLVM-style sparse bitmaps, the
+ranged set (one ranged vector per interval of the owner type) and its
+hybrid variant.  ``SET_KINDS`` maps each name to one ``SetKind`` row: the
+kernel class that holds the kind's sets and makes their unions, and the
+functions that charge a finished set of that kernel (its modeled bytes,
+whether it has spilled, and its dense chunk arrays, ``None`` for a kind
+that keeps none).  Members only grow, so every charging function reads
+the final members, and no kind moves its members when it spills.  A
+kernel answers no charging question; its one flag, ``ranged``, selects
+the union a ranged destination makes.
 
-The seven kinds run on four union kernels; the rest is a charging rule
-that the memory model reads from the members a kernel keeps:
+- ``NaiveSet`` (``naive``): a hash set of the owner's compatible members.
+  A naive source whose compatible set lies within the owner's (a subset
+  test made once per pair of compatible sets) needs no filter: the union
+  takes the members the owner lacks, so one that adds nothing leaves the
+  table as it is.  Any other source is intersected with the compatible
+  set.  Charged one slot per member;
+- ``PureBitVectorSet`` (``pure``, ``hybrid``, ``sparse``): one
+  full-universe member int, ORed under the owner's type mask.  ``pure``
+  is charged the full-universe array; ``hybrid`` 16 inline slots up to 16
+  members, then pure's array plus a reference to it (Lhotak & Hendren, CC
+  2003); ``sparse`` one eight-word element per eight-chunk window its
+  member int occupies, and keeps no dense chunk arrays;
+- ``SharedBitVectorSet`` (``shared``): one member int, ORed under the type
+  mask as ``pure``'s, beside an interned base int; the overflow is the
+  members outside the base, folded into a new base past 20 overflow
+  members.  Charged one slot per overflow member.  Where it folds depends
+  on the order members arrive, so it keeps its own kernel;
+- ``RangedPointsToSet`` (``ranged``, ``ranged-hybrid``): three ints read
+  against the owner's geometry: the members (slack included), the members
+  within the owner's intervals (the objects), and the shared positions a
+  ranged source has copied.  ``ranged`` is charged its vectors;
+  ``ranged-hybrid`` 16 inline slots up to 16 members, then the vectors
+  plus a reference.
 
-- ``naive``: a hash set of the owner's compatible members.  A naive
-  source whose compatible set lies within the owner's (a subset test made
-  once per pair of compatible sets) needs no filter: the union takes the
-  members the owner lacks, so one that adds nothing leaves the table as
-  it is.  Any other source is intersected with the compatible set;
-- ``pure``: one full-universe member int, ORed under the owner's type
-  mask.  ``pure`` is charged the full-universe array; ``hybrid`` 16
-  inline slots up to 16 members, then pure's array plus a reference to
-  it; ``sparse`` one eight-word element per eight-chunk window its member
-  int occupies;
-- ``shared``: one member int, ORed under the type mask as ``pure``'s,
-  beside an interned base int; the overflow is the members outside the
-  base, folded into a new base past 20 overflow members; charged one slot
-  per overflow member;
-- ``ranged``: three ints read against the owner's geometry: the members
-  (slack included), the members within the owner's intervals (the
-  objects), and the shared positions a ranged source has copied.
-  ``ranged`` is charged its vectors; ``ranged-hybrid`` 16 inline slots up
-  to 16 members, then the vectors plus a reference.
-
-Members only grow, so every charging rule is a function of the final
-member int, and no kind moves its members when it spills.
-
-Every kind exposes its members as one full-universe int (``as_int``, bit i
-set iff i is a member, slack included) and its dereferenceable members as
-another (``objects_int``).  Each kernel's ``add_all`` is one bulk union
+Every kernel exposes its members as one full-universe int (``as_int``, bit
+i set iff i is a member, slack included) and its dereferenceable members
+as another (``objects_int``).  Each kernel's ``add_all`` is one bulk union
 over the source's int view: a masked OR under the owner's filter (type
-mask for exact kinds; chunk spans for a ranged source entering a ranged
+mask for exact kernels; chunk spans for a ranged source entering a ranged
 set, intervals for any other source), followed only by ``shared``'s fold
-or ``ranged``'s record of copied positions.  No kind falls back to
+or ``ranged``'s record of copied positions.  No kernel falls back to
 element-wise insertion, so spill and fold points land exactly where
 element-wise insertion in ascending order would put them.  A ranged union
 gives each vector exactly what ``RangedBitVector.or_overlapping``, the
 reference chunk-wise union, would: a ranged source's members within its
 chunk span, an unranged source's within its interval.
 
-A kind thus writes its representation through ``add_all`` alone:
 ``add(idx)`` is a union with a private one-member source, so a single
-insertion takes the same filter, spill and fold as any other union.  The
+insertion takes the same filter and fold as any other union.  The
 queries ``in``, ``len`` and ``iterate`` are read from ``as_int``, and
 ``iterate_objects`` from ``objects_int``; only ``naive``, the oracle,
-answers ``in``, ``len``, ``iterate`` and ``iterate_objects`` from its own
-hash set.
+answers them from its own hash set.
 
 A union takes its source from the destination's own ``SetFactory``: one
 solve builds every set with one factory, and ``add_all`` raises
@@ -59,31 +62,28 @@ solve builds every set with one factory, and ``add_all`` raises
 an equal numbering and chunk width.
 
 A set is made by its factory's maker for (kind, owner type): a
-zero-argument constructor that already holds the owner and the kind's
-per-type state (the type mask, the ranged geometry or naive's compatible
-index set), so making a set is one call that reads no table.  All three
-are read off the owner's intervals.  The type masks
+zero-argument constructor of the kind's kernel that already holds the
+owner and the kernel's per-type state (the type mask, the ranged geometry
+or naive's compatible index set, all read off the owner's intervals), so
+making a set is one call that reads no table.  The type masks
 (``build_type_mask``) and the ranged geometries are cached on the
 ``NumberingResult``, the geometries per chunk width, so every factory over
-one numbering shares them.  The per-type states (so naive's compatible
-index sets), naive's subset tests and the interned shared bases are per
-factory.  A factory holds no maker, which would refer back to it, so a
-finished solve is freed by reference counting alone.
+one numbering shares them.  The per-type states, naive's subset tests and
+the interned shared bases are per factory.  A factory holds no maker,
+which would refer back to it, so a finished solve is freed by reference
+counting alone.
 
 Memory accounting is a deterministic model, not process measurement:
 16 bytes per object header, 16 per array header, 8 per reference slot,
 chunk_bits/8 bytes per chunk.  Shared bases are counted once per distinct
 interned base across a whole solution.  A ranged set's vectors, and so
-its modeled bytes, depend on its owner type alone;
-``SetFactory.ranged_geometry`` lays them out once per type and chunk
-width, from its intervals.
-A hybrid set's ``spilled`` says which of its two forms the model charges.
+its modeled bytes, depend on its owner type and the chunk width alone.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .bitsets import ChunkConfig, _iter_bits, chunk_index_of
 from .errors import (
@@ -123,14 +123,16 @@ class RangedGeometry(NamedTuple):
 
 
 class SetFactory:
-    """Builds sets over one numbering/chunk configuration.
+    """Builds and charges sets over one numbering/chunk configuration.
 
-    ``maker(kind, owner)`` is the one way a set is made: its constructor
-    holds the owner and the kind's per-type state, built on the first
-    maker for that type.  Type masks and ranged geometry come from caches
-    on the numbering, which every factory over it shares; the factory
-    caches every (kind, owner)'s class, owner and per-type state, the
-    interned shared bases and naive's subset tests."""
+    ``maker(kind, owner)`` is the one way a set is made: a constructor of
+    the kind's kernel that holds the owner and the kernel's per-type
+    state, built on the first maker for that kernel and type, so kinds
+    that share a kernel share it.  ``total_footprint(sets, kind)``
+    charges the sets by the kind's row.  Type masks and ranged geometry
+    come from caches on the numbering, which every factory over it
+    shares; the factory caches every (kernel, owner)'s owner type and
+    per-type state, the interned shared bases and naive's subset tests."""
 
     def __init__(self, nr: NumberingResult, cfg: ChunkConfig = ChunkConfig()):
         self.nr = nr
@@ -139,11 +141,13 @@ class SetFactory:
         self.total = nr.total_allocs
         # chunks of a full-universe bit array over indices 0..total
         self.universe_chunks = 0 if self.total == 0 else chunk_index_of(self.total, cfg) + 1
+        # the modeled bytes of one full-universe bit array
+        self.universe_bytes = ARRAY_HEADER + self.universe_chunks * cfg.chunk_bytes
         self._geometry: dict[str, RangedGeometry] = nr._ranged_geometry.setdefault(
             cfg.chunk_bits, {}
         )
-        # (kind, owner) -> (set class, owner type, per-type state)
-        self._type_states: dict[tuple[str, str], tuple] = {}
+        # (kernel, owner) -> (owner type, per-type state)
+        self._type_states: dict[tuple[type, str], tuple] = {}
         self._interned_bases: dict[int, int] = {}
         # (source, destination) naive compatible sets, the source no larger
         # -> whether the source lies within the destination
@@ -187,33 +191,29 @@ class SetFactory:
 
     def maker(self, kind: str, owner: str) -> Callable[[], "PointsToSet"]:
         """The zero-argument constructor of empty ``kind`` sets owned by the
-        named type.  Each call makes a new one over the per-type state
-        built on the first call for (kind, owner)."""
-        made = self._type_states.get((kind, owner))
+        named type: the kind's kernel over the per-type state built on the
+        first call for (kernel, owner).  Each call makes a new one."""
+        row = SET_KINDS.get(kind)
+        if row is None:
+            raise UnsupportedKindError(f"unknown set kind: {kind}")
+        kernel = row.kernel
+        made = self._type_states.get((kernel, owner))
         if made is None:
-            owner_t = self.h.lookup(owner)
-            cls = SET_KINDS.get(kind)
-            if cls is None:
-                raise UnsupportedKindError(f"unknown set kind: {kind}")
-            made = self._type_states[kind, owner] = (
-                cls, owner_t, cls.type_state(self, owner)
+            made = self._type_states[kernel, owner] = (
+                self.h.lookup(owner), kernel.type_state(self, owner)
             )
-        cls, owner_t, state = made
-        return partial(cls, self, owner_t, state)
+        return partial(kernel, self, *made)
 
     def make_set(self, kind: str, owner: str) -> "PointsToSet":
         return self.maker(kind, owner)()
 
-    def total_footprint(self, sets: Iterable["PointsToSet"]) -> int:
-        """Sum of modeled set sizes plus each distinct shared base once."""
-        total = 0
-        bases: set[int] = set()
-        base_cost = ARRAY_HEADER + self.universe_chunks * self.cfg.chunk_bytes
-        for s in sets:
-            total += s.footprint_bytes()
-            if isinstance(s, SharedBitVectorSet):
-                bases.add(s.base)
-        total += len(bases) * base_cost
+    def total_footprint(self, sets: Sequence["PointsToSet"], kind: str) -> int:
+        """The modeled bytes of ``kind`` sets: each set as the kind's row
+        charges it, plus each distinct shared base once."""
+        row = SET_KINDS[kind]
+        total = sum(map(row.footprint_bytes, sets))
+        if row.kernel is SharedBitVectorSet:
+            total += len({s.base for s in sets}) * self.universe_bytes
         return total
 
 
@@ -225,17 +225,16 @@ def _bits_of(indices: Iterable[int]) -> int:
 
 
 class PointsToSet:
-    kind = "abstract"
+    """A union kernel: holds a set's members and makes its unions."""
+
     ranged = False  # unions are chunk-wise and may admit slack
-    dense_chunks = False  # members kept in dense chunk arrays: sparse_savings applies
-    spilled = False  # a hybrid past its inline slots
 
     @classmethod
     def type_state(cls, factory: SetFactory, type_name: str):
-        """The per-type state each set of this kind owned by the type holds,
-        built once per factory and type by ``SetFactory.maker``: the type
-        mask unless the kind says otherwise.  A kind's constructor takes
-        (factory, owner ``TypeRef``, this state)."""
+        """The per-type state each set of this kernel owned by the type
+        holds, built once per factory and type by ``SetFactory.maker``: the
+        type mask unless the kernel says otherwise.  A kernel's constructor
+        takes (factory, owner ``TypeRef``, this state)."""
         return build_type_mask(factory.nr, type_name)
 
     def _check_index(self, idx: int):
@@ -285,20 +284,10 @@ class PointsToSet:
         slack bits so a falsely included index is never dereferenced."""
         return _iter_bits(self.objects_int(), 0)
 
-    def footprint_bytes(self) -> int:
-        raise NotImplementedError
-
-    def chunk_arrays(self) -> list[tuple[int, int]]:
-        """(chunk count, value) of each dense bit array held; defined for
-        the dense_chunks kinds only."""
-        raise NotImplementedError
-
 
 class NaiveSet(PointsToSet):
     """Exactly filtered hash-set; the oracle the other kinds are checked
     against."""
-
-    kind = "naive"
 
     def __init__(self, factory, owner, compatible):
         self.factory = factory
@@ -359,9 +348,6 @@ class NaiveSet(PointsToSet):
 
     iterate_objects = iterate
 
-    def footprint_bytes(self):
-        return OBJECT_HEADER + len(self.members) * REF_BYTES
-
 
 class _OneMember(PointsToSet):
     """The source of ``add(idx)``: one member and not ranged, so a ranged
@@ -378,9 +364,6 @@ class _OneMember(PointsToSet):
 class PureBitVectorSet(PointsToSet):
     """Full-universe bit vector, filtered by ANDing with the owner's type
     mask on every union."""
-
-    kind = "pure"
-    dense_chunks = True
 
     def __init__(self, factory, owner, mask):
         self.factory = factory
@@ -400,48 +383,6 @@ class PureBitVectorSet(PointsToSet):
     def as_int(self):
         return self.bits
 
-    def footprint_bytes(self):
-        return (
-            OBJECT_HEADER
-            + ARRAY_HEADER
-            + self.factory.universe_chunks * self.factory.cfg.chunk_bytes
-        )
-
-    def chunk_arrays(self):
-        return [(self.factory.universe_chunks, self.bits)]
-
-
-class _InlineSlots:
-    """Spark's hybrid rule (Lhotak & Hendren, CC 2003): up to 16 members in
-    inline slots, then the base kind's layout, built at the 17th, plus a
-    reference to it.
-
-    Both forms admit what the base kind's union admits, and members only
-    grow, so the form is a function of the member count: a hybrid holds its
-    members as its base kind does, and the byte model charges the form the
-    count implies.  ``spilled`` says which; no members move when it turns
-    True.  Mixed in before a base kind that keeps its members in ``bits``."""
-
-    @property
-    def spilled(self) -> bool:
-        return self.bits.bit_count() > HYBRID_INLINE_CAP
-
-    def footprint_bytes(self):
-        inline = OBJECT_HEADER + HYBRID_INLINE_CAP * REF_BYTES
-        if not self.spilled:
-            return inline
-        return inline + REF_BYTES + super().footprint_bytes()
-
-    def chunk_arrays(self):
-        return super().chunk_arrays() if self.spilled else []
-
-
-class HybridSet(_InlineSlots, PureBitVectorSet):
-    """Spark's hybrid set: a ``pure`` set charged as 16 inline slots while
-    it holds at most 16 members."""
-
-    kind = "hybrid"
-
 
 class SharedBitVectorSet(PointsToSet):
     """Immutable interned base vector plus a small overflow.
@@ -452,8 +393,6 @@ class SharedBitVectorSet(PointsToSet):
     interned ``base``; the overflow is the members outside the base, and
     the model charges one slot per overflow member.  A fold that keeps no
     overflow makes ``bits`` the interned base itself."""
-
-    kind = "shared"
 
     def __init__(self, factory, owner, mask):
         self.factory = factory
@@ -497,32 +436,6 @@ class SharedBitVectorSet(PointsToSet):
     def as_int(self):
         return self.bits
 
-    def footprint_bytes(self):
-        # base is shared; SetFactory.total_footprint charges it once
-        return OBJECT_HEADER + REF_BYTES + self.overflow.bit_count() * REF_BYTES
-
-
-class SparseBitmapSet(PureBitVectorSet):
-    """GCC/LLVM-style sparse bitmap: an ordered list of eight-word elements,
-    one allocated only where at least one member falls.  A ``pure`` set
-    charged one element per eight-chunk window its member int occupies:
-    members only grow, so the windows it ever touched are exactly those.
-    It keeps no dense chunk arrays."""
-
-    kind = "sparse"
-    dense_chunks = False
-
-    def footprint_bytes(self):
-        cfg = self.factory.cfg
-        per_element = (
-            OBJECT_HEADER
-            + SPARSE_ELEMENT_WORDS * cfg.chunk_bytes
-            + REF_BYTES  # next link
-        )
-        return OBJECT_HEADER + _occupied_windows(self.bits, cfg) * per_element
-
-    chunk_arrays = PointsToSet.chunk_arrays  # not pure's dense array
-
 
 class RangedPointsToSet(PointsToSet):
     """One ranged bit vector per (non-empty, merged) interval of the owner
@@ -541,9 +454,7 @@ class RangedPointsToSet(PointsToSet):
     span covers) that have come from a ranged source.  Slack outside every
     interval arrives only that way, so it is in every covering vector."""
 
-    kind = "ranged"
     ranged = True
-    dense_chunks = True
 
     def __init__(self, factory, owner, geometry):
         self.factory = factory
@@ -584,38 +495,6 @@ class RangedPointsToSet(PointsToSet):
     def objects_int(self):
         return self.objects
 
-    def footprint_bytes(self):
-        return self.geometry.bytes
-
-    def chunk_arrays(self):
-        g = self.geometry
-        uncopied = g.interval_bits & ~self.copies
-        return [
-            (chunks, (self.bits & span & ~(uncopied & ~own)) >> lower)
-            for chunks, lower, own, span in g.vectors
-        ]
-
-
-class HybridRangedPointsToSet(_InlineSlots, RangedPointsToSet):
-    """Spark's hybrid over ranged vectors: a ``ranged`` set charged as 16
-    inline slots while it holds at most 16 members."""
-
-    kind = "ranged-hybrid"
-
-
-SET_KINDS: dict[str, type[PointsToSet]] = {
-    cls.kind: cls
-    for cls in (
-        NaiveSet,
-        PureBitVectorSet,
-        HybridSet,
-        SharedBitVectorSet,
-        SparseBitmapSet,
-        RangedPointsToSet,
-        HybridRangedPointsToSet,
-    )
-}
-
 
 def _occupied_windows(value: int, cfg: ChunkConfig) -> int:
     """Eight-chunk windows of value (bit 0 starts window 0) that hold a set
@@ -629,17 +508,111 @@ def _occupied_windows(value: int, cfg: ChunkConfig) -> int:
     return n
 
 
-def sparse_savings(s: PointsToSet) -> int:
-    """Bytes a sparse eight-word-element decomposition of s's bit arrays,
-    at s's own chunk width, would not allocate (all-zero windows),
-    post-propagation."""
-    if not s.dense_chunks:
-        raise UnsupportedKindError(
-            f"sparse savings undefined for set kind {s.kind!r}"
-        )
+# -- charging rows: each function charges one finished set of its row's
+# kernel, and allocates nothing but its result
+
+INLINE_BYTES = OBJECT_HEADER + HYBRID_INLINE_CAP * REF_BYTES
+
+
+def _naive_bytes(s: NaiveSet) -> int:
+    return OBJECT_HEADER + len(s.members) * REF_BYTES
+
+
+def _pure_bytes(s: PureBitVectorSet) -> int:
+    return OBJECT_HEADER + s.factory.universe_bytes
+
+
+def _pure_arrays(s: PureBitVectorSet) -> list[tuple[int, int]]:
+    return [(s.factory.universe_chunks, s.bits)]
+
+
+def _sparse_bytes(s: PureBitVectorSet) -> int:
+    """GCC/LLVM-style sparse bitmap: a list of eight-word elements, one
+    wherever the member int occupies an eight-chunk window; members only
+    grow, so the windows a set ever touched are exactly those."""
+    cfg = s.factory.cfg
+    per_element = OBJECT_HEADER + SPARSE_ELEMENT_WORDS * cfg.chunk_bytes + REF_BYTES
+    return OBJECT_HEADER + _occupied_windows(s.bits, cfg) * per_element
+
+
+def _shared_bytes(s: SharedBitVectorSet) -> int:
+    # the base is shared; SetFactory.total_footprint charges it once
+    return OBJECT_HEADER + REF_BYTES + (s.bits ^ s.base).bit_count() * REF_BYTES
+
+
+def _ranged_bytes(s: RangedPointsToSet) -> int:
+    return s.geometry.bytes
+
+
+def _ranged_arrays(s: RangedPointsToSet) -> list[tuple[int, int]]:
+    g = s.geometry
+    uncopied = g.interval_bits & ~s.copies
+    return [
+        (chunks, (s.bits & span & ~(uncopied & ~own)) >> lower)
+        for chunks, lower, own, span in g.vectors
+    ]
+
+
+def _never(s: PointsToSet) -> bool:
+    return False
+
+
+def _past_inline_slots(s: PointsToSet) -> bool:
+    return s.bits.bit_count() > HYBRID_INLINE_CAP
+
+
+def _inline_slots(spilled_bytes, spilled_arrays):
+    """Spark's hybrid rule (Lhotak & Hendren, CC 2003) over a kernel's
+    layout, as (bytes, spilled, chunk arrays) charging functions: 16
+    inline slots up to 16 members, then the layout, built at the 17th,
+    plus a reference to it."""
+
+    def footprint_bytes(s):
+        if s.bits.bit_count() <= HYBRID_INLINE_CAP:
+            return INLINE_BYTES
+        return INLINE_BYTES + REF_BYTES + spilled_bytes(s)
+
+    def chunk_arrays(s):
+        return spilled_arrays(s) if _past_inline_slots(s) else []
+
+    return footprint_bytes, _past_inline_slots, chunk_arrays
+
+
+class SetKind(NamedTuple):
+    """A set kind: the kernel that holds its sets, and how a finished set
+    is charged: its modeled bytes, whether it is past inline slots, and
+    the (chunk count, value) of each dense bit array it keeps, ``None``
+    for a kind that keeps none."""
+
+    kernel: type[PointsToSet]
+    footprint_bytes: Callable[[PointsToSet], int]
+    spilled: Callable[[PointsToSet], bool] = _never
+    chunk_arrays: Optional[Callable[[PointsToSet], list[tuple[int, int]]]] = None
+
+
+SET_KINDS: dict[str, SetKind] = {
+    "naive": SetKind(NaiveSet, _naive_bytes),
+    "pure": SetKind(PureBitVectorSet, _pure_bytes, chunk_arrays=_pure_arrays),
+    "hybrid": SetKind(PureBitVectorSet, *_inline_slots(_pure_bytes, _pure_arrays)),
+    "shared": SetKind(SharedBitVectorSet, _shared_bytes),
+    "sparse": SetKind(PureBitVectorSet, _sparse_bytes),
+    "ranged": SetKind(RangedPointsToSet, _ranged_bytes, chunk_arrays=_ranged_arrays),
+    "ranged-hybrid": SetKind(
+        RangedPointsToSet, *_inline_slots(_ranged_bytes, _ranged_arrays)
+    ),
+}
+
+
+def sparse_savings(s: PointsToSet, kind: str) -> int:
+    """Bytes a sparse eight-word-element decomposition of the bit arrays
+    ``kind`` keeps for s, at s's own chunk width, would not allocate
+    (all-zero windows), post-propagation."""
+    chunk_arrays = SET_KINDS[kind].chunk_arrays
+    if chunk_arrays is None:
+        raise UnsupportedKindError(f"sparse savings undefined for set kind {kind!r}")
     cfg = s.factory.cfg
     empty = 0
-    for num_chunks, value in s.chunk_arrays():
+    for num_chunks, value in chunk_arrays(s):
         windows = -(-num_chunks // SPARSE_ELEMENT_WORDS)
         empty += windows - _occupied_windows(value, cfg)
     return empty * SPARSE_ELEMENT_WORDS * cfg.chunk_bytes

@@ -110,7 +110,7 @@ class SolverConfig:
             raise ConfigConflictError(f"unknown set kind {self.set_kind!r}")
         if self.filter_mode not in FILTER_MODES:
             raise ConfigConflictError(f"unknown filter mode {self.filter_mode!r}")
-        ranged = SET_KINDS[self.set_kind].ranged
+        ranged = SET_KINDS[self.set_kind].kernel.ranged
         if self.filter_mode == "intrinsic" and not ranged:
             raise ConfigConflictError(
                 "intrinsic filtering requires a ranged set kind"
@@ -371,9 +371,9 @@ def propagate(pag: PAG, nr: NumberingResult, cfg: SolverConfig) -> Solution:
         union_ops=unions,
         nodes_processed=pops,
         union_attempts=attempts,
-        spilled_sets=sum(s.spilled for s in all_sets),
+        spilled_sets=sum(map(SET_KINDS[cfg.set_kind].spilled, all_sets)),
         wall_time=wall_time,
-        total_footprint_bytes=factory.total_footprint(all_sets),
+        total_footprint_bytes=factory.total_footprint(all_sets, cfg.set_kind),
     )
     return Solution(cfg, nr, pag, factory, var_sets, field_sets, stats)
 

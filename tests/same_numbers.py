@@ -8,8 +8,9 @@ three by default), statement shuffle seed 0-2 (as ``perfbench/run.py``
 shuffles), chunk width 8/16/32/64 and set kind, the line gives:
 
 - ``members``, ``chunks`` and ``savings``: digests of every var and field
-  set's ``as_int()``, of its ``chunk_arrays()`` (dense-chunk kinds only) and
-  of its ``sparse_savings`` (the total comes first);
+  set's ``as_int()``, of the chunk arrays its kind's ``SET_KINDS`` row
+  charges (kinds whose row has ``chunk_arrays``) and of its
+  ``sparse_savings`` (the total comes first);
 - ``unions``, ``pops`` and ``attempts``: the solver's counters;
 - ``spills`` and ``bytes``: spilled sets and modeled bytes;
 - ``extra``: successful unions of ``run_extra_pass``, taken after the
@@ -31,7 +32,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from rangepta import hierarchy, pag, solver  # noqa: E402
-from rangepta.ptsets import sparse_savings  # noqa: E402
+from rangepta.ptsets import SET_KINDS, sparse_savings  # noqa: E402
 from run import shuffle_statements  # noqa: E402
 from workloads import KINDS, WORKLOADS  # noqa: E402
 
@@ -53,6 +54,7 @@ def digest(parts) -> str:
 
 def numbers(progs, kind: str, mode: str, chunk: int) -> str:
     cfg = solver.SolverConfig(kind, mode, chunk)
+    chunk_arrays = SET_KINDS[kind].chunk_arrays
     members, chunks, savings = [], [], []
     total_savings = 0
     counts = dict.fromkeys(("unions", "pops", "attempts", "spills", "bytes", "extra"), 0)
@@ -60,9 +62,9 @@ def numbers(progs, kind: str, mode: str, chunk: int) -> str:
         sol = solver.propagate(p, nr, cfg)
         for key, s in sorted_sets(sol):
             members.append((key, s.as_int()))
-            if s.dense_chunks:
-                saved = sparse_savings(s)
-                chunks.append((key, s.chunk_arrays()))
+            if chunk_arrays is not None:
+                saved = sparse_savings(s, kind)
+                chunks.append((key, chunk_arrays(s)))
                 savings.append((key, saved))
                 total_savings += saved
         st = sol.stats

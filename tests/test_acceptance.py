@@ -27,8 +27,8 @@ from rangepta.hierarchy import (
 )
 from rangepta.pag import GenParams, generate_synthetic, parse_program
 from rangepta.ptsets import (
-    HybridRangedPointsToSet,
-    HybridSet,
+    HYBRID_INLINE_CAP,
+    SET_KINDS,
     PureBitVectorSet,
     RangedPointsToSet,
     SetFactory,
@@ -222,7 +222,7 @@ def _held(s):
     ivs = s.factory.intervals(s.owner.name)
     return [
         {aligned_span((iv.lower, iv.upper), cb)[0] + b for b in _bit_offsets(value)}
-        for iv, (_, value) in zip(ivs, s.chunk_arrays())
+        for iv, (_, value) in zip(ivs, SET_KINDS["ranged"].chunk_arrays(s))
     ]
 
 
@@ -250,7 +250,7 @@ def test_criterion_03_ranged_or_oracle():
         for t, s in sets.items():
             ivs = f.intervals(t)
             assert [(iv.lower, iv.upper) for iv in ivs] == runs_of(compat[t])
-            assert len(s.chunk_arrays()) == len(ivs)
+            assert len(SET_KINDS["ranged"].chunk_arrays(s)) == len(ivs)
             for i in compat[t]:
                 if rng.random() < 0.3:
                     s.add(i)
@@ -402,16 +402,17 @@ def _bit_offsets(value):
     return out
 
 
-def _savings_oracle(s, cb):
-    """Brute-force zero-window count over a set's bit arrays; cb is the
-    chunk width in bits, a window is eight chunks."""
-    if isinstance(s, (HybridSet, HybridRangedPointsToSet)) and not s.spilled:
-        return 0
+def _savings_oracle(s, kind, cb):
+    """Brute-force zero-window count over the bit arrays kind keeps for a
+    set; cb is the chunk width in bits, a window is eight chunks."""
+    if kind in ("hybrid", "ranged-hybrid") and len(s) <= HYBRID_INLINE_CAP:
+        return 0  # still in its inline slots
     if isinstance(s, PureBitVectorSet):  # a spilled hybrid set too
         arrays = [(s.factory.universe_chunks, _bit_offsets(s.bits))]
     else:
         assert isinstance(s, RangedPointsToSet)  # a spilled ranged-hybrid set too
-        arrays = [(n, _bit_offsets(value)) for n, value in s.chunk_arrays()]
+        ranged_arrays = SET_KINDS["ranged"].chunk_arrays(s)
+        arrays = [(n, _bit_offsets(value)) for n, value in ranged_arrays]
     window_bits = 8 * cb
     saved = 0
     for num_chunks, offsets in arrays:
@@ -439,8 +440,8 @@ def test_criterion_08_sparse_savings_oracle(tmp_path, capsys):
         chunk = (8, 64)[seed % 2]
         sol = solve_text(generate_synthetic(params, seed), kind, mode, chunk)
         all_sets = list(sol.var_sets.values()) + list(sol.field_sets.values())
-        got = sum(sparse_savings(s) for s in all_sets)
-        want = sum(_savings_oracle(s, chunk) for s in all_sets)
+        got = sum(sparse_savings(s, kind) for s in all_sets)
+        want = sum(_savings_oracle(s, kind, chunk) for s in all_sets)
         assert got == want, seed
         checked += 1
 

@@ -36,13 +36,30 @@ from rangepta.ptsets import (
     OBJECT_HEADER,
     SET_KINDS,
     SHARED_OVERFLOW_CAP,
+    NaiveSet,
+    PointsToSet,
+    PureBitVectorSet,
+    RangedPointsToSet,
     SetFactory,
+    SharedBitVectorSet,
     SPARSE_ELEMENT_WORDS,
     sparse_savings,
 )
 
 EXACT_KINDS = ("naive", "pure", "hybrid", "shared", "sparse")
 RANGED = ("ranged", "ranged-hybrid")
+
+
+def footprint(s, kind):
+    return SET_KINDS[kind].footprint_bytes(s)
+
+
+def spilled(s, kind):
+    return SET_KINDS[kind].spilled(s)
+
+
+def arrays(s, kind):
+    return SET_KINDS[kind].chunk_arrays(s)
 
 
 @pytest.fixture
@@ -70,16 +87,17 @@ class TestMakeSet:
     def test_ranged_class(self, factory64):
         s = factory64.make_set("ranged", "A")
         assert factory64.intervals("A") == (Interval(3, 8),)
-        assert s.chunk_arrays() == [(1, 0)]
+        assert arrays(s, "ranged") == [(1, 0)]
 
     def test_ranged_interface(self, factory64):
         s = factory64.make_set("ranged", "I")
         assert factory64.intervals("I") == (Interval(6, 6), Interval(9, 12))
-        assert s.chunk_arrays() == [(1, 0), (1, 0)]
+        assert arrays(s, "ranged") == [(1, 0), (1, 0)]
 
     def test_hybrid_ranged_initial(self, factory64):
         s = factory64.make_set("ranged-hybrid", "A")
-        assert not s.spilled and s.chunk_arrays() == [] and len(s) == 0
+        assert not spilled(s, "ranged-hybrid") and arrays(s, "ranged-hybrid") == []
+        assert len(s) == 0
 
     def test_unknown_owner(self, factory64):
         with pytest.raises(UnknownTypeError):
@@ -91,9 +109,10 @@ class TestMakeSet:
             assert len(s) == 0 and list(s.iterate()) == []
 
 
-# footprint_bytes() and chunk_arrays() (None: not a dense-chunk kind) of a
-# new set owned by a class, an interface and the root, at chunk 8 on the
-# worked numbering (A's interval [3, 8], I's [6, 6] and [9, 12], 12 allocs)
+# the row's footprint_bytes and chunk_arrays (None: the kind keeps no dense
+# chunk arrays) of a new set owned by a class, an interface and the root, at
+# chunk 8 on the worked numbering (A's interval [3, 8], I's [6, 6] and
+# [9, 12], 12 allocs)
 MAKER_OWNERS = ("A", "I", "Object")
 NEW_SET_SHAPES = {
     "naive": [(16, None)] * 3,
@@ -106,9 +125,10 @@ NEW_SET_SHAPES = {
 }
 
 
-def shape(s):
-    arrays = s.chunk_arrays() if s.dense_chunks else None
-    return s.footprint_bytes(), arrays
+def shape(s, kind):
+    row = SET_KINDS[kind]
+    chunk_arrays = None if row.chunk_arrays is None else row.chunk_arrays(s)
+    return row.footprint_bytes(s), chunk_arrays
 
 
 class TestMaker:
@@ -116,28 +136,49 @@ class TestMaker:
     def test_makes_fresh_empty_sets(self, kind, factory8, worked_hierarchy, monkeypatch):
         # each maker is new, but the per-type state is built once per type
         built = []
-        type_state = SET_KINDS[kind].type_state
+        kernel = SET_KINDS[kind].kernel
+        type_state = kernel.type_state
 
         def counted(cls, factory, type_name):
             built.append(type_name)
             return type_state(factory, type_name)
 
-        monkeypatch.setattr(SET_KINDS[kind], "type_state", classmethod(counted))
+        monkeypatch.setattr(kernel, "type_state", classmethod(counted))
         for k, (owner, want) in enumerate(zip(MAKER_OWNERS, NEW_SET_SHAPES[kind])):
             make = factory8.maker(kind, owner)
             assert factory8.maker(kind, owner) is not make
             assert built == list(MAKER_OWNERS[: k + 1])
             first = make()
-            assert first.kind == kind and first.factory is factory8
+            assert type(first) is kernel and first.factory is factory8
             assert first.owner == worked_hierarchy.lookup(owner)
-            assert len(first) == 0 and shape(first) == want
+            assert len(first) == 0 and shape(first, kind) == want
             for i in range(1, factory8.total + 1):  # past hybrid's slots
                 first.add(i)
             assert len(first) > 0
             later = make()
-            assert later is not first and len(later) == 0 and shape(later) == want
+            assert later is not first and len(later) == 0 and shape(later, kind) == want
             if kind == "naive":
                 assert later.members == set() and later.members is not first.members
+
+    def test_kinds_on_one_kernel_share_its_type_state(self, factory8, monkeypatch):
+        # pure, hybrid and sparse are pure kernels, ranged-hybrid a ranged
+        # one: the per-type state is built once per (kernel, owner)
+        built = collections.Counter()
+        for kernel in {row.kernel for row in SET_KINDS.values()}:
+
+            def counted(cls, factory, type_name, _type_state=kernel.type_state):
+                built[cls, type_name] += 1
+                return _type_state(factory, type_name)
+
+            monkeypatch.setattr(kernel, "type_state", classmethod(counted))
+        for owner in MAKER_OWNERS:
+            sets = {kind: factory8.make_set(kind, owner) for kind in SET_KINDS}
+            assert sets["hybrid"].mask is sets["sparse"].mask is sets["pure"].mask
+            assert sets["ranged-hybrid"].geometry is sets["ranged"].geometry
+        assert set(built.values()) == {1}
+        assert sorted(k.__name__ for k, owner in built if owner == "A") == [
+            "NaiveSet", "PureBitVectorSet", "RangedPointsToSet", "SharedBitVectorSet"
+        ]
 
     def test_unknown_kind_or_type_raises(self, factory8):
         for _ in range(2):  # a failed lookup caches nothing
@@ -183,9 +224,9 @@ class TestAdd:
         s = f.make_set("hybrid", "Object")
         for i in range(1, 17):
             assert s.add(i) is True
-        assert not s.spilled
+        assert not spilled(s, "hybrid")
         assert s.add(17) is True
-        assert s.spilled
+        assert spilled(s, "hybrid")
         assert len(s) == 17
         assert set(s.iterate()) == set(range(1, 18))
 
@@ -195,9 +236,9 @@ class TestAdd:
         # A's interval is [31, 90]: 60 compatible allocs
         for i in range(31, 47):
             assert s.add(i) is True
-        assert not s.spilled
+        assert not spilled(s, "ranged-hybrid")
         assert s.add(47) is True
-        assert s.spilled and len(s) == 17
+        assert spilled(s, "ranged-hybrid") and len(s) == 17
         assert s.add(5) is False  # outside A's interval even after the spill
 
     def test_ranged_idempotent(self, factory64):
@@ -315,7 +356,7 @@ def assert_bulk_matches_elementwise(factory, kind, owner, log):
     bulk = apply_log(factory, kind, owner, log)
     one = apply_log(factory, kind, owner, log, elementwise=True)
     assert list(bulk.iterate()) == list(one.iterate()), (kind, owner)
-    assert bulk.footprint_bytes() == one.footprint_bytes(), (kind, owner)
+    assert footprint(bulk, kind) == footprint(one, kind), (kind, owner)
     if kind == "shared":
         assert bulk.base == one.base, owner
         assert bulk.overflow == one.overflow, owner
@@ -433,24 +474,24 @@ class TestOracleEquivalence:
             )
 
 
-def assert_set_contract(s):
+def assert_set_contract(s, kind):
     """The queries every kind answers agree with each other."""
     members = list(s.iterate())
-    assert members == sorted(set(members)), s.kind
-    assert len(s) == len(members), s.kind
+    assert members == sorted(set(members)), kind
+    assert len(s) == len(members), kind
     held = set(members)
     objects = list(s.iterate_objects())
-    assert set(objects) <= held, s.kind
+    assert set(objects) <= held, kind
     bits = s.objects_int()
-    assert [i for i in range(bits.bit_length()) if bits >> i & 1] == objects, s.kind
+    assert [i for i in range(bits.bit_length()) if bits >> i & 1] == objects, kind
     for i in range(1, s.factory.total + 1):
-        assert (i in s) == (i in held), (s.kind, i)
+        assert (i in s) == (i in held), (kind, i)
 
 
 class TestSetContract:
     def test_queries_agree_before_and_after_spill_and_fold(self):
         rng = random.Random(26)
-        spilled = folded = 0
+        spills = folded = 0
         for _ in range(10):
             classes, ifaces, allocs = random_hierarchy(rng)
             if not allocs:
@@ -464,17 +505,17 @@ class TestSetContract:
                 log = random_log(rng, nr.total_allocs, type_names)
                 for kind in SET_KINDS:
                     s = f.make_set(kind, owner)
-                    assert_set_contract(s)
+                    assert_set_contract(s, kind)
                     for op in log:
                         apply_op(f, kind, s, op)
-                        assert_set_contract(s)
+                        assert_set_contract(s, kind)
                     if kind in ("hybrid", "ranged-hybrid"):
-                        spilled += s.spilled
+                        spills += spilled(s, kind)
                     elif kind == "shared":
                         folded += s.base != 0
         # the logs must reach both re-encodings, or the test checks less
         # than it claims
-        assert spilled and folded
+        assert spills and folded
 
     @pytest.mark.parametrize("kind", ["hybrid", "ranged-hybrid"])
     def test_union_stays_inline_up_to_cap(self, kind):
@@ -489,7 +530,7 @@ class TestSetContract:
                     src.add(i)
                 s.add_all(src)
                 assert len(s) == k, (held, k)
-                assert s.spilled == (k > HYBRID_INLINE_CAP), (held, k)
+                assert spilled(s, kind) == (k > HYBRID_INLINE_CAP), (held, k)
 
 
 @pytest.mark.parametrize(
@@ -514,7 +555,7 @@ def test_union_cost_does_not_grow_with_unspilled_members(kind, cap):
         if kind == "shared":
             assert s.base == 0  # not folded
         else:
-            assert not s.spilled
+            assert not spilled(s, kind)
         changed, lines = _line_events(
             lambda: [s.add_all(src) for _ in range(100)], only=ptsets.__file__
         )
@@ -591,34 +632,34 @@ def test_naive_union_is_the_filtered_source():
 
 @pytest.mark.parametrize("cb", [8, 64])
 def test_byte_rules_read_the_member_int(cb):
-    # hybrid and sparse are pure sets: under the same log all three change
-    # on the same ops and hold the same members.  hybrid is charged 16
-    # inline slots up to 16 members, then the pure vector plus a reference
-    # to it; sparse is charged one element per eight-chunk window its
-    # members touch, and sparse_savings of the pure set charges the others
+    # hybrid and sparse are pure sets, so one pure set is charged three
+    # ways from its member int.  hybrid is charged 16 inline slots up to 16
+    # members, then the pure vector plus a reference to it; sparse is
+    # charged one element per eight-chunk window its members touch, and
+    # sparse_savings of the pure set charges the others
+    assert {SET_KINDS[k].kernel for k in ("pure", "hybrid", "sparse")} == {
+        PureBitVectorSet
+    }
     rng = random.Random(33)
     window_bits = 8 * cb
     seen = {"at cap": 0, "spilled": 0, "several elements": 0}
 
     def replay(f, owner, log):
-        sets = {k: f.make_set(k, owner) for k in ("pure", "hybrid", "sparse")}
-        pure, hybrid, sparse = sets.values()
+        s = f.make_set("pure", owner)
         all_windows = -(-f.universe_chunks // SPARSE_ELEMENT_WORDS)
         for op in [None, *log]:
             if op is not None:
-                changed = {apply_op(f, k, s, op) for k, s in sets.items()}
-                assert len(changed) == 1, op
-            members = pure.as_int()
-            assert hybrid.as_int() == sparse.as_int() == members
+                apply_op(f, "pure", s, op)
+            members = s.as_int()
             if members.bit_count() <= 16:
-                assert hybrid.footprint_bytes() == 144
+                assert footprint(s, "hybrid") == 144
             else:
-                assert hybrid.footprint_bytes() == 152 + pure.footprint_bytes()
+                assert footprint(s, "hybrid") == 152 + footprint(s, "pure")
             windows = {
                 i // window_bits for i in range(members.bit_length()) if members >> i & 1
             }
-            assert sparse.footprint_bytes() == 16 + len(windows) * (24 + cb), op
-            assert sparse_savings(pure) == (all_windows - len(windows)) * cb, op
+            assert footprint(s, "sparse") == 16 + len(windows) * (24 + cb), op
+            assert sparse_savings(s, "pure") == (all_windows - len(windows)) * cb, op
             seen["at cap"] += members.bit_count() == 16
             seen["spilled"] += members.bit_count() > 16
             seen["several elements"] += len(windows) > 1
@@ -652,10 +693,11 @@ def test_byte_rules_read_the_member_int(cb):
 
 @pytest.mark.parametrize("cb", [8, 64])
 def test_ranged_hybrid_is_ranged_charged_by_member_count(cb):
-    # under the same log, a ranged-hybrid set and a ranged set change on
-    # the same ops and hold the same members and, once spilled, the same
-    # chunk arrays; the hybrid is charged 16 inline slots up to 16 members,
-    # then the ranged vectors plus a reference to them
+    # a ranged-hybrid set is a ranged set, so one ranged set is charged both
+    # ways: as ranged-hybrid it keeps no chunk arrays and is charged 16
+    # inline slots up to 16 members, then ranged's chunk arrays and vectors
+    # plus a reference to them
+    assert SET_KINDS["ranged-hybrid"].kernel is SET_KINDS["ranged"].kernel
     rng = random.Random(28)
     seen = {"at cap": 0, "spilled": 0, "copy only": 0, "shared chunk": 0}
     for _ in range(80):
@@ -673,24 +715,22 @@ def test_ranged_hybrid_is_ranged_charged_by_member_count(cb):
         # where the two forms could differ: owners whose vectors share a chunk
         owners = [t for t in type_names if shares_a_chunk(t)]
         for owner in owners + rng.sample(type_names, min(3, len(type_names))):
-            hybrid = f.make_set("ranged-hybrid", owner)
-            ranged = f.make_set("ranged", owner)
+            s = f.make_set("ranged", owner)
             for op in random_log(rng, nr.total_allocs, type_names):
-                before = ranged.as_int()
-                changed = apply_op(f, "ranged-hybrid", hybrid, op)
-                assert changed == apply_op(f, "ranged", ranged, op), (owner, op)
-                assert hybrid.as_int() == ranged.as_int(), (owner, op)
-                n = len(ranged)
+                before = s.as_int()
+                changed = apply_op(f, "ranged", s, op)
+                n = len(s)
                 if n <= HYBRID_INLINE_CAP:
-                    assert not hybrid.spilled and hybrid.chunk_arrays() == []
-                    assert hybrid.footprint_bytes() == 144
+                    assert not spilled(s, "ranged-hybrid")
+                    assert arrays(s, "ranged-hybrid") == []
+                    assert footprint(s, "ranged-hybrid") == 144
                 else:
-                    assert hybrid.spilled
-                    assert hybrid.chunk_arrays() == ranged.chunk_arrays(), (owner, op)
-                    assert hybrid.footprint_bytes() == 152 + ranged.footprint_bytes()
+                    assert spilled(s, "ranged-hybrid")
+                    assert arrays(s, "ranged-hybrid") == arrays(s, "ranged"), (owner, op)
+                    assert footprint(s, "ranged-hybrid") == 152 + footprint(s, "ranged")
                 seen["at cap"] += n == HYBRID_INLINE_CAP
                 seen["spilled"] += n > HYBRID_INLINE_CAP
-                seen["copy only"] += changed and ranged.as_int() == before
+                seen["copy only"] += changed and s.as_int() == before
                 seen["shared chunk"] += n > HYBRID_INLINE_CAP and owner in owners
     # every form is reached, and spilled sets whose vectors share a chunk
     # and unions that only copy a member, or the test checks less than it
@@ -799,8 +839,8 @@ class TestFootprint:
         nr = number_allocations(h, [AllocSite("o", "Object")])
         f = SetFactory(nr, ChunkConfig(64))
         s = f.make_set("ranged", "L")
-        assert f.intervals("L") == () and s.chunk_arrays() == []
-        assert s.footprint_bytes() == OBJECT_HEADER
+        assert f.intervals("L") == () and arrays(s, "ranged") == []
+        assert footprint(s, "ranged") == OBJECT_HEADER
 
     def test_ranged_vector_bytes(self):
         h = build_hierarchy([("Object", None, ()), ("L", "Object", ())])
@@ -810,19 +850,19 @@ class TestFootprint:
         nr = number_allocations(h, allocs)
         f = SetFactory(nr, ChunkConfig(8))
         s = f.make_set("ranged", "L")  # interval [10, 20]: 2 one-byte chunks
-        assert s.footprint_bytes() == OBJECT_HEADER + ARRAY_HEADER + 2
+        assert footprint(s, "ranged") == OBJECT_HEADER + ARRAY_HEADER + 2
 
     def test_pure_bytes(self, factory64):
         s = factory64.make_set("pure", "Object")
-        assert s.footprint_bytes() == OBJECT_HEADER + ARRAY_HEADER + 8
+        assert footprint(s, "pure") == OBJECT_HEADER + ARRAY_HEADER + 8
 
     def test_ranged_never_larger_than_pure_for_subchunk_classes(self):
         f = big_factory(per_class=50, cb=8)
         for owner in ("A", "B"):
             ranged = f.make_set("ranged", owner)
             pure = f.make_set("pure", owner)
-            if sum(n for n, _ in ranged.chunk_arrays()) < f.universe_chunks:
-                assert ranged.footprint_bytes() <= pure.footprint_bytes()
+            if sum(n for n, _ in arrays(ranged, "ranged")) < f.universe_chunks:
+                assert footprint(ranged, "ranged") <= footprint(pure, "pure")
 
     def test_shared_base_counted_once(self):
         f = big_factory()
@@ -832,10 +872,27 @@ class TestFootprint:
             for i in range(1, 22):
                 s.add(i)
             sets.append(s)
-        per_set = sum(s.footprint_bytes() for s in sets)
-        total = f.total_footprint(sets)
+        per_set = sum(footprint(s, "shared") for s in sets)
+        total = f.total_footprint(sets, "shared")
         universe_chunks = f.total // 64 + 1
         assert total == per_set + (ARRAY_HEADER + universe_chunks * 8)
+
+    def test_kind_charges_one_set_its_own_way(self):
+        # a set made for hybrid or sparse is a pure kernel: only the kind
+        # passed to the factory decides how it is charged, and no shared
+        # base is charged unless the kind is shared
+        f = big_factory()
+        for kind in ("pure", "hybrid", "sparse"):
+            sets = [f.make_set(kind, "Object") for _ in range(3)]
+            for s in sets:
+                s.add(5)
+            for charged_as in ("pure", "hybrid", "sparse"):
+                assert f.total_footprint(sets, charged_as) == 3 * footprint(
+                    sets[0], charged_as
+                )
+        assert footprint(sets[0], "pure") == OBJECT_HEADER + f.universe_bytes
+        assert footprint(sets[0], "hybrid") == OBJECT_HEADER + 16 * 8
+        assert footprint(sets[0], "sparse") == 2 * OBJECT_HEADER + 8 * 8 + 8
 
 
 class TestSparseSavings:
@@ -843,7 +900,7 @@ class TestSparseSavings:
         f = big_factory(per_class=200, cb=8)  # universe 600 allocs, 76 chunks
         s = f.make_set("pure", "Object")
         windows = -(-(f.total // 8 + 1) // SPARSE_ELEMENT_WORDS)
-        assert sparse_savings(s) == windows * SPARSE_ELEMENT_WORDS
+        assert sparse_savings(s, "pure") == windows * SPARSE_ELEMENT_WORDS
 
     def test_one_bit_per_window(self):
         f = big_factory(per_class=200, cb=8)
@@ -852,7 +909,7 @@ class TestSparseSavings:
         for w in range(-(-(f.total // 8 + 1) // SPARSE_ELEMENT_WORDS)):
             idx = max(1, w * window_bits)
             s.add(idx)
-        assert sparse_savings(s) == 0
+        assert sparse_savings(s, "pure") == 0
 
     def test_random_matches_window_oracle(self):
         rng = random.Random(31)
@@ -863,10 +920,34 @@ class TestSparseSavings:
                 s.add(rng.randint(1, f.total))
             arrays = [
                 (n, {b for b in range(value.bit_length()) if value >> b & 1})
-                for n, value in s.chunk_arrays()
+                for n, value in SET_KINDS["ranged"].chunk_arrays(s)
             ]
-            assert sparse_savings(s) == zero_window_savings(arrays, 8)
+            assert sparse_savings(s, "ranged") == zero_window_savings(arrays, 8)
 
     def test_unsupported_kind(self, factory64):
-        with pytest.raises(UnsupportedKindError):
-            sparse_savings(factory64.make_set("naive", "A"))
+        # sparse keeps no dense chunk arrays, though its kernel is pure's
+        for kind in ("naive", "shared", "sparse"):
+            with pytest.raises(UnsupportedKindError):
+                sparse_savings(factory64.make_set(kind, "A"), kind)
+        # the kind passed decides, not the kind the set was made for
+        empty = sparse_savings(factory64.make_set("pure", "A"), "pure")
+        assert sparse_savings(factory64.make_set("sparse", "A"), "pure") == empty
+
+
+def test_each_kernel_is_bound_to_one_module_name():
+    # the benchmark's tracer and the tests that count unions patch add_all
+    # on every PointsToSet subclass in vars(ptsets): a second name for a
+    # kernel would have it patched twice
+    names = collections.defaultdict(list)
+    for name, value in vars(ptsets).items():
+        if isinstance(value, type) and issubclass(value, PointsToSet):
+            names[value].append(name)
+    assert all(len(n) == 1 for n in names.values()), dict(names)
+    # four kernels, the one-member source of add(idx), and their base
+    kernels = {NaiveSet, PureBitVectorSet, SharedBitVectorSet, RangedPointsToSet}
+    assert {row.kernel for row in SET_KINDS.values()} == kernels
+    assert set(names) == kernels | {PointsToSet, ptsets._OneMember}
+    # a set answers no charging question: the kind's row does
+    for cls in names:
+        for attr in ("footprint_bytes", "chunk_arrays", "spilled", "dense_chunks", "kind"):
+            assert not hasattr(cls, attr), (cls, attr)
