@@ -142,17 +142,11 @@ def cmd_gen(args) -> int:
 
 
 def _config_from(args, suffix: str = "") -> SolverConfig:
-    kind = getattr(args, "set" + suffix)
-    mode = getattr(args, "filter" + suffix)
-    if mode is None:  # the kind's own filter
-        mode = "intrinsic" if SET_KINDS[kind].kernel.ranged else "mask"
-    cfg = SolverConfig(
-        set_kind=kind,
-        filter_mode=mode,
+    return SolverConfig(
+        set_kind=getattr(args, "set" + suffix),
+        filter_mode=getattr(args, "filter" + suffix),  # None: the kind's own
         chunk_bits=_default_chunk() if args.chunk is None else args.chunk,
     )
-    cfg.validate()
-    return cfg
 
 
 def cmd_solve(args) -> int:

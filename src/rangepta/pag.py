@@ -276,6 +276,8 @@ def format_program(pag: PAG) -> str:
 
 @dataclass(frozen=True)
 class GenParams:
+    """The shape of a synthetic corpus, checked when made."""
+
     num_classes: int = 30
     num_interfaces: int = 5
     max_depth: int = 6
@@ -287,7 +289,7 @@ class GenParams:
     violation_rate: float = 0.1  # chance a statement ignores type direction
     pad_chunk: int | None = None  # pad alloc counts so intervals chunk-align
 
-    def validate(self):
+    def __post_init__(self):
         if self.num_classes < 1:
             raise InvalidParamsError("num_classes must be >= 1")
         if self.num_interfaces < 0 or self.num_fields < 0:
@@ -321,15 +323,14 @@ def generate_synthetic(params: GenParams, seed: int) -> str:
     type) except for a configurable violation fraction that exercises type
     filtering.
     """
-    params.validate()
     rng = random.Random(seed)
     p = params
 
     classes = ["Object"] + [f"C{i}" for i in range(1, p.num_classes)]
     depth = {"Object": 0}
     parent: dict[str, str | None] = {"Object": None}
-    # classes shallow enough to take a subclass, in class order; validate
-    # admits a second class only if Object is one of them
+    # classes shallow enough to take a subclass, in class order; the
+    # params admit a second class only if Object is one of them
     candidates = ["Object"]
     for c in classes[1:]:
         par = rng.choice(candidates)

@@ -7,8 +7,9 @@ ranged set (one ranged vector per interval of the owner type) and its
 hybrid variant.  ``SET_KINDS`` maps each name to one ``SetKind`` row: the
 kernel class that holds the kind's sets and makes their unions, and the
 functions that charge a finished set of that kernel (its modeled bytes,
-whether it has spilled, and its dense chunk arrays, ``None`` for a kind
-that keeps none).  Members only grow, so every charging function reads
+whether it has spilled past inline slots, and its dense chunk arrays;
+the last two are ``None`` for a kind that has no inline slots or keeps
+no arrays).  Members only grow, so every charging function reads
 the final members, and no kind moves its members when it spills.  A
 kernel answers no charging question; its one flag, ``ranged``, selects
 the union a ranged destination makes.
@@ -93,7 +94,6 @@ from .errors import (
 )
 from .hierarchy import (
     ClassHierarchy,
-    Interval,
     NumberingResult,
     build_type_mask,
     intervals_of,
@@ -153,9 +153,6 @@ class SetFactory:
         # -> whether the source lies within the destination
         self._covers: dict[tuple[frozenset, frozenset], bool] = {}
 
-    def intervals(self, type_name: str) -> tuple[Interval, ...]:
-        return tuple(intervals_of(self.nr, type_name))
-
     def ranged_geometry(self, type_name: str) -> RangedGeometry:
         """The type's ranged vectors, laid out once per numbering, chunk
         width and owner type."""
@@ -163,7 +160,7 @@ class SetFactory:
         if g is None:
             cb = self.cfg.chunk_bits
             vectors = []
-            for iv in self.intervals(type_name):
+            for iv in intervals_of(self.nr, type_name):
                 # the chunks holding the interval's first and last index
                 first, last = iv.lower // cb, iv.upper // cb
                 own = (1 << iv.upper + 1) - (1 << iv.lower)
@@ -203,9 +200,6 @@ class SetFactory:
                 self.h.lookup(owner), kernel.type_state(self, owner)
             )
         return partial(kernel, self, *made)
-
-    def make_set(self, kind: str, owner: str) -> "PointsToSet":
-        return self.maker(kind, owner)()
 
     def total_footprint(self, sets: Sequence["PointsToSet"], kind: str) -> int:
         """The modeled bytes of ``kind`` sets: each set as the kind's row
@@ -298,9 +292,8 @@ class NaiveSet(PointsToSet):
     @classmethod
     def type_state(cls, factory, type_name):
         # the indices of the type's intervals, as a hash set
-        return frozenset(
-            i for iv in factory.intervals(type_name) for i in range(iv.lower, iv.upper + 1)
-        )
+        ivs = intervals_of(factory.nr, type_name)
+        return frozenset(i for iv in ivs for i in range(iv.lower, iv.upper + 1))
 
     def add_all(self, src):
         if src.factory is not self.factory:
@@ -553,10 +546,6 @@ def _ranged_arrays(s: RangedPointsToSet) -> list[tuple[int, int]]:
     ]
 
 
-def _never(s: PointsToSet) -> bool:
-    return False
-
-
 def _past_inline_slots(s: PointsToSet) -> bool:
     return s.bits.bit_count() > HYBRID_INLINE_CAP
 
@@ -580,13 +569,13 @@ def _inline_slots(spilled_bytes, spilled_arrays):
 
 class SetKind(NamedTuple):
     """A set kind: the kernel that holds its sets, and how a finished set
-    is charged: its modeled bytes, whether it is past inline slots, and
-    the (chunk count, value) of each dense bit array it keeps, ``None``
-    for a kind that keeps none."""
+    is charged: its modeled bytes, whether it is past inline slots,
+    ``None`` for a kind without them, and the (chunk count, value) of each
+    dense bit array it keeps, ``None`` for a kind that keeps none."""
 
     kernel: type[PointsToSet]
     footprint_bytes: Callable[[PointsToSet], int]
-    spilled: Callable[[PointsToSet], bool] = _never
+    spilled: Optional[Callable[[PointsToSet], bool]] = None
     chunk_arrays: Optional[Callable[[PointsToSet], list[tuple[int, int]]]] = None
 
 

@@ -101,16 +101,22 @@ HISTOGRAM_BOUNDS = (0, 1, 2, 10, 100, 1000)
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """A solve's set kind, type filter and chunk width, checked when made,
+    so no invalid config exists.  The filter defaults to the kind's own:
+    ``intrinsic`` for a ranged kernel, ``mask`` otherwise."""
+
     set_kind: str = "hybrid"
-    filter_mode: str = "mask"
+    filter_mode: str | None = None
     chunk_bits: int = 64
 
-    def validate(self):
+    def __post_init__(self):
         if self.set_kind not in SET_KINDS:
             raise ConfigConflictError(f"unknown set kind {self.set_kind!r}")
+        ranged = SET_KINDS[self.set_kind].kernel.ranged
+        if self.filter_mode is None:
+            object.__setattr__(self, "filter_mode", "intrinsic" if ranged else "mask")
         if self.filter_mode not in FILTER_MODES:
             raise ConfigConflictError(f"unknown filter mode {self.filter_mode!r}")
-        ranged = SET_KINDS[self.set_kind].kernel.ranged
         if self.filter_mode == "intrinsic" and not ranged:
             raise ConfigConflictError(
                 "intrinsic filtering requires a ranged set kind"
@@ -183,7 +189,6 @@ def _distinct_edges(pag: PAG) -> tuple[list, list, list]:
 
 def propagate(pag: PAG, nr: NumberingResult, cfg: SolverConfig) -> Solution:
     """Run inclusion-based propagation to the least fixpoint."""
-    cfg.validate()
     start = time.perf_counter()
     factory = SetFactory(nr, ChunkConfig(cfg.chunk_bits))
     makers = _Makers(factory, cfg)
@@ -367,11 +372,12 @@ def propagate(pag: PAG, nr: NumberingResult, cfg: SolverConfig) -> Solution:
 
     wall_time = time.perf_counter() - start
     all_sets = list(var_sets.values()) + list(field_sets.values())
+    spilled = SET_KINDS[cfg.set_kind].spilled
     stats = PropagationStats(
         union_ops=unions,
         nodes_processed=pops,
         union_attempts=attempts,
-        spilled_sets=sum(map(SET_KINDS[cfg.set_kind].spilled, all_sets)),
+        spilled_sets=0 if spilled is None else sum(map(spilled, all_sets)),
         wall_time=wall_time,
         total_footprint_bytes=factory.total_footprint(all_sets, cfg.set_kind),
     )

@@ -172,7 +172,7 @@ def rewalk_propagate(pag, nr, cfg):
 
     def make(type_name):
         owner = factory.h.root.name if cfg.filter_mode == "none" else type_name
-        return factory.make_set(cfg.set_kind, owner)
+        return factory.maker(cfg.set_kind, owner)()
 
     var_sets = {}
     for v in pag.var_types:

@@ -31,9 +31,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from rangepta import hierarchy, pag, solver  # noqa: E402
+from rangepta import pag, solver  # noqa: E402
 from rangepta.ptsets import SET_KINDS, sparse_savings  # noqa: E402
-from run import shuffle_statements  # noqa: E402
+from run import setup, shuffle_statements  # noqa: E402
 from workloads import KINDS, WORKLOADS  # noqa: E402
 
 SEEDS = (0, 1, 2)
@@ -82,12 +82,9 @@ def numbers(progs, kind: str, mode: str, chunk: int) -> str:
 
 
 def programs(texts, seed: int) -> list:
-    """(PAG, numbering) of each corpus text, its statements shuffled by seed."""
-    progs = []
-    for text in texts:
-        h, p = pag.parse_program(shuffle_statements(text, seed))
-        progs.append((p, hierarchy.number_allocations(h, list(p.allocs.values()))))
-    return progs
+    """(PAG, numbering) of each corpus text, its statements shuffled by seed,
+    built as the benchmark builds them."""
+    return setup([shuffle_statements(t, seed) for t in texts])
 
 
 def main(names) -> None:

@@ -23,6 +23,7 @@ from rangepta.hierarchy import (
     AllocSite,
     Interval,
     build_hierarchy,
+    intervals_of,
     number_allocations,
 )
 from rangepta.pag import GenParams, generate_synthetic, parse_program
@@ -186,11 +187,11 @@ def test_criterion_02_worked_numbering_trace():
     verdict(2, ok, f"intervals {sorted(expected)} exact, creation order B,C,A,D,Object")
 
 
-def _union_corpus(rng):
-    """A random class tree of few-alloc classes; each interface is
-    implemented by a run of consecutively declared classes, so intervals
-    nest, interface intervals overlap partly, and disjoint intervals share
-    chunks."""
+def _union_corpus(rng, max_allocs=6):
+    """A random class tree of classes with 1..max_allocs allocs; each
+    interface is implemented by a run of consecutively declared classes, so
+    intervals nest, interface intervals overlap partly, and disjoint
+    intervals share chunks."""
     n = rng.randint(2, 12)
     runs = {}
     for j in range(rng.randint(4, 10)):
@@ -206,7 +207,7 @@ def _union_corpus(rng):
     allocs = [
         AllocSite(f"{name}_{k}", name)
         for name, _, _ in classes
-        for k in range(rng.randint(1, 6))
+        for k in range(rng.randint(1, max_allocs))
     ]
     iface_decls = [(j, ()) for j in ifaces]
     nr = number_allocations(build_hierarchy(classes, iface_decls), allocs)
@@ -219,7 +220,7 @@ def _union_corpus(rng):
 def _held(s):
     """The absolute indices each of s's vectors holds, by lower bound."""
     cb = s.factory.cfg.chunk_bits
-    ivs = s.factory.intervals(s.owner.name)
+    ivs = intervals_of(s.factory.nr, s.owner.name)
     return [
         {aligned_span((iv.lower, iv.upper), cb)[0] + b for b in _bit_offsets(value)}
         for iv, (_, value) in zip(ivs, SET_KINDS["ranged"].chunk_arrays(s))
@@ -233,7 +234,7 @@ def test_criterion_03_ranged_or_oracle():
     allocs = [AllocSite(f"o{i}", "Object") for i in range(9)]
     allocs += [AllocSite(f"l{i}", "L") for i in range(11)]
     f = SetFactory(number_allocations(h, allocs), ChunkConfig(8))
-    assert f.intervals("L") == (Interval(10, 20),)
+    assert intervals_of(f.nr, "L") == [Interval(10, 20)]
     assert [v[:2] for v in f.ranged_geometry("L").vectors] == [(2, 8)]
 
     # the union the solver runs (RangedPointsToSet.add_all) against a
@@ -246,9 +247,9 @@ def test_criterion_03_ranged_or_oracle():
         cb = rng.choice((8, 64))
         nr, compat = _union_corpus(rng)
         f = SetFactory(nr, ChunkConfig(cb))
-        sets = {t: f.make_set("ranged", t) for t in compat}
+        sets = {t: f.maker("ranged", t)() for t in compat}
         for t, s in sets.items():
-            ivs = f.intervals(t)
+            ivs = intervals_of(nr, t)
             assert [(iv.lower, iv.upper) for iv in ivs] == runs_of(compat[t])
             assert len(SET_KINDS["ranged"].chunk_arrays(s)) == len(ivs)
             for i in compat[t]:
@@ -267,7 +268,7 @@ def test_criterion_03_ranged_or_oracle():
             before = _held(dst)
             expected = [
                 ranged_union_oracle((iv.lower, iv.upper), held, incoming, cb)
-                for iv, held in zip(f.intervals(dt), before)
+                for iv, held in zip(intervals_of(nr, dt), before)
             ]
             changed = dst.add_all(src)
             assert _held(dst) == expected, (dt, st, cb)

@@ -264,13 +264,14 @@ class TestGenerator:
         assert n_stmts == 100
 
     def test_invalid_params(self):
-        with pytest.raises(InvalidParamsError):
-            generate_synthetic(GenParams(num_classes=0), 1)
-        with pytest.raises(InvalidParamsError):
-            generate_synthetic(GenParams(allocs_per_class=(3, 1)), 1)
+        # params check themselves when made, before any generation
+        with pytest.raises(InvalidParamsError, match=r"^num_classes must be >= 1$"):
+            GenParams(num_classes=0)
+        with pytest.raises(InvalidParamsError, match=r"^bad allocs_per_class range$"):
+            GenParams(allocs_per_class=(3, 1))
         # the chunk-width rule is ChunkConfig's; the message names the field
         with pytest.raises(InvalidParamsError, match=r"^pad_chunk: .* got 7$"):
-            generate_synthetic(GenParams(pad_chunk=7), 1)
+            GenParams(pad_chunk=7)
 
     def test_padded_counts_are_chunk_multiples(self):
         p = GenParams(num_classes=10, pad_chunk=8, allocs_per_class=(0, 3))

@@ -14,9 +14,10 @@ from oracles import (
     runs_of,
     zero_window_savings,
 )
+from test_acceptance import _union_corpus
 from test_hierarchy import _line_events
 from rangepta import ptsets
-from rangepta.bitsets import ChunkConfig
+from rangepta.bitsets import ChunkConfig, RangedBitVector
 from rangepta.errors import (
     ConfigMismatchError,
     IndexOutOfRangeError,
@@ -85,27 +86,27 @@ def big_factory(per_class=30, cb=64):
 
 class TestMakeSet:
     def test_ranged_class(self, factory64):
-        s = factory64.make_set("ranged", "A")
-        assert factory64.intervals("A") == (Interval(3, 8),)
+        s = factory64.maker("ranged", "A")()
+        assert intervals_of(factory64.nr, "A") == [Interval(3, 8)]
         assert arrays(s, "ranged") == [(1, 0)]
 
     def test_ranged_interface(self, factory64):
-        s = factory64.make_set("ranged", "I")
-        assert factory64.intervals("I") == (Interval(6, 6), Interval(9, 12))
+        s = factory64.maker("ranged", "I")()
+        assert intervals_of(factory64.nr, "I") == [Interval(6, 6), Interval(9, 12)]
         assert arrays(s, "ranged") == [(1, 0), (1, 0)]
 
     def test_hybrid_ranged_initial(self, factory64):
-        s = factory64.make_set("ranged-hybrid", "A")
+        s = factory64.maker("ranged-hybrid", "A")()
         assert not spilled(s, "ranged-hybrid") and arrays(s, "ranged-hybrid") == []
         assert len(s) == 0
 
     def test_unknown_owner(self, factory64):
         with pytest.raises(UnknownTypeError):
-            factory64.make_set("ranged", "Nope")
+            factory64.maker("ranged", "Nope")
 
     def test_all_kinds_start_empty(self, factory64):
         for kind in SET_KINDS:
-            s = factory64.make_set(kind, "Object")
+            s = factory64.maker(kind, "Object")()
             assert len(s) == 0 and list(s.iterate()) == []
 
 
@@ -172,7 +173,7 @@ class TestMaker:
 
             monkeypatch.setattr(kernel, "type_state", classmethod(counted))
         for owner in MAKER_OWNERS:
-            sets = {kind: factory8.make_set(kind, owner) for kind in SET_KINDS}
+            sets = {kind: factory8.maker(kind, owner)() for kind in SET_KINDS}
             assert sets["hybrid"].mask is sets["sparse"].mask is sets["pure"].mask
             assert sets["ranged-hybrid"].geometry is sets["ranged"].geometry
         assert set(built.values()) == {1}
@@ -187,9 +188,9 @@ class TestMaker:
             with pytest.raises(UnknownTypeError):
                 factory8.maker("pure", "Nope")
             with pytest.raises(UnknownTypeError):
-                factory8.make_set("ranged", "Nope")
+                factory8.maker("ranged", "Nope")
             with pytest.raises(UnsupportedKindError):
-                factory8.make_set("fancy", "Object")
+                factory8.maker("fancy", "Object")
 
     def test_geometry_is_shared_per_numbering_and_chunk_width(self, worked_numbering):
         f8, g8 = (SetFactory(worked_numbering, ChunkConfig(8)) for _ in range(2))
@@ -197,7 +198,7 @@ class TestMaker:
         for owner in MAKER_OWNERS:
             assert f8.ranged_geometry(owner) is g8.ranged_geometry(owner)
             assert f8.ranged_geometry(owner) is not f64.ranged_geometry(owner)
-            assert f8.make_set("ranged", owner).geometry is g8.ranged_geometry(owner)
+            assert f8.maker("ranged", owner)().geometry is g8.ranged_geometry(owner)
         assert f8.maker("ranged", "A") is not g8.maker("ranged", "A")
 
     def test_interned_bases_are_per_factory(self):
@@ -205,7 +206,7 @@ class TestMaker:
         g = SetFactory(f.nr, f.cfg)
         folded = []
         for factory in (f, g, f):
-            s = factory.make_set("shared", "Object")
+            s = factory.maker("shared", "Object")()
             for i in range(1, 22):  # one fold, into a base of 1..21
                 s.add(i)
             folded.append(s.base)
@@ -215,13 +216,13 @@ class TestMaker:
 
 class TestAdd:
     def test_naive_filters_incompatible(self, factory64):
-        s = factory64.make_set("naive", "D")
+        s = factory64.maker("naive", "D")()
         assert s.add(6) is False  # index 6 is the B alloc, B is not a D
         assert s.add(9) is True
 
     def test_hybrid_threshold(self):
         f = big_factory()
-        s = f.make_set("hybrid", "Object")
+        s = f.maker("hybrid", "Object")()
         for i in range(1, 17):
             assert s.add(i) is True
         assert not spilled(s, "hybrid")
@@ -232,7 +233,7 @@ class TestAdd:
 
     def test_ranged_hybrid_threshold(self):
         f = big_factory()
-        s = f.make_set("ranged-hybrid", "A")
+        s = f.maker("ranged-hybrid", "A")()
         # A's interval is [31, 90]: 60 compatible allocs
         for i in range(31, 47):
             assert s.add(i) is True
@@ -242,12 +243,12 @@ class TestAdd:
         assert s.add(5) is False  # outside A's interval even after the spill
 
     def test_ranged_idempotent(self, factory64):
-        s = factory64.make_set("ranged", "A")
+        s = factory64.maker("ranged", "A")()
         assert s.add(5) is True
         assert s.add(5) is False
 
     def test_out_of_range(self, factory64):
-        s = factory64.make_set("naive", "Object")
+        s = factory64.maker("naive", "Object")()
         with pytest.raises(IndexOutOfRangeError):
             s.add(13)
         with pytest.raises(IndexOutOfRangeError):
@@ -256,33 +257,33 @@ class TestAdd:
 
 class TestAddAll:
     def test_universal_dst(self, factory64):
-        src = factory64.make_set("naive", "Object")
+        src = factory64.maker("naive", "Object")()
         src.add(6), src.add(9)
-        dst = factory64.make_set("naive", "Object")
+        dst = factory64.maker("naive", "Object")()
         assert dst.add_all(src) is True
         assert set(dst.iterate()) == {6, 9}
 
     def test_filtered_dst(self, factory64):
-        src = factory64.make_set("naive", "Object")
+        src = factory64.maker("naive", "Object")()
         src.add(6), src.add(10)
-        dst = factory64.make_set("naive", "D")
+        dst = factory64.maker("naive", "D")()
         assert dst.add_all(src) is True
         assert set(dst.iterate()) == {10}
 
     def test_ranged_slack_admission(self, factory8):
-        src = factory8.make_set("ranged", "Object")
+        src = factory8.maker("ranged", "Object")()
         src.add(2), src.add(5)
-        dst = factory8.make_set("ranged", "A")  # interval [3,8], alignedLower 0
+        dst = factory8.maker("ranged", "A")()  # interval [3,8], alignedLower 0
         assert dst.add_all(src) is True
         assert set(dst.iterate()) == {2, 5}
 
     def test_cross_representation(self, factory64):
         for src_kind in SET_KINDS:
-            src = factory64.make_set(src_kind, "Object")
+            src = factory64.maker(src_kind, "Object")()
             for i in (3, 6, 9):
                 src.add(i)
             for dst_kind in SET_KINDS:
-                dst = factory64.make_set(dst_kind, "A")
+                dst = factory64.maker(dst_kind, "A")()
                 dst.add_all(src)
                 if dst_kind in RANGED and src_kind in RANGED:
                     # chunk-wise path admits 9 as slack (one 64-bit chunk)
@@ -294,10 +295,10 @@ class TestAddAll:
     def test_union_across_factories(self, kind, worked_hierarchy, factory64):
         # an equal but separately built numbering, and another chunk width
         other_nr = number_allocations(worked_hierarchy, worked_allocs())
-        dst = factory64.make_set(kind, "Object")
+        dst = factory64.maker(kind, "Object")()
         for other in (SetFactory(other_nr, ChunkConfig(64)),
                       SetFactory(factory64.nr, ChunkConfig(8))):
-            src = other.make_set(kind, "Object")
+            src = other.maker(kind, "Object")()
             src.add(3)
             with pytest.raises(ConfigMismatchError):
                 dst.add_all(src)
@@ -307,11 +308,11 @@ class TestAddAll:
 class TestQueries:
     def test_fresh(self, factory64):
         for kind in SET_KINDS:
-            s = factory64.make_set(kind, "A")
+            s = factory64.maker(kind, "A")()
             assert len(s) == 0 and list(s.iterate()) == []
 
     def test_contains_after_add(self, factory64):
-        s = factory64.make_set("sparse", "A")
+        s = factory64.maker("sparse", "A")()
         s.add(5)
         assert 5 in s and 6 not in s
 
@@ -322,7 +323,7 @@ def apply_op(factory, kind, s, op, elementwise=False):
     ascending order."""
     if op[0] == "add":
         return s.add(op[1])
-    other = factory.make_set(kind, op[1])
+    other = factory.maker(kind, op[1])()
     for i in op[2]:
         other.add(i)
     if elementwise:
@@ -332,7 +333,7 @@ def apply_op(factory, kind, s, op, elementwise=False):
 
 def apply_log(factory, kind, owner, log, elementwise=False):
     """Replay log on a fresh set."""
-    s = factory.make_set(kind, owner)
+    s = factory.maker(kind, owner)()
     for op in log:
         apply_op(factory, kind, s, op, elementwise)
     return s
@@ -504,7 +505,7 @@ class TestSetContract:
                 owner = rng.choice(type_names)
                 log = random_log(rng, nr.total_allocs, type_names)
                 for kind in SET_KINDS:
-                    s = f.make_set(kind, owner)
+                    s = f.maker(kind, owner)()
                     assert_set_contract(s, kind)
                     for op in log:
                         apply_op(f, kind, s, op)
@@ -522,10 +523,10 @@ class TestSetContract:
         f = big_factory()  # A's interval is [31, 90]
         for held in (0, 5, HYBRID_INLINE_CAP):
             for k in range(held, 41):
-                s = f.make_set(kind, "A")
+                s = f.maker(kind, "A")()
                 for i in range(31, 31 + held):
                     s.add(i)
-                src = f.make_set("naive", "Object")
+                src = f.maker("naive", "Object")()
                 for i in range(31, 31 + k):
                     src.add(i)
                 s.add_all(src)
@@ -547,8 +548,8 @@ def test_union_cost_does_not_grow_with_unspilled_members(kind, cap):
     f = big_factory()  # A's interval is [31, 90]
     per_union = []
     for held in (1, cap):
-        s = f.make_set(kind, "A")
-        src = f.make_set("pure", "A")
+        s = f.maker(kind, "A")()
+        src = f.maker("pure", "A")()
         for i in range(31, 31 + held):
             s.add(i)
             src.add(i)
@@ -596,7 +597,7 @@ def test_naive_union_is_the_filtered_source():
         type_names = [c[0] for c in classes] + [i[0] for i in ifaces]
         compat = {t: compatible_indices(nr, supertypes, t) for t in type_names}
         assert not compat["Bare"]
-        sets = [f.make_set("naive", t) for t in type_names for _ in range(2)]
+        sets = [f.maker("naive", t)() for t in type_names for _ in range(2)]
         want = [set() for _ in sets]
         for _ in range(400):
             d = rng.randrange(len(sets))
@@ -645,7 +646,7 @@ def test_byte_rules_read_the_member_int(cb):
     seen = {"at cap": 0, "spilled": 0, "several elements": 0}
 
     def replay(f, owner, log):
-        s = f.make_set("pure", owner)
+        s = f.maker("pure", owner)()
         all_windows = -(-f.universe_chunks // SPARSE_ELEMENT_WORDS)
         for op in [None, *log]:
             if op is not None:
@@ -709,13 +710,13 @@ def test_ranged_hybrid_is_ranged_charged_by_member_count(cb):
         type_names = [c[0] for c in classes] + [i[0] for i in ifaces]
 
         def shares_a_chunk(t):
-            spans = [aligned_span((iv.lower, iv.upper), cb) for iv in f.intervals(t)]
+            spans = [aligned_span((iv.lower, iv.upper), cb) for iv in intervals_of(nr, t)]
             return any(a[1] >= b[0] for a, b in zip(spans, spans[1:]))
 
         # where the two forms could differ: owners whose vectors share a chunk
         owners = [t for t in type_names if shares_a_chunk(t)]
         for owner in owners + rng.sample(type_names, min(3, len(type_names))):
-            s = f.make_set("ranged", owner)
+            s = f.maker("ranged", owner)()
             for op in random_log(rng, nr.total_allocs, type_names):
                 before = s.as_int()
                 changed = apply_op(f, "ranged", s, op)
@@ -755,7 +756,7 @@ def test_ranged_objects_are_the_members_within_the_intervals(kind, cb):
         f = SetFactory(nr, ChunkConfig(cb))
         type_names = [c[0] for c in classes] + [i[0] for i in ifaces]
         for owner in rng.sample(type_names, min(4, len(type_names))):
-            s = f.make_set(kind, owner)
+            s = f.maker(kind, owner)()
             interval_bits = f.ranged_geometry(owner).interval_bits
             for _ in range(15):
                 if rng.random() < 0.3:
@@ -777,6 +778,84 @@ def test_ranged_objects_are_the_members_within_the_intervals(kind, cb):
     # both kinds of source and sets holding slack are reached, or the test
     # checks less than it claims
     assert all(seen.values()), seen
+
+
+def _partly_overlap(x, y):
+    return x[0] < y[0] <= x[1] < y[1] or y[0] < x[0] <= y[1] < x[1]
+
+
+@pytest.mark.parametrize("cb", [8, 16, 32, 64])
+@pytest.mark.parametrize("kind", RANGED)
+def test_ranged_union_is_or_overlapping_per_vector(kind, cb):
+    # RangedBitVector is the reference a ranged union follows: each union
+    # into a ranged set is replayed on one reference vector per interval of
+    # the destination.  A ranged source gives every vector its objects,
+    # of which or_overlapping takes those inside the vector's chunks;
+    # add(i) and an unranged source give a vector their members within its
+    # interval.  The union returns whether some vector changed, and the
+    # set's chunk arrays are the vectors' (chunk count, value)
+    cfg = ChunkConfig(cb)
+    chunk_arrays = SET_KINDS["ranged"].chunk_arrays
+    rng = random.Random(31)
+    seen = {"copy only": 0, "slack source": 0, "partly overlapping spans": 0}
+    calls = 0
+    # at least 5,000 calls, and more until every case below is reached
+    while calls < 5000 or not all(seen.values()) and calls < 50_000:
+        # interfaces over runs of classes, so spans share chunks; at wider
+        # chunks, some corpora with more allocs a class, so spans also
+        # overlap partly
+        nr, compat = _union_corpus(rng, rng.choice((6, max(6, cb // 2))))
+        f = SetFactory(nr, cfg)
+        sets, vectors, spans = {}, {}, {}
+        for t in compat:
+            ivs = intervals_of(nr, t)
+            sets[t] = f.maker(kind, t)()
+            vectors[t] = [
+                (RangedBitVector(iv, cfg), (1 << iv.upper + 1) - (1 << iv.lower)) for iv in ivs
+            ]
+            spans[t] = [aligned_span((iv.lower, iv.upper), cb) for iv in ivs]
+        # some of each type's own members first, and every shared position
+        # (so a ranged source can copy it), then every ordered pair of types
+        # twice, so sets hold members before they act as sources
+        ops = [
+            (t, t, i)
+            for t in compat
+            for i in compat[t]
+            if f.ranged_geometry(t).shared_bits >> i & 1 or rng.random() < 0.3
+        ]
+        pairs = [(dt, st, None) for dt in compat for st in compat] * 2
+        rng.shuffle(pairs)
+        for dt, st, i in ops + pairs:
+            dst, before = sets[dt], sets[dt].as_int()
+            roll = rng.random()
+            if i is not None or roll < 0.3:
+                i = i or rng.randint(1, nr.total_allocs)
+                changed = dst.add(i)
+                wanted = [v.or_overlapping((1 << i) & own) for v, own in vectors[dt]]
+            elif roll < 0.45:
+                src = f.maker("pure", st)()
+                for _ in range(rng.randint(0, 6)):
+                    src.add(rng.randint(1, nr.total_allocs))
+                changed = dst.add_all(src)
+                bits = src.objects_int()
+                wanted = [v.or_overlapping(bits & own) for v, own in vectors[dt]]
+            else:
+                src = sets[st]
+                changed = dst.add_all(src)
+                bits = src.objects_int()
+                wanted = [v.or_overlapping(bits) for v, _ in vectors[dt]]
+                seen["slack source"] += src.as_int() != bits
+                seen["partly overlapping spans"] += any(
+                    _partly_overlap(x, y) for x in spans[dt] for y in spans[st]
+                )
+            assert changed == any(wanted), (dt, st, cb)
+            held = [(v.num_chunks, v.value) for v, _ in vectors[dt]]
+            assert chunk_arrays(dst) == held, (dt, st, cb)
+            seen["copy only"] += changed and dst.as_int() == before
+            calls += 1
+    # copy-only changes, sources holding slack and partly overlapping spans
+    # are each reached, or the test checks less than it claims
+    assert all(seen.values()), (seen, calls)
 
 
 @pytest.mark.parametrize("cb", [8, 16, 32, 64])
@@ -818,8 +897,8 @@ def test_ranged_geometry_matches_aligned_spans(cb):
 class TestSharingSafety:
     def test_no_aliasing_through_interned_bases(self):
         f = big_factory()
-        a = f.make_set("shared", "Object")
-        b = f.make_set("shared", "Object")
+        a = f.maker("shared", "Object")()
+        b = f.maker("shared", "Object")()
         for i in range(1, 22):  # force a to fold into an interned base
             a.add(i)
         snapshot = set(b.iterate())
@@ -838,8 +917,8 @@ class TestFootprint:
         h = build_hierarchy([("Object", None, ()), ("L", "Object", ())])
         nr = number_allocations(h, [AllocSite("o", "Object")])
         f = SetFactory(nr, ChunkConfig(64))
-        s = f.make_set("ranged", "L")
-        assert f.intervals("L") == () and arrays(s, "ranged") == []
+        s = f.maker("ranged", "L")()
+        assert intervals_of(nr, "L") == [] and arrays(s, "ranged") == []
         assert footprint(s, "ranged") == OBJECT_HEADER
 
     def test_ranged_vector_bytes(self):
@@ -849,18 +928,18 @@ class TestFootprint:
         ]
         nr = number_allocations(h, allocs)
         f = SetFactory(nr, ChunkConfig(8))
-        s = f.make_set("ranged", "L")  # interval [10, 20]: 2 one-byte chunks
+        s = f.maker("ranged", "L")()  # interval [10, 20]: 2 one-byte chunks
         assert footprint(s, "ranged") == OBJECT_HEADER + ARRAY_HEADER + 2
 
     def test_pure_bytes(self, factory64):
-        s = factory64.make_set("pure", "Object")
+        s = factory64.maker("pure", "Object")()
         assert footprint(s, "pure") == OBJECT_HEADER + ARRAY_HEADER + 8
 
     def test_ranged_never_larger_than_pure_for_subchunk_classes(self):
         f = big_factory(per_class=50, cb=8)
         for owner in ("A", "B"):
-            ranged = f.make_set("ranged", owner)
-            pure = f.make_set("pure", owner)
+            ranged = f.maker("ranged", owner)()
+            pure = f.maker("pure", owner)()
             if sum(n for n, _ in arrays(ranged, "ranged")) < f.universe_chunks:
                 assert footprint(ranged, "ranged") <= footprint(pure, "pure")
 
@@ -868,7 +947,7 @@ class TestFootprint:
         f = big_factory()
         sets = []
         for _ in range(4):
-            s = f.make_set("shared", "Object")
+            s = f.maker("shared", "Object")()
             for i in range(1, 22):
                 s.add(i)
             sets.append(s)
@@ -883,7 +962,7 @@ class TestFootprint:
         # base is charged unless the kind is shared
         f = big_factory()
         for kind in ("pure", "hybrid", "sparse"):
-            sets = [f.make_set(kind, "Object") for _ in range(3)]
+            sets = [f.maker(kind, "Object")() for _ in range(3)]
             for s in sets:
                 s.add(5)
             for charged_as in ("pure", "hybrid", "sparse"):
@@ -898,13 +977,13 @@ class TestFootprint:
 class TestSparseSavings:
     def test_all_zero_sixteen_words(self):
         f = big_factory(per_class=200, cb=8)  # universe 600 allocs, 76 chunks
-        s = f.make_set("pure", "Object")
+        s = f.maker("pure", "Object")()
         windows = -(-(f.total // 8 + 1) // SPARSE_ELEMENT_WORDS)
         assert sparse_savings(s, "pure") == windows * SPARSE_ELEMENT_WORDS
 
     def test_one_bit_per_window(self):
         f = big_factory(per_class=200, cb=8)
-        s = f.make_set("pure", "Object")
+        s = f.maker("pure", "Object")()
         window_bits = SPARSE_ELEMENT_WORDS * 8
         for w in range(-(-(f.total // 8 + 1) // SPARSE_ELEMENT_WORDS)):
             idx = max(1, w * window_bits)
@@ -915,7 +994,7 @@ class TestSparseSavings:
         rng = random.Random(31)
         f = big_factory(per_class=100, cb=8)
         for _ in range(40):
-            s = f.make_set("ranged", rng.choice(["Object", "A", "B"]))
+            s = f.maker("ranged", rng.choice(["Object", "A", "B"]))()
             for _ in range(rng.randint(0, 20)):
                 s.add(rng.randint(1, f.total))
             arrays = [
@@ -928,10 +1007,10 @@ class TestSparseSavings:
         # sparse keeps no dense chunk arrays, though its kernel is pure's
         for kind in ("naive", "shared", "sparse"):
             with pytest.raises(UnsupportedKindError):
-                sparse_savings(factory64.make_set(kind, "A"), kind)
+                sparse_savings(factory64.maker(kind, "A")(), kind)
         # the kind passed decides, not the kind the set was made for
-        empty = sparse_savings(factory64.make_set("pure", "A"), "pure")
-        assert sparse_savings(factory64.make_set("sparse", "A"), "pure") == empty
+        empty = sparse_savings(factory64.maker("pure", "A")(), "pure")
+        assert sparse_savings(factory64.maker("sparse", "A")(), "pure") == empty
 
 
 def test_each_kernel_is_bound_to_one_module_name():

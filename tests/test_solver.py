@@ -1,4 +1,5 @@
 import gc
+import re
 import weakref
 from dataclasses import replace
 
@@ -15,7 +16,12 @@ from oracles import (
 from test_acceptance import SUITE_CHUNK, suite_text
 from test_hierarchy import _line_events
 from rangepta import ptsets, solver
-from rangepta.errors import ConfigConflictError, UniverseMismatchError
+from rangepta.errors import (
+    ConfigConflictError,
+    InvalidParamsError,
+    PtaError,
+    UniverseMismatchError,
+)
 from rangepta.hierarchy import build_type_mask, number_allocations
 from rangepta.pag import GenParams, generate_synthetic, parse_program
 from rangepta.ptsets import SET_KINDS
@@ -77,25 +83,70 @@ def oracle_for(pag, nr, filtered=True):
 
 
 class TestConfig:
+    # a config checks itself when made, so each case below is a constructor
+
     def test_valid(self):
         for cfg in EXACT_CONFIGS + RANGED_CONFIGS:
-            cfg.validate()
-        SolverConfig("ranged", "none").validate()
-        SolverConfig("naive", "none").validate()
+            SolverConfig(cfg.set_kind, cfg.filter_mode)
+        SolverConfig("ranged", "none")
+        SolverConfig("naive", "none")
 
     def test_intrinsic_needs_ranged(self):
         with pytest.raises(ConfigConflictError):
-            SolverConfig("hybrid", "intrinsic").validate()
+            SolverConfig("hybrid", "intrinsic")
 
     def test_mask_needs_unranged(self):
         with pytest.raises(ConfigConflictError):
-            SolverConfig("ranged", "mask").validate()
+            SolverConfig("ranged", "mask")
 
     def test_unknown_names(self):
         with pytest.raises(ConfigConflictError):
-            SolverConfig("fancy", "mask").validate()
+            SolverConfig("fancy", "mask")
         with pytest.raises(ConfigConflictError):
-            SolverConfig("naive", "strict").validate()
+            SolverConfig("naive", "strict")
+
+    # (constructor arguments, the PtaError subclass raised, its message)
+    INVALID = [
+        (("fancy", "mask"), ConfigConflictError, "unknown set kind 'fancy'"),
+        (("fancy",), ConfigConflictError, "unknown set kind 'fancy'"),
+        (("naive", "strict"), ConfigConflictError, "unknown filter mode 'strict'"),
+        (("ranged", "mask"), ConfigConflictError,
+         "mask filtering requires a non-ranged set kind"),
+        (("ranged-hybrid", "mask"), ConfigConflictError,
+         "mask filtering requires a non-ranged set kind"),
+        (("hybrid", "intrinsic"), ConfigConflictError,
+         "intrinsic filtering requires a ranged set kind"),
+        (("naive", "intrinsic"), ConfigConflictError,
+         "intrinsic filtering requires a ranged set kind"),
+        (("pure", "mask", 7), InvalidParamsError,
+         "chunk_bits must be one of (8, 16, 32, 64), got 7"),
+        (("ranged", None, 7), InvalidParamsError,
+         "chunk_bits must be one of (8, 16, 32, 64), got 7"),
+    ]
+
+    @pytest.mark.parametrize(
+        "args, error, message", INVALID, ids=["-".join(map(str, c[0])) for c in INVALID]
+    )
+    def test_invalid_config_raises_when_made(self, args, error, message):
+        assert issubclass(error, PtaError)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            SolverConfig(*args)
+
+    def test_default_is_hybrid_with_its_own_filter(self):
+        assert SolverConfig() == SolverConfig("hybrid", "mask", 64)
+
+
+@pytest.mark.parametrize("cfg", EXACT_CONFIGS + RANGED_CONFIGS, ids=lambda c: c.set_kind)
+def test_kind_alone_takes_its_own_filter(cfg):
+    # a config left without a filter takes its kind's own: intrinsic for a
+    # ranged kernel, mask otherwise; it equals the explicit config and
+    # solves the same
+    own = SolverConfig(cfg.set_kind)
+    assert own == cfg
+    assert own.filter_mode == ("intrinsic" if SET_KINDS[cfg.set_kind].kernel.ranged else "mask")
+    a, b = solve_text(BASIC, own), solve_text(BASIC, cfg)
+    assert emit_solution(a) == emit_solution(b)
+    assert replace(a.stats, wall_time=0.0) == replace(b.stats, wall_time=0.0)
 
 
 class TestBasicFlow:
@@ -356,12 +407,13 @@ def test_field_set_creation_cost_is_constant(cfg):
     # x holds n objects and its store's source stays empty, so the solve
     # differs from the one with an assign in the store's place by the n
     # field sets x.f, made and never united (rule 6).  Making each through
-    # make_set's lookups and an __init__ chain, then uniting the empty
-    # source, cost 37-46 solver and ptsets lines a set; a maker call, the
-    # loop around it and the kind's charge of the set cost 11-17 (naive
-    # 13, pure 11, hybrid 12, shared 13.1, sparse 17, ranged 13,
-    # ranged-hybrid 14).  The cost a set is the slope between n = 100 and
-    # n = 400, so lines a solve runs once, whatever n, do not count
+    # a kind and type lookup per set and an __init__ chain, then uniting the
+    # empty source, cost 37-46 solver and ptsets lines a set; a maker call,
+    # the loop around it and the kind's charge of the set cost 10-16 (naive
+    # 12, pure 10, hybrid 12, shared 12.1, sparse 16, ranged 12,
+    # ranged-hybrid 14; a kind without inline slots runs no spill rule).
+    # The cost a set is the slope between n = 100 and n = 400, so lines a
+    # solve runs once, whatever n, do not count
     def corpus(n, statement):
         lines = ["class Object", "field f : Object", "var x : Object", "var s : Object"]
         lines.append(statement)
@@ -406,6 +458,8 @@ class TestStats:
             want = sum(len(s) > 16 for s in sets)
         else:
             want = 0
+            # a row without inline slots has no spill rule to run
+            assert SET_KINDS[cfg.set_kind].spilled is None
         assert sol.stats.spilled_sets == want
         assert want > 0 or "hybrid" not in cfg.set_kind
 
