@@ -20,6 +20,7 @@ from .solver import (
     Solution,
     compare_solutions,
     emit_solution,
+    measure,
     precision_histogram,
     propagate,
     run_extra_pass,
@@ -47,6 +48,7 @@ __all__ = [
     "emit_solution",
     "generate_synthetic",
     "intervals_of",
+    "measure",
     "number_allocations",
     "parse_program",
     "precision_histogram",

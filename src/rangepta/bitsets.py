@@ -28,7 +28,8 @@ class ChunkConfig:
     chunk_bits: int = 64
 
     def __post_init__(self):
-        if self.chunk_bits not in _VALID_CHUNK_BITS:
+        # an int, not a bool or a float that equals one of the widths
+        if type(self.chunk_bits) is not int or self.chunk_bits not in _VALID_CHUNK_BITS:
             raise InvalidParamsError(
                 f"chunk_bits must be one of {_VALID_CHUNK_BITS}, got {self.chunk_bits}"
             )

@@ -27,6 +27,7 @@ from .solver import (
     SolverConfig,
     compare_solutions,
     emit_solution,
+    measure,
     precision_histogram,
     propagate,
 )
@@ -58,29 +59,18 @@ def _load_corpus(path: str) -> tuple[PAG, NumberingResult]:
 
 def _make_report(path: str, sol: Solution) -> dict:
     """The solve report: column name -> value, in CSV column order.  Every
-    report format reads this one dict."""
-    stats, cfg = sol.stats, sol.config
-    charge = SET_KINDS[cfg.set_kind].footprint_bytes
-    var_bytes = sum(map(charge, sol.var_sets.values()))
-    field_bytes = sum(map(charge, sol.field_sets.values()))
-    total = stats.total_footprint_bytes
-    return {
+    report format reads this one dict: the corpus and config, then
+    ``measure(sol)`` with the time to four places."""
+    cfg = sol.config
+    report = {
         "corpus": path,
         "set_kind": cfg.set_kind,
         "filter_mode": cfg.filter_mode,
         "chunk_bits": cfg.chunk_bits,
-        "total_allocs": sol.nr.total_allocs,
-        "num_vars": len(sol.pag.var_types),
-        "union_ops": stats.union_ops,
-        "union_attempts": stats.union_attempts,
-        "nodes_processed": stats.nodes_processed,
-        "spilled_sets": stats.spilled_sets,
-        "wall_time_s": f"{stats.wall_time:.4f}",
-        "var_set_bytes": var_bytes,
-        "field_set_bytes": field_bytes,
-        "shared_base_bytes": total - var_bytes - field_bytes,
-        "total_bytes": total,
+        **measure(sol),
     }
+    report["wall_time_s"] = f"{report['wall_time_s']:.4f}"
+    return report
 
 
 def _report_text(report: dict) -> str:
@@ -199,7 +189,7 @@ def cmd_savings(args) -> int:
     sol = propagate(*_load_corpus(args.corpus), cfg)
     all_sets = list(sol.var_sets.values()) + list(sol.field_sets.values())
     saved = sum(sparse_savings(s, cfg.set_kind) for s in all_sets)
-    total = sol.stats.total_footprint_bytes
+    total = measure(sol)["total_bytes"]
     print(f"corpus: {args.corpus}")
     print(f"config: set={cfg.set_kind} filter={cfg.filter_mode} chunk={cfg.chunk_bits}")
     print("total set size / space saved with sparse elements (MB, modeled):")

@@ -294,10 +294,10 @@ def _ensure_array(h: ClassHierarchy, name: str) -> None:
 class NumberingResult:
     hierarchy: ClassHierarchy
     global_array: tuple[AllocSite, ...]  # position i-1 holds the alloc with index i
+    # keys in creation order: each class after its descendants
     type2interval: dict[str, Interval]
     iface2intervals: dict[str, tuple[Interval, ...]]
     total_allocs: int
-    postorder: tuple[str, ...]  # every class after its descendants
     index_of: dict[str, int] = field(default_factory=dict)  # alloc id -> index
     # type name -> mask, filled by build_type_mask
     _masks: dict[str, int] = field(
@@ -346,7 +346,6 @@ def number_allocations(h: ClassHierarchy, allocs: Sequence[AllocSite]) -> Number
         },
         iface2intervals={},
         total_allocs=len(global_array),
-        postorder=tuple(postorder),
         index_of={a.id: i for i, a in enumerate(global_array, start=1)},
     )
     # an implementing class is topmost for an interface iff its parent is

@@ -290,6 +290,23 @@ class GenParams:
     pad_chunk: int | None = None  # pad alloc counts so intervals chunk-align
 
     def __post_init__(self):
+        # types first, so the range checks below compare numbers; a bool
+        # is no count, and a ratio may be an int or a float
+        for name in ("num_classes", "num_interfaces", "max_depth", "num_fields",
+                     "num_vars", "num_statements"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise InvalidParamsError(f"{name} must be an int, got {value!r}")
+        pair = self.allocs_per_class
+        if not (isinstance(pair, tuple) and len(pair) == 2
+                and all(type(n) is int for n in pair)):
+            raise InvalidParamsError(
+                f"allocs_per_class must be a pair of ints, got {pair!r}"
+            )
+        for name in ("store_load_ratio", "violation_rate"):
+            value = getattr(self, name)
+            if type(value) not in (int, float):
+                raise InvalidParamsError(f"{name} must be a number, got {value!r}")
         if self.num_classes < 1:
             raise InvalidParamsError("num_classes must be >= 1")
         if self.num_interfaces < 0 or self.num_fields < 0:

@@ -72,7 +72,10 @@ Only ``union_attempts`` differs.
 ``PropagationStats.union_attempts`` counts the add/add_all calls actually
 made, seeding included; ``union_ops`` counts those that changed a set; and
 ``spilled_sets`` the var and field sets that end past a hybrid's inline
-slots.
+slots.  ``propagate`` charges the sets once, into
+``total_footprint_bytes``.  ``measure`` is the one reader of a finished
+solve's numbers: the counters, the time, and the modeled bytes split into
+var sets, field sets and shared bases, keyed by report column.
 
 ``run_extra_pass`` checks the fixpoint from outside: one full pass over
 the PAG's edge lists, by variable name and not through the solver's
@@ -382,6 +385,31 @@ def propagate(pag: PAG, nr: NumberingResult, cfg: SolverConfig) -> Solution:
         total_footprint_bytes=factory.total_footprint(all_sets, cfg.set_kind),
     )
     return Solution(cfg, nr, pag, factory, var_sets, field_sets, stats)
+
+
+def measure(sol: Solution) -> dict:
+    """Every number of a finished solve, keyed by report column in report
+    order.  ``wall_time_s`` is raw seconds, the only timed entry.  The var
+    and field sets are charged again by the kind's row; the shared bases
+    are what the solve's total charges beyond them."""
+    stats = sol.stats
+    charge = SET_KINDS[sol.config.set_kind].footprint_bytes
+    var_bytes = sum(map(charge, sol.var_sets.values()))
+    field_bytes = sum(map(charge, sol.field_sets.values()))
+    total = stats.total_footprint_bytes
+    return {
+        "total_allocs": sol.nr.total_allocs,
+        "num_vars": len(sol.pag.var_types),
+        "union_ops": stats.union_ops,
+        "union_attempts": stats.union_attempts,
+        "nodes_processed": stats.nodes_processed,
+        "spilled_sets": stats.spilled_sets,
+        "wall_time_s": stats.wall_time,
+        "var_set_bytes": var_bytes,
+        "field_set_bytes": field_bytes,
+        "shared_base_bytes": total - var_bytes - field_bytes,
+        "total_bytes": total,
+    }
 
 
 def run_extra_pass(sol: Solution) -> int:

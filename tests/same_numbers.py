@@ -11,8 +11,9 @@ shuffles), chunk width 8/16/32/64 and set kind, the line gives:
   set's ``as_int()``, of the chunk arrays its kind's ``SET_KINDS`` row
   charges (kinds whose row has ``chunk_arrays``) and of its
   ``sparse_savings`` (the total comes first);
-- ``unions``, ``pops`` and ``attempts``: the solver's counters;
-- ``spills`` and ``bytes``: spilled sets and modeled bytes;
+- ``unions``, ``pops``, ``attempts``, ``spills`` and ``bytes``: the
+  ``solver.measure`` columns in ``COLUMNS`` (the solver's counters,
+  spilled sets and modeled bytes), summed over the workload's corpora;
 - ``extra``: successful unions of ``run_extra_pass``, taken after the
   digests, since a pass that finds work changes the sets.
 
@@ -38,6 +39,14 @@ from workloads import KINDS, WORKLOADS  # noqa: E402
 
 SEEDS = (0, 1, 2)
 CHUNKS = (8, 16, 32, 64)
+# printed name -> the ``solver.measure`` column it sums
+COLUMNS = {
+    "unions": "union_ops",
+    "pops": "nodes_processed",
+    "attempts": "union_attempts",
+    "spills": "spilled_sets",
+    "bytes": "total_bytes",
+}
 
 
 def sorted_sets(sol):
@@ -57,7 +66,7 @@ def numbers(progs, kind: str, mode: str, chunk: int) -> str:
     chunk_arrays = SET_KINDS[kind].chunk_arrays
     members, chunks, savings = [], [], []
     total_savings = 0
-    counts = dict.fromkeys(("unions", "pops", "attempts", "spills", "bytes", "extra"), 0)
+    counts = dict.fromkeys([*COLUMNS, "extra"], 0)
     for p, nr in progs:
         sol = solver.propagate(p, nr, cfg)
         for key, s in sorted_sets(sol):
@@ -67,12 +76,9 @@ def numbers(progs, kind: str, mode: str, chunk: int) -> str:
                 chunks.append((key, chunk_arrays(s)))
                 savings.append((key, saved))
                 total_savings += saved
-        st = sol.stats
-        counts["unions"] += st.union_ops
-        counts["pops"] += st.nodes_processed
-        counts["attempts"] += st.union_attempts
-        counts["spills"] += st.spilled_sets
-        counts["bytes"] += st.total_footprint_bytes
+        m = solver.measure(sol)
+        for name, column in COLUMNS.items():
+            counts[name] += m[column]
         counts["extra"] += solver.run_extra_pass(sol)
     return (
         f"members={digest(members)} chunks={digest(chunks)} "

@@ -6,6 +6,8 @@ import pytest
 from rangepta import cli
 from rangepta.cli import main
 from rangepta.pag import GenParams, generate_synthetic, parse_program
+from rangepta.ptsets import SET_KINDS
+from rangepta.solver import measure, propagate
 
 GEN_ARGS = [
     "gen", "--classes", "8", "--interfaces", "2", "--vars", "14",
@@ -165,6 +167,28 @@ class TestSolve:
         assert md_path.read_text().splitlines() == [
             "| metric | value |", "| --- | --- |",
         ] + [f"| {name} | {value} |" for name, value in zip(header, values)]
+
+    @pytest.mark.parametrize("kind", SET_KINDS)
+    def test_report_columns_are_measure(self, kind, corpus, tmp_path, capsys,
+                                        monkeypatch):
+        # after the corpus and config come solver.measure's columns, the
+        # time to four places
+        solves = []
+
+        def recording(*args):
+            solves.append(propagate(*args))
+            return solves[-1]
+
+        monkeypatch.setattr(cli, "propagate", recording)
+        csv_path = tmp_path / "r.csv"
+        assert main(["solve", str(corpus), "--set", kind, "--csv", str(csv_path)]) == 0
+        header, values = csv.reader(csv_path.read_text().splitlines())
+        (sol,) = solves
+        m = measure(sol)
+        m["wall_time_s"] = f"{m['wall_time_s']:.4f}"
+        assert header[:4] == ["corpus", "set_kind", "filter_mode", "chunk_bits"]
+        assert dict(zip(header[4:], values[4:])) == {k: str(v) for k, v in m.items()}
+        assert header[4:] == list(m)
 
     def test_csv_and_md_quote_an_unusual_path(self, corpus, tmp_path, capsys):
         odd = tmp_path / "a,b|c" / "c.facts"

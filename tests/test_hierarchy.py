@@ -104,7 +104,7 @@ class TestNumbering:
             "D": Interval(9, 12),
             "Object": Interval(1, 12),
         }
-        assert nr.postorder == ("B", "C", "A", "D", "Object")
+        assert tuple(nr.type2interval) == ("B", "C", "A", "D", "Object")
         assert nr.total_allocs == 12
         assert [nr.index_of[a.id] for a in nr.global_array] == list(range(1, 13))
 
@@ -305,7 +305,7 @@ class TestRandomizedProperties:
             # the numbering's order is the tree's own depth-first order:
             # classes in preorder, each class's allocs in the given order
             pre, post = _dfs_orders(h)
-            assert nr.postorder == tuple(post)
+            assert tuple(nr.type2interval) == tuple(post)
             assert [a.id for a in nr.global_array] == [
                 a.id for a in sorted(allocs, key=lambda a: pre.index(a.type_name))
             ]
@@ -534,7 +534,7 @@ def test_numbering_is_pinned():
             [a.id for a in nr.global_array],
             sorted(nr.type2interval.items()),
             sorted(nr.iface2intervals.items()),
-            nr.postorder,
+            tuple(nr.type2interval),
             sorted(nr.index_of.items()),
         )).encode())
     assert digest.hexdigest() == (

@@ -16,6 +16,7 @@ from oracles import (
 from test_acceptance import SUITE_CHUNK, suite_text
 from test_hierarchy import _line_events
 from rangepta import ptsets, solver
+from rangepta.bitsets import ChunkConfig
 from rangepta.errors import (
     ConfigConflictError,
     InvalidParamsError,
@@ -29,6 +30,7 @@ from rangepta.solver import (
     SolverConfig,
     compare_solutions,
     emit_solution,
+    measure,
     precision_histogram,
     propagate,
     run_extra_pass,
@@ -134,6 +136,43 @@ class TestConfig:
 
     def test_default_is_hybrid_with_its_own_filter(self):
         assert SolverConfig() == SolverConfig("hybrid", "mask", 64)
+
+
+CHUNK_8_0 = "chunk_bits must be one of (8, 16, 32, 64), got 8.0"
+# (case, constructor, the InvalidParamsError message): a wrongly typed
+# value fails where it is made, naming its field, before any solve or
+# generation could reach it
+WRONGLY_TYPED = [
+    ("chunk-float", lambda: ChunkConfig(8.0), CHUNK_8_0),
+    ("solver-pure-chunk-float", lambda: SolverConfig("pure", None, 8.0), CHUNK_8_0),
+    ("solver-ranged-chunk-float", lambda: SolverConfig("ranged", None, 8.0), CHUNK_8_0),
+    ("gen-pad-chunk-float", lambda: GenParams(pad_chunk=8.0), f"pad_chunk: {CHUNK_8_0}"),
+] + [
+    (f"gen-{name}-float", lambda name=name: GenParams(**{name: 4.0}),
+     f"{name} must be an int, got 4.0")
+    for name in ("num_classes", "num_interfaces", "max_depth", "num_fields",
+                 "num_vars", "num_statements")
+] + [
+    ("gen-num_vars-bool", lambda: GenParams(num_vars=True),
+     "num_vars must be an int, got True"),
+] + [
+    (f"gen-allocs-{value!r}", lambda value=value: GenParams(allocs_per_class=value),
+     f"allocs_per_class must be a pair of ints, got {value!r}")
+    for value in [(1.0, 2.0), (1, 2, 3), (1,), 5, "12"]
+] + [
+    ("gen-store-load-ratio-str", lambda: GenParams(store_load_ratio="0.2"),
+     "store_load_ratio must be a number, got '0.2'"),
+    ("gen-violation-rate-none", lambda: GenParams(violation_rate=None),
+     "violation_rate must be a number, got None"),
+]
+
+
+@pytest.mark.parametrize(
+    "make, message", [c[1:] for c in WRONGLY_TYPED], ids=[c[0] for c in WRONGLY_TYPED]
+)
+def test_wrongly_typed_value_is_rejected_when_made(make, message):
+    with pytest.raises(InvalidParamsError, match=f"^{re.escape(message)}$"):
+        make()
 
 
 @pytest.mark.parametrize("cfg", EXACT_CONFIGS + RANGED_CONFIGS, ids=lambda c: c.set_kind)
@@ -462,6 +501,39 @@ class TestStats:
             assert SET_KINDS[cfg.set_kind].spilled is None
         assert sol.stats.spilled_sets == want
         assert want > 0 or "hybrid" not in cfg.set_kind
+
+
+class TestMeasure:
+    @pytest.mark.parametrize("chunk", [8, 64])
+    @pytest.mark.parametrize("kind", SET_KINDS)
+    def test_measure_reads_the_solve(self, kind, chunk):
+        cfg = SolverConfig(kind, chunk_bits=chunk)
+        for text in small_corpora()[:3]:
+            pag, nr = load_corpus(text)
+            sol = propagate(pag, nr, cfg)
+            st, m = sol.stats, measure(sol)
+            assert (
+                m["total_allocs"], m["num_vars"], m["union_ops"], m["union_attempts"],
+                m["nodes_processed"], m["spilled_sets"], m["wall_time_s"],
+                m["total_bytes"],
+            ) == (
+                nr.total_allocs, len(pag.var_types), st.union_ops, st.union_attempts,
+                st.nodes_processed, st.spilled_sets, st.wall_time,
+                st.total_footprint_bytes,
+            )
+            split = m["var_set_bytes"] + m["field_set_bytes"] + m["shared_base_bytes"]
+            assert split == st.total_footprint_bytes
+            var_sets = list(sol.var_sets.values())
+            if kind == "shared":
+                # each distinct base once, at the full-universe array's cost
+                bases = {s.base for s in var_sets + list(sol.field_sets.values())}
+                assert m["shared_base_bytes"] == len(bases) * sol.factory.universe_bytes
+            else:
+                assert m["shared_base_bytes"] == 0
+                assert m["var_set_bytes"] == sol.factory.total_footprint(var_sets, kind)
+            again = measure(propagate(pag, nr, cfg))
+            del m["wall_time_s"], again["wall_time_s"]
+            assert again == m
 
 
 class TestHistogram:
