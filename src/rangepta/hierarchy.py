@@ -116,7 +116,7 @@ class ClassHierarchy:
             return True
         if st.kind == "interface":
             if tt.kind != "interface":
-                return False
+                return t == self.root.name  # a root-typed slot holds any object
             return bool(self._iface_closure[s] >> self._iface_ord[t] & 1)
         if tt.kind == "interface":
             return bool(self._ifaces_of_class[s] >> self._iface_ord[t] & 1)

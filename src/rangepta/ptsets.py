@@ -12,14 +12,16 @@ the last two are ``None`` for a kind that has no inline slots or keeps
 no arrays).  Members only grow, so every charging function reads
 the final members, and no kind moves its members when it spills.  A
 kernel answers no charging question; its one flag, ``ranged``, selects
-the union a ranged destination makes.
+the union a ranged destination makes.  Kinds on one kernel hold the same
+sets after the same unions, so ``solver.measure`` charges a solve of a
+kernel as any of its kinds.
 
 - ``NaiveSet`` (``naive``): a hash set of the owner's compatible members.
   A naive source whose compatible set lies within the owner's (a subset
   test made once per pair of compatible sets) needs no filter: the union
   takes the members the owner lacks, so one that adds nothing leaves the
-  table as it is.  Any other source is intersected with the compatible
-  set.  Charged one slot per member;
+  table as it is.  Any other source's objects are intersected with the
+  compatible set.  Charged one slot per member;
 - ``PureBitVectorSet`` (``pure``, ``hybrid``, ``sparse``): one
   full-universe member int, ORed under the owner's type mask.  ``pure``
   is charged the full-universe array; ``hybrid`` 16 inline slots up to 16
@@ -40,15 +42,17 @@ the union a ranged destination makes.
 
 Every kernel exposes its members as one full-universe int (``as_int``, bit
 i set iff i is a member, slack included) and its dereferenceable members
-as another (``objects_int``).  Each kernel's ``add_all`` is one bulk union
-over the source's int view: a masked OR under the owner's filter (type
-mask for exact kernels; chunk spans for a ranged source entering a ranged
-set, intervals for any other source), followed only by ``shared``'s fold
-or ``ranged``'s record of copied positions.  No kernel falls back to
+as another (``objects_int``, which each exact kernel binds to its
+``as_int``, so a union makes one call for it).  Each
+kernel's ``add_all`` is one bulk union over the source's objects, never
+its slack: a masked OR under the owner's filter (type mask for exact
+kernels; chunk spans for a ranged source entering a ranged set,
+intervals for any other source), followed only by ``shared``'s fold or
+``ranged``'s record of copied positions.  No kernel falls back to
 element-wise insertion, so spill and fold points land exactly where
 element-wise insertion in ascending order would put them.  A ranged union
 gives each vector exactly what ``RangedBitVector.or_overlapping``, the
-reference chunk-wise union, would: a ranged source's members within its
+reference chunk-wise union, would: a ranged source's objects within its
 chunk span, an unranged source's within its interval.
 
 ``add(idx)`` is a union with a private one-member source, so a single
@@ -257,8 +261,9 @@ class PointsToSet:
         raise NotImplementedError
 
     def objects_int(self) -> int:
-        """The iterate_objects() members as a full-universe int."""
-        return self.as_int()
+        """The iterate_objects() members as a full-universe int; an exact
+        kernel's ``as_int``."""
+        raise NotImplementedError
 
     def __contains__(self, idx: int) -> bool:
         return bool(self.as_int() >> idx & 1)
@@ -322,7 +327,7 @@ class NaiveSet(PointsToSet):
                 return True
             held = src.members
         else:
-            held = src.iterate()
+            held = src.iterate_objects()
         before = len(members)
         members |= self._compatible.intersection(held)
         return len(members) != before
@@ -339,6 +344,7 @@ class NaiveSet(PointsToSet):
     def iterate(self):
         return iter(sorted(self.members))
 
+    objects_int = as_int
     iterate_objects = iterate
 
 
@@ -352,6 +358,8 @@ class _OneMember(PointsToSet):
 
     def as_int(self):
         return self.bits
+
+    objects_int = as_int
 
 
 class PureBitVectorSet(PointsToSet):
@@ -367,7 +375,7 @@ class PureBitVectorSet(PointsToSet):
     def add_all(self, src):
         if src.factory is not self.factory:
             self._check_universe(src)
-        new = self.bits | (src.as_int() & self.mask)
+        new = self.bits | (src.objects_int() & self.mask)
         if new == self.bits:
             return False
         self.bits = new
@@ -375,6 +383,8 @@ class PureBitVectorSet(PointsToSet):
 
     def as_int(self):
         return self.bits
+
+    objects_int = as_int
 
 
 class SharedBitVectorSet(PointsToSet):
@@ -402,7 +412,7 @@ class SharedBitVectorSet(PointsToSet):
         if src.factory is not self.factory:
             self._check_universe(src)
         held = self.bits
-        grown = held | (src.as_int() & self._mask)
+        grown = held | (src.objects_int() & self._mask)
         if grown == held:
             return False
         n = (grown ^ self.base).bit_count()
@@ -428,6 +438,8 @@ class SharedBitVectorSet(PointsToSet):
 
     def as_int(self):
         return self.bits
+
+    objects_int = as_int
 
 
 class RangedPointsToSet(PointsToSet):

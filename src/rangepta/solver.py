@@ -70,12 +70,14 @@ Only ``union_attempts`` differs.
    keeps its mark.
 
 ``PropagationStats.union_attempts`` counts the add/add_all calls actually
-made, seeding included; ``union_ops`` counts those that changed a set; and
-``spilled_sets`` the var and field sets that end past a hybrid's inline
-slots.  ``propagate`` charges the sets once, into
-``total_footprint_bytes``.  ``measure`` is the one reader of a finished
-solve's numbers: the counters, the time, and the modeled bytes split into
-var sets, field sets and shared bases, keyed by report column.
+made, seeding included, and ``union_ops`` those that changed a set.
+Beyond the counters and the time, ``propagate`` only charges the sets
+once, into ``total_footprint_bytes``, the total the benchmark checks.
+``measure`` reads the counters and the time from the stats and charges
+the kind itself: every number that depends on the kind, from the kind's
+``SET_KINDS`` row and the solve's own sets.  Kinds on one kernel make
+the same unions, so a solve relabelled as a sibling kind is measured as
+that kind.
 
 ``run_extra_pass`` checks the fixpoint from outside: one full pass over
 the PAG's edge lists, by variable name and not through the solver's
@@ -90,7 +92,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass, field
 
 from .bitsets import ChunkConfig, _iter_bits
-from .errors import ConfigConflictError, UniverseMismatchError
+from .errors import ConfigConflictError, ConfigMismatchError, UniverseMismatchError
 from .hierarchy import NumberingResult
 from .pag import PAG
 from .ptsets import SET_KINDS, PointsToSet, SetFactory
@@ -136,7 +138,6 @@ class PropagationStats:
     union_ops: int = 0  # successful (state-changing) unions/insertions
     nodes_processed: int = 0
     union_attempts: int = 0  # add/add_all calls, seeding included
-    spilled_sets: int = 0  # var and field sets past a hybrid's inline slots
     wall_time: float = 0.0
     total_footprint_bytes: int = 0
 
@@ -375,12 +376,10 @@ def propagate(pag: PAG, nr: NumberingResult, cfg: SolverConfig) -> Solution:
 
     wall_time = time.perf_counter() - start
     all_sets = list(var_sets.values()) + list(field_sets.values())
-    spilled = SET_KINDS[cfg.set_kind].spilled
     stats = PropagationStats(
         union_ops=unions,
         nodes_processed=pops,
         union_attempts=attempts,
-        spilled_sets=0 if spilled is None else sum(map(spilled, all_sets)),
         wall_time=wall_time,
         total_footprint_bytes=factory.total_footprint(all_sets, cfg.set_kind),
     )
@@ -389,21 +388,31 @@ def propagate(pag: PAG, nr: NumberingResult, cfg: SolverConfig) -> Solution:
 
 def measure(sol: Solution) -> dict:
     """Every number of a finished solve, keyed by report column in report
-    order.  ``wall_time_s`` is raw seconds, the only timed entry.  The var
-    and field sets are charged again by the kind's row; the shared bases
-    are what the solve's total charges beyond them."""
+    order, with its sets charged as ``sol.config.set_kind``.  The counters
+    and ``wall_time_s`` (raw seconds, the only timed entry) come from the
+    stats; the spilled sets and the bytes from the kind's row, the shared
+    bases as what the total charges beyond the var and field sets.  A
+    solve is charged as a sibling kind on its kernel by relabelling it,
+    ``measure(replace(sol, config=replace(sol.config, set_kind=k)))``; a
+    kind on another kernel raises ``ConfigMismatchError``."""
+    kind = sol.config.set_kind
+    row = SET_KINDS[kind]
+    var_sets = list(sol.var_sets.values())
+    field_sets = list(sol.field_sets.values())
+    all_sets = var_sets + field_sets
+    if all_sets and type(all_sets[0]) is not row.kernel:  # one set tells
+        raise ConfigMismatchError(f"set kind {kind!r} did not make the solve's sets")
+    var_bytes = sum(map(row.footprint_bytes, var_sets))
+    field_bytes = sum(map(row.footprint_bytes, field_sets))
+    total = sol.factory.total_footprint(all_sets, kind)
     stats = sol.stats
-    charge = SET_KINDS[sol.config.set_kind].footprint_bytes
-    var_bytes = sum(map(charge, sol.var_sets.values()))
-    field_bytes = sum(map(charge, sol.field_sets.values()))
-    total = stats.total_footprint_bytes
     return {
         "total_allocs": sol.nr.total_allocs,
         "num_vars": len(sol.pag.var_types),
         "union_ops": stats.union_ops,
         "union_attempts": stats.union_attempts,
         "nodes_processed": stats.nodes_processed,
-        "spilled_sets": stats.spilled_sets,
+        "spilled_sets": 0 if row.spilled is None else sum(map(row.spilled, all_sets)),
         "wall_time_s": stats.wall_time,
         "var_set_bytes": var_bytes,
         "field_set_bytes": field_bytes,

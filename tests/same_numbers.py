@@ -17,16 +17,23 @@ shuffles), chunk width 8/16/32/64 and set kind, the line gives:
 - ``extra``: successful unions of ``run_extra_pass``, taken after the
   digests, since a pass that finds work changes the sets.
 
+Kinds on one kernel make the same unions, so each corpus is solved once
+per kernel, under the first of its kinds in ``KINDS`` order, and each of
+those kinds is charged from that solve relabelled as the kind
+(``solver.measure``); the extra pass runs once per solve, after all of
+the kernel's digests, and every kind on the kernel prints its total.
+
 Digests hash the sets in sorted key order, so two solves that reach the
 same sets through a different union order print the same line.  The file
 name does not start with ``test_``, so pytest does not collect it;
-``test_same_numbers.py`` runs ``numbers`` on one small corpus.
+``test_same_numbers.py`` runs ``numbers`` on small inputs.
 """
 
 from __future__ import annotations
 
 import hashlib
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -61,14 +68,15 @@ def digest(parts) -> str:
     return h.hexdigest()[:12]
 
 
-def numbers(progs, kind: str, mode: str, chunk: int) -> str:
-    cfg = solver.SolverConfig(kind, mode, chunk)
+def charged(sols, kind: str) -> str:
+    """The line of sols, one solve per corpus, charged as kind, without
+    ``extra``."""
     chunk_arrays = SET_KINDS[kind].chunk_arrays
     members, chunks, savings = [], [], []
     total_savings = 0
-    counts = dict.fromkeys([*COLUMNS, "extra"], 0)
-    for p, nr in progs:
-        sol = solver.propagate(p, nr, cfg)
+    counts = dict.fromkeys(COLUMNS, 0)
+    for sol in sols:
+        sol = replace(sol, config=replace(sol.config, set_kind=kind))
         for key, s in sorted_sets(sol):
             members.append((key, s.as_int()))
             if chunk_arrays is not None:
@@ -79,12 +87,29 @@ def numbers(progs, kind: str, mode: str, chunk: int) -> str:
         m = solver.measure(sol)
         for name, column in COLUMNS.items():
             counts[name] += m[column]
-        counts["extra"] += solver.run_extra_pass(sol)
     return (
         f"members={digest(members)} chunks={digest(chunks)} "
         f"savings={total_savings}/{digest(savings)} "
         + " ".join(f"{k}={v}" for k, v in counts.items())
     )
+
+
+def numbers(progs, chunk: int) -> dict[str, str]:
+    """Each kind's line at one chunk width, in ``KINDS`` order, from one
+    solve of each corpus per kernel and filter mode."""
+    siblings = {}  # (kernel, mode) -> [kind], in KINDS order
+    for kind, mode in KINDS:
+        siblings.setdefault((SET_KINDS[kind].kernel, mode), []).append(kind)
+    lines = {}
+    for (_, mode), kinds in siblings.items():
+        cfg = solver.SolverConfig(kinds[0], mode, chunk)
+        sols = [solver.propagate(p, nr, cfg) for p, nr in progs]
+        for kind in kinds:
+            lines[kind] = charged(sols, kind)
+        extra = sum(map(solver.run_extra_pass, sols))
+        for kind in kinds:
+            lines[kind] += f" extra={extra}"
+    return {kind: lines[kind] for kind, _ in KINDS}
 
 
 def programs(texts, seed: int) -> list:
@@ -100,8 +125,7 @@ def main(names) -> None:
         for seed in SEEDS:
             progs = programs(texts, seed)
             for chunk in CHUNKS:
-                for kind, mode in KINDS:
-                    line = numbers(progs, kind, mode, chunk)
+                for kind, line in numbers(progs, chunk).items():
                     print(f"{name} seed={seed} chunk={chunk} {kind} {line}", flush=True)
 
 

@@ -83,6 +83,10 @@ class TestBuildHierarchy:
         with pytest.raises(UnknownTypeError):
             build_hierarchy([("Object", None, ()), ("A", "Nope", ())])
 
+    def test_unknown_array_element(self):
+        with pytest.raises(UnknownTypeError, match=r"^unknown type: Foo$"):
+            build_hierarchy([("Object", None, ())], array_types=["Foo"])
+
     def test_two_roots_rejected(self):
         with pytest.raises(InheritanceCycleError):
             build_hierarchy([("Object", None, ()), ("Other", None, ())])
@@ -216,6 +220,19 @@ class TestIsSubtype:
         assert h.is_subtype("B[]", "Object")
         assert not h.is_subtype("A[]", "B[]")
         assert not h.is_subtype("A[]", "A")
+
+    def test_interface_held_by_the_root_only(self):
+        # a root-typed slot holds any object, and the root's mask admits
+        # every allocation; no other class or array holds an interface
+        h = build_hierarchy(
+            [("Object", None, ()), ("A", "Object", ("I",))],
+            [("I", ()), ("J", ("I",))],
+            array_types=["A[]"],
+        )
+        for iface in ("I", "J"):
+            assert h.is_subtype(iface, "Object")
+            assert not h.is_subtype(iface, "A")
+            assert not h.is_subtype(iface, "A[]")
 
 
 class TestMaskBits:

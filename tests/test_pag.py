@@ -17,6 +17,8 @@ from rangepta.errors import (
 )
 from rangepta.hierarchy import number_allocations
 from rangepta.pag import GenParams, format_program, generate_synthetic, parse_program
+from rangepta.ptsets import SET_KINDS
+from rangepta.solver import SolverConfig, propagate, run_extra_pass
 from test_acceptance import suite_text
 
 # declarations before the line-3 cases of test_type_errors_have_line
@@ -113,10 +115,17 @@ class TestParser:
              "line 3: class inheritance cycle; classes unreachable from the root: A, B"),
             (HEAD + "interface J extends K\ninterface K extends J", InheritanceCycleError,
              "line 4: interface extension cycle through J"),
+            (HEAD + "class A extends Object with I", FactSyntaxError,
+             "line 3: expected 'implements'"),
+            (HEAD + "interface J implements I", FactSyntaxError,
+             "line 3: expected 'extends'"),
+            (HEAD + "class A extends Object implements ,", FactSyntaxError,
+             "line 3: empty name list"),
         ],
         ids=["var", "field", "alloc", "alloc-interface", "parent", "implements",
              "extends", "array-element", "array-interface", "two-roots", "no-root",
-             "no-class", "class-cycle", "interface-cycle"],
+             "no-class", "class-cycle", "interface-cycle", "not-implements",
+             "interface-implements", "empty-name-list"],
     )
     def test_type_errors_have_line(self, text, error, message):
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
@@ -272,6 +281,35 @@ class TestGenerator:
         # the chunk-width rule is ChunkConfig's; the message names the field
         with pytest.raises(InvalidParamsError, match=r"^pad_chunk: .* got 7$"):
             GenParams(pad_chunk=7)
+        for params, message in [
+            ({"num_interfaces": -1}, "counts must be non-negative"),
+            ({"num_fields": -1}, "counts must be non-negative"),
+            ({"num_vars": 0}, "need at least one variable"),
+            ({"max_depth": 0, "num_classes": 1}, "max_depth must be >= 1"),
+            ({"store_load_ratio": 1.5}, "store_load_ratio must be in [0,1]"),
+            ({"violation_rate": -0.1}, "violation_rate must be in [0,1]"),
+        ]:
+            with pytest.raises(InvalidParamsError, match=f"^{re.escape(message)}$"):
+                GenParams(**params)
+
+    @pytest.mark.parametrize(
+        "params, absent",
+        [
+            (GenParams(allocs_per_class=(0, 0)), {"new"}),
+            (GenParams(num_fields=0), {"store", "load"}),
+        ],
+        ids=["no-allocs", "no-fields"],
+    )
+    def test_statements_fall_back_to_assigns(self, params, absent):
+        # with no allocation to name there is no new, and with no field no
+        # store or load: those statements become assigns
+        text = generate_synthetic(params, 5)
+        directives = {line.split()[0] for line in text.splitlines() if line[:1] != "#"}
+        assert not directives & absent and "assign" in directives
+        h, pag = parse_program(text)
+        nr = number_allocations(h, list(pag.allocs.values()))
+        for kind in SET_KINDS:
+            assert run_extra_pass(propagate(pag, nr, SolverConfig(kind))) == 0, kind
 
     def test_padded_counts_are_chunk_multiples(self):
         p = GenParams(num_classes=10, pad_chunk=8, allocs_per_class=(0, 3))

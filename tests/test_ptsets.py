@@ -631,6 +631,63 @@ def test_naive_union_is_the_filtered_source():
     assert len(seen) == 6 and all(seen.values()), seen
 
 
+@pytest.mark.parametrize("kind", EXACT_KINDS)
+def test_exact_union_takes_a_ranged_source_objects_not_its_slack(kind):
+    # Object's subclasses A (allocs 1-3) and B (4-5) at chunk width 8: an A
+    # ranged set that unites an Object set holding 1-5 holds 4-5 as slack.
+    # An exact set counts every member as real, so a B set takes nothing
+    h = build_hierarchy([("Object", None, ()), ("A", "Object", ()), ("B", "Object", ())])
+    allocs = [AllocSite(f"a{i}", "A") for i in range(3)]
+    allocs += [AllocSite(f"b{i}", "B") for i in range(2)]
+    f = SetFactory(number_allocations(h, allocs), ChunkConfig(8))
+    for src_kind in RANGED:
+        whole = f.maker(src_kind, "Object")()
+        for i in range(1, 6):
+            whole.add(i)
+        src = f.maker(src_kind, "A")()
+        src.add_all(whole)
+        assert (src.as_int(), src.objects_int()) == (0b111110, 0b1110)
+        dst = f.maker(kind, "B")()
+        assert dst.add_all(src) is False and len(dst) == 0
+        dst = f.maker(kind, "Object")()
+        assert dst.add_all(src) is True and set(dst.iterate()) == {1, 2, 3}
+
+    # a ranged source with slack, of every owner relation to the exact
+    # destination, adds exactly its objects within the destination's type
+    rng = random.Random(71)
+    seen = collections.Counter()
+    for _ in range(40):
+        classes, ifaces, allocs = random_hierarchy(rng, max_ifaces=3)
+        if not allocs:
+            continue
+        nr = number_allocations(build_hierarchy(classes, ifaces), allocs)
+        f = SetFactory(nr, ChunkConfig(8))
+        supertypes = closure_supertypes(classes, ifaces)
+        type_names = [c[0] for c in classes] + [i[0] for i in ifaces]
+        compat = {t: compatible_indices(nr, supertypes, t) for t in type_names}
+        for src_kind in RANGED:
+            whole = f.maker(src_kind, "Object")()
+            for i in rng.sample(range(1, nr.total_allocs + 1), rng.randint(1, nr.total_allocs)):
+                whole.add(i)
+            for src_owner in type_names:
+                src = f.maker(src_kind, src_owner)()
+                src.add_all(whole)
+                if src.as_int() == src.objects_int():
+                    continue  # no slack
+                for dst_owner in type_names:
+                    seen[owner_relation(compat, src_owner, dst_owner)] += 1
+                    dst = f.maker(kind, dst_owner)()
+                    for i in rng.sample(sorted(compat[dst_owner]), len(compat[dst_owner]) // 2):
+                        dst.add(i)
+                    before = dst.as_int()
+                    mask = sum(1 << i for i in compat[dst_owner])
+                    want = before | (src.objects_int() & mask)
+                    assert dst.add_all(src) == (want != before)
+                    assert dst.as_int() == want, (src_owner, dst_owner)
+    # every owner relation is reached, or the test checks less than it claims
+    assert len(seen) == 4 and all(seen.values()), seen
+
+
 @pytest.mark.parametrize("cb", [8, 64])
 def test_byte_rules_read_the_member_int(cb):
     # hybrid and sparse are pure sets, so one pure set is charged three

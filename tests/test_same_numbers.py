@@ -8,11 +8,31 @@ from rangepta import pag
 def test_numbers_line_is_stable_and_extra_pass_finds_nothing():
     params, gen_seed = same_numbers.WORKLOADS["suite"].programs[0]
     progs = same_numbers.programs([pag.generate_synthetic(params, gen_seed)], seed=1)
-    for kind, mode in same_numbers.KINDS:
-        line = same_numbers.numbers(progs, kind, mode, 8)
+    lines = same_numbers.numbers(progs, 8)
+    assert list(lines) == [kind for kind, _ in same_numbers.KINDS]
+    for kind, line in lines.items():
         fields = dict(f.split("=", 1) for f in line.split())
         assert fields["extra"] == "0", (kind, line)
-        assert same_numbers.numbers(progs, kind, mode, 8) == line, kind
+    assert same_numbers.numbers(progs, 8) == lines
+
+
+def test_each_kernel_is_solved_and_checked_once_per_corpus(monkeypatch):
+    # seven kinds on four kernels: one solve and one extra pass of each
+    # corpus per kernel, whose siblings are charged by relabelling
+    calls = {"propagate": 0, "run_extra_pass": 0}
+    for name in calls:
+        real = getattr(same_numbers.solver, name)
+
+        def counted(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(same_numbers.solver, name, counted)
+    params, gen_seed = same_numbers.WORKLOADS["suite"].programs[0]
+    text = pag.generate_synthetic(params, gen_seed)
+    progs = same_numbers.programs([text, text], seed=0)
+    assert len(same_numbers.numbers(progs, 8)) == 7
+    assert calls == {"propagate": 4 * 2, "run_extra_pass": 4 * 2}
 
 
 # deep at shuffle seed 1, chunk 8, where a load grows its own base in the
@@ -55,5 +75,6 @@ def test_deep_numbers_are_pinned():
     w = same_numbers.WORKLOADS["deep"]
     texts = [pag.generate_synthetic(params, s) for params, s in w.programs]
     progs = same_numbers.programs(texts, seed=1)
-    for kind, mode in same_numbers.KINDS:
-        assert same_numbers.numbers(progs, kind, mode, 8) == DEEP_SEED1_CHUNK8[kind], kind
+    lines = same_numbers.numbers(progs, 8)
+    for kind, _ in same_numbers.KINDS:
+        assert lines[kind] == DEEP_SEED1_CHUNK8[kind], kind
