@@ -11,6 +11,7 @@ the exactly filtered set kinds, is the bits of its intervals.
 
 from __future__ import annotations
 
+import graphlib
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -66,7 +67,7 @@ class ClassHierarchy:
         self._iface_names: list[str] = []
         self._iface_ord: dict[str, int] = {}
         # interface -> itself and everything it extends, transitively;
-        # filled by build_hierarchy's cycle walk
+        # folded by build_hierarchy in topological order
         self._iface_closure: dict[str, int] = {}
         # class -> every interface it is compatible with; filled by _finalize
         self._ifaces_of_class: dict[str, int] = {}
@@ -161,6 +162,11 @@ def build_hierarchy(
     iface_decls: (name, extended interfaces).
     array_types: array type names (``Elem[]``, ``Elem[][]`` ...) to graft in
     as synthetic classes mirroring their element hierarchy.
+
+    An interface extension cycle is reported through an interface on it, at
+    a declaration on it that extends that interface.  With several cycles it
+    is the first closed by ``graphlib``'s depth-first walk down "extended by"
+    edges, from the interfaces in the order the declarations first name them.
     """
     h = ClassHierarchy()
     names: set[str] = set()
@@ -214,36 +220,22 @@ def build_hierarchy(
             decl=unreached[0],
         )
 
-    # cycle check on interface extension, depth-first with an explicit
-    # stack, so deep extension chains cannot exhaust the interpreter's
-    # recursion limit; an interface finishes after everything it extends,
-    # so its closure is itself plus theirs
+    # each interface after all it extends: its own bit ORed with their closures
     h._iface_names = list(ext_map)
     h._iface_ord = {name: k for k, name in enumerate(h._iface_names)}
     closure = h._iface_closure
-    open_ifaces: set[str] = set()  # on the stack
-    for start in ext_map:
-        if start in closure:
-            continue
-        open_ifaces.add(start)
-        stack = [(start, iter(ext_map[start]))]
-        while stack:
-            i, sups = stack[-1]
-            sup = next(sups, None)
-            if sup is None:
-                bits = 1 << h._iface_ord[i]
-                for e in ext_map[i]:
-                    bits |= closure[e]
-                closure[i] = bits
-                open_ifaces.discard(i)
-                stack.pop()
-            elif sup in open_ifaces:
-                raise InheritanceCycleError(
-                    f"interface extension cycle through {sup}", decl=i
-                )
-            elif sup not in closure:
-                open_ifaces.add(sup)
-                stack.append((sup, iter(ext_map[sup])))
+    try:
+        for i in graphlib.TopologicalSorter(ext_map).static_order():
+            bits = 1 << h._iface_ord[i]
+            for e in ext_map[i]:
+                bits |= closure[e]
+            closure[i] = bits
+    except graphlib.CycleError as e:
+        # [through, decl, ..., through]: each is extended by the next
+        through, decl = e.args[1][:2]
+        raise InheritanceCycleError(
+            f"interface extension cycle through {through}", decl=decl
+        ) from None
 
     for name in ext_map:
         h.types[name] = TypeRef(name, "interface")

@@ -410,6 +410,55 @@ def test_interface_subtyping_matches_declarations():
     assert diamonds >= 10, diamonds
 
 
+def test_iface_cycle_is_reported_on_the_cycle():
+    # random extension graphs, self-extension allowed: building fails iff
+    # some interface reaches itself by extension, and then the error names
+    # an interface on a cycle, at a declaration on it that extends it
+    rng = random.Random(31)
+    outcomes = {True: 0, False: 0}
+    for _ in range(300):
+        names = [f"I{k}" for k in range(rng.randint(1, 8))]
+        decls = [(n, tuple(rng.sample(names, rng.randint(0, min(2, len(names))))))
+                 for n in names]
+        rng.shuffle(decls)
+        ext = dict(decls)
+        reach = {}  # interface -> what it reaches in one step or more
+        for i in names:
+            seen, work = set(), list(ext[i])
+            while work:
+                j = work.pop()
+                if j not in seen:
+                    seen.add(j)
+                    work.extend(ext[j])
+            reach[i] = seen
+        cyclic = any(i in reach[i] for i in names)
+        outcomes[cyclic] += 1
+        if not cyclic:
+            h = build_hierarchy([("Object", None, ())], decls)
+            for i in names:
+                assert h.super_interfaces(i) == reach[i] | {i}, decls
+            continue
+        with pytest.raises(InheritanceCycleError) as info:
+            build_hierarchy([("Object", None, ())], decls)
+        e = info.value
+        through = str(e).removeprefix("interface extension cycle through ")
+        assert through in ext[e.decl] and e.decl in reach[through], (decls, str(e))
+    assert min(outcomes.values()) >= 50, outcomes
+
+
+def test_deep_iface_cycle():
+    # a cycle longer than the interpreter's default recursion limit
+    depth = 3000
+    decls = [(f"I{k}", (f"I{k - 1}" if k else f"I{depth - 1}",)) for k in range(depth)]
+    with pytest.raises(InheritanceCycleError, match="^interface extension cycle through I"):
+        build_hierarchy([("Object", None, ())], decls)
+    text = "class Object\n" + "".join(f"interface {n} extends {e}\n" for n, (e,) in decls)
+    with pytest.raises(
+        InheritanceCycleError, match=r"^line \d+: interface extension cycle through I"
+    ):
+        parse_program(text)
+
+
 def test_deep_interface_chain():
     # deeper than the interpreter's default recursion limit; no time bound.
     # The closures are quadratic in the depth: as ints over interface
