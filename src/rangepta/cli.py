@@ -8,6 +8,7 @@ measurement.
 from __future__ import annotations
 
 import argparse
+import codecs
 import csv
 import io
 import os
@@ -46,8 +47,9 @@ def _default_chunk() -> int:
 
 
 def _load_corpus(path: str) -> tuple[PAG, NumberingResult]:
-    """Decode, parse and number a fact file: the input of every solve."""
-    data = Path(path).read_bytes()
+    """Decode, parse and number a fact file: the input of every solve.  A
+    leading UTF-8 byte-order mark is dropped."""
+    data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
     try:
         text = data.decode()
     except UnicodeDecodeError as e:

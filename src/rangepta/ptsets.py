@@ -1,6 +1,6 @@
 """Points-to set kinds: each is a union kernel and a charging row.
 
-Seven kinds share one mutation/query contract: a naive hash-set oracle, a
+Seven kinds share one mutation/query contract: a naive hash set, a
 pure masked bit-vector, Spark-style hybrid (16 inline slots, then pure),
 Heintze-style shared base + overflow, GCC/LLVM-style sparse bitmaps, the
 ranged set (one ranged vector per interval of the owner type) and its
@@ -58,8 +58,8 @@ chunk span, an unranged source's within its interval.
 ``add(idx)`` is a union with a private one-member source, so a single
 insertion takes the same filter and fold as any other union.  The
 queries ``in``, ``len`` and ``iterate`` are read from ``as_int``, and
-``iterate_objects`` from ``objects_int``; only ``naive``, the oracle,
-answers them from its own hash set.
+``iterate_objects`` from ``objects_int``; only ``naive``, the hash-set
+layout, answers them from its own hash set.
 
 A union takes its source from the destination's own ``SetFactory``: one
 solve builds every set with one factory, and ``add_all`` raises
@@ -285,8 +285,8 @@ class PointsToSet:
 
 
 class NaiveSet(PointsToSet):
-    """Exactly filtered hash-set; the oracle the other kinds are checked
-    against."""
+    """The hash-set layout: an exactly filtered set of the owner's
+    compatible members."""
 
     def __init__(self, factory, owner, compatible):
         self.factory = factory

@@ -16,24 +16,26 @@ set; under filter mode ``none`` that owner is the root for every type.
 ``run_extra_pass`` makes its missing sets the same way.
 
 When a pop grows field set (o, f), each load ``dst = base.f`` whose base
-holds o unites that set into dst, in load order.  Those loads come from an
-index, ``holders[f][o]``, whose bit j is set iff the base of load j of f
-holds o under ``iterate_objects``.  Field sets are never load bases.
-Every base of a store or a load is indexed: its objects are kept both as
-an int and as an ascending tuple, built from the walk of the new objects
-that fills ``holders``.  A store or load that walks every object of its
-base iterates the tuple, and a partial walk peels the int.  A growth
-replaces the tuple, so a walk in progress keeps the objects it started
-with; ``x = x.f`` grows its own base during its walk.
-Seeding reads no index, so it only queues each set at its first change;
-then ``enqueue`` indexes every seeded set once.  During the drain every
-successful union into a variable set calls ``enqueue``, which adds the
-base's new objects to the index; so the index is exact at every point of
-the drain.  The feedback step visits the set bits in ascending order
-and re-reads the bits above j after each successful union, since that
-union may have made a later load's base hold o.  Field sets are found
-through a per-field index, ``by_field[f][o]``; ``Solution.field_sets``
-keeps the (o, f) keys in creation order.
+holds o unites that set into dst, in load order.  Those loads come from
+f's index ``holders``, which each of f's loads carries in its
+``loads_by_base`` entry with its bit: bit j of ``holders[o]`` is set iff
+the base of f's j-th load holds o under ``iterate_objects``.  Field sets
+are never load bases.  Every base of a store or a load is indexed: its
+objects are kept both as an int and as an ascending tuple, built from the
+walk of the new objects that fills ``holders``.  A store or load that
+walks every object of its base iterates the tuple, and a partial walk
+peels the int.  A growth replaces the tuple, so a walk in progress keeps
+the objects it started with; ``x = x.f`` grows its own base during its
+walk.  Seeding reads no index: it runs every allocation edge's ``add``,
+then calls ``enqueue``, the only code that queues a set, once per set that
+grew, in the order each first grew, so each seeded set is indexed once.
+During the drain every successful union into a variable set calls
+``enqueue``, so the index is exact at every point of the drain.  The
+feedback step visits the set bits in ascending order and re-reads the bits
+above j after each successful union, since that union may have made a
+later load's base hold o.  Field sets are found through a per-field index,
+``by_field[f][o]``; ``Solution.field_sets`` keeps the (o, f) keys in
+creation order.
 
 The solver makes no union call whose result is known to be False, but one
 kind: the feedback walk (rule 2) re-probes the popped base's own loads of
@@ -233,26 +235,23 @@ def propagate(pag: PAG, nr: NumberingResult, cfg: SolverConfig) -> Solution:
         stores_of[store[1]].append(store)
     for store in stores:
         stores_of[store[0]].append(store)
-    # base -> [(f's sets, f, f's type, dst, load number)]
-    loads_by_base = defaultdict(list)
-    load_dsts = defaultdict(list)  # f -> [dst], by load position
-    # holders[f][o]: bit j set iff load position j of f has a base holding o
-    holders: dict[str, dict[int, int]] = {}
-    load_slots = defaultdict(list)  # base -> [(holders[f], 1 << j)]
-    for k, (dst, base, f) in enumerate(load_edges):
-        pb, pd = var_sets[base], var_sets[dst]
-        loads_by_base[pb].append((by_field[f], f, field_types[f], pd, k))
-        by_obj = holders.setdefault(f, {})
-        load_slots[pb].append((by_obj, 1 << len(load_dsts[f])))
-        load_dsts[f].append(pd)
-    # f -> (holders[f], [dst], [bits of every position of f's loads into
-    # that dst]), both lists by load position
+    # f -> (holders, [dst], [bits of every position of f's loads into that
+    # dst]), both lists by f's load position j (module doc)
     feedback = {}
-    for f, dsts in load_dsts.items():
-        into = defaultdict(int)
+    # base -> [(f's sets, f, f's type, dst, load number, f's holders, 1 << j)]
+    loads_by_base = defaultdict(list)
+    for k, (dst, base, f) in enumerate(load_edges):
+        pd = var_sets[dst]
+        by_obj, dsts, _ = feedback.setdefault(f, ({}, [], []))
+        loads_by_base[var_sets[base]].append(
+            (by_field[f], f, field_types[f], pd, k, by_obj, 1 << len(dsts))
+        )
+        dsts.append(pd)
+    for _, dsts, into in feedback.values():
+        bits = defaultdict(int)
         for j, pd in enumerate(dsts):
-            into[pd] |= 1 << j
-        feedback[f] = (holders[f], dsts, [into[pd] for pd in dsts])
+            bits[pd] |= 1 << j
+        into += [bits[pd] for pd in dsts]
     # every store or load base -> its objects indexed so far, as an int and
     # as an ascending tuple (module doc)
     indexed = dict.fromkeys([store[0] for store in stores] + list(loads_by_base), 0)
@@ -271,7 +270,7 @@ def propagate(pag: PAG, nr: NumberingResult, cfg: SolverConfig) -> Solution:
     def enqueue(s: PointsToSet):
         """Index the objects s holds that the index lacks, if s is a store
         or load base, then queue s unless it is queued.  Called once per
-        seeded set after seeding, then after every successful union into a
+        set that seeding grew, then after every successful union into a
         var set."""
         held = indexed.get(s)
         if held is not None:
@@ -285,24 +284,19 @@ def propagate(pag: PAG, nr: NumberingResult, cfg: SolverConfig) -> Solution:
                     objects[s] = tuple(sorted(old + fresh))
                 else:
                     objects[s] = old + fresh
-                for by_obj, bit in load_slots.get(s, ()):
+                for fsets, f, ft, pd, k, by_obj, bit in loads_by_base.get(s, ()):
                     for o in fresh:
                         by_obj[o] = by_obj.get(o, 0) | bit
         if s not in queued:
             queued.add(s)
             queue.append(s)
 
-    # seeding reads no index: queue each set at its first change, then
-    # index each once, with all its allocations
-    for oid, v in pag.alloc_edges:
-        pv = var_sets[v]
-        if pv.add(nr.index_of[oid]):
-            unions += 1
-            if pv not in queued:
-                queued.add(pv)
-                queue.append(pv)
-    for pv in queue:
-        enqueue(pv)  # pv is queued already, so this only indexes it
+    # seeding reads no index: every allocation's add first, then each set
+    # that grew is indexed and queued once, in the order it first grew
+    grew = [pv for oid, v in pag.alloc_edges if (pv := var_sets[v]).add(nr.index_of[oid])]
+    unions += len(grew)
+    for pv in dict.fromkeys(grew):
+        enqueue(pv)
 
     while queue:
         pv = queue.popleft()
@@ -343,7 +337,7 @@ def propagate(pag: PAG, nr: NumberingResult, cfg: SolverConfig) -> Solution:
                 grown[f] = grown.get(f, 0) | 1 << o
             # an object the load already saw has reached dst through the
             # field feedback, unless its field grew earlier in this pop (rule 5)
-            for fsets, f, ft, pd, k in loads:
+            for fsets, f, ft, pd, k, _, _ in loads:
                 held = indexed[pv]
                 todo = held & (~load_seen[k] | grown.get(f, 0))
                 load_seen[k] = held

@@ -102,6 +102,22 @@ class TestSolve:
         assert main(["solve", str(path)]) == 1
         assert capsys.readouterr().err == "error: line 2: invalid UTF-8 byte 0xff\n"
 
+    def test_byte_order_mark_is_dropped(self, corpus, capsys):
+        def report():
+            assert main(["solve", str(corpus)]) == 0
+            return re.sub(r"time=\d+\.\d{4}s", "time=Ts", capsys.readouterr().out)
+
+        plain = report()
+        corpus.write_bytes(b"\xef\xbb\xbf" + corpus.read_bytes())
+        assert report() == plain
+
+    def test_byte_order_mark_keeps_error_positions(self, tmp_path, capsys):
+        # the bad byte is found after the mark, and reported as itself
+        path = tmp_path / "bad.facts"
+        path.write_bytes(b"\xef\xbb\xbfclass Object\nab\xff var x : Object\n")
+        assert main(["solve", str(path)]) == 1
+        assert capsys.readouterr().err == "error: line 2: invalid UTF-8 byte 0xff\n"
+
     def test_emit_solution(self, corpus, tmp_path, capsys):
         sol_path = tmp_path / "sol.txt"
         assert main(["solve", str(corpus), "--emit-solution", str(sol_path)]) == 0

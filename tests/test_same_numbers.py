@@ -78,3 +78,85 @@ def test_deep_numbers_are_pinned():
     lines = same_numbers.numbers(progs, 8)
     for kind, _ in same_numbers.KINDS:
         assert lines[kind] == DEEP_SEED1_CHUNK8[kind], kind
+
+
+# deep has no interfaces, so its lines pin no interface-merged ranged set:
+# wide (800 classes, 40 interfaces) at shuffle seed 1, chunk 64, and
+# suite's first 10 corpora (4 interfaces each) at seed 1, chunk 8, do
+WIDE_SEED1_CHUNK64 = {
+    "naive": (
+        "members=7733f154f44b chunks=e3b0c44298fc savings=0/e3b0c44298fc"
+        " unions=5558 pops=1106 attempts=11772 spills=0 bytes=265000 extra=0"
+    ),
+    "pure": (
+        "members=7733f154f44b chunks=ed3330f48f9c savings=3258496/f9da75d862cb"
+        " unions=5558 pops=1106 attempts=11772 spills=0 bytes=3818016 extra=0"
+    ),
+    "hybrid": (
+        "members=7733f154f44b chunks=54be0d6272ac savings=6208/e4fa413f3f1a"
+        " unions=5558 pops=1106 attempts=11772 spills=49 bytes=1923512 extra=0"
+    ),
+    "shared": (
+        "members=7733f154f44b chunks=e3b0c44298fc savings=0/e3b0c44298fc"
+        " unions=5558 pops=1106 attempts=11772 spills=0 bytes=365056 extra=0"
+    ),
+    "sparse": (
+        "members=7733f154f44b chunks=e3b0c44298fc savings=0/e3b0c44298fc"
+        " unions=5558 pops=1106 attempts=11772 spills=0 bytes=398144 extra=0"
+    ),
+    "ranged": (
+        "members=dc2b3b66829c chunks=efbd90b02c78 savings=653504/1f7eb325aa13"
+        " unions=6868 pops=1111 attempts=11940 spills=0 bytes=568272 extra=0"
+    ),
+    "ranged-hybrid": (
+        "members=dc2b3b66829c chunks=64759aa7895b savings=2624/edeb9897a1d1"
+        " unions=6868 pops=1111 attempts=11940 spills=49 bytes=1916664 extra=0"
+    ),
+}
+
+
+SUITE10_SEED1_CHUNK8 = {
+    "naive": (
+        "members=8675265ac33f chunks=e3b0c44298fc savings=0/e3b0c44298fc"
+        " unions=2144 pops=470 attempts=3958 spills=0 bytes=62024 extra=0"
+    ),
+    "pure": (
+        "members=8675265ac33f chunks=6f1e5fb81115 savings=99520/cfef90065bc4"
+        " unions=2144 pops=470 attempts=3958 spills=0 bytes=176288 extra=0"
+    ),
+    "hybrid": (
+        "members=8675265ac33f chunks=2c34c9324af7 savings=176/39da39e59fc1"
+        " unions=2144 pops=470 attempts=3958 spills=32 bytes=331913 extra=0"
+    ),
+    "shared": (
+        "members=8675265ac33f chunks=e3b0c44298fc savings=0/e3b0c44298fc"
+        " unions=2144 pops=470 attempts=3958 spills=0 bytes=77792 extra=0"
+    ),
+    "sparse": (
+        "members=8675265ac33f chunks=e3b0c44298fc savings=0/e3b0c44298fc"
+        " unions=2144 pops=470 attempts=3958 spills=0 bytes=77408 extra=0"
+    ),
+    "ranged": (
+        "members=072a279b31d7 chunks=912c128ac7bb savings=16784/1b4c593efb2c"
+        " unions=2152 pops=472 attempts=3962 spills=0 bytes=89248 extra=0"
+    ),
+    "ranged-hybrid": (
+        "members=072a279b31d7 chunks=3af47987b340 savings=72/90e812c42731"
+        " unions=2152 pops=472 attempts=3962 spills=32 bytes=331835 extra=0"
+    ),
+}
+
+
+def workload_lines(name, seed, chunk, corpora=None):
+    """Each kind's line on the first corpora of a workload (all by default)."""
+    w = same_numbers.WORKLOADS[name]
+    texts = [pag.generate_synthetic(params, s) for params, s in w.programs[:corpora]]
+    return same_numbers.numbers(same_numbers.programs(texts, seed=seed), chunk)
+
+
+def test_wide_numbers_are_pinned():
+    assert workload_lines("wide", 1, 64) == WIDE_SEED1_CHUNK64
+
+
+def test_suite_numbers_are_pinned():
+    assert workload_lines("suite", 1, 8, corpora=10) == SUITE10_SEED1_CHUNK8

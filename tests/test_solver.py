@@ -723,9 +723,9 @@ def union_log(monkeypatch):
     return log
 
 
-def schedule(log, var_sets, field_sets):
-    """The successful unions of log as (dst, src) names; a one-member
-    source is named ("new", index)."""
+def named_calls(log, var_sets, field_sets):
+    """Every call of log as (dst, src, changed), a set named by its var
+    name or (o, f) key and a one-member source as ("new", index)."""
     names = {id(s): v for v, s in var_sets.items()}
     names.update({id(s): key for key, s in field_sets.items()})
 
@@ -734,7 +734,12 @@ def schedule(log, var_sets, field_sets):
             return names[id(s)]
         return ("new", s.bits.bit_length() - 1)
 
-    return [(name(dst), name(src)) for dst, src, changed in log if changed]
+    return [(name(dst), name(src), changed) for dst, src, changed in log]
+
+
+def schedule(log, var_sets, field_sets):
+    """The successful unions of log as (dst, src) names."""
+    return [(d, s) for d, s, changed in named_calls(log, var_sets, field_sets) if changed]
 
 
 # I's two intervals share chunk 0, and b (a B) is slack in both spans.  d
@@ -896,6 +901,26 @@ def test_union_schedule_matches_rewalk(cfg, monkeypatch):
         assert got == schedule(log, var_sets, field_sets), chunk
         assert (sol.stats.union_ops, sol.stats.nodes_processed) == (unions, pops)
         assert set(sol.field_sets) == set(field_sets)
+
+
+def test_exact_kernels_make_one_union_schedule(monkeypatch):
+    # naive, pure and shared make the same union calls, failed ones
+    # included, in the same order, so one kind's schedule is all three's
+    log = union_log(monkeypatch)
+    corpora = rewalk_corpora() + [(text, 8) for text in small_corpora()]
+    for text, chunk in corpora:
+        pag, nr = load_corpus(text)
+        runs = []
+        for kind in ("naive", "pure", "shared"):
+            log.clear()
+            sol = propagate(pag, nr, SolverConfig(kind, "mask", chunk))
+            st = sol.stats
+            runs.append((
+                named_calls(log, sol.var_sets, sol.field_sets),
+                (st.union_ops, st.nodes_processed, st.union_attempts),
+            ))
+        assert runs[1] == runs[0], ("pure", chunk)
+        assert runs[2] == runs[0], ("shared", chunk)
 
 
 # (union calls made, successful unions) on each SKIP_CORPORA corpus, the
