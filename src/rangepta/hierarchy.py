@@ -94,9 +94,6 @@ class ClassHierarchy:
             stack.extend(reversed(self.children[c]))
         return out
 
-    def interface_names(self) -> list[str]:
-        return list(self._iface_names)
-
     def _iface_set(self, bits: int) -> frozenset[str]:
         names = self._iface_names
         return frozenset(names[k] for k in _iter_bits(bits, 0))
@@ -295,7 +292,7 @@ class NumberingResult:
     _masks: dict[str, int] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-    # chunk width -> {type name -> ranged geometry}, filled by ptsets.SetFactory
+    # chunk width -> {type name -> ranged geometry}, by RangedPointsToSet.type_state
     _ranged_geometry: dict[int, dict] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )

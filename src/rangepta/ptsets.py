@@ -66,17 +66,18 @@ solve builds every set with one factory, and ``add_all`` raises
 ``ConfigMismatchError`` for a source made by another factory, even one over
 an equal numbering and chunk width.
 
-A set is made by its factory's maker for (kind, owner type): a
-zero-argument constructor of the kind's kernel that already holds the
-owner and the kernel's per-type state (the type mask, the ranged geometry
-or naive's compatible index set, all read off the owner's intervals), so
-making a set is one call that reads no table.  The type masks
-(``build_type_mask``) and the ranged geometries are cached on the
-``NumberingResult``, the geometries per chunk width, so every factory over
-one numbering shares them.  The per-type states, naive's subset tests and
-the interned shared bases are per factory.  A factory holds no maker,
-which would refer back to it, so a finished solve is freed by reference
-counting alone.
+A set is its kernel over its owner's per-type state, which the kernel's
+``type_state`` reads off the owner's intervals (the type mask, the ranged
+geometry or naive's compatible index set); it keeps no owner.  Every
+kernel's constructor takes (factory, state), and the factory's maker for
+(kind, owner type) binds both, so making a set is one call that reads no
+table.  The type masks (``build_type_mask``) and the ranged geometries
+(``RangedPointsToSet.type_state``) are cached on the ``NumberingResult``,
+the geometries per chunk width, so every factory over one numbering
+shares them.  The per-type states, naive's subset tests and the interned
+shared bases are per factory.  A factory holds no maker, which would
+refer back to it, so a finished solve is freed by reference counting
+alone.
 
 Memory accounting is a deterministic model, not process measurement:
 16 bytes per object header, 16 per array header, 8 per reference slot,
@@ -129,14 +130,14 @@ class RangedGeometry(NamedTuple):
 class SetFactory:
     """Builds and charges sets over one numbering/chunk configuration.
 
-    ``maker(kind, owner)`` is the one way a set is made: a constructor of
-    the kind's kernel that holds the owner and the kernel's per-type
-    state, built on the first maker for that kernel and type, so kinds
-    that share a kernel share it.  ``total_footprint(sets, kind)``
-    charges the sets by the kind's row.  Type masks and ranged geometry
-    come from caches on the numbering, which every factory over it
-    shares; the factory caches every (kernel, owner)'s owner type and
-    per-type state, the interned shared bases and naive's subset tests."""
+    ``maker(kind, owner)`` is the one way a set is made: the kind's
+    kernel over the owner's per-type state, built on the first maker for
+    that kernel and type, so kinds that share a kernel share it.
+    ``total_footprint(sets, kind)`` charges sets of the kind's kernel by
+    the kind's row.  Type masks and ranged geometry come from caches on
+    the numbering, which every factory over it shares; the factory caches
+    every (kernel, owner)'s per-type state, the interned shared bases and
+    naive's subset tests."""
 
     def __init__(self, nr: NumberingResult, cfg: ChunkConfig = ChunkConfig()):
         self.nr = nr
@@ -147,68 +148,34 @@ class SetFactory:
         self.universe_chunks = 0 if self.total == 0 else chunk_index_of(self.total, cfg) + 1
         # the modeled bytes of one full-universe bit array
         self.universe_bytes = ARRAY_HEADER + self.universe_chunks * cfg.chunk_bytes
-        self._geometry: dict[str, RangedGeometry] = nr._ranged_geometry.setdefault(
-            cfg.chunk_bits, {}
-        )
-        # (kernel, owner) -> (owner type, per-type state)
-        self._type_states: dict[tuple[type, str], tuple] = {}
+        # (kernel, owner) -> per-type state
+        self._type_states: dict[tuple[type, str], object] = {}
         self._interned_bases: dict[int, int] = {}
         # (source, destination) naive compatible sets, the source no larger
         # -> whether the source lies within the destination
         self._covers: dict[tuple[frozenset, frozenset], bool] = {}
 
-    def ranged_geometry(self, type_name: str) -> RangedGeometry:
-        """The type's ranged vectors, laid out once per numbering, chunk
-        width and owner type."""
-        g = self._geometry.get(type_name)
-        if g is None:
-            cb = self.cfg.chunk_bits
-            vectors = []
-            for iv in intervals_of(self.nr, type_name):
-                # the chunks holding the interval's first and last index
-                first, last = iv.lower // cb, iv.upper // cb
-                own = (1 << iv.upper + 1) - (1 << iv.lower)
-                span = (1 << (last + 1) * cb) - (1 << first * cb)
-                vectors.append((last - first + 1, first * cb, own, span))
-            interval_bits = span_bits = shared_bits = 0
-            for _, _, own, span in vectors:
-                interval_bits |= own
-                span_bits |= span
-            for _, _, own, span in vectors:
-                shared_bits |= span & interval_bits & ~own
-            chunks = sum(n for n, *_ in vectors)
-            g = RangedGeometry(
-                interval_bits,
-                span_bits,
-                shared_bits,
-                tuple(vectors),
-                OBJECT_HEADER + len(vectors) * ARRAY_HEADER + chunks * self.cfg.chunk_bytes,
-            )
-            self._geometry[type_name] = g
-        return g
-
-    def intern_base(self, value: int) -> int:
-        return self._interned_bases.setdefault(value, value)
-
     def maker(self, kind: str, owner: str) -> Callable[[], "PointsToSet"]:
         """The zero-argument constructor of empty ``kind`` sets owned by the
-        named type: the kind's kernel over the per-type state built on the
-        first call for (kernel, owner).  Each call makes a new one."""
+        named type: the kind's kernel over the state its ``type_state``
+        built on the first call for (kernel, owner).  Each call makes a new
+        one."""
         row = SET_KINDS.get(kind)
         if row is None:
             raise UnsupportedKindError(f"unknown set kind: {kind}")
         kernel = row.kernel
-        made = self._type_states.get((kernel, owner))
-        if made is None:
-            made = self._type_states[kernel, owner] = (
-                self.h.lookup(owner), kernel.type_state(self, owner)
-            )
-        return partial(kernel, self, *made)
+        state = self._type_states.get((kernel, owner))
+        if state is None:
+            state = self._type_states[kernel, owner] = kernel.type_state(self, owner)
+        return partial(kernel, self, state)
 
     def total_footprint(self, sets: Sequence["PointsToSet"], kind: str) -> int:
         """The modeled bytes of ``kind`` sets: each set as the kind's row
-        charges it, plus each distinct shared base once."""
+        charges it, plus each distinct shared base once.  Another kernel's
+        sets raise ``ConfigMismatchError``."""
         row = SET_KINDS[kind]
+        if sets and type(sets[0]) is not row.kernel:
+            raise ConfigMismatchError(f"set kind {kind!r} did not make these sets")
         total = sum(map(row.footprint_bytes, sets))
         if row.kernel is SharedBitVectorSet:
             total += len({s.base for s in sets}) * self.universe_bytes
@@ -232,7 +199,7 @@ class PointsToSet:
         """The per-type state each set of this kernel owned by the type
         holds, built once per factory and type by ``SetFactory.maker``: the
         type mask unless the kernel says otherwise.  A kernel's constructor
-        takes (factory, owner ``TypeRef``, this state)."""
+        takes (factory, this state)."""
         return build_type_mask(factory.nr, type_name)
 
     def _check_index(self, idx: int):
@@ -288,9 +255,8 @@ class NaiveSet(PointsToSet):
     """The hash-set layout: an exactly filtered set of the owner's
     compatible members."""
 
-    def __init__(self, factory, owner, compatible):
+    def __init__(self, factory, compatible):
         self.factory = factory
-        self.owner = owner
         self.members: set[int] = set()
         self._compatible = compatible
 
@@ -366,9 +332,8 @@ class PureBitVectorSet(PointsToSet):
     """Full-universe bit vector, filtered by ANDing with the owner's type
     mask on every union."""
 
-    def __init__(self, factory, owner, mask):
+    def __init__(self, factory, mask):
         self.factory = factory
-        self.owner = owner
         self.bits = 0
         self.mask = mask
 
@@ -397,16 +362,11 @@ class SharedBitVectorSet(PointsToSet):
     the model charges one slot per overflow member.  A fold that keeps no
     overflow makes ``bits`` the interned base itself."""
 
-    def __init__(self, factory, owner, mask):
+    def __init__(self, factory, mask):
         self.factory = factory
-        self.owner = owner
         self.base = 0  # the empty base: equal ints are one base to the model
         self.bits = 0
         self._mask = mask
-
-    @property
-    def overflow(self) -> int:
-        return self.bits ^ self.base
 
     def add_all(self, src):
         if src.factory is not self.factory:
@@ -432,7 +392,8 @@ class SharedBitVectorSet(PointsToSet):
                 at = digits.index("1", at + 1)
             low = len(digits) - 1 - at
             keep = new >> low << low
-        base = self.base = self.factory.intern_base(grown ^ keep)
+        base = grown ^ keep
+        base = self.base = self.factory._interned_bases.setdefault(base, base)
         self.bits = grown if keep else base
         return True
 
@@ -461,9 +422,8 @@ class RangedPointsToSet(PointsToSet):
 
     ranged = True
 
-    def __init__(self, factory, owner, geometry):
+    def __init__(self, factory, geometry):
         self.factory = factory
-        self.owner = owner
         self.geometry = geometry
         self.bits = 0
         self.objects = 0
@@ -471,7 +431,34 @@ class RangedPointsToSet(PointsToSet):
 
     @classmethod
     def type_state(cls, factory, type_name):
-        return factory.ranged_geometry(type_name)
+        # the type's vectors, laid out once per numbering, chunk width and type
+        cfg = factory.cfg
+        cb = cfg.chunk_bits
+        geometries = factory.nr._ranged_geometry.setdefault(cb, {})
+        g = geometries.get(type_name)
+        if g is None:
+            vectors = []
+            for iv in intervals_of(factory.nr, type_name):
+                # the chunks holding the interval's first and last index
+                first, last = iv.lower // cb, iv.upper // cb
+                own = (1 << iv.upper + 1) - (1 << iv.lower)
+                span = (1 << (last + 1) * cb) - (1 << first * cb)
+                vectors.append((last - first + 1, first * cb, own, span))
+            interval_bits = span_bits = shared_bits = 0
+            for _, _, own, span in vectors:
+                interval_bits |= own
+                span_bits |= span
+            for _, _, own, span in vectors:
+                shared_bits |= span & interval_bits & ~own
+            chunks = sum(n for n, *_ in vectors)
+            g = geometries[type_name] = RangedGeometry(
+                interval_bits,
+                span_bits,
+                shared_bits,
+                tuple(vectors),
+                OBJECT_HEADER + len(vectors) * ARRAY_HEADER + chunks * cfg.chunk_bytes,
+            )
+        return g
 
     def add_all(self, src):
         if src.factory is not self.factory:
@@ -608,12 +595,14 @@ def sparse_savings(s: PointsToSet, kind: str) -> int:
     """Bytes a sparse eight-word-element decomposition of the bit arrays
     ``kind`` keeps for s, at s's own chunk width, would not allocate
     (all-zero windows), post-propagation."""
-    chunk_arrays = SET_KINDS[kind].chunk_arrays
-    if chunk_arrays is None:
+    row = SET_KINDS[kind]
+    if row.chunk_arrays is None:
         raise UnsupportedKindError(f"sparse savings undefined for set kind {kind!r}")
+    if type(s) is not row.kernel:
+        raise ConfigMismatchError(f"set kind {kind!r} did not make this set")
     cfg = s.factory.cfg
     empty = 0
-    for num_chunks, value in chunk_arrays(s):
+    for num_chunks, value in row.chunk_arrays(s):
         windows = -(-num_chunks // SPARSE_ELEMENT_WORDS)
         empty += windows - _occupied_windows(value, cfg)
     return empty * SPARSE_ELEMENT_WORDS * cfg.chunk_bytes

@@ -100,7 +100,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass, field
 
 from .bitsets import ChunkConfig, _iter_bits
-from .errors import ConfigConflictError, ConfigMismatchError, UniverseMismatchError
+from .errors import ConfigConflictError, UniverseMismatchError
 from .hierarchy import NumberingResult
 from .pag import PAG
 from .ptsets import SET_KINDS, PointsToSet, SetFactory
@@ -397,11 +397,9 @@ def measure(sol: Solution) -> dict:
     var_sets = list(sol.var_sets.values())
     field_sets = list(sol.field_sets.values())
     all_sets = var_sets + field_sets
-    if all_sets and type(all_sets[0]) is not row.kernel:  # one set tells
-        raise ConfigMismatchError(f"set kind {kind!r} did not make the solve's sets")
+    total = sol.factory.total_footprint(all_sets, kind)  # checks the kernel
     var_bytes = sum(map(row.footprint_bytes, var_sets))
     field_bytes = sum(map(row.footprint_bytes, field_sets))
-    total = sol.factory.total_footprint(all_sets, kind)
     stats = sol.stats
     return {
         "total_allocs": sol.nr.total_allocs,

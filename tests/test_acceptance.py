@@ -217,10 +217,11 @@ def _union_corpus(rng, max_allocs=6):
     return nr, compat
 
 
-def _held(s):
-    """The absolute indices each of s's vectors holds, by lower bound."""
+def _held(s, owner):
+    """The absolute indices each vector of s, a set of the named owner
+    type, holds, by lower bound."""
     cb = s.factory.cfg.chunk_bits
-    ivs = intervals_of(s.factory.nr, s.owner.name)
+    ivs = intervals_of(s.factory.nr, owner)
     return [
         {aligned_span((iv.lower, iv.upper), cb)[0] + b for b in _bit_offsets(value)}
         for iv, (_, value) in zip(ivs, SET_KINDS["ranged"].chunk_arrays(s))
@@ -235,7 +236,7 @@ def test_criterion_03_ranged_or_oracle():
     allocs += [AllocSite(f"l{i}", "L") for i in range(11)]
     f = SetFactory(number_allocations(h, allocs), ChunkConfig(8))
     assert intervals_of(f.nr, "L") == [Interval(10, 20)]
-    assert [v[:2] for v in f.ranged_geometry("L").vectors] == [(2, 8)]
+    assert [v[:2] for v in f.maker("ranged", "L")().geometry.vectors] == [(2, 8)]
 
     # the union the solver runs (RangedPointsToSet.add_all) against a
     # bit-level oracle:
@@ -263,15 +264,15 @@ def test_criterion_03_ranged_or_oracle():
             dst, src = sets[dt], sets[st]
             if rng.random() < 0.2:
                 dst.add(rng.randint(1, nr.total_allocs))
-            src_held = set().union(*_held(src))
+            src_held = set().union(*_held(src, st))
             incoming = src_held & compat[st]
-            before = _held(dst)
+            before = _held(dst, dt)
             expected = [
                 ranged_union_oracle((iv.lower, iv.upper), held, incoming, cb)
                 for iv, held in zip(intervals_of(nr, dt), before)
             ]
             changed = dst.add_all(src)
-            assert _held(dst) == expected, (dt, st, cb)
+            assert _held(dst, dt) == expected, (dt, st, cb)
             assert changed == (expected != before), (dt, st, cb)
             cases += 1
 

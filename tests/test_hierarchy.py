@@ -291,7 +291,7 @@ def test_mask_table_matches_walk_on_random_hierarchies():
 def test_mask_table_matches_walk_on_wide_corpus(wide_text):
     h, pag = parse_program(wide_text)
     nr = number_allocations(h, list(pag.allocs.values()))
-    assert len(h.interface_names()) == WIDE_SHAPE.num_interfaces
+    assert len(pag.iface_decls) == WIDE_SHAPE.num_interfaces
     _all_masks_match_walk(h, nr)
 
 

@@ -134,7 +134,7 @@ def shape(s, kind):
 
 class TestMaker:
     @pytest.mark.parametrize("kind", sorted(SET_KINDS))
-    def test_makes_fresh_empty_sets(self, kind, factory8, worked_hierarchy, monkeypatch):
+    def test_makes_fresh_empty_sets(self, kind, factory8, monkeypatch):
         # each maker is new, but the per-type state is built once per type
         built = []
         kernel = SET_KINDS[kind].kernel
@@ -151,7 +151,6 @@ class TestMaker:
             assert built == list(MAKER_OWNERS[: k + 1])
             first = make()
             assert type(first) is kernel and first.factory is factory8
-            assert first.owner == worked_hierarchy.lookup(owner)
             assert len(first) == 0 and shape(first, kind) == want
             for i in range(1, factory8.total + 1):  # past hybrid's slots
                 first.add(i)
@@ -185,10 +184,9 @@ class TestMaker:
         for _ in range(2):  # a failed lookup caches nothing
             with pytest.raises(UnsupportedKindError):
                 factory8.maker("fancy", "A")
-            with pytest.raises(UnknownTypeError):
-                factory8.maker("pure", "Nope")
-            with pytest.raises(UnknownTypeError):
-                factory8.maker("ranged", "Nope")
+            for kind in ("naive", "pure", "shared", "ranged"):  # every kernel
+                with pytest.raises(UnknownTypeError):
+                    factory8.maker(kind, "Nope")
             with pytest.raises(UnsupportedKindError):
                 factory8.maker("fancy", "Object")
 
@@ -196,9 +194,10 @@ class TestMaker:
         f8, g8 = (SetFactory(worked_numbering, ChunkConfig(8)) for _ in range(2))
         f64 = SetFactory(worked_numbering, ChunkConfig(64))
         for owner in MAKER_OWNERS:
-            assert f8.ranged_geometry(owner) is g8.ranged_geometry(owner)
-            assert f8.ranged_geometry(owner) is not f64.ranged_geometry(owner)
-            assert f8.maker("ranged", owner)().geometry is g8.ranged_geometry(owner)
+            geometry = RangedPointsToSet.type_state
+            assert geometry(f8, owner) is geometry(g8, owner)
+            assert geometry(f8, owner) is not geometry(f64, owner)
+            assert f8.maker("ranged", owner)().geometry is geometry(g8, owner)
         assert f8.maker("ranged", "A") is not g8.maker("ranged", "A")
 
     def test_interned_bases_are_per_factory(self):
@@ -360,12 +359,11 @@ def assert_bulk_matches_elementwise(factory, kind, owner, log):
     assert footprint(bulk, kind) == footprint(one, kind), (kind, owner)
     if kind == "shared":
         assert bulk.base == one.base, owner
-        assert bulk.overflow == one.overflow, owner
+        assert bulk.bits ^ bulk.base == one.bits ^ one.base, owner
         for s in (bulk, one):
             # the overflow is read off the member int and the interned base;
             # a fold that keeps no overflow leaves no second int
-            assert s.overflow == s.bits ^ s.base, owner
-            if s.base and not s.overflow:
+            if s.base and not s.bits ^ s.base:
                 assert s.bits is s.base, owner
     return bulk
 
@@ -432,7 +430,7 @@ class TestOracleEquivalence:
                     log.append(("addall", "Object", bulk))
                     s = assert_bulk_matches_elementwise(f, "shared", "A", log)
                     k = (held + m) % (SHARED_OVERFLOW_CAP + 1)
-                    assert s.overflow == sum(1 << i for i in bulk[m - k:]), (held, m)
+                    assert s.bits ^ s.base == sum(1 << i for i in bulk[m - k:]), (held, m)
                     kept.add(k)
         assert kept == set(range(SHARED_OVERFLOW_CAP + 1))
 
@@ -597,11 +595,12 @@ def test_naive_union_is_the_filtered_source():
         type_names = [c[0] for c in classes] + [i[0] for i in ifaces]
         compat = {t: compatible_indices(nr, supertypes, t) for t in type_names}
         assert not compat["Bare"]
-        sets = [f.maker("naive", t)() for t in type_names for _ in range(2)]
+        owners = [t for t in type_names for _ in range(2)]
+        sets = [f.maker("naive", t)() for t in owners]
         want = [set() for _ in sets]
         for _ in range(400):
             d = rng.randrange(len(sets))
-            dst, dst_owner = sets[d], sets[d].owner.name
+            dst, dst_owner = sets[d], owners[d]
             if rng.random() < 0.3:
                 idx = rng.randint(1, nr.total_allocs)
                 calls, covered = 1, False
@@ -609,7 +608,7 @@ def test_naive_union_is_the_filtered_source():
                 op = partial(dst.add, idx)
             else:
                 s = rng.randrange(len(sets))
-                src_owner = sets[s].owner.name
+                src_owner = owners[s]
                 relation = owner_relation(compat, src_owner, dst_owner)
                 seen[relation] += 1
                 seen["no allocation"] += "Bare" in (src_owner, dst_owner)
@@ -814,7 +813,7 @@ def test_ranged_objects_are_the_members_within_the_intervals(kind, cb):
         type_names = [c[0] for c in classes] + [i[0] for i in ifaces]
         for owner in rng.sample(type_names, min(4, len(type_names))):
             s = f.maker(kind, owner)()
-            interval_bits = f.ranged_geometry(owner).interval_bits
+            interval_bits = RangedPointsToSet.type_state(f, owner).interval_bits
             for _ in range(15):
                 if rng.random() < 0.3:
                     s.add(rng.randint(1, nr.total_allocs))
@@ -878,7 +877,7 @@ def test_ranged_union_is_or_overlapping_per_vector(kind, cb):
             (t, t, i)
             for t in compat
             for i in compat[t]
-            if f.ranged_geometry(t).shared_bits >> i & 1 or rng.random() < 0.3
+            if RangedPointsToSet.type_state(f, t).shared_bits >> i & 1 or rng.random() < 0.3
         ]
         pairs = [(dt, st, None) for dt in compat for st in compat] * 2
         rng.shuffle(pairs)
@@ -933,7 +932,7 @@ def test_ranged_geometry_matches_aligned_spans(cb):
             compat = compatible_indices(nr, supertypes, owner)
             runs = runs_of(compat)
             spans = [aligned_span(r, cb) for r in runs]
-            g = f.ranged_geometry(owner)
+            g = RangedPointsToSet.type_state(f, owner)
             assert g.interval_bits == sum(1 << i for i in compat)
             covered = {i for lo, hi in spans for i in range(lo, hi + 1)}
             assert g.span_bits == sum(1 << i for i in covered)
@@ -1068,6 +1067,50 @@ class TestSparseSavings:
         # the kind passed decides, not the kind the set was made for
         empty = sparse_savings(factory64.maker("pure", "A")(), "pure")
         assert sparse_savings(factory64.maker("sparse", "A")(), "pure") == empty
+
+
+@pytest.mark.parametrize("kind", sorted(SET_KINDS))
+def test_charging_another_kernels_set_raises(kind, factory64):
+    # total_footprint and sparse_savings charge only sets of the kind's own
+    # kernel; measure charges through total_footprint
+    s = factory64.maker(kind, "A")()
+    s.add(3)
+    kernel = SET_KINDS[kind].kernel
+    for other, row in SET_KINDS.items():
+        if row.kernel is kernel:
+            factory64.total_footprint([s], other)
+            if row.chunk_arrays is not None:
+                sparse_savings(s, other)
+            continue
+        with pytest.raises(ConfigMismatchError):
+            factory64.total_footprint([s], other)
+        if row.chunk_arrays is not None:
+            with pytest.raises(ConfigMismatchError):
+                sparse_savings(s, other)
+
+
+# each kernel's instance attributes: its factory, its per-type state and
+# its members, and no owner.  perfbench/run.py's py_bytes tells a set's own
+# objects from those it shares with its factory by these names
+KERNEL_ATTRS = {
+    NaiveSet: {"factory", "members", "_compatible"},
+    PureBitVectorSet: {"factory", "bits", "mask"},
+    SharedBitVectorSet: {"factory", "base", "bits", "_mask"},
+    RangedPointsToSet: {"factory", "geometry", "bits", "objects", "copies"},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SET_KINDS))
+def test_sets_hold_only_their_kernel_state(kind):
+    f = big_factory(cb=8)  # A's interval is [31, 90]
+    src = f.maker(kind, "Object")()
+    for i in range(1, f.total + 1):
+        src.add(i)
+    s = f.maker(kind, "A")()
+    want = KERNEL_ATTRS[SET_KINDS[kind].kernel]
+    assert set(vars(s)) == want
+    assert s.add_all(src)  # past hybrid's slots and shared's first fold
+    assert set(vars(s)) == want
 
 
 def test_each_kernel_is_bound_to_one_module_name():

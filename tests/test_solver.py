@@ -2,6 +2,7 @@ import gc
 import re
 import weakref
 from dataclasses import replace
+from functools import cache
 
 import pytest
 
@@ -884,23 +885,35 @@ def rewalk_corpora():
     return out
 
 
+@cache
+def rewalk_reference(kernel, filter_mode, text, chunk):
+    """rewalk_propagate's successful unions, union and pop counts and field
+    keys on the corpus, made once per kernel with its first kind: kinds on
+    one kernel make the same unions, so they share it."""
+    kind = next(k for k, row in SET_KINDS.items() if row.kernel is kernel)
+    pag, nr = load_corpus(text)
+    with pytest.MonkeyPatch.context() as mp:
+        log = union_log(mp)
+        cfg = SolverConfig(kind, filter_mode, chunk)
+        var_sets, field_sets, unions, pops = rewalk_propagate(pag, nr, cfg)
+    return schedule(log, var_sets, field_sets), unions, pops, set(field_sets)
+
+
 @pytest.mark.parametrize("cfg", EXACT_CONFIGS + RANGED_CONFIGS, ids=lambda c: c.set_kind)
 def test_union_schedule_matches_rewalk(cfg, monkeypatch):
     # the unions propagate skips would each have changed nothing: the
     # successful unions of a solve that re-walks every object of a popped
     # base come in the same order
     log = union_log(monkeypatch)
+    kernel = SET_KINDS[cfg.set_kind].kernel
     for text, chunk in rewalk_corpora():
+        want, unions, pops, field_keys = rewalk_reference(kernel, cfg.filter_mode, text, chunk)
         pag, nr = load_corpus(text)
-        c = SolverConfig(cfg.set_kind, cfg.filter_mode, chunk)
         log.clear()
-        sol = propagate(pag, nr, c)
-        got = schedule(log, sol.var_sets, sol.field_sets)
-        log.clear()
-        var_sets, field_sets, unions, pops = rewalk_propagate(pag, nr, c)
-        assert got == schedule(log, var_sets, field_sets), chunk
+        sol = propagate(pag, nr, SolverConfig(cfg.set_kind, cfg.filter_mode, chunk))
+        assert schedule(log, sol.var_sets, sol.field_sets) == want, chunk
         assert (sol.stats.union_ops, sol.stats.nodes_processed) == (unions, pops)
-        assert set(sol.field_sets) == set(field_sets)
+        assert set(sol.field_sets) == field_keys
 
 
 def test_exact_kernels_make_one_union_schedule(monkeypatch):
@@ -1092,8 +1105,9 @@ def test_ranged_and_naive_kinds_build_no_mask(monkeypatch):
         if cfg.set_kind in ("naive", "ranged", "ranged-hybrid"):
             assert calls == [], cfg.set_kind
         else:
-            sets = [*sol.var_sets.values(), *sol.field_sets.values()]
-            assert sorted(calls) == sorted({s.owner.name for s in sets}), cfg.set_kind
+            owners = {pag.var_types[v] for v in sol.var_sets}
+            owners |= {pag.field_types[f] for _, f in sol.field_sets}
+            assert sorted(calls) == sorted(owners), cfg.set_kind
 
 
 @pytest.mark.parametrize("cfg", EXACT_CONFIGS + RANGED_CONFIGS, ids=lambda c: c.set_kind)
