@@ -172,9 +172,9 @@ class SetFactory:
     def total_footprint(self, sets: Sequence["PointsToSet"], kind: str) -> int:
         """The modeled bytes of ``kind`` sets: each set as the kind's row
         charges it, plus each distinct shared base once.  Another kernel's
-        sets raise ``ConfigMismatchError``."""
+        sets raise ``ConfigMismatchError``, wherever they stand in sets."""
         row = SET_KINDS[kind]
-        if sets and type(sets[0]) is not row.kernel:
+        if not set(map(type, sets)) <= {row.kernel}:
             raise ConfigMismatchError(f"set kind {kind!r} did not make these sets")
         total = sum(map(row.footprint_bytes, sets))
         if row.kernel is SharedBitVectorSet:

@@ -87,6 +87,22 @@ the kind itself: every number that depends on the kind, from the kind's
 the same unions, so a solve relabelled as a sibling kind is measured as
 that kind.
 
+``propagate`` pauses Python's cyclic garbage collector from its entry to
+the end of its drain, if the caller has it on, and restores the caller's
+setting in a ``finally``, so a solve that raises never leaves it off.  The
+pause is process-wide: nothing else that runs meanwhile, a signal handler
+or another thread, gets a cyclic collection either.  It is safe because a
+solve makes no reference cycles.  Its tens of thousands of containers
+(sets, (o, f) keys, index tuples) are freed by reference counting alone,
+during the drain and after the last reference to the solution
+(``test_finished_solve_is_freed_by_reference_counting``).  Left on, the
+collector would start dozens of passes over them per solve on larger
+corpora, full ones among them that walk the whole process heap, wherever
+earlier allocations had left its counters.  The first allocation after the
+drain runs the one pass then due, normally of the youngest generation,
+over the solve's sets; ``wall_time`` is read after it, so the solve pays
+for it and the caller does not.
+
 ``run_extra_pass`` checks the fixpoint from outside: one full pass over
 the PAG's edge lists, by variable name and not through the solver's
 indices, must perform zero successful unions.
@@ -94,6 +110,7 @@ indices, must perform zero successful unions.
 
 from __future__ import annotations
 
+import gc
 import time
 from bisect import bisect_left
 from collections import defaultdict, deque
@@ -200,179 +217,186 @@ def _distinct_edges(pag: PAG) -> tuple[list, list, list]:
 
 
 def propagate(pag: PAG, nr: NumberingResult, cfg: SolverConfig) -> Solution:
-    """Run inclusion-based propagation to the least fixpoint."""
+    """Run inclusion-based propagation to the least fixpoint, with the
+    cyclic collector paused until the drain ends (module doc)."""
     start = time.perf_counter()
-    factory = SetFactory(nr, ChunkConfig(cfg.chunk_bits))
-    makers = _Makers(factory, cfg)
-    field_types = pag.field_types
-    var_sets: dict[str, PointsToSet] = {}
-    field_sets: dict[tuple[int, str], PointsToSet] = {}
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        factory = SetFactory(nr, ChunkConfig(cfg.chunk_bits))
+        makers = _Makers(factory, cfg)
+        field_types = pag.field_types
+        var_sets: dict[str, PointsToSet] = {}
+        field_sets: dict[tuple[int, str], PointsToSet] = {}
 
-    assign_edges, store_edges, load_edges = _distinct_edges(pag)
+        assign_edges, store_edges, load_edges = _distinct_edges(pag)
 
-    # sets for every constraint-named variable before seeding (module doc)
-    named = [v for dst, src in assign_edges for v in (dst, src)]
-    named += [v for base, _, src in store_edges for v in (base, src)]
-    named += [v for dst, base, _ in load_edges for v in (dst, base)]
-    named += [v for _, v in pag.alloc_edges]
-    for v in dict.fromkeys(named):
-        var_sets[v] = makers[pag.var_types[v]]()
+        # sets for every constraint-named variable before seeding (module doc)
+        named = [v for dst, src in assign_edges for v in (dst, src)]
+        named += [v for base, _, src in store_edges for v in (base, src)]
+        named += [v for dst, base, _ in load_edges for v in (dst, base)]
+        named += [v for _, v in pag.alloc_edges]
+        for v in dict.fromkeys(named):
+            var_sets[v] = makers[pag.var_types[v]]()
 
-    # f -> {o: field set (o, f)}; a new set goes into it and field_sets
-    by_field = defaultdict(dict)
+        # f -> {o: field set (o, f)}; a new set goes into it and field_sets
+        by_field = defaultdict(dict)
 
-    assign_out = defaultdict(list)  # src -> [dst]
-    for dst, src in assign_edges:
-        assign_out[var_sets[src]].append(var_sets[dst])
-    # v -> [(base, src, f's sets, f, f's type, store number)]: the stores
-    # whose source is v, then those whose base is v
-    stores = [
-        (var_sets[base], var_sets[src], by_field[f], f, field_types[f], k)
-        for k, (base, f, src) in enumerate(store_edges)
-    ]
-    stores_of = defaultdict(list)
-    for store in stores:
-        stores_of[store[1]].append(store)
-    for store in stores:
-        stores_of[store[0]].append(store)
-    # f -> (holders, [dst], [bits of every position of f's loads into that
-    # dst]), both lists by f's load position j (module doc)
-    feedback = {}
-    # base -> [(f's sets, f, f's type, dst, load number, f's holders, 1 << j)]
-    loads_by_base = defaultdict(list)
-    for k, (dst, base, f) in enumerate(load_edges):
-        pd = var_sets[dst]
-        by_obj, dsts, _ = feedback.setdefault(f, ({}, [], []))
-        loads_by_base[var_sets[base]].append(
-            (by_field[f], f, field_types[f], pd, k, by_obj, 1 << len(dsts))
-        )
-        dsts.append(pd)
-    for _, dsts, into in feedback.values():
-        bits = defaultdict(int)
-        for j, pd in enumerate(dsts):
-            bits[pd] |= 1 << j
-        into += [bits[pd] for pd in dsts]
-    # every store or load base -> its objects indexed so far, as an int and
-    # as an ascending tuple (module doc)
-    indexed = dict.fromkeys([store[0] for store in stores] + list(loads_by_base), 0)
-    objects = dict.fromkeys(indexed, ())
-    # per store, src's member count and the base's objects when the edge
-    # last covered its base; per load, its base's objects when it last ran
-    mark_size = [0] * len(store_edges)
-    mark_objs = [0] * len(store_edges)
-    load_seen = [0] * len(load_edges)
+        assign_out = defaultdict(list)  # src -> [dst]
+        for dst, src in assign_edges:
+            assign_out[var_sets[src]].append(var_sets[dst])
+        # v -> [(base, src, f's sets, f, f's type, store number)]: the stores
+        # whose source is v, then those whose base is v
+        stores = [
+            (var_sets[base], var_sets[src], by_field[f], f, field_types[f], k)
+            for k, (base, f, src) in enumerate(store_edges)
+        ]
+        stores_of = defaultdict(list)
+        for store in stores:
+            stores_of[store[1]].append(store)
+        for store in stores:
+            stores_of[store[0]].append(store)
+        # f -> (holders, [dst], [bits of every position of f's loads into that
+        # dst]), both lists by f's load position j (module doc)
+        feedback = {}
+        # base -> [(f's sets, f, f's type, dst, load number, f's holders, 1 << j)]
+        loads_by_base = defaultdict(list)
+        for k, (dst, base, f) in enumerate(load_edges):
+            pd = var_sets[dst]
+            by_obj, dsts, _ = feedback.setdefault(f, ({}, [], []))
+            loads_by_base[var_sets[base]].append(
+                (by_field[f], f, field_types[f], pd, k, by_obj, 1 << len(dsts))
+            )
+            dsts.append(pd)
+        for _, dsts, into in feedback.values():
+            bits = defaultdict(int)
+            for j, pd in enumerate(dsts):
+                bits[pd] |= 1 << j
+            into += [bits[pd] for pd in dsts]
+        # every store or load base -> its objects indexed so far, as an int and
+        # as an ascending tuple (module doc)
+        indexed = dict.fromkeys([store[0] for store in stores] + list(loads_by_base), 0)
+        objects = dict.fromkeys(indexed, ())
+        # per store, src's member count and the base's objects when the edge
+        # last covered its base; per load, its base's objects when it last ran
+        mark_size = [0] * len(store_edges)
+        mark_objs = [0] * len(store_edges)
+        load_seen = [0] * len(load_edges)
 
-    queue: deque[PointsToSet] = deque()
-    queued: set[PointsToSet] = set()
-    unions = pops = 0
-    attempts = len(pag.alloc_edges)
+        queue: deque[PointsToSet] = deque()
+        queued: set[PointsToSet] = set()
+        unions = pops = 0
+        attempts = len(pag.alloc_edges)
 
-    def enqueue(s: PointsToSet):
-        """Index the objects s holds that the index lacks, if s is a store
-        or load base, then queue s unless it is queued.  Called once per
-        set that seeding grew, then after every successful union into a
-        var set."""
-        held = indexed.get(s)
-        if held is not None:
-            new = s.objects_int() & ~held
-            if new:
-                indexed[s] = held | new
-                fresh = tuple(_iter_bits(new, 0))
-                old = objects[s]
-                # two ascending runs: sorting merges them in linear time
-                if old and old[-1] > fresh[0]:
-                    objects[s] = tuple(sorted(old + fresh))
-                else:
-                    objects[s] = old + fresh
-                for fsets, f, ft, pd, k, by_obj, bit in loads_by_base.get(s, ()):
-                    for o in fresh:
-                        by_obj[o] = by_obj.get(o, 0) | bit
-        if s not in queued:
-            queued.add(s)
-            queue.append(s)
+        def enqueue(s: PointsToSet):
+            """Index the objects s holds that the index lacks, if s is a store
+            or load base, then queue s unless it is queued.  Called once per
+            set that seeding grew, then after every successful union into a
+            var set."""
+            held = indexed.get(s)
+            if held is not None:
+                new = s.objects_int() & ~held
+                if new:
+                    indexed[s] = held | new
+                    fresh = tuple(_iter_bits(new, 0))
+                    old = objects[s]
+                    # two ascending runs: sorting merges them in linear time
+                    if old and old[-1] > fresh[0]:
+                        objects[s] = tuple(sorted(old + fresh))
+                    else:
+                        objects[s] = old + fresh
+                    for fsets, f, ft, pd, k, by_obj, bit in loads_by_base.get(s, ()):
+                        for o in fresh:
+                            by_obj[o] = by_obj.get(o, 0) | bit
+            if s not in queued:
+                queued.add(s)
+                queue.append(s)
 
-    # seeding reads no index: every allocation's add first, then each set
-    # that grew is indexed and queued once, in the order it first grew
-    grew = [pv for oid, v in pag.alloc_edges if (pv := var_sets[v]).add(nr.index_of[oid])]
-    unions += len(grew)
-    for pv in dict.fromkeys(grew):
-        enqueue(pv)
+        # seeding reads no index: every allocation's add first, then each set
+        # that grew is indexed and queued once, in the order it first grew
+        grew = [pv for oid, v in pag.alloc_edges if (pv := var_sets[v]).add(nr.index_of[oid])]
+        unions += len(grew)
+        for pv in dict.fromkeys(grew):
+            enqueue(pv)
 
-    while queue:
-        pv = queue.popleft()
-        queued.discard(pv)
-        pops += 1
-        changed_fields = []  # (o, f, set of o.f) for each field set that grew
+        while queue:
+            pv = queue.popleft()
+            queued.discard(pv)
+            pops += 1
+            changed_fields = []  # (o, f, set of o.f) for each field set that grew
 
-        dsts = assign_out.get(pv, ())
-        attempts += len(dsts)
-        for pd in dsts:
-            if pd.add_all(pv):
-                unions += 1
-                enqueue(pd)
-
-        # a store skips the objects of its mark while src keeps the mark's
-        # member count (module doc, rule 4); only field sets grow here
-        for pb, ps, fsets, f, ft, k in stores_of.get(pv, ()):
-            held = indexed[pb]
-            size = len(ps)
-            todo = held & ~mark_objs[k] if mark_size[k] == size else held
-            mark_size[k] = size
-            mark_objs[k] = held
-            if size:  # an empty src only creates sets (rule 6)
-                attempts += todo.bit_count()
-            for o in objects[pb] if todo == held else _iter_bits(todo, 0):
-                fs = fsets.get(o)
-                if fs is None:
-                    fs = fsets[o] = field_sets[o, f] = makers[ft]()
-                if size and fs.add_all(ps):
+            dsts = assign_out.get(pv, ())
+            attempts += len(dsts)
+            for pd in dsts:
+                if pd.add_all(pv):
                     unions += 1
-                    changed_fields.append((o, f, fs))
+                    enqueue(pd)
 
-        loads = loads_by_base.get(pv)
-        if loads:
-            # f -> objects o whose o.f grew this pop
-            grown = {}
-            for o, f, _ in changed_fields:
-                grown[f] = grown.get(f, 0) | 1 << o
-            # an object the load already saw has reached dst through the
-            # field feedback, unless its field grew earlier in this pop (rule 5)
-            for fsets, f, ft, pd, k, _, _ in loads:
-                held = indexed[pv]
-                todo = held & (~load_seen[k] | grown.get(f, 0))
-                load_seen[k] = held
-                for o in objects[pv] if todo == held else _iter_bits(todo, 0):
+            # a store skips the objects of its mark while src keeps the mark's
+            # member count (module doc, rule 4); only field sets grow here
+            for pb, ps, fsets, f, ft, k in stores_of.get(pv, ()):
+                held = indexed[pb]
+                size = len(ps)
+                todo = held & ~mark_objs[k] if mark_size[k] == size else held
+                mark_size[k] = size
+                mark_objs[k] = held
+                if size:  # an empty src only creates sets (rule 6)
+                    attempts += todo.bit_count()
+                for o in objects[pb] if todo == held else _iter_bits(todo, 0):
                     fs = fsets.get(o)
-                    if fs is None:  # new, so empty (rule 3)
-                        fsets[o] = field_sets[o, f] = makers[ft]()
-                        continue
-                    attempts += 1
-                    if pd.add_all(fs):
+                    if fs is None:
+                        fs = fsets[o] = field_sets[o, f] = makers[ft]()
+                    if size and fs.add_all(ps):
                         unions += 1
-                        enqueue(pd)
+                        changed_fields.append((o, f, fs))
 
-        # fs stays fixed during its walk, so each dst is tried once (rule 2)
-        for o, f, fs in changed_fields:
-            if f not in feedback:
-                continue
-            by_obj, targets, into = feedback[f]
-            pending = by_obj.get(o, 0)
-            done = 0  # positions below the walk and those of dsts tried
-            while pending:
-                attempts += 1
-                low = pending & -pending
-                j = low.bit_length() - 1
-                done |= into[j] | (low - 1)
-                if targets[j].add_all(fs):
-                    unions += 1
-                    enqueue(targets[j])
-                    # the union may have made a later load's base hold o
-                    pending = by_obj[o] & ~done
-                else:
-                    pending &= ~done
+            loads = loads_by_base.get(pv)
+            if loads:
+                # f -> objects o whose o.f grew this pop
+                grown = {}
+                for o, f, _ in changed_fields:
+                    grown[f] = grown.get(f, 0) | 1 << o
+                # an object the load already saw has reached dst through the
+                # field feedback, unless its field grew earlier in this pop (rule 5)
+                for fsets, f, ft, pd, k, _, _ in loads:
+                    held = indexed[pv]
+                    todo = held & (~load_seen[k] | grown.get(f, 0))
+                    load_seen[k] = held
+                    for o in objects[pv] if todo == held else _iter_bits(todo, 0):
+                        fs = fsets.get(o)
+                        if fs is None:  # new, so empty (rule 3)
+                            fsets[o] = field_sets[o, f] = makers[ft]()
+                            continue
+                        attempts += 1
+                        if pd.add_all(fs):
+                            unions += 1
+                            enqueue(pd)
 
-    wall_time = time.perf_counter() - start
+            # fs stays fixed during its walk, so each dst is tried once (rule 2)
+            for o, f, fs in changed_fields:
+                if f not in feedback:
+                    continue
+                by_obj, targets, into = feedback[f]
+                pending = by_obj.get(o, 0)
+                done = 0  # positions below the walk and those of dsts tried
+                while pending:
+                    attempts += 1
+                    low = pending & -pending
+                    j = low.bit_length() - 1
+                    done |= into[j] | (low - 1)
+                    if targets[j].add_all(fs):
+                        unions += 1
+                        enqueue(targets[j])
+                        # the union may have made a later load's base hold o
+                        pending = by_obj[o] & ~done
+                    else:
+                        pending &= ~done
+    finally:
+        if collecting:
+            gc.enable()
+    # the first allocation after the drain runs the collection then due
     all_sets = list(var_sets.values()) + list(field_sets.values())
+    wall_time = time.perf_counter() - start
     stats = PropagationStats(
         union_ops=unions,
         nodes_processed=pops,

@@ -1084,6 +1084,11 @@ def test_charging_another_kernels_set_raises(kind, factory64):
             continue
         with pytest.raises(ConfigMismatchError):
             factory64.total_footprint([s], other)
+        # a set of another kernel raises wherever it stands in the list
+        t = factory64.maker(other, "A")()
+        for mixed in ([s, t], [t, s]):
+            with pytest.raises(ConfigMismatchError):
+                factory64.total_footprint(mixed, kind)
         if row.chunk_arrays is not None:
             with pytest.raises(ConfigMismatchError):
                 sparse_savings(s, other)

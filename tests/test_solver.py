@@ -15,7 +15,7 @@ from oracles import (
     runs_of,
 )
 from test_acceptance import SUITE_CHUNK, suite_text
-from test_hierarchy import _line_events
+from test_hierarchy import WIDE_SHAPE, _line_events
 from rangepta import ptsets, solver
 from rangepta.bitsets import ChunkConfig
 from rangepta.errors import (
@@ -24,6 +24,7 @@ from rangepta.errors import (
     InvalidParamsError,
     PtaError,
     UniverseMismatchError,
+    UnknownTypeError,
 )
 from rangepta.hierarchy import build_type_mask, number_allocations
 from rangepta.pag import GenParams, generate_synthetic, parse_program
@@ -1125,3 +1126,74 @@ def test_finished_solve_is_freed_by_reference_counting(cfg):
         assert factory() is None
     finally:
         gc.enable()
+
+
+@cache
+def wide_corpus():
+    """A corpus generated with the benchmark's wide parameters."""
+    return load_corpus(generate_synthetic(replace(WIDE_SHAPE, num_statements=12000), 0))
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_propagate_leaves_the_collector_as_it_found_it(enabled):
+    # propagate pauses the collector for its drain and restores the
+    # caller's setting, also when the maker raises
+    pag, nr = load_corpus(BASIC)
+    (gc.enable if enabled else gc.disable)()
+    try:
+        propagate(pag, nr, SolverConfig("pure"))
+        assert gc.isenabled() is enabled
+        pag.var_types["a"] = "Missing"  # a type the hierarchy lacks
+        with pytest.raises(UnknownTypeError):
+            propagate(pag, nr, SolverConfig("pure"))
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("cfg", EXACT_CONFIGS + RANGED_CONFIGS, ids=lambda c: c.set_kind)
+def test_a_dropped_solve_leaves_no_cyclic_garbage(cfg):
+    # what pausing the collector rests on (module doc): a solve, its
+    # measurement and its extra pass make no reference cycles, so a
+    # dropped solution leaves a collection nothing to find
+    corpora = [(load_corpus(suite_text(0)), SUITE_CHUNK), (wide_corpus(), 64)]
+    for (pag, nr), chunk in corpora:
+        gc.disable()
+        try:
+            gc.collect()
+            sol = propagate(pag, nr, replace(cfg, chunk_bits=chunk))
+            measure(sol)
+            assert run_extra_pass(sol) == 0
+            del sol
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+@pytest.mark.parametrize("cfg", EXACT_CONFIGS + RANGED_CONFIGS, ids=lambda c: c.set_kind)
+def test_the_collection_a_solve_makes_due_runs_after_its_drain(cfg, monkeypatch):
+    # no collection starts before propagate turns the collector back on at
+    # the end of its drain; the one that falls due then starts before
+    # propagate returns.  After a full collection it is of generation 0
+    pag, nr = wide_corpus()
+    cfg = replace(cfg, chunk_bits=64)
+    events = []
+    enable = gc.enable
+
+    def enabled():
+        events.append("enable")
+        enable()
+
+    def started(phase, info):
+        if phase == "start":
+            events.append(info["generation"])
+
+    monkeypatch.setattr(gc, "enable", enabled)
+    gc.callbacks.append(started)
+    try:
+        gc.collect()
+        events.clear()
+        propagate(pag, nr, cfg)
+        assert events == ["enable", 0]
+    finally:
+        gc.callbacks.remove(started)
