@@ -55,8 +55,11 @@ gives each vector exactly what ``RangedBitVector.or_overlapping``, the
 reference chunk-wise union, would: a ranged source's objects within its
 chunk span, an unranged source's within its interval.
 
-``add(idx)`` is a union with a private one-member source, so a single
-insertion takes the same filter and fold as any other union.  The
+Each kernel inserts one alloc index with its own ``add(idx)``, under the
+filter a union from an unranged source takes (naive's compatible set, the
+type mask, or a ranged owner's intervals, never its chunk spans); an
+index outside ``[1, total]`` raises ``IndexOutOfRangeError`` before any
+change, and ``shared`` folds after an insertion as after any union.  The
 queries ``in``, ``len`` and ``iterate`` are read from ``as_int``, and
 ``iterate_objects`` from ``objects_int``; only ``naive``, the hash-set
 layout, answers them from its own hash set.
@@ -79,6 +82,9 @@ shared bases are per factory.  A factory holds no maker, which would
 refer back to it, so a finished solve is freed by reference counting
 alone.
 
+Sets and ranged geometries are slotted: they hold only the attributes
+named here, and no instance dict.
+
 Memory accounting is a deterministic model, not process measurement:
 16 bytes per object header, 16 per array header, 8 per reference slot,
 chunk_bits/8 bytes per chunk.  Shared bases are counted once per distinct
@@ -88,6 +94,7 @@ its modeled bytes, depend on its owner type and the chunk width alone.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -113,7 +120,8 @@ SHARED_OVERFLOW_CAP = 20
 SPARSE_ELEMENT_WORDS = 8
 
 
-class RangedGeometry(NamedTuple):
+@dataclass(frozen=True, slots=True)
+class RangedGeometry:
     """A type's ranged vectors as full-universe ints.  Span bits outside
     the intervals are slack; shared bits are interval positions that
     another vector's chunk span also covers."""
@@ -192,6 +200,8 @@ def _bits_of(indices: Iterable[int]) -> int:
 class PointsToSet:
     """A union kernel: holds a set's members and makes its unions."""
 
+    __slots__ = ("factory",)
+
     ranged = False  # unions are chunk-wise and may admit slack
 
     @classmethod
@@ -202,22 +212,16 @@ class PointsToSet:
         takes (factory, this state)."""
         return build_type_mask(factory.nr, type_name)
 
-    def _check_index(self, idx: int):
-        if not 1 <= idx <= self.factory.total:
-            raise IndexOutOfRangeError(
-                f"alloc index {idx} outside [1, {self.factory.total}]"
-            )
+    def _out_of_range(self, idx: int):
+        # each add makes the bounds test inline and calls this only when it
+        # fails, as add_all does with _check_universe
+        raise IndexOutOfRangeError(f"alloc index {idx} outside [1, {self.factory.total}]")
 
     def _check_universe(self, src: "PointsToSet"):
         # each add_all makes the same test inline and calls this only when
         # it fails, which saves a call per union
         if src.factory is not self.factory:
             raise ConfigMismatchError("sets built by different factories")
-
-    def add(self, idx: int) -> bool:
-        """Insert one alloc index under self's filter; True iff self changed."""
-        self._check_index(idx)
-        return self.add_all(_OneMember(self.factory, idx))
 
     def add_all(self, src: "PointsToSet") -> bool:
         """Unite src into self under self's filter; True iff self changed."""
@@ -255,6 +259,8 @@ class NaiveSet(PointsToSet):
     """The hash-set layout: an exactly filtered set of the owner's
     compatible members."""
 
+    __slots__ = ("members", "_compatible")
+
     def __init__(self, factory, compatible):
         self.factory = factory
         self.members: set[int] = set()
@@ -265,6 +271,16 @@ class NaiveSet(PointsToSet):
         # the indices of the type's intervals, as a hash set
         ivs = intervals_of(factory.nr, type_name)
         return frozenset(i for iv in ivs for i in range(iv.lower, iv.upper + 1))
+
+    def add(self, idx):
+        """Insert one alloc index if compatible; True iff self changed."""
+        if not 1 <= idx <= self.factory.total:
+            self._out_of_range(idx)
+        members = self.members
+        if idx in members or idx not in self._compatible:
+            return False
+        members.add(idx)
+        return True
 
     def add_all(self, src):
         if src.factory is not self.factory:
@@ -314,28 +330,26 @@ class NaiveSet(PointsToSet):
     iterate_objects = iterate
 
 
-class _OneMember(PointsToSet):
-    """The source of ``add(idx)``: one member and not ranged, so a ranged
-    destination filters it by interval."""
-
-    def __init__(self, factory, idx):
-        self.factory = factory
-        self.bits = 1 << idx
-
-    def as_int(self):
-        return self.bits
-
-    objects_int = as_int
-
-
 class PureBitVectorSet(PointsToSet):
     """Full-universe bit vector, filtered by ANDing with the owner's type
     mask on every union."""
+
+    __slots__ = ("bits", "mask")
 
     def __init__(self, factory, mask):
         self.factory = factory
         self.bits = 0
         self.mask = mask
+
+    def add(self, idx):
+        """Insert one alloc index under the type mask; True iff self changed."""
+        if not 1 <= idx <= self.factory.total:
+            self._out_of_range(idx)
+        new = self.bits | (1 << idx & self.mask)
+        if new == self.bits:
+            return False
+        self.bits = new
+        return True
 
     def add_all(self, src):
         if src.factory is not self.factory:
@@ -362,30 +376,48 @@ class SharedBitVectorSet(PointsToSet):
     the model charges one slot per overflow member.  A fold that keeps no
     overflow makes ``bits`` the interned base itself."""
 
+    __slots__ = ("base", "bits", "_mask")
+
     def __init__(self, factory, mask):
         self.factory = factory
         self.base = 0  # the empty base: equal ints are one base to the model
         self.bits = 0
         self._mask = mask
 
+    def add(self, idx):
+        """Insert one alloc index under the type mask, folding as any union
+        would; True iff self changed."""
+        if not 1 <= idx <= self.factory.total:
+            self._out_of_range(idx)
+        grown = self.bits | (1 << idx & self._mask)
+        if grown == self.bits:
+            return False
+        self._grow(grown)
+        return True
+
     def add_all(self, src):
         if src.factory is not self.factory:
             self._check_universe(src)
-        held = self.bits
-        grown = held | (src.objects_int() & self._mask)
-        if grown == held:
+        grown = self.bits | (src.objects_int() & self._mask)
+        if grown == self.bits:
             return False
+        self._grow(grown)
+        return True
+
+    def _grow(self, grown):
+        # hold grown, a strict superset of bits, folding the overflow into
+        # a new interned base past SHARED_OVERFLOW_CAP members
         n = (grown ^ self.base).bit_count()
         if n <= SHARED_OVERFLOW_CAP:
             self.bits = grown
-            return True
+            return
         # ascending insertion folds each time the overflow reaches 21, so
         # the overflow keeps the top n % 21 new members and the base the
         # rest; the k-th '1' of bin(new) is its k-th highest member
         keep = 0
         k = n % (SHARED_OVERFLOW_CAP + 1)
         if k:
-            new = grown ^ held
+            new = grown ^ self.bits
             digits = bin(new)
             at = 1
             for _ in range(k):
@@ -395,7 +427,6 @@ class SharedBitVectorSet(PointsToSet):
         base = grown ^ keep
         base = self.base = self.factory._interned_bases.setdefault(base, base)
         self.bits = grown if keep else base
-        return True
 
     def as_int(self):
         return self.bits
@@ -419,6 +450,8 @@ class RangedPointsToSet(PointsToSet):
     the geometry's shared positions (interval positions another vector's
     span covers) that have come from a ranged source.  Slack outside every
     interval arrives only that way, so it is in every covering vector."""
+
+    __slots__ = ("geometry", "bits", "objects", "copies")
 
     ranged = True
 
@@ -460,6 +493,21 @@ class RangedPointsToSet(PointsToSet):
             )
         return g
 
+    def add(self, idx):
+        """Insert one alloc index within the owner's intervals, as a union
+        from an unranged source would; True iff self changed."""
+        if not 1 <= idx <= self.factory.total:
+            self._out_of_range(idx)
+        interval_bits = self.geometry.interval_bits
+        new = self.bits | (1 << idx & interval_bits)
+        if new == self.bits:
+            return False
+        self.bits = new
+        objects = new & interval_bits
+        # without slack the members are the objects: hold one int
+        self.objects = new if objects == new else objects
+        return True
+
     def add_all(self, src):
         if src.factory is not self.factory:
             self._check_universe(src)
@@ -468,7 +516,7 @@ class RangedPointsToSet(PointsToSet):
             incoming = src.objects & g.span_bits
             copies = self.copies | (incoming & g.shared_bits)
         else:
-            # add()'s one-member source included: strictly by interval
+            # strictly by interval, as add() filters
             incoming = src.objects_int() & g.interval_bits
             copies = self.copies
         new = self.bits | incoming

@@ -254,6 +254,91 @@ class TestAdd:
             s.add(0)
 
 
+class OneMemberSource:
+    """The reference add(idx) is checked against: a one-member union
+    source, not ranged, so a ranged destination filters it by interval."""
+
+    ranged = False
+
+    def __init__(self, factory, idx):
+        self.factory = factory
+        self.idx = idx
+
+    def objects_int(self):
+        return 1 << self.idx
+
+    def iterate_objects(self):
+        return iter([self.idx])
+
+
+def add_state(s, kind):
+    """What add may change: members, objects, modeled bytes, shared's
+    interned base and ranged's copied positions."""
+    state = [s.as_int(), s.objects_int(), footprint(s, kind)]
+    if kind == "shared":
+        state.append(s.base)
+    if kind in RANGED:
+        state.append(s.copies)
+    return state
+
+
+@pytest.mark.parametrize("kind", sorted(SET_KINDS))
+def test_add_is_a_one_member_union(kind):
+    # add(idx) and add_all of a one-member source, over the same random
+    # inserts in no particular order and the same interleaved unions from
+    # sets of every kind, return the same and leave the same state
+    rng = random.Random(35)
+    seen = collections.Counter()
+    for _ in range(25):
+        classes, ifaces, allocs = random_hierarchy(rng)
+        if not allocs:
+            continue
+        nr = number_allocations(build_hierarchy(classes, ifaces), allocs)
+        f = SetFactory(nr, ChunkConfig(rng.choice((8, 64))))
+        total = nr.total_allocs
+        type_names = [c[0] for c in classes] + [i[0] for i in ifaces]
+        for owner in ["Object"] + rng.sample(type_names, min(3, len(type_names))):
+            make = f.maker(kind, owner)
+            s, ref = make(), make()
+            for _ in range(rng.randint(1, 3 * total)):
+                if rng.random() < 0.1:
+                    src = f.maker(rng.choice(list(SET_KINDS)), rng.choice(type_names))()
+                    for i in rng.sample(range(1, total + 1), rng.randint(0, total)):
+                        src.add(i)
+                    assert s.add_all(src) == ref.add_all(src)
+                else:
+                    idx = rng.randint(1, total)
+                    changed = s.add(idx)
+                    assert changed == ref.add_all(OneMemberSource(f, idx))
+                    seen["changed" if changed else "unchanged"] += 1
+                assert add_state(s, kind) == add_state(ref, kind), (owner, kind)
+            seen["interface owner"] += owner in {i[0] for i in ifaces}
+            if kind == "shared":
+                seen["folded"] += bool(s.base)
+            if kind in RANGED:
+                seen["copies"] += bool(s.copies)
+                seen["slack"] += s.as_int() != s.objects_int()
+    want = {"changed", "unchanged", "interface owner"}
+    if kind == "shared":
+        want.add("folded")
+    if kind in RANGED:
+        want |= {"copies", "slack"}
+    assert want <= {k for k, n in seen.items() if n}, seen
+
+
+@pytest.mark.parametrize("kind", sorted(SET_KINDS))
+def test_add_out_of_range_changes_nothing(kind):
+    f = big_factory(cb=8)
+    s = f.maker(kind, "Object")()
+    for i in range(1, 40):
+        s.add(i)
+    before = add_state(s, kind)
+    for idx in (0, -1, f.total + 1, 10 * f.total):
+        with pytest.raises(IndexOutOfRangeError):
+            s.add(idx)
+        assert add_state(s, kind) == before
+
+
 class TestAddAll:
     def test_universal_dst(self, factory64):
         src = factory64.maker("naive", "Object")()
@@ -1094,15 +1179,19 @@ def test_charging_another_kernels_set_raises(kind, factory64):
                 sparse_savings(s, other)
 
 
-# each kernel's instance attributes: its factory, its per-type state and
-# its members, and no owner.  perfbench/run.py's py_bytes tells a set's own
-# objects from those it shares with its factory by these names
+# each kernel's slots: its factory, its per-type state and its members,
+# and no owner.  perfbench/run.py's py_bytes tells a set's own objects from
+# those it shares with its factory by these names
 KERNEL_ATTRS = {
     NaiveSet: {"factory", "members", "_compatible"},
     PureBitVectorSet: {"factory", "bits", "mask"},
     SharedBitVectorSet: {"factory", "base", "bits", "_mask"},
     RangedPointsToSet: {"factory", "geometry", "bits", "objects", "copies"},
 }
+
+
+def slot_names(cls):
+    return {name for c in cls.__mro__ for name in c.__dict__.get("__slots__", ())}
 
 
 @pytest.mark.parametrize("kind", sorted(SET_KINDS))
@@ -1112,10 +1201,20 @@ def test_sets_hold_only_their_kernel_state(kind):
     for i in range(1, f.total + 1):
         src.add(i)
     s = f.maker(kind, "A")()
-    want = KERNEL_ATTRS[SET_KINDS[kind].kernel]
-    assert set(vars(s)) == want
+    kernel = SET_KINDS[kind].kernel
+    want = KERNEL_ATTRS[kernel]
+    # a kernel, or a base, that forgets __slots__ gives its sets a __dict__
+    assert slot_names(kernel) == want
+    assert not hasattr(s, "__dict__")
+    # py_bytes walks the most-derived class's own __slots__
+    assert kernel.__dict__["__slots__"]
+    for held in (s, src):
+        assert all(hasattr(held, name) for name in want)
     assert s.add_all(src)  # past hybrid's slots and shared's first fold
-    assert set(vars(s)) == want
+    assert all(hasattr(s, name) for name in want)
+    if kernel is RangedPointsToSet:
+        assert not hasattr(s.geometry, "__dict__")
+        assert type(s.geometry).__slots__
 
 
 def test_each_kernel_is_bound_to_one_module_name():
@@ -1127,10 +1226,10 @@ def test_each_kernel_is_bound_to_one_module_name():
         if isinstance(value, type) and issubclass(value, PointsToSet):
             names[value].append(name)
     assert all(len(n) == 1 for n in names.values()), dict(names)
-    # four kernels, the one-member source of add(idx), and their base
+    # four kernels and their base
     kernels = {NaiveSet, PureBitVectorSet, SharedBitVectorSet, RangedPointsToSet}
     assert {row.kernel for row in SET_KINDS.values()} == kernels
-    assert set(names) == kernels | {PointsToSet, ptsets._OneMember}
+    assert set(names) == kernels | {PointsToSet}
     # a set answers no charging question: the kind's row does
     for cls in names:
         for attr in ("footprint_bytes", "chunk_arrays", "spilled", "dense_chunks", "kind"):

@@ -418,18 +418,20 @@ assign w x
 @pytest.mark.parametrize("cfg", EXACT_CONFIGS + RANGED_CONFIGS, ids=lambda c: c.set_kind)
 def test_feedback_union_order_is_pinned(cfg, monkeypatch):
     # union and pop counts cannot tell this order from "s x (1,f) y w z",
-    # which a feedback step blind to its own unions would give
+    # which a feedback step blind to its own unions would give; add(idx)
+    # is seeding's one-member union
     done = []
     for cls in vars(ptsets).values():
-        if isinstance(cls, type) and "add_all" in cls.__dict__:
+        for method in ("add", "add_all"):
+            if isinstance(cls, type) and method in cls.__dict__:
 
-            def add_all(s, src, _orig=cls.__dict__["add_all"]):
-                changed = _orig(s, src)
-                if changed:
-                    done.append(s)
-                return changed
+                def grown(s, src, _orig=cls.__dict__[method]):
+                    changed = _orig(s, src)
+                    if changed:
+                        done.append(s)
+                    return changed
 
-            monkeypatch.setattr(cls, "add_all", add_all)
+                monkeypatch.setattr(cls, method, grown)
     sol = solve_text(FEEDBACK_CHAIN, cfg)
     names = {id(s): v for v, s in sol.var_sets.items()}
     names.update({id(s): key for key, s in sol.field_sets.items()})
@@ -703,25 +705,27 @@ class TestCompare:
 
 
 def union_log(monkeypatch):
-    """Log every outermost add_all call, as (dst, src, changed), from here
-    to the end of the test; add(idx) logs its one-member union."""
+    """Log every outermost add_all and add call, as (dst, src, changed),
+    from here to the end of the test; add(idx) logs the one-member union
+    ("new", idx) as its src."""
     log = []
     depth = 0
     for cls in vars(ptsets).values():
-        if isinstance(cls, type) and "add_all" in cls.__dict__:
+        for method in ("add", "add_all"):
+            if isinstance(cls, type) and method in cls.__dict__:
 
-            def add_all(s, src, _orig=cls.__dict__["add_all"]):
-                nonlocal depth
-                depth += 1
-                try:
-                    changed = _orig(s, src)
-                finally:
-                    depth -= 1
-                if depth == 0:
-                    log.append((s, src, changed))
-                return changed
+                def union(s, arg, _orig=cls.__dict__[method], _add=method == "add"):
+                    nonlocal depth
+                    depth += 1
+                    try:
+                        changed = _orig(s, arg)
+                    finally:
+                        depth -= 1
+                    if depth == 0:
+                        log.append((s, ("new", arg) if _add else arg, changed))
+                    return changed
 
-            monkeypatch.setattr(cls, "add_all", add_all)
+                monkeypatch.setattr(cls, method, union)
     return log
 
 
@@ -732,9 +736,7 @@ def named_calls(log, var_sets, field_sets):
     names.update({id(s): key for key, s in field_sets.items()})
 
     def name(s):
-        if id(s) in names:
-            return names[id(s)]
-        return ("new", s.bits.bit_length() - 1)
+        return names.get(id(s), s)
 
     return [(name(dst), name(src), changed) for dst, src, changed in log]
 
