@@ -11,16 +11,16 @@ whether it has spilled past inline slots, and its dense chunk arrays;
 the last two are ``None`` for a kind that has no inline slots or keeps
 no arrays).  Members only grow, so every charging function reads
 the final members, and no kind moves its members when it spills.  A
-kernel answers no charging question; its one flag, ``ranged``, selects
-the union a ranged destination makes.  Kinds on one kernel hold the same
-sets after the same unions, so ``solver.measure`` charges a solve of a
-kernel as any of its kinds.
+kernel answers no charging question; its one flag, ``ranged``, gives
+``solver.SolverConfig`` the kind's default filter.  Kinds on one kernel
+hold the same sets after the same unions, so ``solver.measure`` charges a
+solve of a kernel as any of its kinds.
 
 - ``NaiveSet`` (``naive``): a hash set of the owner's compatible members.
-  A naive source whose compatible set lies within the owner's (a subset
-  test made once per pair of compatible sets) needs no filter: the union
-  takes the members the owner lacks, so one that adds nothing leaves the
-  table as it is.  Any other source's objects are intersected with the
+  A source whose compatible set lies within the owner's (a subset test
+  made once per pair of compatible sets) needs no filter: the union takes
+  the members the owner lacks, so one that adds nothing leaves the table
+  as it is.  Any other source's members are intersected with the
   compatible set.  Charged one slot per member;
 - ``PureBitVectorSet`` (``pure``, ``hybrid``, ``sparse``): one
   full-universe member int, ORed under the owner's type mask.  ``pure``
@@ -36,44 +36,45 @@ kernel as any of its kinds.
 - ``RangedPointsToSet`` (``ranged``, ``ranged-hybrid``): three ints read
   against the owner's geometry: the members (slack included), the members
   within the owner's intervals (the objects), and the shared positions a
-  ranged source has copied.  ``ranged`` is charged its vectors;
+  union has copied.  ``ranged`` is charged its vectors;
   ``ranged-hybrid`` 16 inline slots up to 16 members, then the vectors
   plus a reference.
 
 Every kernel exposes its members as one full-universe int (``as_int``, bit
 i set iff i is a member, slack included) and its dereferenceable members
-as another (``objects_int``, which each exact kernel binds to its
-``as_int``, so a union makes one call for it).  Each
-kernel's ``add_all`` is one bulk union over the source's objects, never
-its slack: a masked OR under the owner's filter (type mask for exact
-kernels; chunk spans for a ranged source entering a ranged set,
-intervals for any other source), followed only by ``shared``'s fold or
-``ranged``'s record of copied positions.  No kernel falls back to
-element-wise insertion, so spill and fold points land exactly where
-element-wise insertion in ascending order would put them.  A ranged union
-gives each vector exactly what ``RangedBitVector.or_overlapping``, the
-reference chunk-wise union, would: a ranged source's objects within its
-chunk span, an unranged source's within its interval.
+as another (``objects_int``, an exact kernel's ``as_int``).
+
+One solve uses one kernel.  A ``SetFactory`` is bound to one kind's
+kernel, one solve builds every set with one factory, and a union takes
+its source from the destination's own factory, so the source is always a
+set of the destination's own kernel.  ``add_all`` raises
+``ConfigMismatchError`` for a source made by another factory: a set of
+another kernel, or one of the same kernel over another chunk width or an
+equal but separately built numbering.  Each kernel's ``add_all`` therefore has one path, which
+reads the source's own fields: a masked OR of the source's members
+(naive's hash set, or ``bits``) under the owner's type filter, or, for a
+ranged set, of the source's objects (never its slack) under the owner's
+chunk spans, followed only by ``shared``'s fold or ``ranged``'s record of
+copied positions.  No kernel falls back to element-wise insertion, so
+spill and fold points land exactly where element-wise insertion in
+ascending order would put them.  A ranged union gives each vector exactly
+what ``RangedBitVector.or_overlapping``, the reference chunk-wise union,
+would: the source's objects within the vector's chunk span.
 
 Each kernel inserts one alloc index with its own ``add(idx)``, under the
-filter a union from an unranged source takes (naive's compatible set, the
-type mask, or a ranged owner's intervals, never its chunk spans); an
+owner's exact filter (naive's compatible set, the type mask, or a ranged
+owner's intervals, never its chunk spans), so ``add`` admits no slack; an
 index outside ``[1, total]`` raises ``IndexOutOfRangeError`` before any
 change, and ``shared`` folds after an insertion as after any union.  The
 queries ``in``, ``len`` and ``iterate`` are read from ``as_int``, and
 ``iterate_objects`` from ``objects_int``; only ``naive``, the hash-set
 layout, answers them from its own hash set.
 
-A union takes its source from the destination's own ``SetFactory``: one
-solve builds every set with one factory, and ``add_all`` raises
-``ConfigMismatchError`` for a source made by another factory, even one over
-an equal numbering and chunk width.
-
 A set is its kernel over its owner's per-type state, which the kernel's
 ``type_state`` reads off the owner's intervals (the type mask, the ranged
 geometry or naive's compatible index set); it keeps no owner.  Every
 kernel's constructor takes (factory, state), and the factory's maker for
-(kind, owner type) binds both, so making a set is one call that reads no
+an owner type binds both, so making a set is one call that reads no
 table.  The type masks (``build_type_mask``) and the ranged geometries
 (``RangedPointsToSet.type_state``) are cached on the ``NumberingResult``,
 the geometries per chunk width, so every factory over one numbering
@@ -136,18 +137,24 @@ class RangedGeometry:
 
 
 class SetFactory:
-    """Builds and charges sets over one numbering/chunk configuration.
+    """Builds and charges the sets of one kernel over one numbering/chunk
+    configuration.
 
-    ``maker(kind, owner)`` is the one way a set is made: the kind's
-    kernel over the owner's per-type state, built on the first maker for
-    that kernel and type, so kinds that share a kernel share it.
-    ``total_footprint(sets, kind)`` charges sets of the kind's kernel by
-    the kind's row.  Type masks and ranged geometry come from caches on
-    the numbering, which every factory over it shares; the factory caches
-    every (kernel, owner)'s per-type state, the interned shared bases and
-    naive's subset tests."""
+    The factory is bound to ``kind``'s kernel: an unknown kind raises
+    ``UnsupportedKindError`` here.  ``maker(owner)`` is the one way a set
+    is made: the kernel over the owner's per-type state, built on the
+    first maker for that type.  ``total_footprint(sets, kind)`` charges
+    sets of the kind's kernel by the kind's row, so one factory serves
+    every kind on its kernel.  Type masks and ranged geometry come from
+    caches on the numbering, which every factory over it shares; the
+    factory caches every owner's per-type state, the interned shared bases
+    and naive's subset tests."""
 
-    def __init__(self, nr: NumberingResult, cfg: ChunkConfig = ChunkConfig()):
+    def __init__(self, nr: NumberingResult, cfg: ChunkConfig, kind: str):
+        row = SET_KINDS.get(kind)
+        if row is None:
+            raise UnsupportedKindError(f"unknown set kind: {kind}")
+        self.kernel = row.kernel
         self.nr = nr
         self.h: ClassHierarchy = nr.hierarchy
         self.cfg = cfg
@@ -156,25 +163,21 @@ class SetFactory:
         self.universe_chunks = 0 if self.total == 0 else chunk_index_of(self.total, cfg) + 1
         # the modeled bytes of one full-universe bit array
         self.universe_bytes = ARRAY_HEADER + self.universe_chunks * cfg.chunk_bytes
-        # (kernel, owner) -> per-type state
-        self._type_states: dict[tuple[type, str], object] = {}
+        # owner -> per-type state
+        self._type_states: dict[str, object] = {}
         self._interned_bases: dict[int, int] = {}
         # (source, destination) naive compatible sets, the source no larger
         # -> whether the source lies within the destination
         self._covers: dict[tuple[frozenset, frozenset], bool] = {}
 
-    def maker(self, kind: str, owner: str) -> Callable[[], "PointsToSet"]:
-        """The zero-argument constructor of empty ``kind`` sets owned by the
-        named type: the kind's kernel over the state its ``type_state``
-        built on the first call for (kernel, owner).  Each call makes a new
-        one."""
-        row = SET_KINDS.get(kind)
-        if row is None:
-            raise UnsupportedKindError(f"unknown set kind: {kind}")
-        kernel = row.kernel
-        state = self._type_states.get((kernel, owner))
+    def maker(self, owner: str) -> Callable[[], "PointsToSet"]:
+        """The zero-argument constructor of empty sets owned by the named
+        type: the kernel over the state its ``type_state`` built on the
+        first call for the owner.  Each call makes a new one."""
+        kernel = self.kernel
+        state = self._type_states.get(owner)
         if state is None:
-            state = self._type_states[kernel, owner] = kernel.type_state(self, owner)
+            state = self._type_states[owner] = kernel.type_state(self, owner)
         return partial(kernel, self, state)
 
     def total_footprint(self, sets: Sequence["PointsToSet"], kind: str) -> int:
@@ -202,7 +205,9 @@ class PointsToSet:
 
     __slots__ = ("factory",)
 
-    ranged = False  # unions are chunk-wise and may admit slack
+    # unions are chunk-wise and may admit slack; SolverConfig's default
+    # filter reads this flag
+    ranged = False
 
     @classmethod
     def type_state(cls, factory: SetFactory, type_name: str):
@@ -224,7 +229,8 @@ class PointsToSet:
             raise ConfigMismatchError("sets built by different factories")
 
     def add_all(self, src: "PointsToSet") -> bool:
-        """Unite src into self under self's filter; True iff self changed."""
+        """Unite src, a set of self's own factory and so of self's kernel,
+        into self under self's filter; True iff self changed."""
         raise NotImplementedError
 
     def as_int(self) -> int:
@@ -286,32 +292,28 @@ class NaiveSet(PointsToSet):
         if src.factory is not self.factory:
             self._check_universe(src)
         members = self.members
-        if isinstance(src, NaiveSet):
-            compatible = self._compatible
-            inner = src._compatible
-            if inner is compatible:
-                covered = True
-            elif len(inner) > len(compatible):
-                covered = False  # a larger set cannot lie within the owner's
-            else:
-                key = inner, compatible
-                covers = self.factory._covers
-                covered = covers.get(key)
-                if covered is None:
-                    covered = covers[key] = inner <= compatible
-            if covered:
-                # the filter admits every source member: take only the new
-                # ones, so a union that adds nothing leaves the table as is
-                new = src.members - members
-                if not new:
-                    return False
-                members |= new
-                return True
-            held = src.members
+        compatible = self._compatible
+        inner = src._compatible
+        if inner is compatible:
+            covered = True
+        elif len(inner) > len(compatible):
+            covered = False  # a larger set cannot lie within the owner's
         else:
-            held = src.iterate_objects()
+            key = inner, compatible
+            covers = self.factory._covers
+            covered = covers.get(key)
+            if covered is None:
+                covered = covers[key] = inner <= compatible
+        if covered:
+            # the filter admits every source member: take only the new
+            # ones, so a union that adds nothing leaves the table as is
+            new = src.members - members
+            if not new:
+                return False
+            members |= new
+            return True
         before = len(members)
-        members |= self._compatible.intersection(held)
+        members |= compatible.intersection(src.members)
         return len(members) != before
 
     def as_int(self):
@@ -354,7 +356,7 @@ class PureBitVectorSet(PointsToSet):
     def add_all(self, src):
         if src.factory is not self.factory:
             self._check_universe(src)
-        new = self.bits | (src.objects_int() & self.mask)
+        new = self.bits | (src.bits & self.mask)
         if new == self.bits:
             return False
         self.bits = new
@@ -398,7 +400,7 @@ class SharedBitVectorSet(PointsToSet):
     def add_all(self, src):
         if src.factory is not self.factory:
             self._check_universe(src)
-        grown = self.bits | (src.objects_int() & self._mask)
+        grown = self.bits | (src.bits & self._mask)
         if grown == self.bits:
             return False
         self._grow(grown)
@@ -436,20 +438,19 @@ class SharedBitVectorSet(PointsToSet):
 
 class RangedPointsToSet(PointsToSet):
     """One ranged bit vector per (non-empty, merged) interval of the owner
-    type; a union filters an unranged source at the interval and a ranged
-    one at chunk granularity.
+    type; ``add`` filters at the interval and a union at chunk granularity.
 
     The vectors are read from two ints and the owner's geometry.  ``bits``
     holds the members, slack included.  ``objects`` caches ``bits`` within
-    the intervals, which every ranged union reads from its source; it is
-    the very int ``bits`` holds while the set holds no slack, so only a set
-    with slack keeps a second one.  A vector holds every member in its
-    chunk span except another interval's members that never came from a
-    ranged source: only a ranged source's chunk-wise union copies a member
-    into every vector whose span covers it.  ``copies`` records those of
-    the geometry's shared positions (interval positions another vector's
-    span covers) that have come from a ranged source.  Slack outside every
-    interval arrives only that way, so it is in every covering vector."""
+    the intervals, which every union reads from its source; it is the very
+    int ``bits`` holds while the set holds no slack, so only a set with
+    slack keeps a second one.  A vector holds every member in its chunk
+    span except another interval's members that only ``add`` inserted:
+    only a chunk-wise union copies a member into every vector whose span
+    covers it.  ``copies`` records those of the geometry's shared positions
+    (interval positions another vector's span covers) that have come from a
+    union.  Slack outside every interval arrives only that way, so it is in
+    every covering vector."""
 
     __slots__ = ("geometry", "bits", "objects", "copies")
 
@@ -494,8 +495,8 @@ class RangedPointsToSet(PointsToSet):
         return g
 
     def add(self, idx):
-        """Insert one alloc index within the owner's intervals, as a union
-        from an unranged source would; True iff self changed."""
+        """Insert one alloc index within the owner's intervals, never as
+        slack; True iff self changed."""
         if not 1 <= idx <= self.factory.total:
             self._out_of_range(idx)
         interval_bits = self.geometry.interval_bits
@@ -512,13 +513,8 @@ class RangedPointsToSet(PointsToSet):
         if src.factory is not self.factory:
             self._check_universe(src)
         g = self.geometry
-        if src.ranged:
-            incoming = src.objects & g.span_bits
-            copies = self.copies | (incoming & g.shared_bits)
-        else:
-            # strictly by interval, as add() filters
-            incoming = src.objects_int() & g.interval_bits
-            copies = self.copies
+        incoming = src.objects & g.span_bits
+        copies = self.copies | (incoming & g.shared_bits)
         new = self.bits | incoming
         if new == self.bits and copies == self.copies:
             return False

@@ -10,10 +10,13 @@ by (allocation index, field), with the field's declared type as owner.
 Every constraint is re-applied whenever one of its inputs changes, so the
 drained worklist is the least fixpoint.
 
-Every set is made by calling the factory's maker for its kind and owner
-type (``SetFactory.maker``), resolved once per declared type on its first
-set; under filter mode ``none`` that owner is the root for every type.
-``run_extra_pass`` makes its missing sets the same way.
+A solve runs one kernel: ``propagate`` builds one ``SetFactory`` for the
+config's kind, and every set is made by calling that factory's maker for
+its owner type (``SetFactory.maker``), resolved once per declared type on
+its first set; under filter mode ``none`` that owner is the root for every
+type.  ``run_extra_pass`` makes its missing sets the same way, from the
+solution's factory.  So every union's source is a set of the
+destination's own kernel, and each kernel's union has one path.
 
 When a pop grows field set (o, f), each load ``dst = base.f`` whose base
 holds o unites that set into dst, in load order.  Those loads come from
@@ -187,17 +190,17 @@ class Solution:
 
 
 class _Makers(dict):
-    """Declared type name -> the maker of its sets, resolved on first use;
-    under filter mode 'none' every set takes the root type instead."""
+    """Declared type name -> the factory's maker of its sets, resolved on
+    first use; under filter mode 'none' every set takes the root type
+    instead."""
 
     def __init__(self, factory: SetFactory, cfg: SolverConfig):
         super().__init__()
         self.factory = factory
-        self.kind = cfg.set_kind
         self.root = factory.h.root.name if cfg.filter_mode == "none" else None
 
     def __missing__(self, type_name: str):
-        make = self[type_name] = self.factory.maker(self.kind, self.root or type_name)
+        make = self[type_name] = self.factory.maker(self.root or type_name)
         return make
 
 
@@ -223,7 +226,7 @@ def propagate(pag: PAG, nr: NumberingResult, cfg: SolverConfig) -> Solution:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        factory = SetFactory(nr, ChunkConfig(cfg.chunk_bits))
+        factory = SetFactory(nr, ChunkConfig(cfg.chunk_bits), cfg.set_kind)
         makers = _Makers(factory, cfg)
         field_types = pag.field_types
         var_sets: dict[str, PointsToSet] = {}

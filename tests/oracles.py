@@ -168,11 +168,11 @@ def rewalk_propagate(pag, nr, cfg):
     (o, f) that grew, every load of f whose base holds o is probed in load
     order.  Returns (var sets, field sets, successful unions, pops).
     """
-    factory = SetFactory(nr, ChunkConfig(cfg.chunk_bits))
+    factory = SetFactory(nr, ChunkConfig(cfg.chunk_bits), cfg.set_kind)
 
     def make(type_name):
         owner = factory.h.root.name if cfg.filter_mode == "none" else type_name
-        return factory.maker(cfg.set_kind, owner)()
+        return factory.maker(owner)()
 
     var_sets = {}
     for v in pag.var_types:

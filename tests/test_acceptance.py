@@ -234,9 +234,9 @@ def test_criterion_03_ranged_or_oracle():
     h = build_hierarchy([("Object", None, ()), ("L", "Object", ())])
     allocs = [AllocSite(f"o{i}", "Object") for i in range(9)]
     allocs += [AllocSite(f"l{i}", "L") for i in range(11)]
-    f = SetFactory(number_allocations(h, allocs), ChunkConfig(8))
+    f = SetFactory(number_allocations(h, allocs), ChunkConfig(8), "ranged")
     assert intervals_of(f.nr, "L") == [Interval(10, 20)]
-    assert [v[:2] for v in f.maker("ranged", "L")().geometry.vectors] == [(2, 8)]
+    assert [v[:2] for v in f.maker("L")().geometry.vectors] == [(2, 8)]
 
     # the union the solver runs (RangedPointsToSet.add_all) against a
     # bit-level oracle:
@@ -247,8 +247,8 @@ def test_criterion_03_ranged_or_oracle():
     while cases < 10_000:
         cb = rng.choice((8, 64))
         nr, compat = _union_corpus(rng)
-        f = SetFactory(nr, ChunkConfig(cb))
-        sets = {t: f.maker("ranged", t)() for t in compat}
+        f = SetFactory(nr, ChunkConfig(cb), "ranged")
+        sets = {t: f.maker(t)() for t in compat}
         for t, s in sets.items():
             ivs = intervals_of(nr, t)
             assert [(iv.lower, iv.upper) for iv in ivs] == runs_of(compat[t])

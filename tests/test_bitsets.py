@@ -104,8 +104,8 @@ class TestOr:
     def test_config_mismatch(self):
         h = build_hierarchy([("Object", None, ())])
         nr = number_allocations(h, [AllocSite("o", "Object")])
-        x = SetFactory(nr, ChunkConfig(8)).maker("ranged", "Object")()
-        y = SetFactory(nr, ChunkConfig(64)).maker("ranged", "Object")()
+        x = SetFactory(nr, ChunkConfig(8), "ranged").maker("Object")()
+        y = SetFactory(nr, ChunkConfig(64), "ranged").maker("Object")()
         with pytest.raises(ConfigMismatchError):
             x.add_all(y)
 

@@ -9,6 +9,7 @@ import pytest
 from conftest import WORKED_CLASSES, WORKED_IFACES, random_hierarchy, worked_allocs
 from oracles import closure_supertypes, compatible_indices, walk_type_mask
 from rangepta import hierarchy
+from rangepta.bitsets import ChunkConfig
 from rangepta.errors import (
     DuplicateTypeError,
     InheritanceCycleError,
@@ -264,7 +265,7 @@ class TestMaskBits:
 
 
 def _all_masks_match_walk(h, nr):
-    factory = SetFactory(nr)
+    factory = SetFactory(nr, ChunkConfig(64), "naive")
     for t in h.types:
         walk = walk_type_mask(nr, h, t)
         assert build_type_mask(nr, t) == walk, t

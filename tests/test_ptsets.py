@@ -49,6 +49,8 @@ from rangepta.ptsets import (
 
 EXACT_KINDS = ("naive", "pure", "hybrid", "shared", "sparse")
 RANGED = ("ranged", "ranged-hybrid")
+# one kind on each of the four kernels
+KERNEL_KINDS = ("naive", "pure", "shared", "ranged")
 
 
 def footprint(s, kind):
@@ -65,15 +67,17 @@ def arrays(s, kind):
 
 @pytest.fixture
 def factory8(worked_numbering):
-    return SetFactory(worked_numbering, ChunkConfig(8))
+    """kind -> a new factory of the kind's sets at chunk width 8."""
+    return partial(SetFactory, worked_numbering, ChunkConfig(8))
 
 
 @pytest.fixture
 def factory64(worked_numbering):
-    return SetFactory(worked_numbering, ChunkConfig(64))
+    """kind -> a new factory of the kind's sets at chunk width 64."""
+    return partial(SetFactory, worked_numbering, ChunkConfig(64))
 
 
-def big_factory(per_class=30, cb=64):
+def big_factory(kind, per_class=30, cb=64):
     h = build_hierarchy(
         [("Object", None, ()), ("A", "Object", ()), ("B", "A", ())]
     )
@@ -81,32 +85,32 @@ def big_factory(per_class=30, cb=64):
     for cls in ("Object", "A", "B"):
         allocs += [AllocSite(f"{cls}{i}", cls) for i in range(per_class)]
     nr = number_allocations(h, allocs)
-    return SetFactory(nr, ChunkConfig(cb))
+    return SetFactory(nr, ChunkConfig(cb), kind)
 
 
 class TestMakeSet:
-    def test_ranged_class(self, factory64):
-        s = factory64.maker("ranged", "A")()
-        assert intervals_of(factory64.nr, "A") == [Interval(3, 8)]
+    def test_ranged_class(self, factory64, worked_numbering):
+        s = factory64("ranged").maker("A")()
+        assert intervals_of(worked_numbering, "A") == [Interval(3, 8)]
         assert arrays(s, "ranged") == [(1, 0)]
 
-    def test_ranged_interface(self, factory64):
-        s = factory64.maker("ranged", "I")()
-        assert intervals_of(factory64.nr, "I") == [Interval(6, 6), Interval(9, 12)]
+    def test_ranged_interface(self, factory64, worked_numbering):
+        s = factory64("ranged").maker("I")()
+        assert intervals_of(worked_numbering, "I") == [Interval(6, 6), Interval(9, 12)]
         assert arrays(s, "ranged") == [(1, 0), (1, 0)]
 
     def test_hybrid_ranged_initial(self, factory64):
-        s = factory64.maker("ranged-hybrid", "A")()
+        s = factory64("ranged-hybrid").maker("A")()
         assert not spilled(s, "ranged-hybrid") and arrays(s, "ranged-hybrid") == []
         assert len(s) == 0
 
     def test_unknown_owner(self, factory64):
         with pytest.raises(UnknownTypeError):
-            factory64.maker("ranged", "Nope")
+            factory64("ranged").maker("Nope")
 
     def test_all_kinds_start_empty(self, factory64):
         for kind in SET_KINDS:
-            s = factory64.maker(kind, "Object")()
+            s = factory64(kind).maker("Object")()
             assert len(s) == 0 and list(s.iterate()) == []
 
 
@@ -145,14 +149,15 @@ class TestMaker:
             return type_state(factory, type_name)
 
         monkeypatch.setattr(kernel, "type_state", classmethod(counted))
+        f = factory8(kind)
         for k, (owner, want) in enumerate(zip(MAKER_OWNERS, NEW_SET_SHAPES[kind])):
-            make = factory8.maker(kind, owner)
-            assert factory8.maker(kind, owner) is not make
+            make = f.maker(owner)
+            assert f.maker(owner) is not make
             assert built == list(MAKER_OWNERS[: k + 1])
             first = make()
-            assert type(first) is kernel and first.factory is factory8
+            assert type(first) is kernel and first.factory is f
             assert len(first) == 0 and shape(first, kind) == want
-            for i in range(1, factory8.total + 1):  # past hybrid's slots
+            for i in range(1, f.total + 1):  # past hybrid's slots
                 first.add(i)
             assert len(first) > 0
             later = make()
@@ -162,50 +167,51 @@ class TestMaker:
 
     def test_kinds_on_one_kernel_share_its_type_state(self, factory8, monkeypatch):
         # pure, hybrid and sparse are pure kernels, ranged-hybrid a ranged
-        # one: the per-type state is built once per (kernel, owner)
+        # one: each factory builds an owner's per-type state once, and the
+        # masks and geometries are cached on the numbering, so the factories
+        # of kinds on one kernel hold one state per owner
         built = collections.Counter()
         for kernel in {row.kernel for row in SET_KINDS.values()}:
 
             def counted(cls, factory, type_name, _type_state=kernel.type_state):
-                built[cls, type_name] += 1
+                built[factory, type_name] += 1
                 return _type_state(factory, type_name)
 
             monkeypatch.setattr(kernel, "type_state", classmethod(counted))
+        factories = {kind: factory8(kind) for kind in SET_KINDS}
         for owner in MAKER_OWNERS:
-            sets = {kind: factory8.maker(kind, owner)() for kind in SET_KINDS}
+            for _ in range(2):
+                sets = {kind: f.maker(owner)() for kind, f in factories.items()}
             assert sets["hybrid"].mask is sets["sparse"].mask is sets["pure"].mask
             assert sets["ranged-hybrid"].geometry is sets["ranged"].geometry
-        assert set(built.values()) == {1}
-        assert sorted(k.__name__ for k, owner in built if owner == "A") == [
-            "NaiveSet", "PureBitVectorSet", "RangedPointsToSet", "SharedBitVectorSet"
-        ]
+        assert built == {(f, owner): 1 for f in factories.values() for owner in MAKER_OWNERS}
 
-    def test_unknown_kind_or_type_raises(self, factory8):
-        for _ in range(2):  # a failed lookup caches nothing
-            with pytest.raises(UnsupportedKindError):
-                factory8.maker("fancy", "A")
-            for kind in ("naive", "pure", "shared", "ranged"):  # every kernel
+    def test_unknown_kind_or_type_raises(self, factory8, worked_numbering):
+        with pytest.raises(UnsupportedKindError):
+            SetFactory(worked_numbering, ChunkConfig(8), "bogus")
+        for kind in KERNEL_KINDS:
+            f = factory8(kind)
+            for _ in range(2):  # a failed lookup caches nothing
                 with pytest.raises(UnknownTypeError):
-                    factory8.maker(kind, "Nope")
-            with pytest.raises(UnsupportedKindError):
-                factory8.maker("fancy", "Object")
+                    f.maker("Nope")
+            assert len(f.maker("A")()) == 0
 
-    def test_geometry_is_shared_per_numbering_and_chunk_width(self, worked_numbering):
-        f8, g8 = (SetFactory(worked_numbering, ChunkConfig(8)) for _ in range(2))
-        f64 = SetFactory(worked_numbering, ChunkConfig(64))
+    def test_geometry_is_shared_per_numbering_and_chunk_width(self, factory8, factory64):
+        f8, g8 = factory8("ranged"), factory8("ranged-hybrid")
+        f64 = factory64("ranged")
         for owner in MAKER_OWNERS:
             geometry = RangedPointsToSet.type_state
             assert geometry(f8, owner) is geometry(g8, owner)
             assert geometry(f8, owner) is not geometry(f64, owner)
-            assert f8.maker("ranged", owner)().geometry is geometry(g8, owner)
-        assert f8.maker("ranged", "A") is not g8.maker("ranged", "A")
+            assert f8.maker(owner)().geometry is geometry(g8, owner)
+        assert f8.maker("A") is not g8.maker("A")
 
     def test_interned_bases_are_per_factory(self):
-        f = big_factory()
-        g = SetFactory(f.nr, f.cfg)
+        f = big_factory("shared")
+        g = SetFactory(f.nr, f.cfg, "shared")
         folded = []
         for factory in (f, g, f):
-            s = factory.maker("shared", "Object")()
+            s = factory.maker("Object")()
             for i in range(1, 22):  # one fold, into a base of 1..21
                 s.add(i)
             folded.append(s.base)
@@ -215,13 +221,13 @@ class TestMaker:
 
 class TestAdd:
     def test_naive_filters_incompatible(self, factory64):
-        s = factory64.maker("naive", "D")()
+        s = factory64("naive").maker("D")()
         assert s.add(6) is False  # index 6 is the B alloc, B is not a D
         assert s.add(9) is True
 
     def test_hybrid_threshold(self):
-        f = big_factory()
-        s = f.maker("hybrid", "Object")()
+        f = big_factory("hybrid")
+        s = f.maker("Object")()
         for i in range(1, 17):
             assert s.add(i) is True
         assert not spilled(s, "hybrid")
@@ -231,8 +237,8 @@ class TestAdd:
         assert set(s.iterate()) == set(range(1, 18))
 
     def test_ranged_hybrid_threshold(self):
-        f = big_factory()
-        s = f.maker("ranged-hybrid", "A")()
+        f = big_factory("ranged-hybrid")
+        s = f.maker("A")()
         # A's interval is [31, 90]: 60 compatible allocs
         for i in range(31, 47):
             assert s.add(i) is True
@@ -242,33 +248,27 @@ class TestAdd:
         assert s.add(5) is False  # outside A's interval even after the spill
 
     def test_ranged_idempotent(self, factory64):
-        s = factory64.maker("ranged", "A")()
+        s = factory64("ranged").maker("A")()
         assert s.add(5) is True
         assert s.add(5) is False
 
     def test_out_of_range(self, factory64):
-        s = factory64.maker("naive", "Object")()
+        s = factory64("naive").maker("Object")()
         with pytest.raises(IndexOutOfRangeError):
             s.add(13)
         with pytest.raises(IndexOutOfRangeError):
             s.add(0)
 
 
-class OneMemberSource:
-    """The reference add(idx) is checked against: a one-member union
-    source, not ranged, so a ranged destination filters it by interval."""
-
-    ranged = False
-
-    def __init__(self, factory, idx):
-        self.factory = factory
-        self.idx = idx
-
-    def objects_int(self):
-        return 1 << self.idx
-
-    def iterate_objects(self):
-        return iter([self.idx])
+def one_member(f, idx):
+    """A root-owned set of f's exact kernel holding idx alone, its member
+    state written directly rather than through add."""
+    src = f.maker("Object")()
+    if type(src) is NaiveSet:
+        src.members = {idx}
+    else:
+        src.bits = 1 << idx
+    return src
 
 
 def add_state(s, kind):
@@ -284,9 +284,15 @@ def add_state(s, kind):
 
 @pytest.mark.parametrize("kind", sorted(SET_KINDS))
 def test_add_is_a_one_member_union(kind):
-    # add(idx) and add_all of a one-member source, over the same random
-    # inserts in no particular order and the same interleaved unions from
-    # sets of every kind, return the same and leave the same state
+    # add(idx), over random inserts in no particular order (out-of-range
+    # ones among them) and interleaved unions from sets of the same kind,
+    # against an independent reference: the owner's compatible indices by
+    # brute force.  idx joins the members iff it is compatible; an index
+    # outside [1, total] raises and changes nothing.  For an exact kind, add
+    # is also a union of a root-owned source holding idx alone: a twin set
+    # that takes those unions ends in the same state, shared's base and
+    # modeled bytes included.  For a ranged kind, add admits no slack: the
+    # objects are the members within the intervals, and no copy is recorded
     rng = random.Random(35)
     seen = collections.Counter()
     for _ in range(25):
@@ -294,31 +300,52 @@ def test_add_is_a_one_member_union(kind):
         if not allocs:
             continue
         nr = number_allocations(build_hierarchy(classes, ifaces), allocs)
-        f = SetFactory(nr, ChunkConfig(rng.choice((8, 64))))
+        f = SetFactory(nr, ChunkConfig(rng.choice((8, 64))), kind)
         total = nr.total_allocs
+        supertypes = closure_supertypes(classes, ifaces)
         type_names = [c[0] for c in classes] + [i[0] for i in ifaces]
         for owner in ["Object"] + rng.sample(type_names, min(3, len(type_names))):
-            make = f.maker(kind, owner)
-            s, ref = make(), make()
+            compatible = sum(1 << i for i in compatible_indices(nr, supertypes, owner))
+            make = f.maker(owner)
+            s, twin = make(), make()
             for _ in range(rng.randint(1, 3 * total)):
-                if rng.random() < 0.1:
-                    src = f.maker(rng.choice(list(SET_KINDS)), rng.choice(type_names))()
+                roll = rng.random()
+                if roll < 0.1:
+                    src = f.maker(rng.choice(type_names))()
                     for i in rng.sample(range(1, total + 1), rng.randint(0, total)):
                         src.add(i)
-                    assert s.add_all(src) == ref.add_all(src)
+                    changed = s.add_all(src)
+                    if kind not in RANGED:
+                        assert twin.add_all(src) == changed
+                elif roll < 0.15:
+                    idx = rng.choice((0, -1, total + 1, 10 * total))
+                    before = add_state(s, kind)
+                    with pytest.raises(IndexOutOfRangeError):
+                        s.add(idx)
+                    assert add_state(s, kind) == before
+                    seen["out of range"] += 1
                 else:
                     idx = rng.randint(1, total)
+                    members = s.as_int()
+                    copies = s.copies if kind in RANGED else None
                     changed = s.add(idx)
-                    assert changed == ref.add_all(OneMemberSource(f, idx))
+                    want = members | (1 << idx & compatible)
+                    assert changed == (want != members)
+                    assert s.as_int() == want, (owner, kind, idx)
+                    if kind in RANGED:
+                        assert (s.objects_int(), s.copies) == (want & compatible, copies)
+                    else:
+                        assert twin.add_all(one_member(f, idx)) == changed
                     seen["changed" if changed else "unchanged"] += 1
-                assert add_state(s, kind) == add_state(ref, kind), (owner, kind)
+                if kind not in RANGED:
+                    assert add_state(s, kind) == add_state(twin, kind), (owner, kind)
             seen["interface owner"] += owner in {i[0] for i in ifaces}
             if kind == "shared":
                 seen["folded"] += bool(s.base)
             if kind in RANGED:
                 seen["copies"] += bool(s.copies)
                 seen["slack"] += s.as_int() != s.objects_int()
-    want = {"changed", "unchanged", "interface owner"}
+    want = {"changed", "unchanged", "interface owner", "out of range"}
     if kind == "shared":
         want.add("folded")
     if kind in RANGED:
@@ -328,8 +355,8 @@ def test_add_is_a_one_member_union(kind):
 
 @pytest.mark.parametrize("kind", sorted(SET_KINDS))
 def test_add_out_of_range_changes_nothing(kind):
-    f = big_factory(cb=8)
-    s = f.maker(kind, "Object")()
+    f = big_factory(kind, cb=8)
+    s = f.maker("Object")()
     for i in range(1, 40):
         s.add(i)
     before = add_state(s, kind)
@@ -341,73 +368,81 @@ def test_add_out_of_range_changes_nothing(kind):
 
 class TestAddAll:
     def test_universal_dst(self, factory64):
-        src = factory64.maker("naive", "Object")()
+        f = factory64("naive")
+        src = f.maker("Object")()
         src.add(6), src.add(9)
-        dst = factory64.maker("naive", "Object")()
+        dst = f.maker("Object")()
         assert dst.add_all(src) is True
         assert set(dst.iterate()) == {6, 9}
 
     def test_filtered_dst(self, factory64):
-        src = factory64.maker("naive", "Object")()
+        f = factory64("naive")
+        src = f.maker("Object")()
         src.add(6), src.add(10)
-        dst = factory64.maker("naive", "D")()
+        dst = f.maker("D")()
         assert dst.add_all(src) is True
         assert set(dst.iterate()) == {10}
 
     def test_ranged_slack_admission(self, factory8):
-        src = factory8.maker("ranged", "Object")()
+        f = factory8("ranged")
+        src = f.maker("Object")()
         src.add(2), src.add(5)
-        dst = factory8.maker("ranged", "A")()  # interval [3,8], alignedLower 0
+        dst = f.maker("A")()  # interval [3,8], alignedLower 0
         assert dst.add_all(src) is True
         assert set(dst.iterate()) == {2, 5}
 
-    def test_cross_representation(self, factory64):
-        for src_kind in SET_KINDS:
-            src = factory64.maker(src_kind, "Object")()
-            for i in (3, 6, 9):
-                src.add(i)
-            for dst_kind in SET_KINDS:
-                dst = factory64.maker(dst_kind, "A")()
-                dst.add_all(src)
-                if dst_kind in RANGED and src_kind in RANGED:
-                    # chunk-wise path admits 9 as slack (one 64-bit chunk)
-                    assert set(dst.iterate()) == {3, 6, 9}, (src_kind, dst_kind)
-                else:
-                    assert set(dst.iterate()) == {3, 6}, (src_kind, dst_kind)
-
     @pytest.mark.parametrize("kind", list(SET_KINDS))
-    def test_union_across_factories(self, kind, worked_hierarchy, factory64):
-        # an equal but separately built numbering, and another chunk width
+    def test_union_across_factories(self, kind, worked_hierarchy, worked_numbering, factory64):
+        # an equal but separately built numbering, another chunk width, and
+        # another factory over the same numbering and width
         other_nr = number_allocations(worked_hierarchy, worked_allocs())
-        dst = factory64.maker(kind, "Object")()
-        for other in (SetFactory(other_nr, ChunkConfig(64)),
-                      SetFactory(factory64.nr, ChunkConfig(8))):
-            src = other.maker(kind, "Object")()
+        dst = factory64(kind).maker("Object")()
+        for other in (SetFactory(other_nr, ChunkConfig(64), kind),
+                      SetFactory(worked_numbering, ChunkConfig(8), kind),
+                      factory64(kind)):
+            src = other.maker("Object")()
             src.add(3)
             with pytest.raises(ConfigMismatchError):
                 dst.add_all(src)
         assert len(dst) == 0
 
 
+@pytest.mark.parametrize(
+    "dst_kind, src_kind", list(itertools.permutations(KERNEL_KINDS, 2))
+)
+def test_union_from_another_kernel_raises(dst_kind, src_kind, factory8):
+    # a set of another kernel comes from another factory, so the factory
+    # test every union makes rejects it; the destination keeps its state
+    dst = factory8(dst_kind).maker("A")()
+    src = factory8(src_kind).maker("Object")()
+    for i in range(1, 13):
+        dst.add(i)
+        src.add(i)
+    before = add_state(dst, dst_kind)
+    with pytest.raises(ConfigMismatchError):
+        dst.add_all(src)
+    assert add_state(dst, dst_kind) == before
+
+
 class TestQueries:
     def test_fresh(self, factory64):
         for kind in SET_KINDS:
-            s = factory64.maker(kind, "A")()
+            s = factory64(kind).maker("A")()
             assert len(s) == 0 and list(s.iterate()) == []
 
     def test_contains_after_add(self, factory64):
-        s = factory64.maker("sparse", "A")()
+        s = factory64("sparse").maker("A")()
         s.add(5)
         assert 5 in s and 6 not in s
 
 
-def apply_op(factory, kind, s, op, elementwise=False):
-    """Apply one log entry to s and return whether s changed; elementwise=True
-    replaces a bulk union by single insertions of the source's members in
-    ascending order."""
+def apply_op(factory, s, op, elementwise=False):
+    """Apply one log entry to s, a set of factory's, and return whether s
+    changed; elementwise=True replaces a bulk union by single insertions of
+    the source's members in ascending order."""
     if op[0] == "add":
         return s.add(op[1])
-    other = factory.maker(kind, op[1])()
+    other = factory.maker(op[1])()
     for i in op[2]:
         other.add(i)
     if elementwise:
@@ -415,11 +450,11 @@ def apply_op(factory, kind, s, op, elementwise=False):
     return s.add_all(other)
 
 
-def apply_log(factory, kind, owner, log, elementwise=False):
-    """Replay log on a fresh set."""
-    s = factory.maker(kind, owner)()
+def apply_log(factory, owner, log, elementwise=False):
+    """Replay log on a fresh set of factory's."""
+    s = factory.maker(owner)()
     for op in log:
-        apply_op(factory, kind, s, op, elementwise)
+        apply_op(factory, s, op, elementwise)
     return s
 
 
@@ -438,8 +473,8 @@ def random_log(rng, total, type_names):
 def assert_bulk_matches_elementwise(factory, kind, owner, log):
     """Same members, modeled bytes and, for shared, fold points: a bulk
     union must re-encode exactly as ascending single insertions do."""
-    bulk = apply_log(factory, kind, owner, log)
-    one = apply_log(factory, kind, owner, log, elementwise=True)
+    bulk = apply_log(factory, owner, log)
+    one = apply_log(factory, owner, log, elementwise=True)
     assert list(bulk.iterate()) == list(one.iterate()), (kind, owner)
     assert footprint(bulk, kind) == footprint(one, kind), (kind, owner)
     if kind == "shared":
@@ -462,14 +497,14 @@ class TestOracleEquivalence:
                 continue
             h = build_hierarchy(classes, ifaces)
             nr = number_allocations(h, allocs)
-            f = SetFactory(nr, ChunkConfig(64))
+            f = {kind: SetFactory(nr, ChunkConfig(64), kind) for kind in EXACT_KINDS}
             type_names = [c[0] for c in classes] + [i[0] for i in ifaces]
             for trial in range(6):
                 owner = rng.choice(type_names)
                 log = random_log(rng, nr.total_allocs, type_names)
-                ref = set(apply_log(f, "naive", owner, log).iterate())
+                ref = set(apply_log(f["naive"], owner, log).iterate())
                 for kind in EXACT_KINDS[1:]:
-                    got = set(apply_log(f, kind, owner, log).iterate())
+                    got = set(apply_log(f[kind], owner, log).iterate())
                     assert got == ref, (kind, owner)
 
     def test_bulk_union_matches_elementwise(self):
@@ -480,23 +515,24 @@ class TestOracleEquivalence:
                 continue
             h = build_hierarchy(classes, ifaces)
             nr = number_allocations(h, allocs)
-            f = SetFactory(nr, ChunkConfig(8))
             type_names = [c[0] for c in classes] + [i[0] for i in ifaces]
             for trial in range(6):
                 owner = rng.choice(type_names)
                 log = random_log(rng, nr.total_allocs, type_names)
                 for kind in EXACT_KINDS:
+                    f = SetFactory(nr, ChunkConfig(8), kind)
                     assert_bulk_matches_elementwise(f, kind, owner, log)
 
     def test_bulk_union_spill_and_fold_points(self):
         # unions ending below, at and past the hybrid spill (17th member)
         # and the shared folds (21st and 42nd overflow member)
-        f = big_factory()  # A's interval is [31, 90]
+        # A's interval is [31, 90]
+        factories = {kind: big_factory(kind) for kind in EXACT_KINDS}
         for held in (0, 5, 16, 20):
             for k in range(41):
                 log = [("add", i) for i in range(31, 31 + held)]
                 log.append(("addall", "Object", list(range(50, 50 + k))))
-                for kind in EXACT_KINDS:
+                for kind, f in factories.items():
                     assert_bulk_matches_elementwise(f, kind, "A", log)
 
     def test_shared_fold_on_a_wide_universe(self):
@@ -504,7 +540,7 @@ class TestOracleEquivalence:
         # reach across A's interval, after 0, 7 or 20 held overflow
         # members below or above them, leaves every kept count 0..20 after
         # one fold and after two; the overflow keeps the top new members
-        f = big_factory(per_class=400)  # A's interval is [401, 1200]
+        f = big_factory("shared", per_class=400)  # A's interval is [401, 1200]
         kept = set()
         for held in (0, 7, 20):
             for held_members in (range(401, 401 + held), range(1200, 1200 - held, -1)):
@@ -528,14 +564,14 @@ class TestOracleEquivalence:
             h = build_hierarchy(classes, ifaces)
             nr = number_allocations(h, allocs)
             cb = 8
-            f = SetFactory(nr, ChunkConfig(cb))
+            f = {kind: SetFactory(nr, ChunkConfig(cb), kind) for kind in ("naive",) + RANGED}
             type_names = [c[0] for c in classes] + [i[0] for i in ifaces]
             for trial in range(6):
                 owner = rng.choice(type_names)
                 log = random_log(rng, nr.total_allocs, type_names)
-                exact = set(apply_log(f, "naive", owner, log).iterate())
+                exact = set(apply_log(f["naive"], owner, log).iterate())
                 for kind in RANGED:
-                    got = set(apply_log(f, kind, owner, log).iterate())
+                    got = set(apply_log(f[kind], owner, log).iterate())
                     assert got >= exact, (kind, owner)
                     ivs = [iv for iv in intervals_of(nr, owner) if not iv.empty]
                     for e in got - exact:
@@ -546,15 +582,15 @@ class TestOracleEquivalence:
                         ), (kind, owner, e)
 
     def test_hybrid_transparency(self):
-        f = big_factory()
+        f = {kind: big_factory(kind) for kind in ("pure", "hybrid", "ranged", "ranged-hybrid")}
         rng = random.Random(23)
         for owner in ("Object", "A", "B"):
-            log = random_log(rng, f.total, ["Object", "A", "B"])
-            assert set(apply_log(f, "hybrid", owner, log).iterate()) == set(
-                apply_log(f, "pure", owner, log).iterate()
+            log = random_log(rng, f["pure"].total, ["Object", "A", "B"])
+            assert set(apply_log(f["hybrid"], owner, log).iterate()) == set(
+                apply_log(f["pure"], owner, log).iterate()
             )
-            assert set(apply_log(f, "ranged-hybrid", owner, log).iterate()) == set(
-                apply_log(f, "ranged", owner, log).iterate()
+            assert set(apply_log(f["ranged-hybrid"], owner, log).iterate()) == set(
+                apply_log(f["ranged"], owner, log).iterate()
             )
 
 
@@ -582,16 +618,16 @@ class TestSetContract:
                 continue
             h = build_hierarchy(classes, ifaces)
             nr = number_allocations(h, allocs)
-            f = SetFactory(nr, ChunkConfig(8))
             type_names = [c[0] for c in classes] + [i[0] for i in ifaces]
             for trial in range(4):
                 owner = rng.choice(type_names)
                 log = random_log(rng, nr.total_allocs, type_names)
                 for kind in SET_KINDS:
-                    s = f.maker(kind, owner)()
+                    f = SetFactory(nr, ChunkConfig(8), kind)
+                    s = f.maker(owner)()
                     assert_set_contract(s, kind)
                     for op in log:
-                        apply_op(f, kind, s, op)
+                        apply_op(f, s, op)
                         assert_set_contract(s, kind)
                     if kind in ("hybrid", "ranged-hybrid"):
                         spills += spilled(s, kind)
@@ -603,13 +639,13 @@ class TestSetContract:
 
     @pytest.mark.parametrize("kind", ["hybrid", "ranged-hybrid"])
     def test_union_stays_inline_up_to_cap(self, kind):
-        f = big_factory()  # A's interval is [31, 90]
+        f = big_factory(kind)  # A's interval is [31, 90]
         for held in (0, 5, HYBRID_INLINE_CAP):
             for k in range(held, 41):
-                s = f.maker(kind, "A")()
+                s = f.maker("A")()
                 for i in range(31, 31 + held):
                     s.add(i)
-                src = f.maker("naive", "Object")()
+                src = f.maker("Object")()
                 for i in range(31, 31 + k):
                     src.add(i)
                 s.add_all(src)
@@ -628,11 +664,11 @@ class TestSetContract:
 def test_union_cost_does_not_grow_with_unspilled_members(kind, cap):
     # a union must not cost more for each member held inline or in the
     # overflow: those members are one int, not a list to rebuild
-    f = big_factory()  # A's interval is [31, 90]
+    f = big_factory(kind)  # A's interval is [31, 90]
     per_union = []
     for held in (1, cap):
-        s = f.maker(kind, "A")()
-        src = f.maker("pure", "A")()
+        s = f.maker("A")()
+        src = f.maker("A")()
         for i in range(31, 31 + held):
             s.add(i)
             src.add(i)
@@ -675,13 +711,13 @@ def test_naive_union_is_the_filtered_source():
             continue
         classes.append(("Bare", rng.choice(classes)[0], ()))  # no allocation
         nr = number_allocations(build_hierarchy(classes, ifaces), allocs)
-        f = SetFactory(nr, ChunkConfig(8))
+        f = SetFactory(nr, ChunkConfig(8), "naive")
         supertypes = closure_supertypes(classes, ifaces)
         type_names = [c[0] for c in classes] + [i[0] for i in ifaces]
         compat = {t: compatible_indices(nr, supertypes, t) for t in type_names}
         assert not compat["Bare"]
         owners = [t for t in type_names for _ in range(2)]
-        sets = [f.maker("naive", t)() for t in owners]
+        sets = [f.maker(t)() for t in owners]
         want = [set() for _ in sets]
         for _ in range(400):
             d = rng.randrange(len(sets))
@@ -715,63 +751,6 @@ def test_naive_union_is_the_filtered_source():
     assert len(seen) == 6 and all(seen.values()), seen
 
 
-@pytest.mark.parametrize("kind", EXACT_KINDS)
-def test_exact_union_takes_a_ranged_source_objects_not_its_slack(kind):
-    # Object's subclasses A (allocs 1-3) and B (4-5) at chunk width 8: an A
-    # ranged set that unites an Object set holding 1-5 holds 4-5 as slack.
-    # An exact set counts every member as real, so a B set takes nothing
-    h = build_hierarchy([("Object", None, ()), ("A", "Object", ()), ("B", "Object", ())])
-    allocs = [AllocSite(f"a{i}", "A") for i in range(3)]
-    allocs += [AllocSite(f"b{i}", "B") for i in range(2)]
-    f = SetFactory(number_allocations(h, allocs), ChunkConfig(8))
-    for src_kind in RANGED:
-        whole = f.maker(src_kind, "Object")()
-        for i in range(1, 6):
-            whole.add(i)
-        src = f.maker(src_kind, "A")()
-        src.add_all(whole)
-        assert (src.as_int(), src.objects_int()) == (0b111110, 0b1110)
-        dst = f.maker(kind, "B")()
-        assert dst.add_all(src) is False and len(dst) == 0
-        dst = f.maker(kind, "Object")()
-        assert dst.add_all(src) is True and set(dst.iterate()) == {1, 2, 3}
-
-    # a ranged source with slack, of every owner relation to the exact
-    # destination, adds exactly its objects within the destination's type
-    rng = random.Random(71)
-    seen = collections.Counter()
-    for _ in range(40):
-        classes, ifaces, allocs = random_hierarchy(rng, max_ifaces=3)
-        if not allocs:
-            continue
-        nr = number_allocations(build_hierarchy(classes, ifaces), allocs)
-        f = SetFactory(nr, ChunkConfig(8))
-        supertypes = closure_supertypes(classes, ifaces)
-        type_names = [c[0] for c in classes] + [i[0] for i in ifaces]
-        compat = {t: compatible_indices(nr, supertypes, t) for t in type_names}
-        for src_kind in RANGED:
-            whole = f.maker(src_kind, "Object")()
-            for i in rng.sample(range(1, nr.total_allocs + 1), rng.randint(1, nr.total_allocs)):
-                whole.add(i)
-            for src_owner in type_names:
-                src = f.maker(src_kind, src_owner)()
-                src.add_all(whole)
-                if src.as_int() == src.objects_int():
-                    continue  # no slack
-                for dst_owner in type_names:
-                    seen[owner_relation(compat, src_owner, dst_owner)] += 1
-                    dst = f.maker(kind, dst_owner)()
-                    for i in rng.sample(sorted(compat[dst_owner]), len(compat[dst_owner]) // 2):
-                        dst.add(i)
-                    before = dst.as_int()
-                    mask = sum(1 << i for i in compat[dst_owner])
-                    want = before | (src.objects_int() & mask)
-                    assert dst.add_all(src) == (want != before)
-                    assert dst.as_int() == want, (src_owner, dst_owner)
-    # every owner relation is reached, or the test checks less than it claims
-    assert len(seen) == 4 and all(seen.values()), seen
-
-
 @pytest.mark.parametrize("cb", [8, 64])
 def test_byte_rules_read_the_member_int(cb):
     # hybrid and sparse are pure sets, so one pure set is charged three
@@ -787,11 +766,11 @@ def test_byte_rules_read_the_member_int(cb):
     seen = {"at cap": 0, "spilled": 0, "several elements": 0}
 
     def replay(f, owner, log):
-        s = f.maker("pure", owner)()
+        s = f.maker(owner)()
         all_windows = -(-f.universe_chunks // SPARSE_ELEMENT_WORDS)
         for op in [None, *log]:
             if op is not None:
-                apply_op(f, "pure", s, op)
+                apply_op(f, s, op)
             members = s.as_int()
             if members.bit_count() <= 16:
                 assert footprint(s, "hybrid") == 144
@@ -809,7 +788,7 @@ def test_byte_rules_read_the_member_int(cb):
     # window boundaries: the empty set, a lone member on a window's first
     # bit, and a member on a window's last bit next to one in the following
     # window (universe of 600 allocs: 2 windows at cb 64, 10 at cb 8)
-    f = big_factory(per_class=200, cb=cb)
+    f = big_factory("pure", per_class=200, cb=cb)
     replay(f, "Object", [])
     replay(f, "Object", [("add", window_bits)])
     replay(f, "Object", [("addall", "Object", [window_bits - 1, window_bits])])
@@ -824,7 +803,7 @@ def test_byte_rules_read_the_member_int(cb):
         if not allocs:
             continue
         nr = number_allocations(build_hierarchy(classes, ifaces), allocs)
-        f = SetFactory(nr, ChunkConfig(cb))
+        f = SetFactory(nr, ChunkConfig(cb), "pure")
         type_names = [c[0] for c in classes] + [i[0] for i in ifaces]
         for _ in range(6):
             replay(f, rng.choice(type_names), random_log(rng, nr.total_allocs, type_names))
@@ -847,7 +826,7 @@ def test_ranged_hybrid_is_ranged_charged_by_member_count(cb):
         if not allocs:
             continue
         nr = number_allocations(build_hierarchy(classes, ifaces), allocs)
-        f = SetFactory(nr, ChunkConfig(cb))
+        f = SetFactory(nr, ChunkConfig(cb), "ranged")
         type_names = [c[0] for c in classes] + [i[0] for i in ifaces]
 
         def shares_a_chunk(t):
@@ -857,10 +836,10 @@ def test_ranged_hybrid_is_ranged_charged_by_member_count(cb):
         # where the two forms could differ: owners whose vectors share a chunk
         owners = [t for t in type_names if shares_a_chunk(t)]
         for owner in owners + rng.sample(type_names, min(3, len(type_names))):
-            s = f.maker("ranged", owner)()
+            s = f.maker(owner)()
             for op in random_log(rng, nr.total_allocs, type_names):
                 before = s.as_int()
-                changed = apply_op(f, "ranged", s, op)
+                changed = apply_op(f, s, op)
                 n = len(s)
                 if n <= HYBRID_INLINE_CAP:
                     assert not spilled(s, "ranged-hybrid")
@@ -884,30 +863,31 @@ def test_ranged_hybrid_is_ranged_charged_by_member_count(cb):
 @pytest.mark.parametrize("kind", RANGED)
 def test_ranged_objects_are_the_members_within_the_intervals(kind, cb):
     # a ranged set keeps its objects as an int beside its members: after
-    # every add and add_all, from ranged sources (slack included) and
-    # unranged ones, that int is the members within the owner's intervals,
-    # and while the set holds no slack it is the member int itself
+    # every add (by interval) and add_all (by chunk span, from sources that
+    # may hold slack), that int is the members within the owner's
+    # intervals, and while the set holds no slack it is the member int
+    # itself
     rng = random.Random(30)
-    seen = {"slack": 0, "ranged source": 0, "unranged source": 0}
+    seen = {"slack": 0, "slack source": 0, "add": 0}
     for _ in range(12):
         classes, ifaces, allocs = random_hierarchy(rng, max_ifaces=6)
         if not allocs:
             continue
         nr = number_allocations(build_hierarchy(classes, ifaces), allocs)
-        f = SetFactory(nr, ChunkConfig(cb))
+        f = SetFactory(nr, ChunkConfig(cb), kind)
         type_names = [c[0] for c in classes] + [i[0] for i in ifaces]
         for owner in rng.sample(type_names, min(4, len(type_names))):
-            s = f.maker(kind, owner)()
+            s = f.maker(owner)()
             interval_bits = RangedPointsToSet.type_state(f, owner).interval_bits
             for _ in range(15):
                 if rng.random() < 0.3:
                     s.add(rng.randint(1, nr.total_allocs))
+                    seen["add"] += 1
                 else:
-                    src_kind = rng.choice(list(SET_KINDS))
                     log = random_log(rng, nr.total_allocs, type_names)
-                    src = apply_log(f, src_kind, rng.choice(type_names), log)
+                    src = apply_log(f, rng.choice(type_names), log)
                     s.add_all(src)
-                    seen["ranged source" if src.ranged else "unranged source"] += 1
+                    seen["slack source"] += src.as_int() != src.objects_int()
                 members, objects = s.as_int(), s.objects_int()
                 assert objects == members & interval_bits, (owner, cb)
                 assert list(s.iterate_objects()) == [
@@ -916,8 +896,8 @@ def test_ranged_objects_are_the_members_within_the_intervals(kind, cb):
                 if objects == members:
                     assert objects is members
                 seen["slack"] += objects != members
-    # both kinds of source and sets holding slack are reached, or the test
-    # checks less than it claims
+    # inserts, sources holding slack and sets holding slack are reached, or
+    # the test checks less than it claims
     assert all(seen.values()), seen
 
 
@@ -930,11 +910,11 @@ def _partly_overlap(x, y):
 def test_ranged_union_is_or_overlapping_per_vector(kind, cb):
     # RangedBitVector is the reference a ranged union follows: each union
     # into a ranged set is replayed on one reference vector per interval of
-    # the destination.  A ranged source gives every vector its objects,
-    # of which or_overlapping takes those inside the vector's chunks;
-    # add(i) and an unranged source give a vector their members within its
-    # interval.  The union returns whether some vector changed, and the
-    # set's chunk arrays are the vectors' (chunk count, value)
+    # the destination.  A source gives every vector its objects, of which
+    # or_overlapping takes those inside the vector's chunks; add(i) gives a
+    # vector i if i is within its interval.  The union returns whether some
+    # vector changed, and the set's chunk arrays are the vectors' (chunk
+    # count, value)
     cfg = ChunkConfig(cb)
     chunk_arrays = SET_KINDS["ranged"].chunk_arrays
     rng = random.Random(31)
@@ -946,11 +926,11 @@ def test_ranged_union_is_or_overlapping_per_vector(kind, cb):
         # chunks, some corpora with more allocs a class, so spans also
         # overlap partly
         nr, compat = _union_corpus(rng, rng.choice((6, max(6, cb // 2))))
-        f = SetFactory(nr, cfg)
+        f = SetFactory(nr, cfg, kind)
         sets, vectors, spans = {}, {}, {}
         for t in compat:
             ivs = intervals_of(nr, t)
-            sets[t] = f.maker(kind, t)()
+            sets[t] = f.maker(t)()
             vectors[t] = [
                 (RangedBitVector(iv, cfg), (1 << iv.upper + 1) - (1 << iv.lower)) for iv in ivs
             ]
@@ -973,13 +953,6 @@ def test_ranged_union_is_or_overlapping_per_vector(kind, cb):
                 i = i or rng.randint(1, nr.total_allocs)
                 changed = dst.add(i)
                 wanted = [v.or_overlapping((1 << i) & own) for v, own in vectors[dt]]
-            elif roll < 0.45:
-                src = f.maker("pure", st)()
-                for _ in range(rng.randint(0, 6)):
-                    src.add(rng.randint(1, nr.total_allocs))
-                changed = dst.add_all(src)
-                bits = src.objects_int()
-                wanted = [v.or_overlapping(bits & own) for v, own in vectors[dt]]
             else:
                 src = sets[st]
                 changed = dst.add_all(src)
@@ -1011,7 +984,7 @@ def test_ranged_geometry_matches_aligned_spans(cb):
         if not allocs:
             continue
         nr = number_allocations(build_hierarchy(classes, ifaces), allocs)
-        f = SetFactory(nr, ChunkConfig(cb))
+        f = SetFactory(nr, ChunkConfig(cb), "ranged")
         supertypes = closure_supertypes(classes, ifaces)
         for owner in [c[0] for c in classes] + [i[0] for i in ifaces]:
             compat = compatible_indices(nr, supertypes, owner)
@@ -1037,9 +1010,9 @@ def test_ranged_geometry_matches_aligned_spans(cb):
 
 class TestSharingSafety:
     def test_no_aliasing_through_interned_bases(self):
-        f = big_factory()
-        a = f.maker("shared", "Object")()
-        b = f.maker("shared", "Object")()
+        f = big_factory("shared")
+        a = f.maker("Object")()
+        b = f.maker("Object")()
         for i in range(1, 22):  # force a to fold into an interned base
             a.add(i)
         snapshot = set(b.iterate())
@@ -1057,8 +1030,8 @@ class TestFootprint:
     def test_empty_ranged_over_empty_interval(self):
         h = build_hierarchy([("Object", None, ()), ("L", "Object", ())])
         nr = number_allocations(h, [AllocSite("o", "Object")])
-        f = SetFactory(nr, ChunkConfig(64))
-        s = f.maker("ranged", "L")()
+        f = SetFactory(nr, ChunkConfig(64), "ranged")
+        s = f.maker("L")()
         assert intervals_of(nr, "L") == [] and arrays(s, "ranged") == []
         assert footprint(s, "ranged") == OBJECT_HEADER
 
@@ -1068,27 +1041,28 @@ class TestFootprint:
             AllocSite(f"l{i}", "L") for i in range(11)
         ]
         nr = number_allocations(h, allocs)
-        f = SetFactory(nr, ChunkConfig(8))
-        s = f.maker("ranged", "L")()  # interval [10, 20]: 2 one-byte chunks
+        f = SetFactory(nr, ChunkConfig(8), "ranged")
+        s = f.maker("L")()  # interval [10, 20]: 2 one-byte chunks
         assert footprint(s, "ranged") == OBJECT_HEADER + ARRAY_HEADER + 2
 
     def test_pure_bytes(self, factory64):
-        s = factory64.maker("pure", "Object")()
+        s = factory64("pure").maker("Object")()
         assert footprint(s, "pure") == OBJECT_HEADER + ARRAY_HEADER + 8
 
     def test_ranged_never_larger_than_pure_for_subchunk_classes(self):
-        f = big_factory(per_class=50, cb=8)
+        f = big_factory("ranged", per_class=50, cb=8)
+        g = SetFactory(f.nr, f.cfg, "pure")
         for owner in ("A", "B"):
-            ranged = f.maker("ranged", owner)()
-            pure = f.maker("pure", owner)()
+            ranged = f.maker(owner)()
+            pure = g.maker(owner)()
             if sum(n for n, _ in arrays(ranged, "ranged")) < f.universe_chunks:
                 assert footprint(ranged, "ranged") <= footprint(pure, "pure")
 
     def test_shared_base_counted_once(self):
-        f = big_factory()
+        f = big_factory("shared")
         sets = []
         for _ in range(4):
-            s = f.maker("shared", "Object")()
+            s = f.maker("Object")()
             for i in range(1, 22):
                 s.add(i)
             sets.append(s)
@@ -1098,12 +1072,12 @@ class TestFootprint:
         assert total == per_set + (ARRAY_HEADER + universe_chunks * 8)
 
     def test_kind_charges_one_set_its_own_way(self):
-        # a set made for hybrid or sparse is a pure kernel: only the kind
-        # passed to the factory decides how it is charged, and no shared
-        # base is charged unless the kind is shared
-        f = big_factory()
+        # a set made by a factory for hybrid or sparse is a pure kernel:
+        # only the kind passed to total_footprint decides how it is charged,
+        # and no shared base is charged unless the kind is shared
         for kind in ("pure", "hybrid", "sparse"):
-            sets = [f.maker(kind, "Object")() for _ in range(3)]
+            f = big_factory(kind)
+            sets = [f.maker("Object")() for _ in range(3)]
             for s in sets:
                 s.add(5)
             for charged_as in ("pure", "hybrid", "sparse"):
@@ -1117,14 +1091,14 @@ class TestFootprint:
 
 class TestSparseSavings:
     def test_all_zero_sixteen_words(self):
-        f = big_factory(per_class=200, cb=8)  # universe 600 allocs, 76 chunks
-        s = f.maker("pure", "Object")()
+        f = big_factory("pure", per_class=200, cb=8)  # universe 600 allocs, 76 chunks
+        s = f.maker("Object")()
         windows = -(-(f.total // 8 + 1) // SPARSE_ELEMENT_WORDS)
         assert sparse_savings(s, "pure") == windows * SPARSE_ELEMENT_WORDS
 
     def test_one_bit_per_window(self):
-        f = big_factory(per_class=200, cb=8)
-        s = f.maker("pure", "Object")()
+        f = big_factory("pure", per_class=200, cb=8)
+        s = f.maker("Object")()
         window_bits = SPARSE_ELEMENT_WORDS * 8
         for w in range(-(-(f.total // 8 + 1) // SPARSE_ELEMENT_WORDS)):
             idx = max(1, w * window_bits)
@@ -1133,9 +1107,9 @@ class TestSparseSavings:
 
     def test_random_matches_window_oracle(self):
         rng = random.Random(31)
-        f = big_factory(per_class=100, cb=8)
+        f = big_factory("ranged", per_class=100, cb=8)
         for _ in range(40):
-            s = f.maker("ranged", rng.choice(["Object", "A", "B"]))()
+            s = f.maker(rng.choice(["Object", "A", "B"]))()
             for _ in range(rng.randint(0, 20)):
                 s.add(rng.randint(1, f.total))
             arrays = [
@@ -1148,32 +1122,33 @@ class TestSparseSavings:
         # sparse keeps no dense chunk arrays, though its kernel is pure's
         for kind in ("naive", "shared", "sparse"):
             with pytest.raises(UnsupportedKindError):
-                sparse_savings(factory64.maker(kind, "A")(), kind)
+                sparse_savings(factory64(kind).maker("A")(), kind)
         # the kind passed decides, not the kind the set was made for
-        empty = sparse_savings(factory64.maker("pure", "A")(), "pure")
-        assert sparse_savings(factory64.maker("sparse", "A")(), "pure") == empty
+        empty = sparse_savings(factory64("pure").maker("A")(), "pure")
+        assert sparse_savings(factory64("sparse").maker("A")(), "pure") == empty
 
 
 @pytest.mark.parametrize("kind", sorted(SET_KINDS))
 def test_charging_another_kernels_set_raises(kind, factory64):
     # total_footprint and sparse_savings charge only sets of the kind's own
     # kernel; measure charges through total_footprint
-    s = factory64.maker(kind, "A")()
+    f = factory64(kind)
+    s = f.maker("A")()
     s.add(3)
     kernel = SET_KINDS[kind].kernel
     for other, row in SET_KINDS.items():
         if row.kernel is kernel:
-            factory64.total_footprint([s], other)
+            f.total_footprint([s], other)
             if row.chunk_arrays is not None:
                 sparse_savings(s, other)
             continue
         with pytest.raises(ConfigMismatchError):
-            factory64.total_footprint([s], other)
+            f.total_footprint([s], other)
         # a set of another kernel raises wherever it stands in the list
-        t = factory64.maker(other, "A")()
+        t = factory64(other).maker("A")()
         for mixed in ([s, t], [t, s]):
             with pytest.raises(ConfigMismatchError):
-                factory64.total_footprint(mixed, kind)
+                f.total_footprint(mixed, kind)
         if row.chunk_arrays is not None:
             with pytest.raises(ConfigMismatchError):
                 sparse_savings(s, other)
@@ -1196,11 +1171,11 @@ def slot_names(cls):
 
 @pytest.mark.parametrize("kind", sorted(SET_KINDS))
 def test_sets_hold_only_their_kernel_state(kind):
-    f = big_factory(cb=8)  # A's interval is [31, 90]
-    src = f.maker(kind, "Object")()
+    f = big_factory(kind, cb=8)  # A's interval is [31, 90]
+    src = f.maker("Object")()
     for i in range(1, f.total + 1):
         src.add(i)
-    s = f.maker(kind, "A")()
+    s = f.maker("A")()
     kernel = SET_KINDS[kind].kernel
     want = KERNEL_ATTRS[kernel]
     # a kernel, or a base, that forgets __slots__ gives its sets a __dict__
