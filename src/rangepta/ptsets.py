@@ -27,7 +27,10 @@ solve of a kernel as any of its kinds.
   is charged the full-universe array; ``hybrid`` 16 inline slots up to 16
   members, then pure's array plus a reference to it (Lhotak & Hendren, CC
   2003); ``sparse`` one eight-word element per eight-chunk window its
-  member int occupies, and keeps no dense chunk arrays;
+  member int occupies, and keeps no dense chunk arrays.  Its factory
+  counts the windows once per distinct member int
+  (``SetFactory.occupied_windows``), since many sets of a solve hold
+  the same int;
 - ``SharedBitVectorSet`` (``shared``): one member int, ORed under the type
   mask as ``pure``'s, beside an interned base int; the overflow is the
   members outside the base, folded into a new base past 20 overflow
@@ -78,10 +81,11 @@ an owner type binds both, so making a set is one call that reads no
 table.  The type masks (``build_type_mask``) and the ranged geometries
 (``RangedPointsToSet.type_state``) are cached on the ``NumberingResult``,
 the geometries per chunk width, so every factory over one numbering
-shares them.  The per-type states, naive's subset tests and the interned
-shared bases are per factory.  A factory holds no maker, which would
-refer back to it, so a finished solve is freed by reference counting
-alone.
+shares them.  The per-type states, naive's subset tests, the interned
+shared bases and the window counts of sparse charging and
+``sparse_savings`` are per factory, and the counts hold only ints.  A
+factory holds no maker, which would refer back to it, so a finished
+solve is freed by reference counting alone.
 
 Sets and ranged geometries are slotted: they hold only the attributes
 named here, and no instance dict.
@@ -147,8 +151,9 @@ class SetFactory:
     sets of the kind's kernel by the kind's row, so one factory serves
     every kind on its kernel.  Type masks and ranged geometry come from
     caches on the numbering, which every factory over it shares; the
-    factory caches every owner's per-type state, the interned shared bases
-    and naive's subset tests."""
+    factory caches every owner's per-type state, the interned shared bases,
+    naive's subset tests and the occupied windows of each int it has
+    counted."""
 
     def __init__(self, nr: NumberingResult, cfg: ChunkConfig, kind: str):
         row = SET_KINDS.get(kind)
@@ -169,6 +174,12 @@ class SetFactory:
         # (source, destination) naive compatible sets, the source no larger
         # -> whether the source lies within the destination
         self._covers: dict[tuple[frozenset, frozenset], bool] = {}
+        # member int -> its occupied eight-chunk windows, and the last pair
+        # asked for: sets made and filled by one walk sit next to each
+        # other and often hold one int (0 occupies no window)
+        self._windows: dict[int, int] = {}
+        self._last_value = 0
+        self._last_windows = 0
 
     def maker(self, owner: str) -> Callable[[], "PointsToSet"]:
         """The zero-argument constructor of empty sets owned by the named
@@ -179,6 +190,18 @@ class SetFactory:
         if state is None:
             state = self._type_states[owner] = kernel.type_state(self, owner)
         return partial(kernel, self, state)
+
+    def occupied_windows(self, value: int) -> int:
+        """``_occupied_windows(value, cfg)`` at this factory's chunk width,
+        counted once per distinct value for the factory's life."""
+        if value == self._last_value:
+            return self._last_windows
+        n = self._windows.get(value)
+        if n is None:
+            n = self._windows[value] = _occupied_windows(value, self.cfg)
+        self._last_value = value
+        self._last_windows = n
+        return n
 
     def total_footprint(self, sets: Sequence["PointsToSet"], kind: str) -> int:
         """The modeled bytes of ``kind`` sets: each set as the kind's row
@@ -534,7 +557,8 @@ class RangedPointsToSet(PointsToSet):
 
 def _occupied_windows(value: int, cfg: ChunkConfig) -> int:
     """Eight-chunk windows of value (bit 0 starts window 0) that hold a set
-    bit."""
+    bit: the one window count, which ``SetFactory.occupied_windows``
+    memoizes."""
     window_bits = SPARSE_ELEMENT_WORDS * cfg.chunk_bits
     n = 0
     while value:
@@ -545,7 +569,8 @@ def _occupied_windows(value: int, cfg: ChunkConfig) -> int:
 
 
 # -- charging rows: each function charges one finished set of its row's
-# kernel, and allocates nothing but its result
+# kernel; all but sparse's allocate nothing but their result, and sparse's
+# fills its factory's window counts (SetFactory.occupied_windows)
 
 INLINE_BYTES = OBJECT_HEADER + HYBRID_INLINE_CAP * REF_BYTES
 
@@ -566,9 +591,9 @@ def _sparse_bytes(s: PureBitVectorSet) -> int:
     """GCC/LLVM-style sparse bitmap: a list of eight-word elements, one
     wherever the member int occupies an eight-chunk window; members only
     grow, so the windows a set ever touched are exactly those."""
-    cfg = s.factory.cfg
-    per_element = OBJECT_HEADER + SPARSE_ELEMENT_WORDS * cfg.chunk_bytes + REF_BYTES
-    return OBJECT_HEADER + _occupied_windows(s.bits, cfg) * per_element
+    f = s.factory
+    per_element = OBJECT_HEADER + SPARSE_ELEMENT_WORDS * f.cfg.chunk_bytes + REF_BYTES
+    return OBJECT_HEADER + f.occupied_windows(s.bits) * per_element
 
 
 def _shared_bytes(s: SharedBitVectorSet) -> int:
@@ -644,9 +669,9 @@ def sparse_savings(s: PointsToSet, kind: str) -> int:
         raise UnsupportedKindError(f"sparse savings undefined for set kind {kind!r}")
     if type(s) is not row.kernel:
         raise ConfigMismatchError(f"set kind {kind!r} did not make this set")
-    cfg = s.factory.cfg
+    f = s.factory
     empty = 0
     for num_chunks, value in row.chunk_arrays(s):
         windows = -(-num_chunks // SPARSE_ELEMENT_WORDS)
-        empty += windows - _occupied_windows(value, cfg)
-    return empty * SPARSE_ELEMENT_WORDS * cfg.chunk_bytes
+        empty += windows - f.occupied_windows(value)
+    return empty * SPARSE_ELEMENT_WORDS * f.cfg.chunk_bytes

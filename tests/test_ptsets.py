@@ -35,6 +35,7 @@ from rangepta.ptsets import (
     ARRAY_HEADER,
     HYBRID_INLINE_CAP,
     OBJECT_HEADER,
+    REF_BYTES,
     SET_KINDS,
     SHARED_OVERFLOW_CAP,
     NaiveSet,
@@ -1087,6 +1088,26 @@ class TestFootprint:
         assert footprint(sets[0], "pure") == OBJECT_HEADER + f.universe_bytes
         assert footprint(sets[0], "hybrid") == OBJECT_HEADER + 16 * 8
         assert footprint(sets[0], "sparse") == 2 * OBJECT_HEADER + 8 * 8 + 8
+
+    def test_window_counts_are_per_chunk_width(self):
+        # one member int charged through factories at two chunk widths gets
+        # each width's own count, whichever width counts it first
+        f8 = big_factory("sparse", per_class=200, cb=8)  # 600 allocs
+        f64 = SetFactory(f8.nr, ChunkConfig(64), "sparse")
+        members = (1, 70, 130, 600)  # windows 0, 1, 2, 9 of 64 bits; 0, 1 of 512
+        for first, then in ((f8, f64), (f64, f8)):
+            sets = [g.maker("Object")() for g in (first, then)]
+            for s in sets:
+                for i in members:
+                    s.add(i)
+            assert sets[0].bits == sets[1].bits
+            charged = {s.factory.cfg.chunk_bits: footprint(s, "sparse") for s in sets}
+            assert charged == {
+                8: OBJECT_HEADER + 4 * (OBJECT_HEADER + 8 * 1 + REF_BYTES),
+                64: OBJECT_HEADER + 2 * (OBJECT_HEADER + 8 * 8 + REF_BYTES),
+            }
+            assert f8.occupied_windows(sets[0].bits) == 4
+            assert f64.occupied_windows(sets[0].bits) == 2
 
 
 class TestSparseSavings:

@@ -5,6 +5,7 @@ from dataclasses import replace
 from functools import cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import (
     aligned_span,
@@ -28,7 +29,14 @@ from rangepta.errors import (
 )
 from rangepta.hierarchy import build_type_mask, number_allocations
 from rangepta.pag import GenParams, generate_synthetic, parse_program
-from rangepta.ptsets import SET_KINDS
+from rangepta.ptsets import (
+    OBJECT_HEADER,
+    REF_BYTES,
+    SET_KINDS,
+    SPARSE_ELEMENT_WORDS,
+    _occupied_windows,
+    sparse_savings,
+)
 from rangepta.solver import (
     SolverConfig,
     compare_solutions,
@@ -286,16 +294,88 @@ def test_ranged_objects_are_the_exact_solution(kind):
         var_want, field_want = exact_bits(text)
         for cb in (8, 16, 32, 64):
             sol = propagate(pag, nr, SolverConfig(kind, "intrinsic", cb))
-            for v, want in var_want.items():
-                s = sol.var_sets.get(v)
-                assert (0 if s is None else s.objects_int()) == want, (cb, v)
-            for key in set(field_want) | set(sol.field_sets):
-                s = sol.field_sets.get(key)
-                got = 0 if s is None else s.objects_int()
-                assert got == field_want.get(key, 0), (cb, key)
+            assert_objects_exact(sol, var_want, field_want)
             sets = [*sol.var_sets.values(), *sol.field_sets.values()]
             slack += sum(s.as_int() != s.objects_int() for s in sets)
     assert slack
+
+
+def assert_objects_exact(sol, var_want, field_want):
+    """Each var and field set's objects are the oracle's members."""
+    cb = sol.factory.cfg.chunk_bits
+    for v, want in var_want.items():
+        s = sol.var_sets.get(v)
+        assert (0 if s is None else s.objects_int()) == want, (cb, v)
+    for key in set(field_want) | set(sol.field_sets):
+        s = sol.field_sets.get(key)
+        got = 0 if s is None else s.objects_int()
+        assert got == field_want.get(key, 0), (cb, key)
+
+
+@st.composite
+def interface_programs(draw):
+    """A small fact text whose classes implement drawn interfaces and whose
+    vars and fields are declared mostly with interface types.  Each var is
+    seeded with sites of classes that name its type, and C1 implements I0
+    and its site c1_0 is put in v0 : I0, so an interface-typed set is never
+    empty."""
+    ifaces = [f"I{i}" for i in range(draw(st.integers(1, 4)))]
+    classes = ["Object"] + [f"C{i}" for i in range(1, draw(st.integers(2, 8)))]
+    lines = ["class Object"]
+    for i, name in enumerate(ifaces):
+        exts = draw(st.lists(st.sampled_from(ifaces[:i]), max_size=2, unique=True)) if i else []
+        lines.append(f"interface {name}" + (" extends " + ",".join(exts) if exts else ""))
+    allocs = []
+    sites = {t: [] for t in ifaces + classes}  # type -> sites of classes naming it
+    for i, name in enumerate(classes[1:], start=1):
+        parent = draw(st.sampled_from(classes[:i]))
+        impl = [t for t in ifaces if (i, t) == (1, "I0") or draw(st.booleans())]
+        lines.append(f"class {name} extends {parent}"
+                     + (" implements " + ",".join(impl) if impl else ""))
+        own = [f"c{i}_{j}" for j in range(draw(st.integers(i == 1, 4)))]
+        allocs += [(a, name) for a in own]
+        for t in [name, *impl]:
+            sites[t] += own
+    typ = st.one_of(st.sampled_from(ifaces), st.sampled_from(classes))
+    fields = [f"f{i}" for i in range(draw(st.integers(1, 3)))]
+    var_types = [("v0", "I0")]
+    var_types += [(f"v{i}", draw(typ)) for i in range(1, draw(st.integers(2, 8)))]
+    lines += [f"field {f} : {draw(typ)}" for f in fields]
+    lines += [f"var {v} : {t}" for v, t in var_types]
+    lines += [f"alloc {a} : {t}" for a, t in allocs]
+    lines.append("new v0 c1_0")
+    # sets of interfaces whose sites span several intervals fill in more
+    # than one
+    for v, t in var_types:
+        if sites[t]:
+            seeds = draw(st.lists(st.sampled_from(sites[t]), max_size=3, unique=True))
+            lines += [f"new {v} {a}" for a in seeds]
+    var, fld = st.sampled_from([v for v, _ in var_types]), st.sampled_from(fields)
+    statement = st.one_of(
+        st.builds("new {} {}".format, var, st.sampled_from([a for a, _ in allocs])),
+        st.builds("assign {} {}".format, var, var),
+        st.builds("store {} {} {}".format, var, fld, var),
+        st.builds("load {} {} {}".format, var, var, fld),
+    )
+    lines += draw(st.lists(statement, min_size=5, max_size=40))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(interface_programs(), st.sampled_from((8, 16, 32, 64)))
+def test_ranged_objects_are_exact_with_interfaces(text, cb):
+    # the pin above on drawn hierarchies with interfaces, which the
+    # generator rarely makes: interface-typed sets, non-empty ones among
+    # them, over interfaces whose sites span several intervals
+    pag, nr = load_corpus(text)
+    var_want, field_want = exact_bits(text)
+    ifaces = {name for name, _ in pag.iface_decls}
+    for kind in ("ranged", "ranged-hybrid"):
+        sol = propagate(pag, nr, SolverConfig(kind, "intrinsic", cb))
+        assert_objects_exact(sol, var_want, field_want)
+        typed = [s for v, s in sol.var_sets.items() if pag.var_types[v] in ifaces]
+        typed += [s for (_, f), s in sol.field_sets.items() if pag.field_types[f] in ifaces]
+        assert any(s.objects_int() for s in typed)
 
 
 class TestOrdering:
@@ -1161,11 +1241,84 @@ def test_finished_solve_is_freed_by_reference_counting(cfg):
     try:
         sol = propagate(pag, nr, replace(cfg, chunk_bits=SUITE_CHUNK))
         assert run_extra_pass(sol) == 0
+        # charging fills the factory's window counts: a sparse solve's own
+        # charge, and sparse_savings of a kind that keeps chunk arrays
+        measure(sol)
+        if SET_KINDS[cfg.set_kind].chunk_arrays is not None:
+            sets = [*sol.var_sets.values(), *sol.field_sets.values()]
+            assert sum(sparse_savings(s, cfg.set_kind) for s in sets) >= 0
+            del sets
+        if cfg.set_kind not in ("naive", "shared"):
+            assert sol.factory._windows
         factory = weakref.ref(sol.factory)
         del sol
         assert factory() is None
     finally:
         gc.enable()
+
+
+def direct_sparse_bytes(s):
+    cfg = s.factory.cfg
+    per_element = OBJECT_HEADER + SPARSE_ELEMENT_WORDS * cfg.chunk_bytes + REF_BYTES
+    return OBJECT_HEADER + _occupied_windows(s.bits, cfg) * per_element
+
+
+def direct_sparse_savings(s, kind):
+    cfg = s.factory.cfg
+    empty = sum(-(-n // SPARSE_ELEMENT_WORDS) - _occupied_windows(value, cfg)
+                for n, value in SET_KINDS[kind].chunk_arrays(s))
+    return empty * SPARSE_ELEMENT_WORDS * cfg.chunk_bytes
+
+
+@pytest.mark.parametrize("cb", [8, 16, 32, 64])
+def test_window_counts_are_the_direct_count(cb):
+    # the factory counts an int's windows once and every later charge reads
+    # that count: each sparse charge and each sparse_savings equals one
+    # counted directly, on the first charge, a repeat and a reversed pass
+    cfg = ChunkConfig(cb)
+    for text in small_corpora():
+        pag, nr = load_corpus(text)
+        sol = propagate(pag, nr, SolverConfig("sparse", "mask", cb))
+        sets = [*sol.var_sets.values(), *sol.field_sets.values()]
+        want = sum(map(direct_sparse_bytes, sets))
+        assert sol.stats.total_footprint_bytes == want
+        for again in (sets, sets[::-1]):
+            assert sol.factory.total_footprint(again, "sparse") == want
+        windows = sol.factory._windows
+        assert windows == {v: _occupied_windows(v, cfg) for v in windows}
+        assert set(windows) | {0} == {s.bits for s in sets} | {0}
+        for kind, mode in [("pure", "mask"), ("hybrid", "mask"),
+                           ("ranged", "intrinsic"), ("ranged-hybrid", "intrinsic")]:
+            sol = propagate(pag, nr, SolverConfig(kind, mode, cb))
+            sets = [*sol.var_sets.values(), *sol.field_sets.values()]
+            want = [direct_sparse_savings(s, kind) for s in sets]
+            assert [sparse_savings(s, kind) for s in sets] == want, kind
+            assert [sparse_savings(s, kind) for s in sets] == want, kind
+            assert [sparse_savings(s, kind) for s in sets[::-1]] == want[::-1], kind
+            windows = sol.factory._windows
+            assert all(n == _occupied_windows(v, cfg) for v, n in windows.items())
+            assert {type(x) for x in [*windows, *windows.values()]} <= {int}
+
+
+def test_sparse_counts_each_member_int_once(monkeypatch):
+    # a deep-width corpus: hundreds of sets over a universe of 1,089 sites
+    # hold a few dozen distinct ints, and the solve's charge counts the
+    # windows of each one at most once
+    text, chunk = max(rewalk_corpora(), key=lambda tc: tc[0].count("\nalloc "))
+    pag, nr = load_corpus(text)
+    counted = []
+
+    def occupied_windows(value, cfg):
+        counted.append(value)
+        return _occupied_windows(value, cfg)
+
+    monkeypatch.setattr(ptsets, "_occupied_windows", occupied_windows)
+    sol = propagate(pag, nr, SolverConfig("sparse", "mask", chunk))
+    sets = [*sol.var_sets.values(), *sol.field_sets.values()]
+    assert nr.total_allocs > 1000
+    assert len(counted) == len(set(counted))
+    assert set(counted) | {0} == {s.bits for s in sets} | {0}
+    assert 10 * len(counted) < len(sets)
 
 
 @cache
