@@ -6,7 +6,10 @@ subtype test, and numbering allocation sites class by class in the same
 preorder makes it the class's index interval too: the allocations of the
 classes in its preorder range.  Interfaces map to one interval per topmost
 implementing class.  Indices are 1-based.  A type's mask, the filter of
-the exactly filtered set kinds, is the bits of its intervals.
+the pure and shared bit-vector kernels (``pure``, ``hybrid``, ``sparse``
+and ``shared``), is the bits of its intervals.  ``naive`` filters by the
+type's index set and the ranged kinds by its intervals and their chunk
+spans, so neither builds a mask.
 """
 
 from __future__ import annotations

@@ -53,16 +53,17 @@ its source from the destination's own factory, so the source is always a
 set of the destination's own kernel.  ``add_all`` raises
 ``ConfigMismatchError`` for a source made by another factory: a set of
 another kernel, or one of the same kernel over another chunk width or an
-equal but separately built numbering.  Each kernel's ``add_all`` therefore has one path, which
-reads the source's own fields: a masked OR of the source's members
-(naive's hash set, or ``bits``) under the owner's type filter, or, for a
-ranged set, of the source's objects (never its slack) under the owner's
-chunk spans, followed only by ``shared``'s fold or ``ranged``'s record of
-copied positions.  No kernel falls back to element-wise insertion, so
-spill and fold points land exactly where element-wise insertion in
-ascending order would put them.  A ranged union gives each vector exactly
-what ``RangedBitVector.or_overlapping``, the reference chunk-wise union,
-would: the source's objects within the vector's chunk span.
+equal but separately built numbering.  Each kernel's ``add_all``
+therefore has one path, which reads the source's own fields: a masked OR
+of the source's members (naive's hash set, or ``bits``) under the owner's
+type filter, or, for a ranged set, of the source's objects (never its
+slack) under the owner's chunk spans, followed only by ``shared``'s fold
+or ``ranged``'s record of copied positions.  No kernel falls back to
+element-wise insertion, so spill and fold points land exactly where
+element-wise insertion in ascending order would put them.  A ranged
+union gives each vector exactly what ``RangedBitVector.or_overlapping``,
+the reference chunk-wise union, would: the source's objects within the
+vector's chunk span.
 
 Each kernel inserts one alloc index with its own ``add(idx)``, under the
 owner's exact filter (naive's compatible set, the type mask, or a ranged
@@ -171,8 +172,8 @@ class SetFactory:
         # owner -> per-type state
         self._type_states: dict[str, object] = {}
         self._interned_bases: dict[int, int] = {}
-        # (source, destination) naive compatible sets, the source no larger
-        # -> whether the source lies within the destination
+        # (source, destination) naive compatible sets -> whether the source
+        # lies within the destination
         self._covers: dict[tuple[frozenset, frozenset], bool] = {}
         # member int -> its occupied eight-chunk windows, and the last pair
         # asked for: sets made and filled by one walk sit next to each
@@ -194,6 +195,7 @@ class SetFactory:
     def occupied_windows(self, value: int) -> int:
         """``_occupied_windows(value, cfg)`` at this factory's chunk width,
         counted once per distinct value for the factory's life."""
+        # kept: a dict-only memo made deep's sparse solve 5 % slower
         if value == self._last_value:
             return self._last_windows
         n = self._windows.get(value)
@@ -316,17 +318,11 @@ class NaiveSet(PointsToSet):
             self._check_universe(src)
         members = self.members
         compatible = self._compatible
-        inner = src._compatible
-        if inner is compatible:
-            covered = True
-        elif len(inner) > len(compatible):
-            covered = False  # a larger set cannot lie within the owner's
-        else:
-            key = inner, compatible
-            covers = self.factory._covers
-            covered = covers.get(key)
-            if covered is None:
-                covered = covers[key] = inner <= compatible
+        key = src._compatible, compatible
+        covers = self.factory._covers
+        covered = covers.get(key)
+        if covered is None:
+            covered = covers[key] = key[0] <= compatible
         if covered:
             # the filter admits every source member: take only the new
             # ones, so a union that adds nothing leaves the table as is
@@ -438,17 +434,13 @@ class SharedBitVectorSet(PointsToSet):
             return
         # ascending insertion folds each time the overflow reaches 21, so
         # the overflow keeps the top n % 21 new members and the base the
-        # rest; the k-th '1' of bin(new) is its k-th highest member
+        # rest
         keep = 0
-        k = n % (SHARED_OVERFLOW_CAP + 1)
-        if k:
-            new = grown ^ self.bits
-            digits = bin(new)
-            at = 1
-            for _ in range(k):
-                at = digits.index("1", at + 1)
-            low = len(digits) - 1 - at
-            keep = new >> low << low
+        new = grown ^ self.bits
+        for _ in range(n % (SHARED_OVERFLOW_CAP + 1)):
+            top = 1 << new.bit_length() - 1
+            keep |= top
+            new ^= top
         base = grown ^ keep
         base = self.base = self.factory._interned_bases.setdefault(base, base)
         self.bits = grown if keep else base

@@ -271,6 +271,7 @@ def propagate(pag: PAG, nr: NumberingResult, cfg: SolverConfig) -> Solution:
                 (by_field[f], f, field_types[f], pd, k, by_obj, 1 << len(dsts))
             )
             dsts.append(pd)
+        # kept: a per-walk set of tried dsts made deep's solves 3-6 % slower
         for _, dsts, into in feedback.values():
             bits = defaultdict(int)
             for j, pd in enumerate(dsts):

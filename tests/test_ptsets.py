@@ -537,24 +537,29 @@ class TestOracleEquivalence:
                     assert_bulk_matches_elementwise(f, kind, "A", log)
 
     def test_shared_fold_on_a_wide_universe(self):
-        # a universe of 1,200 allocations: one bulk union whose members
+        # universes of 1,200 and 5,700 allocations, the second as wide as
+        # the deep benchmark's member ints: one bulk union whose members
         # reach across A's interval, after 0, 7 or 20 held overflow
         # members below or above them, leaves every kept count 0..20 after
         # one fold and after two; the overflow keeps the top new members
-        f = big_factory("shared", per_class=400)  # A's interval is [401, 1200]
-        kept = set()
-        for held in (0, 7, 20):
-            for held_members in (range(401, 401 + held), range(1200, 1200 - held, -1)):
-                rest = [i for i in range(401, 1201) if i not in held_members]
-                for m in range(SHARED_OVERFLOW_CAP + 1 - held, 63 - held):
-                    bulk = [rest[j * len(rest) // m] for j in range(m)]
-                    log = [("add", i) for i in held_members]
-                    log.append(("addall", "Object", bulk))
-                    s = assert_bulk_matches_elementwise(f, "shared", "A", log)
-                    k = (held + m) % (SHARED_OVERFLOW_CAP + 1)
-                    assert s.bits ^ s.base == sum(1 << i for i in bulk[m - k:]), (held, m)
-                    kept.add(k)
-        assert kept == set(range(SHARED_OVERFLOW_CAP + 1))
+        for per_class in (400, 1900):
+            f = big_factory("shared", per_class=per_class)
+            # A's interval is [per_class + 1, 3 * per_class]
+            lo, hi = per_class + 1, 3 * per_class
+            kept = set()
+            for held in (0, 7, 20):
+                for held_members in (range(lo, lo + held), range(hi, hi - held, -1)):
+                    rest = [i for i in range(lo, hi + 1) if i not in held_members]
+                    for m in range(SHARED_OVERFLOW_CAP + 1 - held, 63 - held):
+                        bulk = [rest[j * len(rest) // m] for j in range(m)]
+                        log = [("add", i) for i in held_members]
+                        log.append(("addall", "Object", bulk))
+                        s = assert_bulk_matches_elementwise(f, "shared", "A", log)
+                        k = (held + m) % (SHARED_OVERFLOW_CAP + 1)
+                        top = sum(1 << i for i in bulk[m - k:])
+                        assert s.bits ^ s.base == top, (per_class, held, m)
+                        kept.add(k)
+            assert kept == set(range(SHARED_OVERFLOW_CAP + 1)), per_class
 
     def test_ranged_conservative_superset(self):
         rng = random.Random(22)
@@ -692,13 +697,16 @@ def owner_relation(compat, src_owner, dst_owner):
         return "same type"
     if inner <= outer:
         return "subset"
-    return "overlapping" if inner & outer else "disjoint"
+    if not inner & outer:
+        return "disjoint"
+    return "superset" if inner > outer else "overlapping"
 
 
 def test_naive_union_is_the_filtered_source():
     # naive sets of every owner pair (the same type, a source type whose
-    # compatible set lies within the destination's, overlapping and
-    # disjoint ones, a type with no allocation) take exactly
+    # compatible set lies within the destination's, one whose compatible
+    # set strictly contains it, overlapping and disjoint ones, a type with
+    # no allocation) take exactly
     # src ∩ compatible(dst) from each union, and report a change iff that
     # adds a member.  A union from a source the filter cannot trim (the
     # same type or a subset) that adds nothing leaves the destination's
@@ -749,7 +757,7 @@ def test_naive_union_is_the_filtered_source():
         seen["large sets"] += max(map(len, want)) > 20
     # every owner relation, a type with no allocation and sets past 20
     # members are reached, or the test checks less than it claims
-    assert len(seen) == 6 and all(seen.values()), seen
+    assert len(seen) == 7 and all(seen.values()), seen
 
 
 @pytest.mark.parametrize("cb", [8, 64])
