@@ -4,12 +4,14 @@ A depth-first walk of the class tree gives every class one contiguous
 preorder range: the class and its subclasses.  The range is the class's
 subtype test, and numbering allocation sites class by class in the same
 preorder makes it the class's index interval too: the allocations of the
-classes in its preorder range.  Interfaces map to one interval per topmost
-implementing class.  Indices are 1-based.  A type's mask, the filter of
-the pure and shared bit-vector kernels (``pure``, ``hybrid``, ``sparse``
-and ``shared``), is the bits of its intervals.  ``naive`` filters by the
-type's index set and the ranged kinds by its intervals and their chunk
-spans, so neither builds a mask.
+classes in its preorder range.  An interface's intervals are the maximal
+runs of compatible allocations, found by the same numbering pass; they
+equal the merged intervals of its topmost implementing classes, since a
+class's whole subtree is compatible with the class's interfaces.  Indices
+are 1-based.  A type's mask, the filter of the pure and shared bit-vector
+kernels (``pure``, ``hybrid``, ``sparse`` and ``shared``), is the bits of
+its intervals.  ``naive`` filters by the type's index set and the ranged
+kinds by its intervals and their chunk spans, so neither builds a mask.
 """
 
 from __future__ import annotations
@@ -189,16 +191,24 @@ def build_hierarchy(
     child_decls: dict[str, list] = {name: [] for name, _, _ in class_decls}
     ext_map = {name: tuple(exts) for name, exts in iface_decls}
 
+    kind_of = dict.fromkeys(child_decls, "a class") | dict.fromkeys(ext_map, "an interface")
+
+    def misplaced(decl: str, name: str, role: str, t: str, unknown: str):
+        # a type declared in another role is named as such, not as unknown
+        kind = kind_of.get(t)
+        problem = f"{role} {t} is {kind}" if kind else f"unknown {unknown} {t}"
+        return UnknownTypeError(f"{decl} {name}: {problem}", decl=name)
+
     for name, parent, ifaces in class_decls:
         if parent is not None and parent not in child_decls:
-            raise UnknownTypeError(f"class {name}: unknown parent {parent}", decl=name)
+            raise misplaced("class", name, "parent", parent, "parent")
         for i in ifaces:
             if i not in ext_map:
-                raise UnknownTypeError(f"class {name}: unknown interface {i}", decl=name)
+                raise misplaced("class", name, "implemented", i, "interface")
     for name, exts in ext_map.items():
         for e in exts:
             if e not in ext_map:
-                raise UnknownTypeError(f"interface {name}: unknown interface {e}", decl=name)
+                raise misplaced("interface", name, "extended", e, "interface")
 
     h.root = TypeRef(roots[0][0], "class")
     # one walk from the root, pushing each class's child declarations in
@@ -309,7 +319,8 @@ class NumberingResult:
 
 def number_allocations(h: ClassHierarchy, allocs: Sequence[AllocSite]) -> NumberingResult:
     """Number the allocations class by class in the hierarchy's preorder;
-    a class's interval holds the allocations of its preorder range."""
+    a class's interval holds the allocations of its preorder range, and an
+    interface's intervals are the runs the same walk finds."""
     class2allocs: dict[str, list[AllocSite]] = {c: [] for c in h._pre}
     for a in allocs:
         t = h.lookup(a.type_name)
@@ -323,60 +334,52 @@ def number_allocations(h: ClassHierarchy, allocs: Sequence[AllocSite]) -> Number
     # before[n]: how many allocations the classes at preorder positions
     # below n hold
     before: list[int] = []
-    for sites in class2allocs.values():  # preorder
-        before.append(len(global_array))
-        global_array.extend(sites)
-    before.append(len(global_array))
+    # an interface's run opens or closes only where the interface set
+    # changes between consecutive classes that hold allocations; a class
+    # with none sits inside or outside a run without ending it
+    ifaces_of = h._ifaces_of_class
+    runs: list[list[Interval]] = [[] for _ in h._iface_names]
+    lower = [0] * len(runs)  # lower bound of each open run
+    prev = 0  # interface set of the last class that holds allocations
+    for c, sites in class2allocs.items():  # preorder
+        n = len(global_array)
+        before.append(n)
+        if sites:
+            ifs = ifaces_of[c]
+            if ifs != prev:
+                for k in _iter_bits(ifs ^ prev, 0):
+                    if ifs >> k & 1:
+                        lower[k] = n + 1
+                    else:
+                        runs[k].append(Interval(lower[k], n))
+                prev = ifs
+            global_array.extend(sites)
+    n = len(global_array)
+    before.append(n)
+    for k in _iter_bits(prev, 0):
+        runs[k].append(Interval(lower[k], n))
     # a class finishes with the last class of its range, after its descendants
     postorder = sorted(h._pre, key=lambda c: (h._last[c], -h._pre[c]))
 
-    nr = NumberingResult(
+    return NumberingResult(
         hierarchy=h,
         global_array=tuple(global_array),
         type2interval={
             c: Interval(before[h._pre[c]] + 1, before[h._last[c] + 1]) for c in postorder
         },
-        iface2intervals={},
-        total_allocs=len(global_array),
+        iface2intervals={i: tuple(r) for i, r in zip(h._iface_names, runs)},
+        total_allocs=n,
         index_of={a.id: i for i, a in enumerate(global_array, start=1)},
     )
-    # an implementing class is topmost for an interface iff its parent is
-    # not compatible with it; one walk finds the topmost classes of all
-    tops: list[list[str]] = [[] for _ in h._iface_names]
-    ifaces_of = h._ifaces_of_class
-    for c, parent in h.parent.items():
-        ifs = ifaces_of[c]
-        if parent is not None:
-            ifs &= ~ifaces_of[parent]
-        for k in _iter_bits(ifs, 0):
-            tops[k].append(c)
-    for iface, classes in zip(h._iface_names, tops):
-        nr.iface2intervals[iface] = tuple(_merged_intervals(nr, classes))
-    return nr
-
-
-def _merged_intervals(nr: NumberingResult, classes: list[str]) -> list[Interval]:
-    """The nonempty intervals of classes, sorted by lower bound, adjacent
-    and overlapping ones merged."""
-    ivs = sorted(
-        (nr.type2interval[c] for c in classes if not nr.type2interval[c].empty),
-        key=lambda iv: iv.lower,
-    )
-    merged: list[Interval] = []
-    for iv in ivs:
-        if merged and iv.lower <= merged[-1].upper + 1:
-            merged[-1] = Interval(merged[-1].lower, max(merged[-1].upper, iv.upper))
-        else:
-            merged.append(iv)
-    return merged
 
 
 def intervals_of(nr: NumberingResult, name: str) -> list[Interval]:
     """Index intervals covering all allocs compatible with the named type.
 
     Classes get their single interval, none if it is empty; interfaces get
-    one nonempty interval per topmost implementing class, merged when
-    adjacent, sorted by lower bound.
+    the maximal runs of compatible allocations, sorted by lower bound, as
+    the numbering pass found them: the merged intervals of the topmost
+    implementing classes.
     """
     if nr.hierarchy.lookup(name).kind == "interface":
         return list(nr.iface2intervals[name])

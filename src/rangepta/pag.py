@@ -80,10 +80,12 @@ def _check_ident(tok: str, line: int, bare: bool = False) -> str:
 
 
 def _split_list(tok: str, line: int) -> tuple[str, ...]:
-    names = tuple(t for t in tok.split(",") if t)
-    if not names:
+    names = tuple(tok.split(","))
+    if not any(names):
         raise FactSyntaxError("empty name list", line)
     for n in names:
+        if not n:
+            raise FactSyntaxError(f"empty name in list {tok!r}", line)
         _check_ident(n, line)
     return names
 

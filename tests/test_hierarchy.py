@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from conftest import WORKED_CLASSES, WORKED_IFACES, random_hierarchy, worked_allocs
-from oracles import closure_supertypes, compatible_indices, walk_type_mask
+from oracles import closure_supertypes, compatible_indices, runs_of, walk_type_mask
 from rangepta import hierarchy
 from rangepta.bitsets import ChunkConfig
 from rangepta.errors import (
@@ -314,11 +314,13 @@ class TestRandomizedProperties:
     def test_contiguity_laminar_masks_and_interface_cover(self):
         rng = random.Random(7)
         empty_classes = 0
+        spanning_runs = 0
         for _ in range(60):
             classes, ifaces, allocs = random_hierarchy(rng)
             h = build_hierarchy(classes, ifaces)
             nr = number_allocations(h, allocs)
             supers = closure_supertypes(classes, ifaces)
+            holders = {a.type_name for a in allocs}
 
             # the numbering's order is the tree's own depth-first order:
             # classes in preorder, each class's allocs in the given order
@@ -359,8 +361,22 @@ class TestRandomizedProperties:
                     assert not covered & block  # pairwise disjoint
                     covered |= block
                 assert covered == compatible_indices(nr, supers, iname)
+                # maximal runs: adjacent intervals are merged
+                runs = runs_of(compatible_indices(nr, supers, iname))
+                assert [(iv.lower, iv.upper) for iv in intervals_of(nr, iname)] == runs
+                # a run spans an incompatible class with no allocations
+                # when one lies in preorder between its first and last class
+                for lo, hi in runs:
+                    first = pre.index(nr.type_of_index(lo))
+                    last = pre.index(nr.type_of_index(hi))
+                    spanning_runs += any(
+                        c not in holders and iname not in supers[c]
+                        for c in pre[first:last]
+                    )
         # allocation-less classes occur, or their intervals go unchecked
         assert empty_classes, empty_classes
+        # a run reaches past such a class, or the merge across it goes unchecked
+        assert spanning_runs, spanning_runs
 
     def test_subtype_matches_closure(self):
         rng = random.Random(11)

@@ -121,11 +121,27 @@ class TestParser:
              "line 3: expected 'extends'"),
             (HEAD + "class A extends Object implements ,", FactSyntaxError,
              "line 3: empty name list"),
+            # a declared type in the wrong role
+            (HEAD + "class A extends I", UnknownTypeError,
+             "line 3: class A: parent I is an interface"),
+            (HEAD + "class B extends Object\nclass A extends Object implements B",
+             UnknownTypeError, "line 4: class A: implemented B is a class"),
+            (HEAD + "interface J extends Object", UnknownTypeError,
+             "line 3: interface J: extended Object is a class"),
+            # an empty name anywhere in a comma list
+            (HEAD + "interface J\nclass A extends Object implements I,,J",
+             FactSyntaxError, "line 4: empty name in list 'I,,J'"),
+            (HEAD + "class A extends Object implements I,", FactSyntaxError,
+             "line 3: empty name in list 'I,'"),
+            (HEAD + "interface J extends ,I", FactSyntaxError,
+             "line 3: empty name in list ',I'"),
         ],
         ids=["var", "field", "alloc", "alloc-interface", "parent", "implements",
              "extends", "array-element", "array-interface", "two-roots", "no-root",
              "no-class", "class-cycle", "interface-cycle", "not-implements",
-             "interface-implements", "empty-name-list"],
+             "interface-implements", "empty-name-list", "parent-is-interface",
+             "implements-class", "extends-class", "empty-inner-name",
+             "empty-last-name", "empty-first-name"],
     )
     def test_type_errors_have_line(self, text, error, message):
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
