@@ -19,6 +19,7 @@ from rangepta.hierarchy import number_allocations
 from rangepta.pag import GenParams, format_program, generate_synthetic, parse_program
 from rangepta.ptsets import SET_KINDS
 from rangepta.solver import SolverConfig, propagate, run_extra_pass
+from same_numbers import WORKLOADS, shuffle_statements
 from test_acceptance import suite_text
 
 # declarations before the line-3 cases of test_type_errors_have_line
@@ -135,13 +136,19 @@ class TestParser:
              "line 3: empty name in list 'I,'"),
             (HEAD + "interface J extends ,I", FactSyntaxError,
              "line 3: empty name in list ',I'"),
+            # a type name repeated on a later declaration line
+            (HEAD + "var x : 1T\nvar y : 1T", FactSyntaxError,
+             "line 3: invalid identifier '1T'"),
+            (HEAD + "var x : Nope[]\nfield f : Nope[]", UnknownTypeError,
+             "line 3: unknown array element type: Nope"),
         ],
         ids=["var", "field", "alloc", "alloc-interface", "parent", "implements",
              "extends", "array-element", "array-interface", "two-roots", "no-root",
              "no-class", "class-cycle", "interface-cycle", "not-implements",
              "interface-implements", "empty-name-list", "parent-is-interface",
              "implements-class", "extends-class", "empty-inner-name",
-             "empty-last-name", "empty-first-name"],
+             "empty-last-name", "empty-first-name", "repeated-invalid-type",
+             "repeated-array-type"],
     )
     def test_type_errors_have_line(self, text, error, message):
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
@@ -195,6 +202,8 @@ class TestParser:
             ("store x x x", "line 5: undeclared field 'x'"),
             ("new x x", "line 5: undeclared alloc 'x'"),
             ("load x x o", "line 5: undeclared field 'o'"),
+            # a comment glued to the last name
+            ("assign x y#c", "line 5: undeclared variable 'y'"),
             # names mentioned before a declaration that comes later
             ("assign x z\nvar z : Object\nassign y z", "line 7: undeclared variable 'y'"),
             ("store x g y\nfield g : Object\nvar y : Object\nnew x p",
@@ -410,6 +419,42 @@ def _declarations_last(text):
     return "\n".join(stmts + decls) + "\n"
 
 
+# sha256 of format_program for (workload, corpus index, shuffle seed),
+# recorded before the parser's line loop was rewritten for speed
+PARSE_PINS = {
+    ("deep", 0, 0): "d426d20edf3129c8848e89028c2eb23cef6b4bd84c31671182092913d223a112",
+    ("deep", 0, 1): "478310ae85da8e12dc909ffe53accb2460dba8dfda1db33b3099af89efd127da",
+    ("wide", 0, 0): "ae4716f7e7e8045a391397d755e08bc4e2bada329a7eedaab3678eaf897bb171",
+    ("wide", 0, 1): "c1e485aae8f2aaf59ed1d84cefa4ef4ebb38733830d3ba18c6bed29e935f265a",
+    ("suite", 0, 0): "82c438c1134917ffa029a3bc56e0cb73078e229de49d9fa996910c232928bee9",
+    ("suite", 0, 1): "8fb3a86afe605360701d33bce065506ef062110d0dfe3d5966ea0722270b52e3",
+    ("suite", 1, 0): "d235a4076fcd61af5be7235eab63aee6610b6f2332b352e96b9178d93f7d531f",
+    ("suite", 1, 1): "7c41a4e674f3e5f3215ba3775e69456482bffb595e91ec9f94e6e296a16eb14c",
+    ("suite", 2, 0): "29d1d89c688fc97a4cdb1d08413155ab0217c4a14d25fe10effe4e09ae866e58",
+    ("suite", 2, 1): "d4274c00b23ff0d298940247a6844adb92a9a059a03ab2739df4db3457b8e17c",
+}
+
+
+def _assert_names_canonical(h, pag):
+    """Every name in an edge or a type field is the declaration's object."""
+    var = _canonical(pag.var_types)
+    fld = _canonical(pag.field_types)
+    alloc = _canonical(pag.allocs)
+    typ = _canonical(h.types)
+    for o, v in pag.alloc_edges:
+        assert alloc[o] is o and pag.allocs[o].id is o and var[v] is v
+    for dst, src in pag.assign_edges:
+        assert var[dst] is dst and var[src] is src
+    for base, f, src in pag.store_edges:
+        assert var[base] is base and fld[f] is f and var[src] is src
+    for dst, base, f in pag.load_edges:
+        assert var[dst] is dst and var[base] is base and fld[f] is f
+    for tname in [*pag.var_types.values(), *pag.field_types.values()]:
+        assert typ[tname] is tname
+    for a in pag.allocs.values():
+        assert typ[a.type_name] is a.type_name is h.types[a.type_name].name
+
+
 class TestCanonicalNames:
     @pytest.mark.parametrize(
         "text",
@@ -417,23 +462,22 @@ class TestCanonicalNames:
         ids=["late", "suite49", "suite49-late"],
     )
     def test_parsed_names_are_the_declared_objects(self, text):
-        h, pag = parse_program(text)
-        var = _canonical(pag.var_types)
-        fld = _canonical(pag.field_types)
-        alloc = _canonical(pag.allocs)
-        typ = _canonical(h.types)
-        for o, v in pag.alloc_edges:
-            assert alloc[o] is o and pag.allocs[o].id is o and var[v] is v
-        for dst, src in pag.assign_edges:
-            assert var[dst] is dst and var[src] is src
-        for base, f, src in pag.store_edges:
-            assert var[base] is base and fld[f] is f and var[src] is src
-        for dst, base, f in pag.load_edges:
-            assert var[dst] is dst and var[base] is base and fld[f] is f
-        for tname in [*pag.var_types.values(), *pag.field_types.values()]:
-            assert typ[tname] is tname
-        for a in pag.allocs.values():
-            assert typ[a.type_name] is a.type_name is h.types[a.type_name].name
+        _assert_names_canonical(*parse_program(text))
+
+    def test_parsed_program_is_pinned(self):
+        # format_program holds declaration order, edge order and canonical
+        # type names; same_numbers digests solves, which a reordered dict
+        # or edge list can leave the same
+        digests = {}
+        for name, count in (("deep", 1), ("wide", 1), ("suite", 3)):
+            for i, (params, gen_seed) in enumerate(WORKLOADS[name].programs[:count]):
+                text = generate_synthetic(params, gen_seed)
+                for seed in (0, 1):
+                    h, pag = parse_program(shuffle_statements(text, seed))
+                    _assert_names_canonical(h, pag)
+                    printed = format_program(pag).encode()
+                    digests[name, i, seed] = hashlib.sha256(printed).hexdigest()
+        assert digests == PARSE_PINS
 
     def test_late_declarations_parse_as_declared_first(self):
         text = suite_text(49)
