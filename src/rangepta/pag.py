@@ -27,6 +27,11 @@ and appends its edge there, keeping no statement.  A name's first mention
 must be an identifier, as a declared name must, or it is a syntax error at
 that line; a name mentioned before any declaration of it is checked once
 the file has been read.  The records are slotted.
+
+The line loop tests the four statement directives before the declaration
+ones.  A name already seen costs a statement one dict lookup, and each
+distinct type name of a var, field or alloc declaration is checked once,
+on the first line that declares it; every declared name is still checked.
 """
 
 from __future__ import annotations
@@ -104,36 +109,89 @@ def parse_program(text: str) -> tuple[ClassHierarchy, PAG]:
     # declaration or statement does, in file order
     first_mentions: list[tuple[str, str, int]] = []
     type_lines: dict[str, int] = {}  # class, interface, first array mention -> line
-
-    def declare_name(name: str, what: str, line: int):
-        if name in decl_lines:
-            raise DuplicateNameError(f"line {line}: duplicate {what} name {name!r}")
-        decl_lines[name] = line
+    checked_types: set[str] = set()  # type names of declarations so far
 
     def declare_type(name: str, line: int):
         if name in type_lines:
             raise DuplicateNameError(f"line {line}: duplicate type {name!r}")
         type_lines[name] = line
 
-    def note_type(name: str, line: int):
-        if name.endswith("[]"):
-            type_lines.setdefault(name, line)
-
     def mention(names: dict[str, str], what: str, tok: str, line: int) -> str:
-        name = names.get(tok)
-        if name is None:  # a name seen before passed this or its declaration's check
-            name = names[tok] = _check_ident(tok, line, bare=True)
-            first_mentions.append((what, tok, line))
+        # a name no statement or declaration has held yet; one seen before
+        # passed this or its declaration's check and costs its caller a get
+        name = names[tok] = _check_ident(tok, line, bare=True)
+        first_mentions.append((what, tok, line))
         return name
 
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    known_var = var_names.get
+    known_field = field_names.get
+    known_alloc = alloc_names.get
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if "#" in line:
+            line = line.split("#", 1)[0]
         toks = line.split()
+        if not toks:
+            continue
         directive = toks[0]
 
-        if directive == "class":
+        # statements first: once its names are known a statement costs
+        # little more than the directive tests before its own
+        if directive == "assign":
+            if len(toks) != 3:
+                raise FactSyntaxError("expected: assign <dst> <src>", lineno)
+            _, dst, src = toks
+            pag.assign_edges.append((
+                known_var(dst) or mention(var_names, "variable", dst, lineno),
+                known_var(src) or mention(var_names, "variable", src, lineno),
+            ))
+        elif directive == "new":
+            if len(toks) != 3:
+                raise FactSyntaxError("expected: new <var> <allocId>", lineno)
+            _, v, o = toks
+            v = known_var(v) or mention(var_names, "variable", v, lineno)
+            o = known_alloc(o) or mention(alloc_names, "alloc", o, lineno)
+            pag.alloc_edges.append((o, v))
+        elif directive == "store":
+            if len(toks) != 4:
+                raise FactSyntaxError("expected: store <base> <field> <src>", lineno)
+            _, base, f, src = toks
+            pag.store_edges.append((
+                known_var(base) or mention(var_names, "variable", base, lineno),
+                known_field(f) or mention(field_names, "field", f, lineno),
+                known_var(src) or mention(var_names, "variable", src, lineno),
+            ))
+        elif directive == "load":
+            if len(toks) != 4:
+                raise FactSyntaxError("expected: load <dst> <base> <field>", lineno)
+            _, dst, base, f = toks
+            pag.load_edges.append((
+                known_var(dst) or mention(var_names, "variable", dst, lineno),
+                known_var(base) or mention(var_names, "variable", base, lineno),
+                known_field(f) or mention(field_names, "field", f, lineno),
+            ))
+        elif directive in namespaces:
+            if len(toks) != 4 or toks[2] != ":":
+                raise FactSyntaxError(f"malformed {directive} declaration", lineno)
+            name = _check_ident(toks[1], lineno, bare=True)
+            tname = toks[3]
+            if tname not in checked_types:
+                _check_ident(tname, lineno)
+                if tname.endswith("[]"):  # an array type's line is its first mention's
+                    type_lines[tname] = lineno
+                checked_types.add(tname)
+            if name in decl_lines:
+                raise DuplicateNameError(
+                    f"line {lineno}: duplicate {directive} name {name!r}"
+                )
+            decl_lines[name] = lineno
+            name = namespaces[directive].setdefault(name, name)
+            if directive == "field":
+                pag.field_types[name] = tname
+            elif directive == "var":
+                pag.var_types[name] = tname
+            else:
+                pag.allocs[name] = AllocSite(id=name, type_name=tname)
+        elif directive == "class":
             if len(toks) not in (2, 4, 6):
                 raise FactSyntaxError("malformed class declaration", lineno)
             name = _check_ident(toks[1], lineno, bare=True)
@@ -162,48 +220,6 @@ def parse_program(text: str) -> tuple[ClassHierarchy, PAG]:
                 exts = _split_list(toks[3], lineno)
             declare_type(name, lineno)
             pag.iface_decls.append((name, exts))
-        elif directive in namespaces:
-            if len(toks) != 4 or toks[2] != ":":
-                raise FactSyntaxError(f"malformed {directive} declaration", lineno)
-            name = _check_ident(toks[1], lineno, bare=True)
-            tname = _check_ident(toks[3], lineno)
-            note_type(tname, lineno)
-            declare_name(name, directive, lineno)
-            name = namespaces[directive].setdefault(name, name)
-            if directive == "field":
-                pag.field_types[name] = tname
-            elif directive == "var":
-                pag.var_types[name] = tname
-            else:
-                pag.allocs[name] = AllocSite(id=name, type_name=tname)
-        elif directive == "new":
-            if len(toks) != 3:
-                raise FactSyntaxError("expected: new <var> <allocId>", lineno)
-            v = mention(var_names, "variable", toks[1], lineno)
-            pag.alloc_edges.append((mention(alloc_names, "alloc", toks[2], lineno), v))
-        elif directive == "assign":
-            if len(toks) != 3:
-                raise FactSyntaxError("expected: assign <dst> <src>", lineno)
-            pag.assign_edges.append((
-                mention(var_names, "variable", toks[1], lineno),
-                mention(var_names, "variable", toks[2], lineno),
-            ))
-        elif directive == "store":
-            if len(toks) != 4:
-                raise FactSyntaxError("expected: store <base> <field> <src>", lineno)
-            pag.store_edges.append((
-                mention(var_names, "variable", toks[1], lineno),
-                mention(field_names, "field", toks[2], lineno),
-                mention(var_names, "variable", toks[3], lineno),
-            ))
-        elif directive == "load":
-            if len(toks) != 4:
-                raise FactSyntaxError("expected: load <dst> <base> <field>", lineno)
-            pag.load_edges.append((
-                mention(var_names, "variable", toks[1], lineno),
-                mention(var_names, "variable", toks[2], lineno),
-                mention(field_names, "field", toks[3], lineno),
-            ))
         else:
             raise FactSyntaxError(f"unknown directive {directive!r}", lineno)
 
