@@ -109,7 +109,7 @@ def parse_program(text: str) -> tuple[ClassHierarchy, PAG]:
     # declaration or statement does, in file order
     first_mentions: list[tuple[str, str, int]] = []
     type_lines: dict[str, int] = {}  # class, interface, first array mention -> line
-    checked_types: set[str] = set()  # type names of declarations so far
+    checked_types: set[str] = set()  # var, field and alloc type names checked
 
     def declare_type(name: str, line: int):
         if name in type_lines:
